@@ -9,8 +9,10 @@ in header order. Writing the same content twice yields identical bytes
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import struct
 import time
 from pathlib import Path
@@ -69,14 +71,51 @@ def _read_blob(path, magic: bytes):
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
             raise DataError(f"{path} is not a {magic.decode()} file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(4)
+        hlen = struct.unpack("<I", prefix)[0] if len(prefix) == 4 else -1
+        header_bytes = fh.read(max(hlen, 0))
+        if len(header_bytes) != hlen:
+            raise DataError(f"{path}: truncated header")
         payload = fh.read()
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported format version {header.get('format_version')}"
         )
     return header, payload
+
+
+def _fail_closed(reader):
+    """Report a missing, mistyped or inconsistent field of a file as a DataError."""
+
+    @functools.wraps(reader)
+    def checked(path):
+        try:
+            return reader(path)
+        except DataError:
+            raise
+        except KeyError as exc:
+            raise DataError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed field ({exc})") from exc
+
+    return checked
+
+
+def _block(path, payload: bytes, offset: int, shape: tuple) -> np.ndarray:
+    """The float32 block of ``shape`` at byte ``offset`` of the payload."""
+    count = math.prod(shape)
+    if min(shape, default=0) < 0 or offset < 0 or offset + 4 * count > len(payload):
+        raise DataError(
+            f"{path}: block of shape {shape} at byte {offset} runs past the "
+            f"{len(payload)}-byte payload"
+        )
+    return np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape)
 
 
 # -- checkpoints ---------------------------------------------------------------------
@@ -94,17 +133,18 @@ def save_checkpoint(path, state: dict[str, np.ndarray], model_config: dict, meta
     _write_blob(path, CKPT_MAGIC, header, [state[n] for n in names])
 
 
+@_fail_closed
 def load_checkpoint(path):
     """Returns (state dict, model_config dict, meta dict)."""
     header, payload = _read_blob(path, CKPT_MAGIC)
     state: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset)
-        state[entry["name"]] = arr.reshape(shape).copy()
-        offset += size * 4
+        arr = _block(path, payload, offset, tuple(int(d) for d in entry["shape"]))
+        state[entry["name"]] = arr.copy()
+        offset += arr.nbytes
+    if offset != len(payload):
+        raise DataError(f"{path}: {len(payload) - offset} bytes past the last tensor")
     return state, header["model_config"], header["meta"]
 
 
@@ -167,6 +207,7 @@ def write_spec_cache(path, specs: list[Spectrogram], preproc_config: dict) -> st
     return chash
 
 
+@_fail_closed
 def read_spec_cache(path):
     """Returns (list of Spectrogram, preproc_config, config_hash)."""
     header, payload = _read_blob(path, CACHE_MAGIC)
@@ -175,7 +216,7 @@ def read_spec_cache(path):
     specs = []
     for e in header["entries"]:
         t, f = int(e["t"]), int(e["f"])
-        values = np.frombuffer(payload, dtype="<f4", count=t * f, offset=int(e["offset"]))
+        values = _block(path, payload, int(e["offset"]), (t, f))
         rec = CycleRecord(
             audio_path="cache",
             onset_s=0.0,
@@ -188,7 +229,7 @@ def read_spec_cache(path):
         )
         specs.append(
             Spectrogram(
-                values=values.reshape(t, f).copy(),
+                values=values.copy(),
                 band_centers=centers[:f],
                 hop_seconds=hop,
                 label=e["label"],
@@ -214,6 +255,7 @@ def write_mask_file(path, mask: FrequencyMask, config_hash_value: str = "") -> N
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_fail_closed
 def read_mask_file(path) -> tuple[FrequencyMask, str]:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("lungsound-mask v1"):

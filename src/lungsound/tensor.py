@@ -10,6 +10,11 @@ Broadcasting is restricted to leading batch dimensions (shapes must
 match once right-aligned, except that one operand may be missing
 leading dimensions or have size 1 there). Anything else needs an
 explicit reshape; this keeps gradient bookkeeping small and auditable.
+
+Convolution is im2col + GEMM with channels-first columns,
+(B, C*kh*kw, Ho*Wo): the forward GEMM lands directly in NCHW and the
+input-gradient col2im reads contiguous (Ho, Wo) planes, with no buffer
+larger than the columns themselves (see ``conv2d``).
 """
 
 from __future__ import annotations
@@ -405,9 +410,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    # (B, Ho*Wo, C*kh*kw), contiguous for the GEMM
-    cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3))
-    return cols.reshape(b, ho * wo, c * kh * kw), ho, wo
+    # (B, C*kh*kw, Ho*Wo): the window view in its own order, so each
+    # row is one contiguous (Ho, Wo) plane and no transpose is copied
+    cols = np.ascontiguousarray(windows)
+    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -416,6 +422,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1 (same for W).
     Implemented as im2col + GEMM; gradients are produced for both the
     input and the kernel.
+
+    The im2col columns are channels-first, (B, C*kh*kw, Ho*Wo), for
+    memory layout, not FLOPs: the forward GEMM ``wmat @ cols`` lands in
+    NCHW with no output transpose, the input-gradient col2im reads each
+    kernel shift as contiguous (Ho, Wo) planes instead of striding by
+    C*kh*kw elements, and the weight gradient accumulates one batch item
+    at a time into one (C', C*kh*kw) buffer. No buffer is larger than
+    ``cols``, the same sizes as a row-major (B, Ho*Wo, C*kh*kw) im2col.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
@@ -438,17 +452,17 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wmat = weight.data.reshape(co, ci * kh * kw)
-    out = np.matmul(cols, wmat.T)  # (B, Ho*Wo, C')
-    out_data = out.transpose(0, 2, 1).reshape(b, co, ho, wo)
+    out_data = np.matmul(wmat, cols).reshape(b, co, ho, wo)
 
     def bwd(g):
-        g2 = g.reshape(b, co, ho * wo).transpose(0, 2, 1)  # (B, Ho*Wo, C')
+        g2 = g.reshape(b, co, ho * wo)
         if weight.requires_grad:
-            gw = np.tensordot(g2, cols, axes=([0, 1], [0, 1]))  # (C', C*kh*kw)
+            gw = np.zeros_like(wmat)
+            for gn, coln in zip(g2, cols):
+                gw += gn @ coln.T
             weight._accum(gw.reshape(co, ci, kh, kw))
         if x.requires_grad:
-            gcols = np.matmul(g2, wmat)  # (B, Ho*Wo, C*kh*kw)
-            gcols = gcols.reshape(b, ho, wo, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+            gcols = np.matmul(wmat.T, g2).reshape(b, ci, kh, kw, ho, wo)
             hp, wp = h + 2 * padding, w + 2 * padding
             gx = np.zeros((b, ci, hp, wp), dtype=x.data.dtype)
             for i in range(kh):
@@ -555,15 +569,15 @@ def pool2d(x: Tensor, kind: str, window: int, stride: int | None = None) -> Tens
         )
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    s0, s1, s2, s3 = x.data.strides
-    win = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(b, c, ho, wo, window, window),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
     if kind == "avg":
-        out_data = win.mean(axis=(4, 5))
+        # one add of whole (Ho, Wo) planes per window offset; a mean over
+        # the two small window axes of a strided view loops element-wise
+        # when the input is NCHW-contiguous, as conv2d outputs are
+        out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
+        for i in range(window):
+            for j in range(window):
+                out_data += x.data[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        out_data /= _DTYPE(window * window)
 
         def bwd(g):
             gx = np.zeros_like(x.data)
@@ -574,6 +588,13 @@ def pool2d(x: Tensor, kind: str, window: int, stride: int | None = None) -> Tens
             x._accum(gx)
 
     else:
+        s0, s1, s2, s3 = x.data.strides
+        win = np.lib.stride_tricks.as_strided(
+            x.data,
+            shape=(b, c, ho, wo, window, window),
+            strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+            writeable=False,
+        )
         flat = win.reshape(b, c, ho, wo, window * window)
         arg = np.argmax(flat, axis=-1)  # first occurrence on ties
         out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]

@@ -53,6 +53,14 @@ class TestPreprocess:
         assert run(cache_dir, *args) == 0
         assert (cache_dir / "synth.cache").read_bytes() != before
 
+    def test_truncated_cache_is_rebuilt(self, cache_dir, capsys):
+        path = cache_dir / "synth.cache"
+        good = path.read_bytes()
+        path.write_bytes(good[:-50])
+        assert run(cache_dir, *SYNTH_ARGS) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert path.read_bytes() == good
+
     def test_icbhi_preprocess_counts(self, tmp_path):
         from test_data import write_wav
 
@@ -119,6 +127,19 @@ class TestTrainEvaluate:
             "--cache", "other.cache", "--split", "all", "--out-dir", "eval2",
         )
         assert code == 2  # config error
+
+    def test_truncated_checkpoint_exits_3(self, cache_dir, capsys):
+        run(cache_dir, *train_args())
+        ckpt = cache_dir / "run1" / "checkpoint.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-50])
+        capsys.readouterr()
+        code = run(
+            cache_dir, "evaluate", "--checkpoint", "run1/checkpoint.ckpt",
+            "--cache", "synth.cache", "--split", "all", "--out-dir", "eval3",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_age_specific_training(self, tmp_path):
         # synth corpus has no ages: build a cache with ages injected
@@ -233,6 +254,16 @@ class TestFlopsCommand:
         total = int(next(r.split(",")[1] for r in rows if r.startswith("total,")))
         masked = int(next(r.split(",")[1] for r in rows if r.startswith("total_masked,")))
         assert 0.49 <= masked / total <= 0.51
+
+    @pytest.mark.parametrize("body", [
+        "origin full\nkeep 1111\n", "bands 4\norigin full\n", "bands four\nkeep 1111\n",
+    ])
+    def test_bad_mask_file_exits_3(self, tmp_path, capsys, body):
+        (tmp_path / "bad.txt").write_text("lungsound-mask v1\n" + body)
+        code = run(tmp_path, "flops", "--out", "f.csv", "--preset", "tiny", "--mask", "bad.txt")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_no_mask_ratio_is_one(self, tmp_path, capsys):
         assert run(tmp_path, "flops", "--out", "f.csv", "--preset", "sprsound") == 0

@@ -1,4 +1,8 @@
-"""Serialization round-trips and byte determinism."""
+"""Serialization round-trips, byte determinism, and rejection of
+truncated or corrupt files."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -71,7 +75,52 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("end", [-4, -50, 10, 40])
+    def test_truncated_rejected(self, tmp_path, end):
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, CnnTsa(cfg, seed=5).state_dict(), {}, {})
+        path.write_bytes(path.read_bytes()[:end])
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones(3, np.float32)}, {}, {})
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(DataError, match="past the last tensor"):
+            load_checkpoint(path)
+
+
+def blob(magic: bytes, header, payload=b"") -> bytes:
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return magic + struct.pack("<I", len(text)) + text + payload
+
+
 class TestSpecCache:
+    @pytest.mark.parametrize("cut", [1, 50, 200])
+    def test_truncated_rejected(self, tmp_path, cut):
+        path = tmp_path / "c.cache"
+        write_spec_cache(path, make_specs(), {})
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError):
+            read_spec_cache(path)
+
+    @pytest.mark.parametrize("data", [
+        b"LSCACHE1\x10\x00",  # header length cut short
+        blob(b"LSCACHE1", b"{not json"),
+        blob(b"LSCACHE1", [1, 2]),
+        blob(b"LSCACHE1", {"format_version": 1}),  # no entries
+        blob(b"LSCACHE1", {"format_version": 1, "band_centers": [1.0], "hop_seconds": 0.1,
+                           "entries": [{"t": 1, "f": 1, "offset": -4}]}, b"\0" * 8),
+    ], ids=["short-length", "bad-json", "not-object", "no-entries", "negative-offset"])
+    def test_corrupt_header_rejected(self, tmp_path, data):
+        path = tmp_path / "c.cache"
+        path.write_bytes(data)
+        with pytest.raises(DataError):
+            read_spec_cache(path)
+
+
     def test_round_trip(self, tmp_path):
         specs = make_specs()
         path = tmp_path / "c.cache"
@@ -122,6 +171,20 @@ class TestMaskFile:
     def test_bad_bitstring_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("lungsound-mask v1\nbands 4\norigin full\nconfig_hash x\nkeep 10\n")
+        with pytest.raises(DataError):
+            read_mask_file(path)
+
+
+    @pytest.mark.parametrize("body", [
+        "origin full\nkeep 1111\n",  # no bands line
+        "bands 4\norigin full\n",  # no keep line
+        "bands four\nkeep 1111\n",
+        "bands 4\nkeep 1101\niter 1 removed x\n",
+        "bands 4\nkeep 1101\niter 1 removed 0\n",  # history disagrees with keep
+    ])
+    def test_malformed_rejected(self, tmp_path, body):
+        path = tmp_path / "m.txt"
+        path.write_text("lungsound-mask v1\n" + body)
         with pytest.raises(DataError):
             read_mask_file(path)
 

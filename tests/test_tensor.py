@@ -13,6 +13,7 @@ from lungsound.tensor import (
     conv2d,
     matmul,
     pool2d,
+    precision,
     reduce,
     softmax,
 )
@@ -75,6 +76,81 @@ class TestConv2d:
             return (conv2d(t["x"], t["w"], stride=stride, padding=pad) * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x, "w": w})
+
+
+def reference_conv2d(x, w, g, stride, pad):
+    """The earlier row-major conv2d kernel, kept as the oracle for the
+    channels-first one: (B, Ho*Wo, C*kh*kw) im2col and a transposed
+    25-shift scatter. Returns (out, d out/d x . g, d out/d w . g)."""
+    co, ci, kh, kw = w.shape
+    b, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (b, ci, kh, kw, ho, wo), (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    )
+    cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3)).reshape(b, ho * wo, -1)
+    wmat = w.reshape(co, -1)
+    out = np.matmul(cols, wmat.T).transpose(0, 2, 1).reshape(b, co, ho, wo)
+    g2 = g.reshape(b, co, ho * wo).transpose(0, 2, 1)
+    gw = np.tensordot(g2, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
+    gcols = np.matmul(g2, wmat).reshape(b, ho, wo, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gx = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+    return out, gx[:, :, pad : pad + h, pad : pad + wd], gw
+
+
+def random_conv_case(seed):
+    """Random shape/stride/padding: B and C include 1, kernels may be
+    non-square, H and W may be odd."""
+    g = rng(seed)
+    stride, pad = int(g.integers(1, 4)), int(g.integers(0, 3))
+    kh, kw = int(g.integers(1, 6)), int(g.integers(1, 6))
+    b, c, co = int(g.integers(1, 4)), int(g.integers(1, 4)), int(g.integers(1, 5))
+    h = int(g.integers(max(kh - 2 * pad, 1), 12))
+    w = int(g.integers(max(kw - 2 * pad, 1), 12))
+    return g, (b, c, h, w), (co, c, kh, kw), stride, pad
+
+
+class TestConv2dReferenceOracle:
+    CASES = [
+        ((1, 1, 7, 9), (1, 1, 3, 3), 1, 0),
+        ((1, 1, 11, 5), (2, 1, 5, 3), 2, 2),
+        ((3, 2, 9, 7), (4, 2, 2, 5), 3, 1),
+        ((4, 3, 13, 11), (5, 3, 5, 5), 1, 2),
+        ((2, 4, 6, 10), (3, 4, 4, 1), 2, 0),
+    ]
+
+    def _compare(self, g, shape, kshape, stride, pad, dtype, rtol):
+        x = g.normal(size=shape).astype(dtype)
+        w = g.normal(size=kshape).astype(dtype)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, stride=stride, padding=pad)
+        mix = g.normal(size=out.shape).astype(dtype)
+        (out * Tensor(mix)).sum().backward()
+        ref_out, ref_gx, ref_gw = reference_conv2d(x, w, mix, stride, pad)
+        assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == dtype
+        atol = rtol * 10
+        np.testing.assert_allclose(out.data, ref_out, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(xt.grad, ref_gx, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(wt.grad, ref_gw, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_fixed_cases(self, case, dtype, rtol):
+        with precision(dtype):
+            self._compare(rng(7), *case, dtype, rtol)
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_cases(self, seed, dtype, rtol):
+        g, shape, kshape, stride, pad = random_conv_case(seed)
+        with precision(dtype):
+            self._compare(g, shape, kshape, stride, pad, dtype, rtol)
 
 
 # -- batchnorm ----------------------------------------------------------------------
@@ -144,6 +220,20 @@ class TestPool2d:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
         assert pool2d(x, "avg", 2).data.item() == 2.5
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (2, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_avg_matches_window_mean(self, window, stride, channels_last):
+        x = rng(15).normal(size=(2, 7, 9, 3)).astype(np.float32)
+        x = x.transpose(0, 3, 1, 2) if channels_last else np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+        ho, wo = (7 - window) // stride + 1, (9 - window) // stride + 1
+        expected = np.stack([
+            np.stack([x[:, :, i * stride : i * stride + window, j * stride : j * stride + window]
+                      .mean(axis=(2, 3)) for j in range(wo)], axis=-1)
+            for i in range(ho)
+        ], axis=-2)
+        out = pool2d(Tensor(x), "avg", window, stride=stride)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-6, atol=1e-7)
 
     def test_max_2x2(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
