@@ -5,18 +5,26 @@ ReLU output of the final block, before pooling), and Integrated
 Gradients on the raw input. Both keep the sign of the evidence; no
 ReLU clipping and no per-sample normalization, because downstream band
 scores average the raw values.
+
+Both run batched and differentiate only what they read. Neither touches
+the parameters' gradients: the parameters are frozen (``requires_grad``
+cleared) for the duration of the call, so no weight gradient is ever
+computed. Grad-CAM additionally builds no graph for the conv backbone
+(``tensor.no_grad``); its backward starts at the last conv activation.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import LOG_FLOOR, Spectrogram
 from .errors import UnsupportedMethodError
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
+from .train import _stack_inputs
 
 __all__ = [
     "AttributionMap",
@@ -24,7 +32,13 @@ __all__ = [
     "integrated_gradients",
     "band_profile",
     "bilinear_resize",
+    "ATTRIBUTION_BATCH",
 ]
+
+# clips (Grad-CAM) or interpolation steps (IG) per forward pass; 16 is the
+# batch of one ICBHI-preset training step, whose full-graph memory peak
+# bounds what one IG chunk holds
+ATTRIBUTION_BATCH = 16
 
 
 @dataclass
@@ -71,42 +85,73 @@ def bilinear_resize(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarra
     return (top * (1 - r_f)[:, None] + bot * r_f[:, None]).astype(np.float32)
 
 
-def _class_score(model, x: Tensor, class_id: int) -> Tensor:
-    logits = model.forward(x, training=False)
-    n_classes = logits.shape[-1]
+def _class_score(logits: Tensor, class_id: int) -> Tensor:
+    """Sum over the batch of each row's ``class_id`` logit.
+
+    Rows of the model are independent in eval mode, so the gradient of
+    this sum with respect to row b's input is that of row b's logit.
+    """
+    n_rows, n_classes = logits.shape
     if not 0 <= class_id < n_classes:
         raise ValueError(f"class {class_id} out of range for {n_classes} classes")
-    onehot = np.zeros((1, n_classes), dtype=np.float32)
-    onehot[0, class_id] = 1.0
+    onehot = np.zeros((n_rows, n_classes), dtype=np.float32)
+    onehot[:, class_id] = 1.0
     return (logits * Tensor(onehot)).sum()
 
 
-def gradcam(model, spec: Spectrogram, class_id: int) -> AttributionMap:
+@contextmanager
+def _frozen(model):
+    """Clear ``requires_grad`` on the model's parameters for the block.
+
+    Backward closures then skip every weight gradient (conv2d's ``gw``
+    GEMMs among them) and the parameters' ``.grad`` stays untouched.
+    """
+    params = list(model.params.values())
+    saved = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.requires_grad = flag
+
+
+def gradcam(model, specs: list[Spectrogram], class_id: int) -> list[AttributionMap]:
     """Grad-CAM at the last conv layer, upsampled to the input size.
 
     Weights are the spatial average of d(score)/d(feature map); the
     weighted feature-map sum keeps its sign and is bilinearly resized
-    to T x F.
+    to T x F. One map per spectrogram, in input order.
+
+    The model must split its forward pass as ``head(features(x))``.
+    Clips go through in chunks of ``ATTRIBUTION_BATCH``: ``features``
+    runs under ``no_grad`` and builds no graph, then only ``head`` is
+    differentiated, with respect to a fresh leaf holding the
+    activation, and with the parameters frozen.
     """
-    if not hasattr(model, "last_conv_activation"):
+    if not (hasattr(model, "features") and hasattr(model, "head")):
         raise UnsupportedMethodError(
             "grad-cam needs a model with a convolutional backbone exposing "
-            "last_conv_activation"
+            "features() and head()"
         )
-    x = Tensor(spec.values[None, None, :, :])
-    if hasattr(model, "zero_grad"):
-        model.zero_grad()
-    score = _class_score(model, x, class_id)
-    act = model.last_conv_activation
-    if act is None:
-        raise UnsupportedMethodError("model did not record a conv activation")
-    score.backward()
-    fmaps = act.data[0]  # (M, h, w)
-    grads = act.grad[0]
-    weights = grads.mean(axis=(1, 2))  # GAP of the gradients
-    cam = np.tensordot(weights, fmaps, axes=(0, 0))  # (h, w), signed
-    cam = bilinear_resize(cam, (spec.n_frames, spec.n_bands))
-    return AttributionMap(cam, sample_id=spec.clip_id, class_id=class_id, method="gradcam")
+    maps = []
+    with _frozen(model):
+        for start in range(0, len(specs), ATTRIBUTION_BATCH):
+            chunk = specs[start : start + ATTRIBUTION_BATCH]
+            with no_grad():
+                feats = model.features(Tensor(_stack_inputs(chunk)))
+            act = Tensor(feats.data, requires_grad=True)
+            model.last_conv_activation = act  # read by perfbench/tracer.py, not by lungsound
+            _class_score(model.head(act), class_id).backward()
+            weights = act.grad.mean(axis=(2, 3))  # (B, M): GAP of the gradients
+            for spec, w, fmaps in zip(chunk, weights, act.data):
+                cam = np.tensordot(w, fmaps, axes=(0, 0))  # (h, w), signed
+                cam = bilinear_resize(cam, (spec.n_frames, spec.n_bands))
+                maps.append(
+                    AttributionMap(cam, sample_id=spec.clip_id, class_id=class_id, method="gradcam")
+                )
+    return maps
 
 
 def integrated_gradients(
@@ -121,6 +166,10 @@ def integrated_gradients(
     Right-Riemann approximation with ``steps`` points; the default
     baseline is the all-log-floor (silence) spectrogram. Exact on
     linear models for any step count.
+
+    The interpolation points go through the model in batches of
+    ``ATTRIBUTION_BATCH`` with the parameters frozen, so backward
+    computes input gradients only.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -133,14 +182,14 @@ def integrated_gradients(
             raise ValueError(f"baseline shape {base.shape} != input {x.shape}")
     diff = x - base
     total = np.zeros_like(x)
-    for j in range(1, steps + 1):
-        point = base + (j / steps) * diff
-        xt = Tensor(point[None, None, :, :], requires_grad=True)
-        if hasattr(model, "zero_grad"):
-            model.zero_grad()
-        score = _class_score(model, xt, class_id)
-        score.backward()
-        total += xt.grad[0, 0]
+    with _frozen(model):
+        for start in range(1, steps + 1, ATTRIBUTION_BATCH):
+            alphas = np.arange(start, min(start + ATTRIBUTION_BATCH, steps + 1)) / steps
+            points = base + alphas.astype(np.float32)[:, None, None] * diff
+            xt = Tensor(points[:, None, :, :], requires_grad=True)
+            _class_score(model.forward(xt, training=False), class_id).backward()
+            for g in xt.grad[:, 0]:  # step order, as a per-step loop sums
+                total += g
     values = diff * (total / np.float32(steps))
     return AttributionMap(values, sample_id=spec.clip_id, class_id=class_id, method="ig")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -52,19 +51,13 @@ from .train import (
     train_age_specific,
 )
 from .svg import heatmap_svg, line_chart_svg
+from .tensor import Tensor, no_grad
 
 log = logging.getLogger("lungsound.cli")
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LUNGSOUND_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- option plumbing -----------------------------------------------------------------
@@ -545,12 +538,6 @@ def cmd_evaluate(args, workdir: Path, argv: list[str]) -> int:
 # -- attribute -------------------------------------------------------------------------
 
 
-def _clone_model(model: CnnTsa) -> CnnTsa:
-    clone = CnnTsa(model.cfg, seed=0)
-    clone.load_state_dict(model.state_dict())
-    return clone
-
-
 def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
     t0 = time.time()
     cache_path = _resolve(workdir, args.cache)
@@ -572,30 +559,10 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
     if not picked:
         raise DataError("no samples selected for attribution")
 
-    def run_chunk(chunk, worker_model):
-        out = []
-        for s in chunk:
-            if args.method == "gradcam":
-                amap = gradcam(worker_model, s, args.class_id)
-            else:
-                amap = integrated_gradients(worker_model, s, args.class_id, steps=args.ig_steps)
-            out.append(amap)
-        return out
-
-    workers = n_workers()
-    if workers > 1 and len(picked) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [picked[i::workers] for i in range(workers)]
-        models = [model] + [_clone_model(model) for _ in range(len(chunks) - 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks, models))
-        interleaved = []
-        for i in range(len(picked)):
-            interleaved.append(parts[i % workers][i // workers])
-        maps = interleaved
+    if args.method == "gradcam":
+        maps = gradcam(model, picked, args.class_id)
     else:
-        maps = run_chunk(picked, model)
+        maps = [integrated_gradients(model, s, args.class_id, steps=args.ig_steps) for s in picked]
     dump_path = out_dir / "attributions.ckpt"
     save_checkpoint(
         dump_path,
@@ -648,9 +615,8 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
 
 
 def _score_of(model: CnnTsa, spec, class_id: int) -> float:
-    from .tensor import Tensor
-
-    logits = model.forward(Tensor(spec.values[None, None]), training=False)
+    with no_grad():
+        logits = model.forward(Tensor(spec.values[None, None]), training=False)
     return float(logits.data[0, class_id])
 
 

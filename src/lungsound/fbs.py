@@ -219,18 +219,18 @@ def _fold_class_profiles(
         idx = np.flatnonzero(labels == c)
         if idx.size == 0:
             raise DataError(f"no training samples of class {c} in fold {fold}")
-        maps = []
-        for i in idx:
-            spec = fold_train[int(i)]
-            if method == "gradcam":
-                maps.append(gradcam(model, spec, c))
-            elif method == "ig":
-                baseline = np.zeros_like(spec.values)
-                maps.append(
-                    integrated_gradients(model, spec, c, baseline=baseline, steps=ig_steps)
+        specs = [fold_train[int(i)] for i in idx]
+        if method == "gradcam":
+            maps = gradcam(model, specs, c)
+        elif method == "ig":
+            maps = [
+                integrated_gradients(
+                    model, spec, c, baseline=np.zeros_like(spec.values), steps=ig_steps
                 )
-            else:
-                raise ConfigError(f"unknown attribution method {method!r}")
+                for spec in specs
+            ]
+        else:
+            raise ConfigError(f"unknown attribution method {method!r}")
         profiles.append(per_class_band_attribution(maps, class_id=c, fold=fold))
     return profiles
 

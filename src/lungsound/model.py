@@ -200,7 +200,12 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 
 
 class CnnTsa:
-    """The classifier; single-writer during training, shareable frozen."""
+    """The classifier; single-writer during training, shareable frozen.
+
+    ``last_conv_activation`` is written only by ``attribution.gradcam``
+    (the detached activation leaf of its last chunk); the forward pass
+    never stores one.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -234,10 +239,16 @@ class CnnTsa:
         self.params["head.bias"] = Tensor(np.zeros(cfg.n_classes, np.float32), requires_grad=True)
 
     # -- forward -------------------------------------------------------------
+    #
+    # forward(x) == head(features(x)), split at the last conv block's ReLU
+    # output, where Grad-CAM reads its activation: attribution runs
+    # ``features`` under ``tensor.no_grad`` and differentiates only ``head``,
+    # with respect to a fresh leaf. The model keeps no activation it
+    # computes, so a trained model pins no graph.
 
     def backbone_forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Run the conv blocks only; attention stages inside are applied."""
-        return self._run_blocks(x, training)
+        return self._pool_stage(self.features(x, training), self.cfg.n_conv_blocks)
 
     def _attend_flat(self, fm: Tensor) -> Tensor:
         """Temporal attention on the frequency-flattened feature map."""
@@ -248,7 +259,14 @@ class CnnTsa:
         )
         return seq.reshape(b, t, c, f).transpose(0, 2, 1, 3)
 
-    def _run_blocks(self, x: Tensor, training: bool) -> Tensor:
+    def _attention_block(self) -> int | None:
+        """Block after which attention runs on the flattened map (0 = the input)."""
+        stage = self.cfg.attention_stage()
+        return stage if stage is not None and stage >= 0 else None
+
+    def features(self, x, training: bool = False) -> Tensor:
+        """The last conv block's ReLU output [B, d, T', F'], before its pool."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
         cfg = self.cfg
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected input [B,1,T,F], got {x.shape}")
@@ -257,12 +275,12 @@ class CnnTsa:
                 f"input has {x.shape[3]} bands but the model was built for "
                 f"{cfg.n_mel_rows_in}"
             )
-        stage = cfg.attention_stage()
-        stage_idx = stage if stage is not None and stage >= 0 else None
         fm = x
-        if stage_idx == 0:
+        if self._attention_block() == 0:
             fm = self._attend_flat(fm)
         for i in range(1, cfg.n_conv_blocks + 1):
+            if i > 1:
+                fm = self._pool_stage(fm, i - 1)
             fm = conv2d(fm, self.params[f"conv{i}.weight"], stride=1, padding=PADDING)
             fm = batchnorm2d(
                 fm,
@@ -272,29 +290,34 @@ class CnnTsa:
                 training=training,
             )
             fm = fm.relu()
-            if i == cfg.n_conv_blocks:
-                self.last_conv_activation = fm
-            _, _, t, f = fm.shape
-            if t < POOL or f < POOL:
-                raise ShapeError(
-                    f"conv block {i}: feature map {t}x{f} too small for "
-                    f"{POOL}x{POOL} pooling"
-                )
-            fm = pool2d(fm, "avg", POOL)
-            if stage_idx == i:
-                fm = self._attend_flat(fm)
         return fm
 
-    def forward(self, x, training: bool = False) -> Tensor:
-        """Full forward pass to logits [B, n_classes]."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        fm = self._run_blocks(x, training)
+    def _pool_stage(self, fm: Tensor, i: int) -> Tensor:
+        """Block i's 2x2 average pool, then attention if it is placed there."""
+        _, _, t, f = fm.shape
+        if t < POOL or f < POOL:
+            raise ShapeError(
+                f"conv block {i}: feature map {t}x{f} too small for "
+                f"{POOL}x{POOL} pooling"
+            )
+        fm = pool2d(fm, "avg", POOL)
+        if self._attention_block() == i:
+            fm = self._attend_flat(fm)
+        return fm
+
+    def head(self, act: Tensor) -> Tensor:
+        """Logits [B, n_classes] from ``features``: pool, attention, aggregation, classifier."""
+        fm = self._pool_stage(act, self.cfg.n_conv_blocks)
         seq = aggregate_frequency(fm)  # (B, T', d)
         if self.cfg.attention_stage() == -1:
             seq = temporal_self_attention(
                 seq, self.params["tsa.wq"], self.params["tsa.wk"], self.params["tsa.wv"]
             )
         return classify_head(seq, self.params["head.weight"], self.params["head.bias"])
+
+    def forward(self, x, training: bool = False) -> Tensor:
+        """Full forward pass to logits [B, n_classes]."""
+        return self.head(self.features(x, training))
 
     __call__ = forward
 

@@ -15,6 +15,15 @@ Convolution is im2col + GEMM with channels-first columns,
 (B, C*kh*kw, Ho*Wo): the forward GEMM lands directly in NCHW and the
 input-gradient col2im reads contiguous (Ho, Wo) planes, with no buffer
 larger than the columns themselves (see ``conv2d``).
+
+Graph building: an op records its parents and backward closure only
+when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
+op records anything, so every result is a leaf and the buffers a
+backward would need (im2col columns, masks, softmax outputs) are freed
+as soon as the op returns; evaluation runs this way. A backward closure
+hands a gradient to an input only if that input has ``requires_grad``,
+so clearing the flag on the parameters ("freezing" them) skips the
+weight-gradient work while gradients still flow to the activations.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ __all__ = [
     "reduce",
     "relu",
     "precision",
+    "no_grad",
 ]
 
 # float32 is the working precision; gradient-check oracles flip the
@@ -56,19 +66,44 @@ def precision(dtype):
         _DTYPE = saved
 
 
+# cleared inside no_grad(); read by Tensor._from_op
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph: every op inside returns a leaf tensor.
+
+    The flag is module-global, like ``precision``; the engine is not
+    meant to be driven from several threads at once.
+    """
+    global _GRAD_ENABLED
+    saved = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = saved
+
+
 def _as_dtype(data) -> np.ndarray:
     arr = np.asarray(data, dtype=_DTYPE)
     return arr
 
 
 def _check_leading_broadcast(sa: tuple, sb: tuple) -> None:
-    """Allow broadcasting only over leading dims (missing or size-1)."""
-    small, big = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
-    pad = len(big) - len(small)
-    for i, (ds, db) in enumerate(zip((1,) * pad + tuple(small), big)):
-        if ds == db:
-            continue
-        if (ds == 1 or db == 1) and i < pad + _leading_ones(small):
+    """Allow broadcasting only over leading dims (missing or size-1).
+
+    A size-1 dim of either operand may stretch only if it lies in that
+    operand's leading run of missing or size-1 dims.
+    """
+    n = max(len(sa), len(sb))
+    lead_a = n - len(sa) + _leading_ones(sa)
+    lead_b = n - len(sb) + _leading_ones(sb)
+    pa = (1,) * (n - len(sa)) + tuple(sa)
+    pb = (1,) * (n - len(sb)) + tuple(sb)
+    for i, (da, db) in enumerate(zip(pa, pb)):
+        if da == db or (da == 1 and i < lead_a) or (db == 1 and i < lead_b):
             continue
         raise ShapeError(
             f"shapes {sa} and {sb} only broadcast over leading batch dims"
@@ -100,9 +135,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A float32 array plus an optional gradient accumulator.
 
-    Operations on tensors record a backward closure; calling
-    ``backward()`` on a scalar result propagates gradients to every
-    tensor in the graph with ``requires_grad`` set.
+    Operations on tensors record a backward closure (outside
+    ``no_grad``); calling ``backward()`` on a scalar result propagates
+    gradients to every tensor in the graph with ``requires_grad`` set.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -118,7 +153,9 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+        out = Tensor(
+            data, requires_grad=_GRAD_ENABLED and any(p.requires_grad for p in parents)
+        )
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -167,8 +204,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: callers hand in views of buffers they keep using
+            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -181,8 +220,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._accum(_unbroadcast(g, a.shape))
-            b._accum(_unbroadcast(g, b.shape))
+            if a.requires_grad:
+                a._accum(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b._accum(_unbroadcast(g, b.shape))
 
         return Tensor._from_op(a.data + b.data, (a, b), bwd)
 
@@ -194,8 +235,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._accum(_unbroadcast(g * b.data, a.shape))
-            b._accum(_unbroadcast(g * a.data, b.shape))
+            if a.requires_grad:
+                a._accum(_unbroadcast(g * b.data, a.shape))
+            if b.requires_grad:
+                b._accum(_unbroadcast(g * a.data, b.shape))
 
         return Tensor._from_op(a.data * b.data, (a, b), bwd)
 
@@ -216,12 +259,11 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         x = self
-        mask = x.data > 0
 
         def bwd(g):
-            x._accum(g * mask)
+            x._accum(g * (x.data > 0))
 
-        return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), bwd)
+        return Tensor._from_op(np.maximum(x.data, _DTYPE(0)), (x,), bwd)
 
     def log(self) -> "Tensor":
         """Natural log; the caller must guarantee strictly positive input."""
@@ -307,10 +349,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accum(_unbroadcast(ga, a.shape))
-        b._accum(_unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd)
 

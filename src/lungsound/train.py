@@ -20,7 +20,7 @@ from .metrics import MetricReport, collapse_to_binary
 from .model import CnnTsa, ModelConfig
 from .optim import AdamState, adam_step, cosine_lr
 from .seeding import rng_for
-from .tensor import Tensor, softmax
+from .tensor import Tensor, no_grad, softmax
 
 __all__ = [
     "TrainConfig",
@@ -179,7 +179,8 @@ def train(
     """Train a model on labeled spectrograms.
 
     The mask (if any) is applied first and the model is built for the
-    compacted band count. Raises DivergenceError with the offending
+    compacted band count. The returned model holds no gradients and no
+    reference to any activation. Raises DivergenceError with the offending
     epoch if the loss goes non-finite.
     """
     if not dataset:
@@ -243,6 +244,7 @@ def train(
             np.add.at(conf, (yb, preds), 1)
         train_as = MetricReport.from_confusion(conf).as_score if conf.sum() else 0.0
         history.append(EpochStats(epoch, lr, loss_sum / n, train_as))
+    model.zero_grad()
     return TrainResult(model=model, history=history, class_counts=counts)
 
 
@@ -257,6 +259,9 @@ def evaluate(
 ) -> MetricReport:
     """Score a frozen model; labels and predictions follow ``task``.
 
+    Forward passes run under ``no_grad``: no graph is built, so each
+    conv's im2col buffer is freed as soon as the conv returns.
+
     A multiclass model evaluated on the binary task has its argmax
     predictions collapsed (anything non-normal counts as adventitious).
     """
@@ -265,9 +270,10 @@ def evaluate(
     labels = task_labels(dataset, task)
     x_all = _stack_inputs(dataset)
     preds = np.empty(len(dataset), dtype=np.int64)
-    for start in range(0, len(dataset), batch_size):
-        logits = model.forward(Tensor(x_all[start : start + batch_size]), training=False)
-        preds[start : start + logits.shape[0]] = logits.data.argmax(axis=1)
+    with no_grad():
+        for start in range(0, len(dataset), batch_size):
+            logits = model.forward(Tensor(x_all[start : start + batch_size]), training=False)
+            preds[start : start + logits.shape[0]] = logits.data.argmax(axis=1)
     if task == "binary" and model.cfg.n_classes > 2:
         preds = collapse_to_binary(preds)
     n_classes = 2 if task == "binary" else model.cfg.n_classes

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lungsound.attribution import (
+    ATTRIBUTION_BATCH,
     AttributionMap,
     band_profile,
     bilinear_resize,
@@ -14,7 +15,7 @@ from lungsound.attribution import (
 )
 from lungsound.audio import Spectrogram
 from lungsound.data import SynthSpec, synth_corpus
-from lungsound.errors import UnsupportedMethodError
+from lungsound.errors import DataError, UnsupportedMethodError
 from lungsound.model import CnnTsa, ModelConfig
 from lungsound.tensor import Tensor, conv2d, reduce
 from lungsound.train import TrainConfig, train
@@ -32,35 +33,72 @@ class OneConvModel:
 
     def __init__(self, kernel):
         self.w = Tensor(kernel, requires_grad=True)
+        self.params = {"w": self.w}
         self.last_conv_activation = None
 
+    def features(self, x, training=False):
+        return conv2d(x, self.w, padding=1)
+
+    def head(self, act):
+        return reduce(act.reshape(act.shape[0], -1), "mean", axis=1).reshape(act.shape[0], 1)
+
     def forward(self, x, training=False):
-        act = conv2d(x, self.w, padding=1)
-        self.last_conv_activation = act
-        return reduce(act, "mean", axis=None).reshape(1, 1)
+        return self.head(self.features(x, training))
 
     def zero_grad(self):
         self.w.zero_grad()
 
 
 class LinearModel:
-    """Two logits, each a fixed linear functional of the input."""
+    """Two logits per row, each a fixed linear functional of that row's input."""
 
     def __init__(self, w0, w1):
-        self.w0 = Tensor(w0[None, None], requires_grad=True)
-        self.w1 = Tensor(w1[None, None], requires_grad=True)
-        self.last_conv_activation = None
+        self.w = Tensor(np.stack([w0.reshape(-1), w1.reshape(-1)], axis=1), requires_grad=True)
+        self.params = {"w": self.w}
 
     def forward(self, x, training=False):
-        s0 = (x * self.w0).sum().reshape(1, 1)
-        s1 = (x * self.w1).sum().reshape(1, 1)
-        mask0 = Tensor(np.array([[1.0, 0.0]], np.float32))
-        mask1 = Tensor(np.array([[0.0, 1.0]], np.float32))
-        return s0.reshape(1, 1) * mask0 + s1.reshape(1, 1) * mask1
+        return x.reshape(x.shape[0], -1) @ self.w
 
     def zero_grad(self):
-        self.w0.zero_grad()
-        self.w1.zero_grad()
+        self.w.zero_grad()
+
+
+# -- per-sample references: one B=1 forward and a full backward per map,
+# every weight gradient included; the batched, parameter-frozen versions
+# must reproduce them
+
+
+def _onehot_score(logits, class_id):
+    onehot = np.zeros(logits.shape, dtype=np.float32)
+    onehot[:, class_id] = 1.0
+    return (logits * Tensor(onehot)).sum()
+
+
+def reference_gradcam(model, spec, class_id):
+    model.zero_grad()
+    act = model.features(Tensor(spec.values[None, None, :, :]))
+    _onehot_score(model.head(act), class_id).backward()
+    weights = act.grad[0].mean(axis=(1, 2))
+    cam = np.tensordot(weights, act.data[0], axes=(0, 0))
+    model.zero_grad()
+    return bilinear_resize(cam, (spec.n_frames, spec.n_bands))
+
+
+def reference_integrated_gradients(model, spec, class_id, baseline, steps):
+    x = spec.values.astype(np.float32)
+    diff = x - baseline
+    total = np.zeros_like(x)
+    for j in range(1, steps + 1):
+        xt = Tensor((baseline + (j / steps) * diff)[None, None, :, :], requires_grad=True)
+        model.zero_grad()
+        _onehot_score(model.forward(xt), class_id).backward()
+        total += xt.grad[0, 0]
+    model.zero_grad()
+    return diff * (total / np.float32(steps))
+
+
+def grads_untouched(model):
+    return all(p.grad is None for p in model.params.values())
 
 
 class TestBilinearResize:
@@ -94,32 +132,31 @@ class TestBilinearResize:
 class TestGradCam:
     def test_zero_feature_maps_zero_attribution(self):
         model = OneConvModel(np.zeros((1, 1, 3, 3), np.float32))
-        amap = gradcam(model, make_spec(), class_id=0)
+        [amap] = gradcam(model, [make_spec()], class_id=0)
         np.testing.assert_array_equal(amap.values, 0.0)
 
     def test_one_conv_closed_form(self):
         kernel = np.random.default_rng(1).normal(size=(1, 1, 3, 3)).astype(np.float32)
         model = OneConvModel(kernel)
         spec = make_spec(t=5, f=7, seed=2)
-        amap = gradcam(model, spec, class_id=0)
+        [amap] = gradcam(model, [spec], class_id=0)
         act = conv2d(Tensor(spec.values[None, None]), Tensor(kernel), padding=1).data[0, 0]
         np.testing.assert_allclose(amap.values, act / act.size, rtol=1e-5, atol=1e-7)
 
     def test_linearity_in_feature_maps(self):
         kernel = np.random.default_rng(3).normal(size=(1, 1, 3, 3)).astype(np.float32)
         spec = make_spec(seed=4)
-        a1 = gradcam(OneConvModel(kernel), spec, 0).values
-        a2 = gradcam(OneConvModel(2.0 * kernel), spec, 0).values
+        a1 = gradcam(OneConvModel(kernel), [spec], 0)[0].values
+        a2 = gradcam(OneConvModel(2.0 * kernel), [spec], 0)[0].values
         # doubling the maps (same gradients: score is mean, weights fixed)
         np.testing.assert_allclose(a2, 2.0 * a1, rtol=1e-5, atol=1e-7)
 
     def test_sign_preserved(self):
         cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
         model = CnnTsa(cfg, seed=0)
-        vals = np.zeros(0)
         found_negative = False
-        for seed in range(5):
-            amap = gradcam(model, make_spec(t=8, f=8, seed=seed, scale=3.0), class_id=1)
+        specs = [make_spec(t=8, f=8, seed=seed, scale=3.0) for seed in range(5)]
+        for amap in gradcam(model, specs, class_id=1):
             assert np.all(np.isfinite(amap.values))
             found_negative |= bool((amap.values < 0).any())
         assert found_negative  # no ReLU clipping on the map
@@ -129,15 +166,33 @@ class TestGradCam:
             def forward(self, x, training=False):
                 return Tensor(np.zeros((1, 2), np.float32))
 
+        class FeaturesOnly(NoConv):
+            params = {}
+
+            def features(self, x, training=False):
+                return x
+
         with pytest.raises(UnsupportedMethodError):
-            gradcam(NoConv(), make_spec(), 0)
+            gradcam(NoConv(), [make_spec()], 0)
+        with pytest.raises(UnsupportedMethodError):
+            gradcam(FeaturesOnly(), [make_spec()], 0)
 
     def test_upsampled_shape_matches_input(self):
         cfg = ModelConfig(channels=(8, 8), n_classes=2, n_mel_rows_in=16)
         model = CnnTsa(cfg, seed=1)
         spec = make_spec(t=12, f=16, seed=5)
-        amap = gradcam(model, spec, 0)
+        [amap] = gradcam(model, [spec], 0)
         assert amap.values.shape == (12, 16)
+
+    def test_mixed_shapes_refused(self):
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
+        with pytest.raises(DataError):
+            gradcam(CnnTsa(cfg, seed=0), [make_spec(t=8, f=8), make_spec(t=10, f=8)], 0)
+
+    def test_class_out_of_range(self):
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
+        with pytest.raises(ValueError):
+            gradcam(CnnTsa(cfg, seed=0), [make_spec(t=8, f=8)], 2)
 
 
 class TestIntegratedGradients:
@@ -188,6 +243,77 @@ class TestIntegratedGradients:
     def test_bad_steps(self):
         with pytest.raises(ValueError):
             integrated_gradients(LinearModel(np.ones((4, 5), np.float32), np.ones((4, 5), np.float32)), make_spec(4, 5), 0, steps=0)
+
+
+PLACEMENTS = ["after_aggregation", "after_last", "after_block_1", "input", "none"]
+
+
+def oracle_model(placement="after_aggregation"):
+    cfg = ModelConfig(
+        channels=(8, 8), n_classes=3, n_mel_rows_in=16, attention_placement=placement
+    )
+    model = CnnTsa(cfg, seed=2)
+    # a head the size of a trained one, so the head gradients are not ~1e-3
+    head = model.params["head.weight"]
+    head.data[...] = np.random.default_rng(3).normal(size=head.shape).astype(np.float32)
+    return model
+
+
+def oracle_specs(n):
+    corpus = synth_corpus(
+        SynthSpec(n_classes=3, n_bands=16, n_frames=12, n_per_class=6, snr_db=6.0, seed=4)
+    )
+    return corpus[:n]
+
+
+def assert_close_to(values, ref):
+    np.testing.assert_allclose(values, ref, rtol=1e-5, atol=1e-6 * float(np.abs(ref).max()))
+
+
+class TestBatchedMatchesPerSample:
+    """Batched, parameter-frozen attribution against the per-sample
+    references, on chunk sizes that fill one chunk partly (1), exactly
+    (16 = ATTRIBUTION_BATCH), and spill into a second (17)."""
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("n_clips", [1, 16, 17])
+    def test_gradcam(self, placement, n_clips):
+        model = oracle_model(placement)
+        specs = oracle_specs(n_clips)
+        maps = gradcam(model, specs, 1)
+        assert grads_untouched(model)
+        assert all(p.requires_grad for p in model.params.values())
+        assert [m.sample_id for m in maps] == [s.clip_id for s in specs]
+        # the last chunk's activation, as a detached leaf
+        act = model.last_conv_activation
+        assert act._parents == () and act.shape[0] == (n_clips - 1) % ATTRIBUTION_BATCH + 1
+        for spec, amap in zip(specs, maps):
+            assert amap.method == "gradcam" and amap.class_id == 1
+            assert_close_to(amap.values, reference_gradcam(model, spec, 1))
+
+    @pytest.mark.parametrize("placement", ["after_aggregation", "after_block_1"])
+    @pytest.mark.parametrize("steps", [1, 16, 17])
+    def test_integrated_gradients(self, placement, steps):
+        model = oracle_model(placement)
+        spec = oracle_specs(1)[0]
+        baseline = np.zeros_like(spec.values)
+        amap = integrated_gradients(model, spec, 2, baseline=baseline, steps=steps)
+        assert grads_untouched(model)
+        assert all(p.requires_grad for p in model.params.values())
+        ref = reference_integrated_gradients(model, spec, 2, baseline, steps)
+        assert_close_to(amap.values, ref)
+
+    def test_trained_model_grads_untouched(self):
+        corpus = oracle_specs(18)
+        cfg = ModelConfig(channels=(8,), n_classes=3, n_mel_rows_in=16)
+        tcfg = TrainConfig(epochs=2, batch_size=8, lr0=1e-2, weight_decay=0.0, seed=0,
+                           task="multiclass", specaugment=False)
+        model = train(corpus, cfg, tcfg).model
+        assert grads_untouched(model)
+        gradcam(model, corpus, 0)
+        assert grads_untouched(model)
+        integrated_gradients(model, corpus[0], 0, steps=5)
+        assert grads_untouched(model)
 
 
 class TestBandProfile:

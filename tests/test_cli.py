@@ -307,19 +307,24 @@ class TestConfigFileAndDeterminism:
             ).read_bytes(), name
 
 
-class TestWorkerThreads:
-    def test_attribute_workers_env_matches_serial(self, cache_dir, monkeypatch):
+class TestAttributeBatching:
+    def test_attribute_matches_per_sample_reference(self, cache_dir):
+        """17 clips: one full chunk of 16 and one of 1, against per-sample Grad-CAM."""
+        from test_attribution import assert_close_to, reference_gradcam
+
+        from lungsound.cli import _load_model
+        from lungsound.io import load_checkpoint, read_spec_cache
+
         run(cache_dir, *train_args())
-        base = ["attribute", "--checkpoint", "run1/checkpoint.ckpt",
-                "--cache", "synth.cache", "--method", "gradcam", "--class-id", "0",
-                "--first", "5"]
-        monkeypatch.setenv("LUNGSOUND_WORKERS", "1")
-        assert run(cache_dir, *base, "--out-dir", "w1") == 0
-        monkeypatch.setenv("LUNGSOUND_WORKERS", "3")
-        assert run(cache_dir, *base, "--out-dir", "w3") == 0
-        a = (cache_dir / "w1" / "attributions.ckpt").read_bytes()
-        b = (cache_dir / "w3" / "attributions.ckpt").read_bytes()
-        assert a == b
+        assert run(cache_dir, "attribute", "--checkpoint", "run1/checkpoint.ckpt",
+                   "--cache", "synth.cache", "--method", "gradcam", "--class-id", "0",
+                   "--first", "17", "--out-dir", "b17") == 0
+        maps, _, _ = load_checkpoint(cache_dir / "b17" / "attributions.ckpt")
+        model, _ = _load_model(cache_dir / "run1" / "checkpoint.ckpt")
+        specs, _, _ = read_spec_cache(cache_dir / "synth.cache")
+        assert len(maps) == 17
+        for spec in specs[:17]:
+            assert_close_to(maps[spec.clip_id], reference_gradcam(model, spec, 0))
 
 
 class TestCliMatchesLibrary:

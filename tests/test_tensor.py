@@ -12,6 +12,7 @@ from lungsound.tensor import (
     batchnorm2d,
     conv2d,
     matmul,
+    no_grad,
     pool2d,
     precision,
     reduce,
@@ -423,6 +424,26 @@ class TestEngineProperties:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((4, 1))) + Tensor(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_leading_broadcast_symmetric(self, swap):
+        a, b = Tensor(np.ones((7, 2)), requires_grad=True), Tensor(np.ones((1, 2)), requires_grad=True)
+        out = (b * a) if swap else (a * b)
+        assert out.shape == (7, 2)
+        out.sum().backward()
+        np.testing.assert_array_equal(b.grad, [[7.0, 7.0]])
+        np.testing.assert_array_equal(a.grad, np.ones((7, 2)))
+
+    def test_size1_leading_dims_of_either_operand(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((1, 1, 3)))
+        assert (a + b).shape == (1, 2, 3) == (b + a).shape
+
+    def test_non_leading_broadcast_refused_both_orders(self):
+        a, b = Tensor(np.ones((5, 1, 3))), Tensor(np.ones((1, 4, 3)))
+        with pytest.raises(ShapeError):
+            a + b
+        with pytest.raises(ShapeError):
+            b + a
+
     def test_bias_style_leading_broadcast_allowed(self):
         out = Tensor(np.zeros((3, 4))) + Tensor(np.arange(4.0))
         np.testing.assert_array_equal(out.data[0], np.arange(4.0, dtype=np.float32))
@@ -445,3 +466,56 @@ class TestEngineProperties:
             return (t["x"].log() * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x})
+
+    def test_relu_values(self):
+        x = np.array([-2.0, -0.0, 0.0, 0.5, 3.0], np.float32)
+        out = Tensor(x).relu().data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.5, 3.0])
+
+    def test_first_gradient_is_a_copy(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        g = np.full((2, 3), 2.0, np.float32)
+        x._accum(g)
+        g[...] = 0.0  # the caller reuses its buffer
+        np.testing.assert_array_equal(x.grad, 2.0)
+        x._accum(np.ones((2, 3), np.float32))
+        np.testing.assert_array_equal(x.grad, 3.0)
+        np.testing.assert_array_equal(g, 0.0)
+
+
+class TestNoGrad:
+    def _ops(self):
+        g = rng(70)
+        x = Tensor(g.normal(size=(2, 1, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(g.normal(size=(3, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(3, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        proj = Tensor(g.normal(size=(27, 2)).astype(np.float32), requires_grad=True)
+        h = conv2d(x, w, padding=1)
+        h2 = batchnorm2d(h, gamma, beta, BatchNormState(3), training=True)
+        h3 = pool2d(h2.relu(), "avg", 2)
+        h4 = matmul(h3.reshape(2, -1), proj)
+        h5 = softmax(h4 * 2.0 + Tensor(np.ones(2)), axis=1)
+        return [h, h2, h3, h4, h5, reduce(h5, "max", axis=1), h5.log().sum()]
+
+    def test_ops_under_no_grad_are_leaves(self):
+        with no_grad():
+            outs = self._ops()
+        for out in outs:
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+
+    def test_same_values_and_graph_restored(self):
+        with_graph = self._ops()
+        with no_grad():
+            without = self._ops()
+        for a, b in zip(with_graph, without):
+            np.testing.assert_array_equal(a.data, b.data)
+        assert all(out._parents for out in self._ops())
+
+    def test_flag_restored_after_error(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError
+        assert self._ops()[-1].requires_grad

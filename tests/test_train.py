@@ -221,6 +221,49 @@ class TestTrain:
         assert result.model.cfg.n_mel_rows_in == 8
 
 
+def reachable_graph_nodes(obj, seen=None):
+    """Tensors with a recorded backward reachable from obj's attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj] if obj._parents or obj._backward is not None else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [t for c in children for t in reachable_graph_nodes(c, seen)]
+
+
+class TestTrainedModelHoldsNoGraph:
+    def test_no_graph_and_no_gradients(self):
+        result = train(tiny_corpus(n=8), tiny_model_cfg(), tiny_train_cfg(epochs=2))
+        model = result.model
+        assert reachable_graph_nodes(result) == []
+        assert all(p.grad is None for p in model.params.values())
+        assert model.last_conv_activation is None
+
+    def test_evaluate_builds_no_graph(self, monkeypatch):
+        from lungsound.model import CnnTsa
+
+        built = []
+        original = CnnTsa.forward
+
+        def spy(self, x, training=False):
+            out = original(self, x, training)
+            built.append(out)
+            return out
+
+        monkeypatch.setattr(CnnTsa, "forward", spy)
+        evaluate(CnnTsa(tiny_model_cfg(), 0), tiny_corpus(n=4), "multiclass")
+        assert built and all(not out.requires_grad and out._parents == () for out in built)
+
+
 class TestEvaluate:
     def test_degenerate_predictor_zero_se(self):
         corpus = tiny_corpus(n=10)
