@@ -146,7 +146,24 @@ def _load_cache(path: Path):
     return read_spec_cache(path)
 
 
-def _labels_in(specs) -> int:
+def _n_classes(preproc_config: dict, specs) -> int:
+    """The dataset's class count, from the cache header.
+
+    Not ``max(label) + 1`` of the selected split: a split that lacks the
+    top class would train a model that other splits' labels overflow.
+    A cache written outside ``preprocess`` falls back to its whole label
+    range, across every split.
+    """
+    dataset = preproc_config.get("dataset")
+    if dataset == "icbhi":
+        return len(ICBHI_CLASSES)
+    if dataset == "sprsound":
+        return len(SPRSOUND_CLASSES)
+    if dataset == "synth":
+        classes = (preproc_config.get("synth") or {}).get("classes")
+        if not isinstance(classes, int) or classes < 1:
+            raise DataError(f"synth cache header has no valid class count: {classes!r}")
+        return classes
     return int(max(s.label for s in specs)) + 1
 
 
@@ -279,13 +296,13 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> int:
     cache_path = _resolve(workdir, args.cache)
     out_dir = _resolve(workdir, args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs, _, cache_hash = _load_cache(cache_path)
+    specs, preproc, cache_hash = _load_cache(cache_path)
     data = _select_split(specs, args.split)
     mask = None
     mask_hash = ""
     if args.mask:
         mask, mask_hash = read_mask_file(_resolve(workdir, args.mask))
-    n_classes = 2 if args.task == "binary" else _labels_in(data)
+    n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     n_bands = mask.n_kept if mask else data[0].n_bands
     model_cfg = _model_config(args, n_bands, n_classes)
     train_cfg = _train_config(args)
@@ -406,9 +423,9 @@ def cmd_fbs(args, workdir: Path, argv: list[str]) -> int:
     cache_path = _resolve(workdir, args.cache)
     out_dir = _resolve(workdir, args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs, _, cache_hash = _load_cache(cache_path)
+    specs, preproc, cache_hash = _load_cache(cache_path)
     data = _select_split(specs, args.split)
-    n_classes = 2 if args.task == "binary" else _labels_in(data)
+    n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     model_cfg = _model_config(args, data[0].n_bands, n_classes)
     train_cfg = _train_config(args)
     lams = (

@@ -13,8 +13,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import struct
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +59,27 @@ def sha256_file(path) -> str:
     return h.hexdigest()[:16]
 
 
+@contextmanager
+def _replacing(path):
+    """Open a temp file beside ``path`` for binary writing; rename it over
+    ``path`` once the block completes.
+
+    A run that fails or is killed mid-write leaves the old file (or no
+    file) in place, never a half-written one that a later run trusts.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_blob(path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
     header_bytes = _canonical_json(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -236,7 +256,10 @@ def read_spec_cache(path):
                 provenance=rec,
             )
         )
-    return specs, header["preproc_config"], header["config_hash"]
+    preproc_config = header["preproc_config"]
+    if not isinstance(preproc_config, dict):
+        raise DataError(f"{path}: preproc_config is not a JSON object")
+    return specs, preproc_config, header["config_hash"]
 
 
 # -- mask files ------------------------------------------------------------------------
@@ -252,7 +275,8 @@ def write_mask_file(path, mask: FrequencyMask, config_hash_value: str = "") -> N
     ]
     for i, removed in enumerate(mask.history, start=1):
         lines.append("iter {} removed {}".format(i, " ".join(str(b) for b in removed)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 @_fail_closed

@@ -13,8 +13,15 @@ explicit reshape; this keeps gradient bookkeeping small and auditable.
 
 Convolution is im2col + GEMM with channels-first columns,
 (B, C*kh*kw, Ho*Wo): the forward GEMM lands directly in NCHW and the
-input-gradient col2im reads contiguous (Ho, Wo) planes, with no buffer
-larger than the columns themselves (see ``conv2d``).
+input-gradient col2im reads contiguous (Ho, Wo) planes (see
+``conv2d``).
+
+Training memory is bounded by recomputing cheap values instead of
+storing them (sublinear-memory training, arXiv:1604.06174): conv2d
+builds its columns a few batch items at a time (``IM2COL_BYTES``) and
+rebuilds them in backward, batchnorm recomputes its normalized input in
+backward, and ``backward()`` frees each intermediate gradient once it
+has been passed on.
 
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
@@ -175,7 +182,12 @@ class Tensor:
     # -- autograd -------------------------------------------------------------
 
     def backward(self, grad=None) -> None:
-        """Backpropagate from this tensor (defaults to d(self)/d(self)=1)."""
+        """Backpropagate from this tensor (defaults to d(self)/d(self)=1).
+
+        Only leaves (tensors no op produced: parameters, inputs) keep
+        their ``.grad``; an op result's gradient is freed as soon as its
+        closure has passed it on, so it never outlives its use.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         else:
@@ -199,6 +211,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def _accum(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -438,24 +451,25 @@ def relu(x: Tensor) -> Tensor:
 
 # -- convolution ----------------------------------------------------------------
 
+# Bytes of im2col columns conv2d builds at once. The batch is split into
+# chunks of items whose columns fit, so a conv holds O(this) extra memory
+# at any batch size instead of one column buffer for the whole batch.
+IM2COL_BYTES = 16 << 20
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    b, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(B, C*kh*kw, Ho*Wo) columns of the already padded ``xp``."""
+    b, c = xp.shape[:2]
+    s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        x,
+        xp,
         shape=(b, c, kh, kw, ho, wo),
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    # (B, C*kh*kw, Ho*Wo): the window view in its own order, so each
-    # row is one contiguous (Ho, Wo) plane and no transpose is copied
-    cols = np.ascontiguousarray(windows)
-    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
+    # the window view in its own order, so each row is one contiguous
+    # (Ho, Wo) plane and no transpose is copied
+    return np.ascontiguousarray(windows).reshape(b, c * kh * kw, ho * wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -470,8 +484,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     NCHW with no output transpose, the input-gradient col2im reads each
     kernel shift as contiguous (Ho, Wo) planes instead of striding by
     C*kh*kw elements, and the weight gradient accumulates one batch item
-    at a time into one (C', C*kh*kw) buffer. No buffer is larger than
-    ``cols``, the same sizes as a row-major (B, Ho*Wo, C*kh*kw) im2col.
+    at a time into one (C', C*kh*kw) buffer.
+
+    Columns are built a chunk of batch items at a time, as many items as
+    fit in ``IM2COL_BYTES`` (at least one), and are not kept: backward keeps
+    only the padded input and rebuilds each chunk's columns for the
+    weight gradient, so frozen weights (``requires_grad`` cleared) never
+    rebuild them. The input gradient's ``wmat.T @ g`` and col2im run per
+    chunk too, into that chunk's slice of the padded input gradient.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
@@ -492,31 +512,44 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"conv2d kernel {weight.shape} larger than padded input {x.shape}"
             f" (padding={padding})"
         )
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wmat = weight.data.reshape(co, ci * kh * kw)
-    out_data = np.matmul(wmat, cols).reshape(b, co, ho, wo)
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    patch = ci * kh * kw
+    chunk = max(1, IM2COL_BYTES // (patch * ho * wo * xp.itemsize))
+    wmat = weight.data.reshape(co, patch)
+    out_data = np.empty((b, co, ho * wo), dtype=np.result_type(wmat, xp))
+    for s in range(0, b, chunk):
+        np.matmul(wmat, _im2col(xp[s : s + chunk], kh, kw, stride, ho, wo), out=out_data[s : s + chunk])
 
     def bwd(g):
         g2 = g.reshape(b, co, ho * wo)
-        if weight.requires_grad:
-            gw = np.zeros_like(wmat)
-            for gn, coln in zip(g2, cols):
-                gw += gn @ coln.T
+        gw = np.zeros_like(wmat) if weight.requires_grad else None
+        gx = np.zeros_like(xp) if x.requires_grad else None
+        for s in range(0, b, chunk):
+            gs = g2[s : s + chunk]
+            if gw is not None:
+                cols = _im2col(xp[s : s + chunk], kh, kw, stride, ho, wo)
+                for n in range(len(gs)):
+                    gw += gs[n] @ cols[n].T
+                del cols  # hold one chunk-sized buffer at a time
+            if gx is not None:
+                gcols = np.matmul(wmat.T, gs).reshape(len(gs), ci, kh, kw, ho, wo)
+                gxs = gx[s : s + chunk]
+                for i in range(kh):
+                    for j in range(kw):
+                        gxs[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
+                            :, :, i, j
+                        ]
+                del gcols
+        if gw is not None:
             weight._accum(gw.reshape(co, ci, kh, kw))
-        if x.requires_grad:
-            gcols = np.matmul(wmat.T, g2).reshape(b, ci, kh, kw, ho, wo)
-            hp, wp = h + 2 * padding, w + 2 * padding
-            gx = np.zeros((b, ci, hp, wp), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                        :, :, i, j
-                    ]
-            if padding:
-                gx = gx[:, :, padding : padding + h, padding : padding + w]
-            x._accum(gx)
+        if gx is not None:
+            x._accum(gx[:, :, padding : padding + h, padding : padding + w])
 
-    return Tensor._from_op(out_data, (x, weight), bwd)
+    return Tensor._from_op(out_data.reshape(b, co, ho, wo), (x, weight), bwd)
 
 
 # -- batch normalization --------------------------------------------------------
@@ -545,6 +578,13 @@ def batchnorm2d(
     Training mode normalizes with batch statistics and updates the
     running estimates (exponential moving average, unbiased variance);
     eval mode normalizes with the running estimates.
+
+    Statistics reduce a (B, C, H*W) view over its contiguous last axis
+    first; the variance is the mean squared deviation from the mean
+    (two passes, no cancellation). The output is ``x*scale + shift``
+    with per-channel ``scale = gamma/std`` and ``shift = beta -
+    mean*scale``. The normalized input is not stored: backward
+    recomputes it from ``x``, which the graph keeps alive anyway.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, h, w = x.shape
@@ -556,9 +596,13 @@ def batchnorm2d(
             f"{gamma.shape} and {beta.shape}"
         )
     n = b * h * w
+    dt = x.data.dtype
+    xv = x.data.reshape(b, c, h * w)
     if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))  # biased, used for normalization
+        mean = xv.sum(axis=2).sum(axis=0) / n
+        dev = xv - mean[:, None]
+        var = np.einsum("bcs,bcs->c", dev, dev) / n  # biased, used for normalization
+        del dev
         unbiased = var * (n / max(n - 1, 1))
         state.running_mean = (
             (1 - momentum) * state.running_mean + momentum * mean
@@ -570,25 +614,32 @@ def batchnorm2d(
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=dt))
+    scale = (gamma.data * inv_std).astype(dt, copy=False)
+    out_data = xv * scale[:, None]
+    out_data += (beta.data - mean * scale).astype(dt, copy=False)[:, None]
 
     def bwd(g):
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=(0, 2, 3)))
+        gv = g.reshape(b, c, h * w)
+        sum_g = gv.sum(axis=2).sum(axis=0) if beta.requires_grad or training else None
         if beta.requires_grad:
-            beta._accum(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            scale = (gamma.data * inv_std)[None, :, None, None]
-            if training:
-                gm = g.mean(axis=(0, 2, 3), keepdims=True)
-                gxm = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                x._accum(scale * (g - gm - xhat * gxm))
-            else:
-                x._accum(scale * g)
+            beta._accum(sum_g)
+        if x.requires_grad and not training:
+            x._accum((gv * scale[:, None]).reshape(b, c, h, w))
+        if gamma.requires_grad or (x.requires_grad and training):
+            xhat = (xv - mean[:, None]) * inv_std[:, None]
+            sum_gxhat = np.einsum("bcs,bcs->c", gv, xhat)
+            if gamma.requires_grad:
+                gamma._accum(sum_gxhat)
+            if x.requires_grad and training:
+                # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer
+                xhat *= -(sum_gxhat / n)[:, None]
+                xhat += gv
+                xhat -= (sum_g / n)[:, None]
+                xhat *= scale[:, None]
+                x._accum(xhat.reshape(b, c, h, w))
 
-    return Tensor._from_op(out_data.astype(x.data.dtype), (x, gamma, beta), bwd)
+    return Tensor._from_op(out_data.reshape(b, c, h, w), (x, gamma, beta), bwd)
 
 
 # -- pooling --------------------------------------------------------------------

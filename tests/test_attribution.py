@@ -77,8 +77,20 @@ def _onehot_score(logits, class_id):
 def reference_gradcam(model, spec, class_id):
     model.zero_grad()
     act = model.features(Tensor(spec.values[None, None, :, :]))
+    # backward() frees an op result's gradient once it is passed on, so
+    # catch the gradient entering ``act`` on its way through
+    entering = []
+    act_backward = act._backward
+
+    def capture(g):
+        entering.append(g.copy())
+        act_backward(g)
+
+    act._backward = capture
     _onehot_score(model.head(act), class_id).backward()
-    weights = act.grad[0].mean(axis=(1, 2))
+    assert len(entering) == 1 and act.grad is None
+    assert all(p.grad is not None for p in model.params.values())
+    weights = entering[0][0].mean(axis=(1, 2))
     cam = np.tensordot(weights, act.data[0], axes=(0, 0))
     model.zero_grad()
     return bilinear_resize(cam, (spec.n_frames, spec.n_bands))

@@ -141,6 +141,33 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_train_split_lacking_top_class_evaluates(self, tmp_path):
+        # the class count comes from the cache header, not from the labels
+        # of the split being trained on
+        from lungsound.io import read_spec_cache, write_spec_cache
+
+        args = list(SYNTH_ARGS)
+        args[args.index("--synth-classes") + 1] = "3"
+        assert run(tmp_path, *args) == 0
+        specs, preproc, _ = read_spec_cache(tmp_path / "synth.cache")
+        for i, s in enumerate(specs):
+            top = s.label == 2
+            s.provenance.split = "official_test" if top or i % 2 else "official_train"
+        write_spec_cache(tmp_path / "synth.cache", specs, preproc)
+        code = run(
+            tmp_path, "train", "--cache", "synth.cache", "--out-dir", "run1",
+            "--split", "official_train", "--task", "multiclass", "--preset", "tiny",
+            "--epochs", "2", "--batch-size", "8", "--no-specaugment",
+        )
+        assert code == 0
+        code = run(
+            tmp_path, "evaluate", "--checkpoint", "run1/checkpoint.ckpt",
+            "--cache", "synth.cache", "--split", "official_test", "--out-dir", "eval1",
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "eval1" / "report.json").read_text())
+        assert len(report["confusion"]) == 3
+
     def test_age_specific_training(self, tmp_path):
         # synth corpus has no ages: build a cache with ages injected
         from lungsound.data import SynthSpec, synth_corpus

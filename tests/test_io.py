@@ -189,6 +189,50 @@ class TestMaskFile:
             read_mask_file(path)
 
 
+class TestAtomicWrites:
+    """Writers go through a temp file renamed over the target, so a write
+    that fails partway leaves the old file whole and no temp file behind."""
+
+    def test_cache_write_failing_partway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c.cache"
+        write_spec_cache(path, make_specs(), {"v": 1})
+        before = path.read_bytes()
+        specs = make_specs()
+        # the last block cannot become float32: the header and the first
+        # blocks are already written when it fails
+        specs[-1].values = np.full((6, 8), "x")
+        with pytest.raises(ValueError):
+            write_spec_cache(path, specs, {"v": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cache"]
+
+    def test_checkpoint_write_failing_partway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.ones(3, np.float32)}, {"k": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"a": np.zeros(3, np.float32), "b": np.full(2, "x")}, {"k": 2})
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] == {"k": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_interrupted_mask_write_keeps_old_file(self, tmp_path, monkeypatch):
+        import lungsound.io as lio
+
+        path = tmp_path / "m.txt"
+        write_mask_file(path, FrequencyMask(np.ones(4, dtype=bool)), "old")
+        before = path.read_bytes()
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lio.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            write_mask_file(path, FrequencyMask(np.zeros(4, dtype=bool)), "new")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+
 class TestFrequencyMaskInvariants:
     def test_history_partitions_removed(self):
         mask = FrequencyMask(np.ones(8, dtype=bool)).remove([1, 2]).remove([5])

@@ -1,9 +1,12 @@
 """Tensor engine tests: exact op semantics plus finite-difference
 gradient oracles (central differences, h=1e-3, rtol 1e-3, atol 1e-5)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import lungsound.tensor as tensor_mod
 from helpers import check_gradient
 from lungsound.errors import ShapeError
 from lungsound.tensor import (
@@ -154,6 +157,81 @@ class TestConv2dReferenceOracle:
             self._compare(g, shape, kshape, stride, pad, dtype, rtol)
 
 
+    # (B, C, H, W), kernel, stride, pad, items per chunk: several chunks,
+    # the last one ragged, or one item per chunk
+    CHUNKED = [
+        ((5, 3, 9, 8), (4, 3, 3, 3), 1, 1, 2),
+        ((7, 2, 11, 6), (3, 2, 5, 3), 2, 2, 3),
+        ((3, 4, 6, 7), (2, 4, 2, 2), 1, 0, 1),
+    ]
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", CHUNKED)
+    def test_chunked_cases(self, case, dtype, rtol, monkeypatch):
+        shape, kshape, stride, pad, per_chunk = case
+        co, ci, kh, kw = kshape
+        ho = (shape[2] + 2 * pad - kh) // stride + 1
+        wo = (shape[3] + 2 * pad - kw) // stride + 1
+        item_bytes = ci * kh * kw * ho * wo * np.dtype(dtype).itemsize
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", per_chunk * item_bytes + item_bytes // 2)
+        built = []
+        im2col = tensor_mod._im2col
+        monkeypatch.setattr(
+            tensor_mod, "_im2col", lambda xp, *a: built.append(len(xp)) or im2col(xp, *a)
+        )
+        with precision(dtype):
+            self._compare(rng(11), shape, kshape, stride, pad, dtype, rtol)
+        n_chunks = -(-shape[0] // per_chunk)
+        # forward builds each chunk's columns, backward rebuilds them once
+        assert built[:n_chunks] == built[n_chunks:]
+        assert len(built) == 2 * n_chunks and sum(built[:n_chunks]) == shape[0]
+        assert max(built) == per_chunk
+
+    def test_frozen_weight_rebuilds_no_columns(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", 1)  # one item per chunk
+        built = []
+        im2col = tensor_mod._im2col
+        monkeypatch.setattr(
+            tensor_mod, "_im2col", lambda xp, *a: built.append(len(xp)) or im2col(xp, *a)
+        )
+        g = rng(12)
+        xt = Tensor(g.normal(size=(3, 2, 6, 6)), requires_grad=True)
+        wt = Tensor(g.normal(size=(4, 2, 3, 3)))
+        out = conv2d(xt, wt, padding=1)
+        assert built == [1, 1, 1]
+        out.sum().backward()
+        assert built == [1, 1, 1] and wt.grad is None
+        # the input gradient of a stride-1 conv is the output gradient
+        # convolved with the flipped, channel-transposed kernel
+        flipped = Tensor(wt.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        expected = conv2d(Tensor(np.ones((3, 4, 6, 6))), flipped, padding=1)
+        np.testing.assert_allclose(xt.grad, expected.data, rtol=1e-5)
+
+    def test_peak_memory_bounded_by_chunk(self, monkeypatch):
+        # the whole batch's columns are 8x IM2COL_BYTES; conv forward plus
+        # backward may hold one chunk's columns (or their gradient) plus a
+        # few input- and output-sized buffers, never all the columns
+        b, c, hw, k = 8, 8, 32, 5
+        item_cols = c * k * k * hw * hw * 4
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", item_cols)
+        g = rng(13)
+        xt = Tensor(g.normal(size=(b, c, hw, hw)), requires_grad=True)
+        wt = Tensor(g.normal(size=(c, c, k, k)) * 0.1, requires_grad=True)
+        io_bytes = xt.data.nbytes * 2  # input plus output, same sizes here
+        assert b * item_cols >= 4 * tensor_mod.IM2COL_BYTES
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(xt, wt, padding=2)
+            out.backward(np.ones(out.shape, np.float32))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert xt.grad is not None and wt.grad is not None
+        assert peak < tensor_mod.IM2COL_BYTES + 4 * io_bytes, (peak, b * item_cols)
+
+
 # -- batchnorm ----------------------------------------------------------------------
 
 
@@ -215,6 +293,62 @@ class TestBatchNorm:
 
 
 # -- pooling -------------------------------------------------------------------------
+
+
+def reference_batchnorm2d(x, gamma, beta, g, training, running_mean, running_var,
+                           momentum=0.1, eps=1e-5):
+    """The earlier batchnorm kernel, kept as the oracle for the one-pass
+    one: statistics over axes (0, 2, 3) and a stored normalized copy.
+    Returns (out, d out/d x . g, d gamma, d beta, running mean, running var)."""
+    b, c, h, w = x.shape
+    n = b * h * w
+    if training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean = (1 - momentum) * running_mean + momentum * mean
+        running_var = (1 - momentum) * running_var + momentum * var * (n / max(n - 1, 1))
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    scale = (gamma * inv_std)[None, :, None, None]
+    if training:
+        gm = g.mean(axis=(0, 2, 3), keepdims=True)
+        gxm = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        gx = scale * (g - gm - xhat * gxm)
+    else:
+        gx = scale * g
+    return out, gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3)), running_mean, running_var
+
+
+class TestBatchNormReferenceOracle:
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 2, 1, 9), (3, 5, 8, 2)])
+    def test_matches_three_pass_kernel(self, shape, training, dtype, rtol):
+        g = rng(sum(shape))
+        c = shape[1]
+        x = (g.normal(size=shape) * g.uniform(0.5, 3.0, size=(1, c, 1, 1))
+             + g.normal(size=(1, c, 1, 1)) * 2).astype(dtype)
+        gamma = g.uniform(0.5, 1.5, size=c).astype(dtype)
+        beta = g.normal(size=c).astype(dtype)
+        mix = g.normal(size=shape).astype(dtype)
+        state = BatchNormState(c)
+        state.running_mean[:] = g.normal(size=c)
+        state.running_var[:] = g.uniform(0.5, 2.0, size=c)
+        rm, rv = state.running_mean.copy(), state.running_var.copy()
+        with precision(dtype):
+            xt = Tensor(x, requires_grad=True)
+            gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            out = batchnorm2d(xt, gt, bt, state, training=training)
+            (out * Tensor(mix)).sum().backward()
+        ref = reference_batchnorm2d(x, gamma, beta, mix, training, rm, rv)
+        assert out.data.dtype == xt.grad.dtype == dtype
+        for got, want in zip((out.data, xt.grad, gt.grad, bt.grad), ref):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+        np.testing.assert_allclose(state.running_mean, ref[4].astype(np.float32), rtol=1e-6)
+        np.testing.assert_allclose(state.running_var, ref[5].astype(np.float32), rtol=1e-6)
 
 
 class TestPool2d:
@@ -482,6 +616,52 @@ class TestEngineProperties:
         x._accum(np.ones((2, 3), np.float32))
         np.testing.assert_array_equal(x.grad, 3.0)
         np.testing.assert_array_equal(g, 0.0)
+
+
+class TestGradientRelease:
+    def _graph(self):
+        """Every op of the classifier once, with their leaves."""
+        g = rng(80)
+        leaves = {
+            "x": Tensor(g.normal(size=(2, 1, 6, 6)), requires_grad=True),
+            "w": Tensor(g.normal(size=(3, 1, 3, 3)), requires_grad=True),
+            "gamma": Tensor(np.ones(3), requires_grad=True),
+            "beta": Tensor(np.zeros(3), requires_grad=True),
+            "proj": Tensor(g.normal(size=(27, 2)), requires_grad=True),
+        }
+        h = conv2d(leaves["x"], leaves["w"], padding=1)
+        h = batchnorm2d(h, leaves["gamma"], leaves["beta"], BatchNormState(3), training=True)
+        h = pool2d(h.relu(), "avg", 2).reshape(2, -1)
+        s = softmax(matmul(h, leaves["proj"]) * 2.0, axis=1)
+        return leaves, (reduce(s, "max", axis=1) + s.log().sum(axis=1)).sum()
+
+    @staticmethod
+    def _nodes(root):
+        seen, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        return list(seen.values())
+
+    def test_only_leaves_keep_gradients(self):
+        leaves, loss = self._graph()
+        nodes = self._nodes(loss)
+        inner = [n for n in nodes if n._backward is not None]
+        assert len(inner) > 10
+        loss.backward()
+        assert all(n.grad is None for n in inner)
+        assert {id(n) for n in nodes if n.grad is not None} == {id(t) for t in leaves.values()}
+
+    def test_fan_out_gradient_summed_before_release(self):
+        # y feeds two ops; its gradient must hold both contributions when
+        # its closure runs: d/dx sum(y*y + y) = (2y + 1) * 2x
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        y = x * x
+        (y * y + y).sum().backward()
+        np.testing.assert_allclose(x.grad, (2 * x.data**2 + 1) * 2 * x.data, rtol=1e-6)
+        assert y.grad is None
 
 
 class TestNoGrad:
