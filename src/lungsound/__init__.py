@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .audio import AudioClip, Spectrogram, fit_duration, mel_spectrogram, spec_augment, standardize
 from .attribution import AttributionMap, band_profile, gradcam, integrated_gradients
-from .data import CycleRecord, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
+from .data import CycleRecord, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
 from .fbs import (
     FbsResult,
     FrequencyMask,
@@ -49,6 +49,7 @@ __all__ = [
     "integrated_gradients",
     "band_profile",
     "CycleRecord",
+    "SpecSet",
     "SynthSpec",
     "parse_icbhi",
     "parse_sprsound",

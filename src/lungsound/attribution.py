@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import LOG_FLOOR, Spectrogram
+from .data import SpecSet
 from .errors import UnsupportedMethodError
 from .tensor import Tensor, no_grad
-from .train import _stack_inputs
 
 __all__ = [
     "AttributionMap",
@@ -117,7 +117,7 @@ def _frozen(model):
             p.requires_grad = flag
 
 
-def gradcam(model, specs: list[Spectrogram], class_id: int) -> list[AttributionMap]:
+def gradcam(model, specs: SpecSet | list, class_id: int) -> list[AttributionMap]:
     """Grad-CAM at the last conv layer, upsampled to the input size.
 
     Weights are the spatial average of d(score)/d(feature map); the
@@ -135,21 +135,22 @@ def gradcam(model, specs: list[Spectrogram], class_id: int) -> list[AttributionM
             "grad-cam needs a model with a convolutional backbone exposing "
             "features() and head()"
         )
+    specs = SpecSet.of(specs)
     maps = []
     with _frozen(model):
         for start in range(0, len(specs), ATTRIBUTION_BATCH):
-            chunk = specs[start : start + ATTRIBUTION_BATCH]
+            chunk = slice(start, start + ATTRIBUTION_BATCH)
             with no_grad():
-                feats = model.features(Tensor(_stack_inputs(chunk)))
+                feats = model.features(Tensor(specs.values[chunk, None]))
             act = Tensor(feats.data, requires_grad=True)
             model.last_conv_activation = act  # read by perfbench/tracer.py, not by lungsound
             _class_score(model.head(act), class_id).backward()
             weights = act.grad.mean(axis=(2, 3))  # (B, M): GAP of the gradients
-            for spec, w, fmaps in zip(chunk, weights, act.data):
+            for clip_id, w, fmaps in zip(specs.clip_ids[chunk], weights, act.data):
                 cam = np.tensordot(w, fmaps, axes=(0, 0))  # (h, w), signed
-                cam = bilinear_resize(cam, (spec.n_frames, spec.n_bands))
+                cam = bilinear_resize(cam, (specs.n_frames, specs.n_bands))
                 maps.append(
-                    AttributionMap(cam, sample_id=spec.clip_id, class_id=class_id, method="gradcam")
+                    AttributionMap(cam, sample_id=clip_id, class_id=class_id, method="gradcam")
                 )
     return maps
 

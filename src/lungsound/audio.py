@@ -57,9 +57,15 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise DataError(f"non-positive sample rate {self.sample_rate}")
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
+
+def _band_centers(centers, n_bands: int) -> np.ndarray:
+    """``centers`` as float64 Hz, checked to be ``n_bands`` strictly increasing values."""
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.shape != (n_bands,):
+        raise ShapeError(f"band_centers length {centers.shape} does not match {n_bands} bands")
+    if not np.all(np.diff(centers) > 0):
+        raise DataError("band centers must be strictly increasing")
+    return centers
 
 
 @dataclass
@@ -74,16 +80,9 @@ class Spectrogram:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
-        self.band_centers = np.asarray(self.band_centers, dtype=np.float64)
         if self.values.ndim != 2:
             raise ShapeError(f"spectrogram must be 2-D, got {self.values.shape}")
-        if self.band_centers.shape != (self.values.shape[1],):
-            raise ShapeError(
-                f"band_centers length {self.band_centers.shape} does not match "
-                f"{self.values.shape[1]} bands"
-            )
-        if self.band_centers.size > 1 and not np.all(np.diff(self.band_centers) > 0):
-            raise DataError("band centers must be strictly increasing")
+        self.band_centers = _band_centers(self.band_centers, self.n_bands)
         if not np.all(np.isfinite(self.values)):
             raise DataError("spectrogram contains non-finite values")
 
@@ -97,23 +96,19 @@ class Spectrogram:
 
     @property
     def clip_id(self) -> str:
-        rec = self.provenance
-        return getattr(rec, "clip_id", "") if rec is not None else ""
+        return getattr(self.provenance, "clip_id", "")
 
     @property
     def patient_id(self) -> str | None:
-        rec = self.provenance
-        return getattr(rec, "patient_id", None) if rec is not None else None
+        return getattr(self.provenance, "patient_id", None)
 
     @property
     def age_years(self) -> float | None:
-        rec = self.provenance
-        return getattr(rec, "age_years", None) if rec is not None else None
+        return getattr(self.provenance, "age_years", None)
 
     @property
     def split(self) -> str:
-        rec = self.provenance
-        return getattr(rec, "split", "unsplit") if rec is not None else "unsplit"
+        return getattr(self.provenance, "split", "unsplit")
 
 
 # -- loading and standardization ------------------------------------------------

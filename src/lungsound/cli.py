@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .audio import fit_duration, mel_spectrogram, read_wav, standardize
-from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
+from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
 from .errors import ConfigError, DataError, DivergenceError
 from .fbs import MIN_BANDS, FbsResult, fbs_backward, fbs_importance
 from .flops import count_flops
@@ -130,23 +130,20 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _select_split(specs, split: str):
-    if split == "all":
-        return list(specs)
-    subset = [s for s in specs if s.split == split]
-    if not subset:
-        tags = sorted({s.split for s in specs})
-        raise DataError(f"no records with split {split!r}; cache has {tags}")
-    return subset
+def _open_cache(args, workdir: Path):
+    """(cache path, created --out-dir, whole cache, its --split clips, preproc config, hash)."""
+    cache_path = _resolve(workdir, args.cache)
+    out_dir = _resolve(workdir, args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    specs, preproc, chash = read_spec_cache(cache_path)
+    split = getattr(args, "split", "all")
+    data = specs if split == "all" else specs[specs.splits == split]
+    if not data:
+        raise DataError(f"no records with split {split!r}; cache has {sorted(set(specs.splits))}")
+    return cache_path, out_dir, specs, data, preproc, chash
 
 
-def _load_cache(path: Path):
-    if not path.exists():
-        raise DataError(f"cache {path} does not exist")
-    return read_spec_cache(path)
-
-
-def _n_classes(preproc_config: dict, specs) -> int:
+def _n_classes(preproc_config: dict, specs: SpecSet) -> int:
     """The dataset's class count, from the cache header.
 
     Not ``max(label) + 1`` of the selected split: a split that lacks the
@@ -164,7 +161,7 @@ def _n_classes(preproc_config: dict, specs) -> int:
         if not isinstance(classes, int) or classes < 1:
             raise DataError(f"synth cache header has no valid class count: {classes!r}")
         return classes
-    return int(max(s.label for s in specs)) + 1
+    return int(specs.labels.max()) + 1
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -218,7 +215,7 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
     chash = config_hash(cfg)
     if out_path.exists():
         try:
-            _, _, existing_hash = _load_cache(out_path)
+            _, _, existing_hash = read_spec_cache(out_path)
         except DataError:
             existing_hash = None
         if existing_hash == chash:
@@ -243,7 +240,7 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
             records = parse_icbhi(root)
         else:
             records = parse_sprsound(root, edition=args.sprsound_edition)
-        specs = []
+        clips = []
         by_wav: dict[str, list] = {}
         for rec in records:
             by_wav.setdefault(rec.audio_path, []).append(rec)
@@ -258,7 +255,7 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
                     raise DataError(f"cycle {rec.clip_id} lies outside {wav_path}")
                 cycle = replace(mono, samples=mono.samples[a:b].copy())
                 cycle = fit_duration(cycle, args.target_seconds, args.pad_mode)
-                specs.append(
+                clips.append(
                     mel_spectrogram(
                         cycle,
                         n_mels=args.n_mels,
@@ -270,10 +267,11 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
                         label=rec.label,
                     )
                 )
-        input_hash = config_hash({"records": [s.clip_id for s in specs]})
+        specs = SpecSet.of(clips)
+        input_hash = config_hash({"records": specs.clip_ids.tolist()})
     write_spec_cache(out_path, specs, cfg)
     names = ICBHI_CLASSES if args.dataset == "icbhi" else SPRSOUND_CLASSES
-    counts = np.bincount([s.label for s in specs])
+    counts = np.bincount(specs.labels)
     print(f"wrote {len(specs)} spectrograms to {out_path} (config {chash})")
     for c, n in enumerate(counts):
         label = names[c] if args.dataset in ("icbhi", "sprsound") and c < len(names) else f"class {c}"
@@ -293,17 +291,15 @@ def _history_rows(history):
 
 def cmd_train(args, workdir: Path, argv: list[str]) -> int:
     t0 = time.time()
-    cache_path = _resolve(workdir, args.cache)
-    out_dir = _resolve(workdir, args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    specs, preproc, cache_hash = _load_cache(cache_path)
-    data = _select_split(specs, args.split)
+    cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     mask = None
     mask_hash = ""
     if args.mask:
         mask, mask_hash = read_mask_file(_resolve(workdir, args.mask))
+        if mask.n_bands != specs.n_bands:
+            raise ConfigError(f"mask covers {mask.n_bands} bands but the cache has {specs.n_bands}")
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
-    n_bands = mask.n_kept if mask else data[0].n_bands
+    n_bands = mask.n_kept if mask else specs.n_bands
     model_cfg = _model_config(args, n_bands, n_classes)
     train_cfg = _train_config(args)
     outputs = []
@@ -420,13 +416,9 @@ def _emit_fbs_outputs(result: FbsResult, out_dir: Path, cache_hash: str, tag: st
 
 def cmd_fbs(args, workdir: Path, argv: list[str]) -> int:
     t0 = time.time()
-    cache_path = _resolve(workdir, args.cache)
-    out_dir = _resolve(workdir, args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    specs, preproc, cache_hash = _load_cache(cache_path)
-    data = _select_split(specs, args.split)
+    cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
-    model_cfg = _model_config(args, data[0].n_bands, n_classes)
+    model_cfg = _model_config(args, specs.n_bands, n_classes)
     train_cfg = _train_config(args)
     lams = (
         [float(v) for v in args.lambda_sweep.split(",")]
@@ -492,23 +484,39 @@ def cmd_fbs(args, workdir: Path, argv: list[str]) -> int:
 
 def _load_model(ckpt_path: Path) -> tuple[CnnTsa, dict]:
     state, model_cfg_dict, meta = load_checkpoint(ckpt_path)
-    cfg = ModelConfig(
-        channels=tuple(model_cfg_dict["channels"]),
-        n_classes=model_cfg_dict["n_classes"],
-        attention_placement=model_cfg_dict["attention_placement"],
-        n_mel_rows_in=model_cfg_dict["n_mel_rows_in"],
-    )
-    model = CnnTsa(cfg, seed=0)
-    model.load_state_dict(state)
+    try:
+        cfg = ModelConfig(
+            channels=tuple(model_cfg_dict["channels"]),
+            n_classes=model_cfg_dict["n_classes"],
+            attention_placement=model_cfg_dict["attention_placement"],
+            n_mel_rows_in=model_cfg_dict["n_mel_rows_in"],
+        )
+        model = CnnTsa(cfg, seed=0)
+        model.load_state_dict(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{ckpt_path}: tensors do not fit the model config ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{ckpt_path}: meta is not a JSON object")
     return model, meta
+
+
+def _checkpoint_mask(model: CnnTsa, meta: dict, n_bands: int) -> FrequencyMask:
+    """The checkpoint's band mask over ``n_bands``; refuses one the model does not fit."""
+    bits = str(meta.get("mask") or "1" * n_bands)
+    mask = FrequencyMask(np.array([ch == "1" for ch in bits], dtype=bool))
+    if mask.n_bands != n_bands:
+        raise ConfigError(f"checkpoint mask covers {mask.n_bands} bands but the cache has {n_bands}")
+    if model.cfg.n_mel_rows_in != mask.n_kept:
+        raise ConfigError(
+            f"checkpoint model reads {model.cfg.n_mel_rows_in} bands but the cache gives "
+            f"{mask.n_kept} (after the checkpoint's mask)"
+        )
+    return mask
 
 
 def cmd_evaluate(args, workdir: Path, argv: list[str]) -> int:
     t0 = time.time()
-    cache_path = _resolve(workdir, args.cache)
-    out_dir = _resolve(workdir, args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    specs, _, cache_hash = _load_cache(cache_path)
+    cache_path, out_dir, specs, data, _, cache_hash = _open_cache(args, workdir)
     model, meta = _load_model(_resolve(workdir, args.checkpoint))
     if meta.get("data_config_hash") and meta["data_config_hash"] != cache_hash:
         raise ConfigError(
@@ -516,15 +524,13 @@ def cmd_evaluate(args, workdir: Path, argv: list[str]) -> int:
             f"but this cache has {cache_hash}; refusing to evaluate mismatched "
             f"preprocessing"
         )
-    data = _select_split(specs, args.split)
+    mask = _checkpoint_mask(model, meta, specs.n_bands)
     if meta.get("age_stratum"):
         child, adult = split_by_age(data, float(meta["age_split"]))
         data = child if meta["age_stratum"] == "child" else adult
         if not data:
             raise DataError(f"no {meta['age_stratum']} records in split {args.split}")
-    if meta.get("mask"):
-        keep = np.array([ch == "1" for ch in meta["mask"]], dtype=bool)
-        data = [apply_mask(s, FrequencyMask(keep)) for s in data]
+    data = apply_mask(data, mask)
     task = args.task or meta.get("task", "multiclass")
     report = evaluate(model, data, task)
     report_path = out_dir / "report.json"
@@ -557,24 +563,20 @@ def cmd_evaluate(args, workdir: Path, argv: list[str]) -> int:
 
 def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
     t0 = time.time()
-    cache_path = _resolve(workdir, args.cache)
-    out_dir = _resolve(workdir, args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    specs, _, cache_hash = _load_cache(cache_path)
+    cache_path, out_dir, specs, _, _, cache_hash = _open_cache(args, workdir)
     model, meta = _load_model(_resolve(workdir, args.checkpoint))
-    if meta.get("mask"):
-        keep = np.array([ch == "1" for ch in meta["mask"]], dtype=bool)
-        specs = [apply_mask(s, FrequencyMask(keep)) for s in specs]
+    mask = _checkpoint_mask(model, meta, specs.n_bands)
     if args.samples:
         wanted = set(args.samples.split(","))
-        picked = [s for s in specs if s.clip_id in wanted]
-        missing = wanted - {s.clip_id for s in picked}
+        picked = specs[np.isin(specs.clip_ids, sorted(wanted))]
+        missing = wanted.difference(picked.clip_ids)
         if missing:
             raise DataError(f"sample ids not in cache: {sorted(missing)}")
     else:
         picked = specs[: args.first]
     if not picked:
         raise DataError("no samples selected for attribution")
+    picked = apply_mask(picked, mask)
 
     if args.method == "gradcam":
         maps = gradcam(model, picked, args.class_id)
@@ -589,7 +591,7 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
     )
     outputs = [dump_path]
     profile_rows = []
-    for i, (s, m) in enumerate(zip(picked, maps)):
+    for i, m in enumerate(maps):
         if args.svg:
             svg_path = out_dir / f"attr_{i:03d}_{m.sample_id or 'sample'}.svg"
             svg_path.write_text(heatmap_svg(m.values))
@@ -598,18 +600,14 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
     prof_path = out_dir / "band_profiles.csv"
     _write_csv(
         prof_path,
-        ["clip_id"] + [f"band{b}" for b in range(picked[0].n_bands)],
+        ["clip_id"] + [f"band{b}" for b in range(picked.n_bands)],
         profile_rows,
     )
     outputs.append(prof_path)
     if args.method == "ig":
         s = picked[0]
-        x_score = _score_of(model, s, args.class_id)
-        base = np.full_like(s.values, float(np.log(1e-10)))
-        from dataclasses import replace as dc_replace
-
-        base_spec = dc_replace(s, values=base)
-        b_score = _score_of(model, base_spec, args.class_id)
+        x_score = _score_of(model, s.values, args.class_id)
+        b_score = _score_of(model, np.full_like(s.values, float(np.log(1e-10))), args.class_id)
         total = float(maps[0].values.sum())
         gap = abs(total - (x_score - b_score))
         denom = max(abs(x_score - b_score), 1e-12)
@@ -631,9 +629,9 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
     return 0
 
 
-def _score_of(model: CnnTsa, spec, class_id: int) -> float:
+def _score_of(model: CnnTsa, values: np.ndarray, class_id: int) -> float:
     with no_grad():
-        logits = model.forward(Tensor(spec.values[None, None]), training=False)
+        logits = model.forward(Tensor(values[None, None]), training=False)
     return float(logits.data[0, class_id])
 
 

@@ -18,17 +18,19 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Spectrogram, mel_filterbank
-from .errors import ConfigError, DataError
+from .audio import Spectrogram, _band_centers, mel_filterbank
+from .errors import ConfigError, DataError, ShapeError
+from .metrics import collapse_to_binary
 from .seeding import rng_for
 
 __all__ = [
     "CycleRecord",
+    "SpecSet",
     "SynthSpec",
     "ICBHI_CLASSES",
     "SPRSOUND_CLASSES",
@@ -49,6 +51,7 @@ SPRSOUND_CLASSES = (
     "Fine Crackle",
     "Wheeze and Crackle",
 )
+SPLITS = ("official_train", "official_test", "unsplit")
 
 
 @dataclass
@@ -70,10 +73,104 @@ class CycleRecord:
             raise DataError(
                 f"bad cycle bounds [{self.onset_s}, {self.offset_s}] in {self.audio_path}"
             )
-        if self.split not in ("official_train", "official_test", "unsplit"):
+        if self.split not in SPLITS:
             raise DataError(f"unknown split tag {self.split!r}")
         if not self.clip_id:
             self.clip_id = f"{Path(self.audio_path).stem}_{self.onset_s:.3f}"
+
+
+@dataclass(eq=False)
+class SpecSet:
+    """Equally shaped labeled spectrograms, stored by column.
+
+    ``values`` holds every clip in one (N, T, F) array; the metadata are
+    (N,) columns in the same order. Splits, folds and age strata are
+    index arrays over the columns (``specs[specs.splits == "official_test"]``),
+    and a frequency mask is a slice of the band axis (``masks.apply_mask``).
+    An integer index gives one clip as a ``Spectrogram`` whose values are
+    a view into the set, and iteration yields the clips in order; a slice
+    or an index array gives a ``SpecSet``.
+    """
+
+    values: np.ndarray  # (N, T, F) float32, all finite
+    band_centers: np.ndarray  # (F,) Hz, strictly increasing
+    hop_seconds: float
+    labels: np.ndarray  # (N,) int64; -1 marks an unlabeled clip
+    patient_ids: np.ndarray  # (N,) str, None where unknown
+    ages: np.ndarray  # (N,) float64 years, NaN where unknown
+    splits: np.ndarray  # (N,) one of SPLITS
+    clip_ids: np.ndarray  # (N,) str
+
+    COLUMNS = ("labels", "patient_ids", "ages", "splits", "clip_ids")
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float32)
+        if self.values.ndim != 3:
+            raise ShapeError(f"a spectrogram set is (N, T, F), got shape {self.values.shape}")
+        self.hop_seconds = float(self.hop_seconds)
+        for name, dtype in zip(self.COLUMNS, (np.int64, object, np.float64, object, object)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (len(self),):
+                raise ShapeError(f"{name} column of shape {column.shape} for {len(self)} clips")
+            setattr(self, name, column)
+        self.band_centers = _band_centers(self.band_centers, self.n_bands)
+        if not self.hop_seconds > 0:
+            raise DataError(f"hop must be positive, got {self.hop_seconds}")
+        if (self.labels < -1).any() or not set(self.splits.tolist()) <= set(SPLITS):
+            raise DataError("labels must be >= 0 (-1: unlabeled) and splits one of " + str(SPLITS))
+        # min and max carry any NaN or inf, without a mask the size of values
+        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
+            raise DataError("spectrogram set contains non-finite values")
+
+    @classmethod
+    def of(cls, clips) -> "SpecSet":
+        """The set of a sequence of ``Spectrogram`` clips; a SpecSet as is."""
+        if isinstance(clips, cls):
+            return clips
+        clips = list(clips)
+        shapes = sorted({c.values.shape for c in clips})
+        if len(shapes) != 1:
+            raise DataError(f"cannot batch spectrograms of shapes {shapes}")
+        values = np.empty((len(clips), *shapes[0]), dtype=np.float32)
+        for i, c in enumerate(clips):
+            values[i] = c.values
+        return cls(
+            values, clips[0].band_centers, clips[0].hop_seconds,
+            labels=[-1 if c.label is None else c.label for c in clips],
+            patient_ids=[c.patient_id for c in clips],
+            ages=[np.nan if c.age_years is None else c.age_years for c in clips],
+            splits=[c.split for c in clips],
+            clip_ids=[c.clip_id for c in clips],
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def n_frames(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def n_bands(self) -> int:
+        return self.values.shape[2]
+
+    def __getitem__(self, idx):
+        if not isinstance(idx, (int, np.integer)):
+            return replace(self, values=self.values[idx], **{c: getattr(self, c)[idx] for c in self.COLUMNS})
+        label, age = int(self.labels[idx]), float(self.ages[idx])
+        label = None if label < 0 else label
+        rec = CycleRecord(
+            "", 0.0, max(self.n_frames, 1) * self.hop_seconds, label, self.patient_ids[idx],
+            age_years=None if math.isnan(age) else age, split=self.splits[idx], clip_id=self.clip_ids[idx],
+        )
+        return Spectrogram(self.values[idx], self.band_centers, self.hop_seconds, label, provenance=rec)
+
+    def targets(self, task: str) -> np.ndarray:
+        """Class labels for ``task``; "binary" maps every adventitious class to 1."""
+        if (self.labels < 0).any():
+            i = int(np.argmax(self.labels < 0))
+            raise DataError(f"spectrogram {i} ({self.clip_ids[i]!r}) has no label")
+        return collapse_to_binary(self.labels) if task == "binary" else self.labels
 
 
 # -- ICBHI ------------------------------------------------------------------------
@@ -310,12 +407,6 @@ class SynthSpec:
                 seen.update(b)
         return bands
 
-    def all_planted(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for b in self.resolved_bands():
-            out.update(b)
-        return tuple(sorted(out))
-
 
 def _class_pattern(class_id: int, n_frames: int) -> np.ndarray:
     """Unit-mean-square temporal texture; classes differ locally.
@@ -353,7 +444,7 @@ def _draw_jitter(cfg: SynthSpec, rng: np.random.Generator, n: int) -> np.ndarray
     return rng.uniform(lo, hi, size=n)
 
 
-def synth_corpus(cfg: SynthSpec) -> list[Spectrogram]:
+def synth_corpus(cfg: SynthSpec) -> SpecSet:
     """Generate the labeled planted-band corpus (seed-deterministic).
 
     snr_db is the corpus-mean planted-cell signal power over the unit
@@ -365,36 +456,27 @@ def synth_corpus(cfg: SynthSpec) -> list[Spectrogram]:
     jnorm = _jitter_norm(cfg)
     rng = rng_for(cfg.seed, "synth-corpus")
     _, centers = mel_filterbank(n_mels=cfg.n_bands, n_fft=1024)
-    specs: list[Spectrogram] = []
+    n = cfg.n_classes * cfg.n_per_class
+    values = np.empty((n, cfg.n_frames, cfg.n_bands), dtype=np.float32)
     for c in range(cfg.n_classes):
         pattern = _class_pattern(c, cfg.n_frames)
         band_idx = np.asarray(bands[c], dtype=np.int64)
         for i in range(cfg.n_per_class):
             if np.isfinite(cfg.snr_db):
-                values = rng.normal(0.0, 1.0, size=(cfg.n_frames, cfg.n_bands))
+                clip = rng.normal(0.0, 1.0, size=(cfg.n_frames, cfg.n_bands))
                 amp = amp0 * jnorm * _draw_jitter(cfg, rng, len(band_idx))
             else:
-                values = np.zeros((cfg.n_frames, cfg.n_bands))
+                clip = np.zeros((cfg.n_frames, cfg.n_bands))
                 amp = np.ones(len(band_idx))
-            values[:, band_idx] += amp[None, :] * pattern[:, None]
-            pid = f"synth-c{c}-p{i // max(cfg.samples_per_patient, 1):04d}"
-            rec = CycleRecord(
-                audio_path="synthetic",
-                onset_s=0.0,
-                offset_s=cfg.n_frames * 0.032,
-                label=c,
-                patient_id=pid,
-                age_years=None,
-                split="unsplit",
-                clip_id=f"synth-c{c}-{i:04d}",
-            )
-            specs.append(
-                Spectrogram(
-                    values=values.astype(np.float32),
-                    band_centers=centers,
-                    hop_seconds=0.032,
-                    label=c,
-                    provenance=rec,
-                )
-            )
-    return specs
+            clip[:, band_idx] += amp[None, :] * pattern[:, None]
+            values[c * cfg.n_per_class + i] = clip
+    per_patient = max(cfg.samples_per_patient, 1)
+    rows = [(c, i) for c in range(cfg.n_classes) for i in range(cfg.n_per_class)]
+    return SpecSet(
+        values, centers, 0.032,
+        labels=[c for c, _ in rows],
+        patient_ids=[f"synth-c{c}-p{i // per_patient:04d}" for c, i in rows],
+        ages=np.full(n, np.nan),
+        splits=["unsplit"] * n,
+        clip_ids=[f"synth-c{c}-{i:04d}" for c, i in rows],
+    )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attribution import AttributionMap, band_profile, gradcam, integrated_gradients
-from .audio import Spectrogram
+from .data import SpecSet
 from .errors import ConfigError, DataError
 from .masks import FrequencyMask, apply_mask
 from .model import ModelConfig
@@ -207,7 +207,7 @@ def eliminate_lowest(
 
 def _fold_class_profiles(
     model,
-    fold_train: list[Spectrogram],
+    fold_train: SpecSet,
     labels: np.ndarray,
     n_classes: int,
     method: str,
@@ -216,10 +216,9 @@ def _fold_class_profiles(
 ) -> list[np.ndarray]:
     profiles = []
     for c in range(n_classes):
-        idx = np.flatnonzero(labels == c)
-        if idx.size == 0:
+        specs = fold_train[labels == c]
+        if not specs:
             raise DataError(f"no training samples of class {c} in fold {fold}")
-        specs = [fold_train[int(i)] for i in idx]
         if method == "gradcam":
             maps = gradcam(model, specs, c)
         elif method == "ig":
@@ -235,43 +234,26 @@ def _fold_class_profiles(
     return profiles
 
 
-def _cv_train_eval(
-    dataset: list[Spectrogram],
-    splits,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    mask: FrequencyMask,
-    want_models: bool,
-):
-    """One counted CV training: K fold models, their val AS, the mean."""
-    masked = [apply_mask(s, mask) for s in dataset]
-    cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)
+def _cv_train_eval(masked: SpecSet, splits, model_cfg: ModelConfig, train_cfg: TrainConfig):
+    """One counted CV training on masked clips: the fold models and their val AS."""
+    cfg = replace(model_cfg, n_mel_rows_in=masked.n_bands)
     fold_as: list[float] = []
     fold_models = []
-    fold_train_idx = []
     for f, (tr, va) in enumerate(splits):
         # common random numbers across candidate masks: the fold seed
         # depends only on the fold, so AS differences isolate the mask
         fold_seed = int(rng_for(train_cfg.seed, "fbs-train", f).integers(2**31))
-        res = train(
-            [masked[i] for i in tr],
-            cfg,
-            replace(train_cfg, seed=fold_seed),
-            mask=None,
-        )
-        report = evaluate(res.model, [masked[i] for i in va], train_cfg.task)
-        fold_as.append(report.as_score)
-        if want_models:
-            fold_models.append(res.model)
-            fold_train_idx.append(tr)
-    return masked, float(np.mean(fold_as)), fold_as, fold_models, fold_train_idx
+        res = train(masked[tr], cfg, replace(train_cfg, seed=fold_seed))
+        fold_as.append(evaluate(res.model, masked[va], train_cfg.task).as_score)
+        fold_models.append(res.model)
+    return fold_as, fold_models
 
 
 # -- the selection loops ----------------------------------------------------------------
 
 
 def fbs_importance(
-    dataset: list[Spectrogram],
+    dataset: SpecSet | list,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     lam: float = 0.5,
@@ -285,7 +267,8 @@ def fbs_importance(
     """Iterative importance-based selection (one CV training per iteration)."""
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    n_bands = dataset[0].n_bands
+    dataset = SpecSet.of(dataset)
+    n_bands = dataset.n_bands
     n_classes = 2 if train_cfg.task == "binary" else model_cfg.n_classes
     splits = patient_kfold(dataset, k=k_folds, seed=train_cfg.seed)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="importance")
@@ -295,9 +278,9 @@ def fbs_importance(
     best_mask = mask
     while True:
         it_idx = len(iterations)
-        masked, mean_as, fold_as, models, train_idx = _cv_train_eval(
-            dataset, splits, model_cfg, train_cfg, mask, want_models=True
-        )
+        masked = apply_mask(dataset, mask)
+        fold_as, models = _cv_train_eval(masked, splits, model_cfg, train_cfg)
+        mean_as = float(np.mean(fold_as))
         train_runs += 1
         record = FbsIteration(
             index=it_idx,
@@ -312,15 +295,12 @@ def fbs_importance(
             best_as, best_mask = mean_as, mask
         elif mean_as < best_as - stop_epsilon:
             break
-        all_labels = np.asarray(
-            [s.label if train_cfg.task != "binary" else int(s.label != 0) for s in masked]
-        )
+        all_labels = masked.targets(train_cfg.task)
         per_fold = []
-        for f, model in enumerate(models):
-            tr = train_idx[f]
+        for f, (model, (tr, _)) in enumerate(zip(models, splits)):
             profiles = _fold_class_profiles(
                 model,
-                [masked[i] for i in tr],
+                masked[tr],
                 all_labels[tr],
                 n_classes,
                 attribution_method,
@@ -344,7 +324,7 @@ def fbs_importance(
 
 
 def fbs_backward(
-    dataset: list[Spectrogram],
+    dataset: SpecSet | list,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     k_folds: int = 5,
@@ -360,7 +340,8 @@ def fbs_backward(
     means adjacent among the survivors. Ties on the best candidate
     break toward the lowest group start.
     """
-    n_bands = dataset[0].n_bands
+    dataset = SpecSet.of(dataset)
+    n_bands = dataset.n_bands
     splits = patient_kfold(dataset, k=k_folds, seed=train_cfg.seed)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="backward")
     iterations: list[FbsIteration] = []
@@ -372,13 +353,12 @@ def fbs_backward(
         kept = mask.kept_indices
         candidates = [kept[i * window : (i + 1) * window] for i in range(len(kept) // window)]
         cand_as: list[float] = []
-        for w_i, cand in enumerate(candidates):
-            trial = mask.remove(cand)
-            _, mean_as, _, _, _ = _cv_train_eval(
-                dataset, splits, model_cfg, train_cfg, trial, want_models=False
+        for cand in candidates:
+            fold_as, _ = _cv_train_eval(
+                apply_mask(dataset, mask.remove(cand)), splits, model_cfg, train_cfg
             )
             train_runs += 1
-            cand_as.append(mean_as)
+            cand_as.append(float(np.mean(fold_as)))
         pick = int(np.argmax(cand_as))  # first occurrence wins ties
         chosen_as = cand_as[pick]
         record = FbsIteration(

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Spectrogram
-from .data import CycleRecord
+from .data import SpecSet
 from .errors import DataError
 from .masks import FrequencyMask
 
@@ -84,7 +83,7 @@ def _write_blob(path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> N
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def _read_blob(path, magic: bytes):
@@ -111,7 +110,7 @@ def _read_blob(path, magic: bytes):
 
 
 def _fail_closed(reader):
-    """Report a missing, mistyped or inconsistent field of a file as a DataError."""
+    """Report an unreadable file, or a missing, mistyped or bad field, as a DataError."""
 
     @functools.wraps(reader)
     def checked(path):
@@ -119,6 +118,8 @@ def _fail_closed(reader):
             return reader(path)
         except DataError:
             raise
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
         except KeyError as exc:
             raise DataError(f"{path}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -161,6 +162,8 @@ def load_checkpoint(path):
     offset = 0
     for entry in header["tensors"]:
         arr = _block(path, payload, offset, tuple(int(d) for d in entry["shape"]))
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: tensor {entry['name']!r} holds non-finite values")
         state[entry["name"]] = arr.copy()
         offset += arr.nbytes
     if offset != len(payload):
@@ -168,94 +171,68 @@ def load_checkpoint(path):
     return state, header["model_config"], header["meta"]
 
 
-def import_backbone_weights(model, path, name_map: dict[str, str] | None = None) -> list[str]:
-    """Load externally exported conv/batchnorm weights into a model.
-
-    The file uses the regular checkpoint format; ``name_map`` translates
-    external tensor names to this package's (conv{i}.weight,
-    bn{i}.gamma/beta/running_mean/running_var). Entries that do not
-    match a backbone tensor are ignored. Returns the names imported.
-    """
-    state, _, _ = load_checkpoint(path)
-    if name_map:
-        state = {name_map.get(k, k): v for k, v in state.items()}
-    backbone = {
-        k: v
-        for k, v in state.items()
-        if k.startswith(("conv", "bn")) and (
-            k in model.params
-            or k.endswith((".running_mean", ".running_var"))
-        )
-    }
-    model.load_state_dict(backbone, strict=False)
-    return sorted(backbone)
-
-
 # -- spectrogram cache -----------------------------------------------------------------
 
 
-def write_spec_cache(path, specs: list[Spectrogram], preproc_config: dict) -> str:
+def write_spec_cache(path, specs: SpecSet | list, preproc_config: dict) -> str:
     """Write a labeled spectrogram set; returns the config hash key."""
-    if not specs:
+    if not len(specs):
         raise DataError("refusing to write an empty cache")
+    specs = SpecSet.of(specs)
+    n, t, f = specs.values.shape
     chash = config_hash(preproc_config)
-    entries = []
-    offset = 0
-    for s in specs:
-        entries.append(
-            {
-                "clip_id": s.clip_id,
-                "label": s.label,
-                "patient_id": s.patient_id,
-                "age_years": s.age_years,
-                "split": s.split,
-                "t": s.n_frames,
-                "f": s.n_bands,
-                "offset": offset,
-            }
-        )
-        offset += s.values.size * 4
+    entries = [
+        {
+            "clip_id": specs.clip_ids[i],
+            "label": int(specs.labels[i]) if specs.labels[i] >= 0 else None,
+            "patient_id": specs.patient_ids[i],
+            "age_years": None if np.isnan(specs.ages[i]) else float(specs.ages[i]),
+            "split": specs.splits[i],
+            "t": t,
+            "f": f,
+            "offset": i * t * f * 4,
+        }
+        for i in range(n)
+    ]
     header = {
         "format_version": FORMAT_VERSION,
         "preproc_config": preproc_config,
         "config_hash": chash,
-        "hop_seconds": specs[0].hop_seconds,
-        "band_centers": [float(c) for c in specs[0].band_centers],
+        "hop_seconds": specs.hop_seconds,
+        "band_centers": [float(c) for c in specs.band_centers],
         "entries": entries,
     }
-    _write_blob(path, CACHE_MAGIC, header, [s.values for s in specs])
+    _write_blob(path, CACHE_MAGIC, header, [specs.values])
     return chash
 
 
 @_fail_closed
 def read_spec_cache(path):
-    """Returns (list of Spectrogram, preproc_config, config_hash)."""
+    """Returns (SpecSet, preproc_config, config_hash).
+
+    Every entry must have the same (t, f) and follow the previous one
+    in the payload: the clips are read as one (N, T, F) block.
+    """
     header, payload = _read_blob(path, CACHE_MAGIC)
-    centers = np.asarray(header["band_centers"], dtype=np.float64)
-    hop = float(header["hop_seconds"])
-    specs = []
-    for e in header["entries"]:
-        t, f = int(e["t"]), int(e["f"])
-        values = _block(path, payload, int(e["offset"]), (t, f))
-        rec = CycleRecord(
-            audio_path="cache",
-            onset_s=0.0,
-            offset_s=max(t * hop, hop),
-            label=int(e["label"]) if e["label"] is not None else 0,
-            patient_id=str(e["patient_id"]) if e["patient_id"] is not None else "unknown",
-            age_years=e["age_years"],
-            split=e["split"],
-            clip_id=e["clip_id"],
-        )
-        specs.append(
-            Spectrogram(
-                values=values.copy(),
-                band_centers=centers[:f],
-                hop_seconds=hop,
-                label=e["label"],
-                provenance=rec,
-            )
-        )
+    entries = header["entries"]
+    if not entries:
+        raise DataError(f"{path}: the cache holds no clips")
+    t, f = int(entries[0]["t"]), int(entries[0]["f"])
+    if any((int(e["t"]), int(e["f"])) != (t, f) for e in entries):
+        raise DataError(f"{path}: entries have mixed (t, f) shapes")
+    if [int(e["offset"]) for e in entries] != [i * t * f * 4 for i in range(len(entries))]:
+        raise DataError(f"{path}: entry offsets are not contiguous")
+    values = _block(path, payload, 0, (len(entries), t, f))
+    if values.nbytes != len(payload):
+        raise DataError(f"{path}: {len(payload) - values.nbytes} bytes past the last clip")
+    specs = SpecSet(
+        values.copy(), header["band_centers"], header["hop_seconds"],
+        labels=[-1 if e["label"] is None else int(e["label"]) for e in entries],
+        patient_ids=[str(e["patient_id"]) if e["patient_id"] is not None else "unknown" for e in entries],
+        ages=[np.nan if e["age_years"] is None else float(e["age_years"]) for e in entries],
+        splits=[e["split"] for e in entries],
+        clip_ids=[str(e["clip_id"]) for e in entries],
+    )
     preproc_config = header["preproc_config"]
     if not isinstance(preproc_config, dict):
         raise DataError(f"{path}: preproc_config is not a JSON object")

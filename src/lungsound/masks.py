@@ -1,7 +1,7 @@
 """Frequency masks and their application to spectrograms.
 
-Masked bands are physically removed: kept rows are compacted into a
-contiguous matrix (band order preserved), which is what shrinks the
+Masked bands are physically removed: kept bands are compacted into a
+contiguous array (band order preserved), which is what shrinks the
 convolution cost. The mask keeps the mapping back to original band
 indices via ``kept_indices``.
 """
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .audio import Spectrogram
+from .data import SpecSet
 from .errors import ShapeError
 
 __all__ = ["FrequencyMask", "apply_mask"]
@@ -67,18 +68,18 @@ class FrequencyMask:
         return "".join("1" if k else "0" for k in self.keep)
 
 
-def apply_mask(spec: Spectrogram, mask: FrequencyMask) -> Spectrogram:
-    """Compact a spectrogram to its kept bands (order preserved)."""
-    if mask.n_bands != spec.n_bands:
+def apply_mask(x: Spectrogram | SpecSet, mask: FrequencyMask) -> Spectrogram | SpecSet:
+    """Compact a spectrogram, or every clip of a set, to its kept bands.
+
+    Band order is preserved. A mask that keeps every band returns ``x``
+    itself.
+    """
+    if mask.n_bands != x.n_bands:
         raise ShapeError(
-            f"mask over {mask.n_bands} bands applied to spectrogram with "
-            f"{spec.n_bands}"
+            f"mask over {mask.n_bands} bands applied to spectrograms with "
+            f"{x.n_bands}"
         )
     if mask.n_kept == mask.n_bands:
-        return spec
+        return x
     kept = mask.kept_indices
-    return replace(
-        spec,
-        values=np.ascontiguousarray(spec.values[:, kept]),
-        band_centers=spec.band_centers[kept],
-    )
+    return replace(x, values=x.values.take(kept, axis=-1), band_centers=x.band_centers[kept])

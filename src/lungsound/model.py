@@ -62,8 +62,8 @@ class ModelConfig:
     n_mel_rows_in: int = 64
 
     def __post_init__(self):
-        if not self.channels:
-            raise ConfigError("channels must be non-empty")
+        if not self.channels or min(self.channels) < 1:
+            raise ConfigError(f"channels must be non-empty and positive, got {self.channels}")
         if self.n_classes < 2:
             raise ConfigError(f"need >=2 classes, got {self.n_classes}")
         if self.d % 8 != 0:

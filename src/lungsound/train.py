@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .audio import Spectrogram, _augment_values
+from .audio import _augment_values
+from .data import SpecSet
 from .errors import ConfigError, DataError, DivergenceError
 from .masks import FrequencyMask, apply_mask
 from .metrics import MetricReport, collapse_to_binary
@@ -32,7 +33,6 @@ __all__ = [
     "train",
     "evaluate",
     "train_age_specific",
-    "evaluate_age_specific",
     "combine_reports",
 ]
 
@@ -112,15 +112,18 @@ def wcce_loss(logits: Tensor, labels: np.ndarray, class_counts: np.ndarray) -> T
 
 
 def patient_kfold(records, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Patient-wise K-fold split over items exposing ``patient_id``.
+    """Patient-wise K-fold split over a SpecSet's ``patient_ids`` column,
+    or over items exposing ``patient_id``.
 
     Every patient's records land in exactly one validation fold; folds
     are balanced greedily by record count. Returns (train_idx, val_idx)
     pairs of sorted index arrays.
     """
+    pids = getattr(records, "patient_ids", None)
+    if pids is None:
+        pids = [getattr(rec, "patient_id", None) for rec in records]
     by_patient: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        pid = getattr(rec, "patient_id", None)
+    for i, pid in enumerate(pids):
         if pid is None:
             raise DataError(f"record {i} has no patient id; patient-wise split impossible")
         by_patient.setdefault(str(pid), []).append(i)
@@ -137,7 +140,7 @@ def patient_kfold(records, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, 
         fold_members[tgt].append(pid)
         fold_sizes[tgt] += len(by_patient[pid])
     splits = []
-    all_idx = set(range(len(records)))
+    all_idx = set(range(len(pids)))
     for members in fold_members:
         val = sorted(i for p in members for i in by_patient[p])
         train = sorted(all_idx.difference(val))
@@ -145,33 +148,11 @@ def patient_kfold(records, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, 
     return splits
 
 
-# -- label handling -----------------------------------------------------------------
-
-
-def task_labels(dataset: list[Spectrogram], task: str) -> np.ndarray:
-    labels = []
-    for i, s in enumerate(dataset):
-        if s.label is None:
-            raise DataError(f"spectrogram {i} ({s.clip_id!r}) has no label")
-        labels.append(int(s.label))
-    labels = np.asarray(labels, dtype=np.int64)
-    if task == "binary":
-        return collapse_to_binary(labels)
-    return labels
-
-
-def _stack_inputs(dataset: list[Spectrogram]) -> np.ndarray:
-    shapes = {s.values.shape for s in dataset}
-    if len(shapes) != 1:
-        raise DataError(f"spectrograms have mixed shapes {sorted(shapes)}; cannot batch")
-    return np.stack([s.values for s in dataset])[:, None, :, :]
-
-
 # -- training -----------------------------------------------------------------------
 
 
 def train(
-    dataset: list[Spectrogram],
+    dataset: SpecSet | list,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     mask: FrequencyMask | None = None,
@@ -185,17 +166,18 @@ def train(
     """
     if not dataset:
         raise DataError("empty training dataset")
+    dataset = SpecSet.of(dataset)
     if mask is not None:
-        dataset = [apply_mask(s, mask) for s in dataset]
+        dataset = apply_mask(dataset, mask)
         model_cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)
-    labels = task_labels(dataset, train_cfg.task)
+    labels = dataset.targets(train_cfg.task)
     n_classes = model_cfg.n_classes
     if labels.max() >= n_classes:
         raise ConfigError(
             f"label {labels.max()} out of range for a {n_classes}-class model "
             f"(task={train_cfg.task})"
         )
-    x_all = _stack_inputs(dataset)
+    x_all = dataset.values[:, None]
     n, _, t_dim, f_dim = x_all.shape
     counts = np.bincount(labels, minlength=n_classes)
     model = CnnTsa(model_cfg, seed=train_cfg.seed)
@@ -253,7 +235,7 @@ def train(
 
 def evaluate(
     model: CnnTsa,
-    dataset: list[Spectrogram],
+    dataset: SpecSet | list,
     task: str,
     batch_size: int = 128,
 ) -> MetricReport:
@@ -267,8 +249,9 @@ def evaluate(
     """
     if not dataset:
         raise DataError("empty evaluation set")
-    labels = task_labels(dataset, task)
-    x_all = _stack_inputs(dataset)
+    dataset = SpecSet.of(dataset)
+    labels = dataset.targets(task)
+    x_all = dataset.values[:, None]
     preds = np.empty(len(dataset), dtype=np.int64)
     with no_grad():
         for start in range(0, len(dataset), batch_size):
@@ -299,15 +282,10 @@ class AgeSpecificResult:
     threshold: float
 
 
-def split_by_age(dataset: list[Spectrogram], threshold: float):
+def split_by_age(dataset: SpecSet, threshold: float) -> tuple[SpecSet, SpecSet]:
     """(child, adult) strata; records without a known age are dropped."""
-    child, adult = [], []
-    for s in dataset:
-        age = s.age_years
-        if age is None or (isinstance(age, float) and np.isnan(age)):
-            continue
-        (child if age < threshold else adult).append(s)
-    return child, adult
+    ages = dataset.ages  # an unknown age is NaN, which falls in neither stratum
+    return dataset[ages < threshold], dataset[ages >= threshold]
 
 
 def combine_reports(child: MetricReport, adult: MetricReport) -> MetricReport:
@@ -324,7 +302,7 @@ def combine_reports(child: MetricReport, adult: MetricReport) -> MetricReport:
 
 
 def train_age_specific(
-    dataset: list[Spectrogram],
+    dataset: SpecSet | list,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     mask: FrequencyMask | None = None,
@@ -333,10 +311,14 @@ def train_age_specific(
 
     Uses ``train_cfg.age_batch_size`` (half the pooled default, since
     each stratum sees fewer records). Reported metrics here are on each
-    stratum's own training data; use evaluate_age_specific for a
-    held-out split.
+    stratum's own training data; ``evaluate`` on a stratum checkpoint
+    scores a held-out split.
     """
     threshold = train_cfg.age_split
+    dataset = SpecSet.of(dataset)
+    if mask is not None:
+        dataset = apply_mask(dataset, mask)
+        model_cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)
     child_data, adult_data = split_by_age(dataset, threshold)
     if not child_data or not adult_data:
         raise DataError(
@@ -351,10 +333,9 @@ def train_age_specific(
             batch_size=train_cfg.age_batch_size,
             seed=int(rng_for(train_cfg.seed, "age", tag).integers(2**31)),
         )
-        res = train(data, model_cfg, cfg, mask=mask)
+        res = train(data, model_cfg, cfg)
         results.append(res)
-        eval_data = [apply_mask(s, mask) for s in data] if mask is not None else data
-        reports.append(evaluate(res.model, eval_data, train_cfg.task))
+        reports.append(evaluate(res.model, data, train_cfg.task))
     combined = combine_reports(reports[0], reports[1])
     return AgeSpecificResult(
         child=results[0],
@@ -365,22 +346,3 @@ def train_age_specific(
         threshold=threshold,
     )
 
-
-def evaluate_age_specific(
-    result: AgeSpecificResult,
-    dataset: list[Spectrogram],
-    task: str,
-    mask: FrequencyMask | None = None,
-) -> tuple[MetricReport, MetricReport, MetricReport]:
-    """Evaluate both stratum models on a (held-out) dataset."""
-    child_data, adult_data = split_by_age(dataset, result.threshold)
-    if not child_data or not adult_data:
-        raise DataError(
-            f"evaluation stratum empty at threshold {result.threshold}"
-        )
-    if mask is not None:
-        child_data = [apply_mask(s, mask) for s in child_data]
-        adult_data = [apply_mask(s, mask) for s in adult_data]
-    child_rep = evaluate(result.child.model, child_data, task)
-    adult_rep = evaluate(result.adult.model, adult_data, task)
-    return child_rep, adult_rep, combine_reports(child_rep, adult_rep)

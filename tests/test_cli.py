@@ -150,9 +150,8 @@ class TestTrainEvaluate:
         args[args.index("--synth-classes") + 1] = "3"
         assert run(tmp_path, *args) == 0
         specs, preproc, _ = read_spec_cache(tmp_path / "synth.cache")
-        for i, s in enumerate(specs):
-            top = s.label == 2
-            s.provenance.split = "official_test" if top or i % 2 else "official_train"
+        odd = np.arange(len(specs)) % 2 == 1
+        specs.splits[:] = np.where((specs.labels == 2) | odd, "official_test", "official_train")
         write_spec_cache(tmp_path / "synth.cache", specs, preproc)
         code = run(
             tmp_path, "train", "--cache", "synth.cache", "--out-dir", "run1",
@@ -176,8 +175,7 @@ class TestTrainEvaluate:
         corpus = synth_corpus(
             SynthSpec(n_classes=2, n_bands=16, n_frames=10, n_per_class=10, snr_db=15.0, seed=0)
         )
-        for i, s in enumerate(corpus):
-            s.provenance.age_years = 6.0 if i % 2 == 0 else 35.0
+        corpus.ages[0::2], corpus.ages[1::2] = 6.0, 35.0
         write_spec_cache(tmp_path / "aged.cache", corpus, {"synthetic": True})
         code = run(
             tmp_path, "train", "--cache", "aged.cache", "--out-dir", "age_run",
@@ -189,6 +187,87 @@ class TestTrainEvaluate:
         assert (tmp_path / "age_run" / "checkpoint_adult.ckpt").exists()
         combined = json.loads((tmp_path / "age_run" / "report_combined.json").read_text())
         assert 0 <= combined["AS"] <= 100
+
+
+def write_checkpoint(path, n_bands, meta, nan=False):
+    """An untrained tiny-preset checkpoint without a data_config_hash."""
+    from dataclasses import asdict
+
+    from lungsound.io import save_checkpoint
+    from lungsound.model import CnnTsa, ModelConfig
+
+    cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=n_bands)
+    state = CnnTsa(cfg, seed=0).state_dict()
+    if nan:
+        state["head.bias"] = np.array([0.0, np.nan], np.float32)
+    save_checkpoint(path, state, asdict(cfg), {"task": "multiclass", **meta})
+
+
+READERS = {
+    "evaluate": ["evaluate", "--checkpoint", "m.ckpt", "--cache", "synth.cache",
+                 "--split", "all", "--out-dir", "ev"],
+    "attribute": ["attribute", "--checkpoint", "m.ckpt", "--cache", "synth.cache",
+                  "--class-id", "0", "--first", "2", "--out-dir", "at"],
+}
+
+
+class TestCheckpointAgainstCache:
+    """Checkpoints without a data_config_hash skip the hash guard; their
+    band count and mask length are still checked against the cache."""
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    @pytest.mark.parametrize("n_bands,mask", [(12, None), (12, "1" * 12), (12, "1" * 20)],
+                             ids=["model-bands", "mask-length", "mask-longer"])
+    def test_mismatch_exits_2(self, cache_dir, capsys, command, n_bands, mask):
+        write_checkpoint(cache_dir / "m.ckpt", n_bands, {"mask": mask})
+        capsys.readouterr()
+        assert run(cache_dir, *READERS[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    def test_matching_mask_runs(self, cache_dir, command):
+        write_checkpoint(cache_dir / "m.ckpt", 12, {"mask": "0000" + "1" * 12})
+        assert run(cache_dir, *READERS[command]) == 0
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    def test_nan_weight_exits_3(self, cache_dir, capsys, command):
+        write_checkpoint(cache_dir / "m.ckpt", 16, {}, nan=True)
+        capsys.readouterr()
+        assert run(cache_dir, *READERS[command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err and err.count("\n") == 1
+
+    def test_null_label_cache(self, cache_dir):
+        # attribution needs no labels; training and scoring do
+        from lungsound.io import read_spec_cache, write_spec_cache
+
+        specs, preproc, _ = read_spec_cache(cache_dir / "synth.cache")
+        specs.labels[3] = -1
+        write_spec_cache(cache_dir / "synth.cache", specs, preproc)
+        write_checkpoint(cache_dir / "m.ckpt", 16, {})
+        assert run(cache_dir, *READERS["attribute"], "--samples", specs.clip_ids[3]) == 0
+        assert run(cache_dir, *READERS["evaluate"]) == 3
+        assert run(cache_dir, *train_args()) == 3
+
+    @pytest.mark.parametrize("args", [
+        [*READERS["evaluate"][:2], "nope.ckpt", *READERS["evaluate"][3:]],
+        ["evaluate", "--checkpoint", "m.ckpt", "--cache", "nope.cache", "--out-dir", "ev"],
+        ["flops", "--out", "f.csv", "--mask", "nope.txt"],
+    ], ids=["checkpoint", "cache", "mask"])
+    def test_missing_file_exits_3(self, cache_dir, capsys, args):
+        write_checkpoint(cache_dir / "m.ckpt", 16, {})
+        capsys.readouterr()
+        assert run(cache_dir, *args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "cannot read" in err and err.count("\n") == 1
+
+    def test_train_mask_of_other_length_exits_2(self, cache_dir):
+        from lungsound.io import write_mask_file
+        from lungsound.masks import FrequencyMask
+
+        write_mask_file(cache_dir / "m12.txt", FrequencyMask.full(12))
+        assert run(cache_dir, *train_args(extra=("--mask", "m12.txt"))) == 2
 
 
 class TestFbsCommand:

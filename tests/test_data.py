@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from lungsound.audio import Spectrogram
 from lungsound.data import (
     SPRSOUND_CLASSES,
     CycleRecord,
+    SpecSet,
     SynthSpec,
     parse_icbhi,
     parse_sprsound,
     synth_corpus,
 )
-from lungsound.errors import ConfigError, DataError
+from lungsound.errors import ConfigError, DataError, ShapeError
+from lungsound.masks import FrequencyMask, apply_mask
 
 
 def write_wav(path: Path, seconds=1.0, rate=8000, seed=0):
@@ -233,3 +236,110 @@ class TestRecordBounds:
         for rec in parse_icbhi(icbhi_root):
             rate, data = wavfile.read(rec.audio_path)
             assert rec.offset_s <= len(data) / rate + 1e-9
+
+
+# -- the columnar set ----------------------------------------------------------------
+
+
+def small_set():
+    specs = synth_corpus(SynthSpec(n_classes=3, n_bands=12, n_frames=6, n_per_class=4, seed=2))
+    specs.ages[:] = np.arange(len(specs), dtype=np.float64)
+    specs.splits[::3] = "official_test"
+    return specs
+
+
+class TestSpecSet:
+    def test_row_is_a_spectrogram_of_its_columns(self):
+        specs = small_set()
+        row = specs[5]
+        assert isinstance(row, Spectrogram)
+        np.testing.assert_array_equal(row.values, specs.values[5])
+        np.testing.assert_array_equal(row.band_centers, specs.band_centers)
+        assert row.label == specs.labels[5] == 1
+        assert row.clip_id == specs.clip_ids[5] == "synth-c1-0001"
+        assert row.patient_id == specs.patient_ids[5]
+        assert row.age_years == 5.0
+        assert row.split == specs.splits[5]
+        assert specs[-1].clip_id == specs.clip_ids[-1]
+
+    @pytest.mark.parametrize("index", [
+        slice(2, 9, 3), np.array([7, 0, 3]), np.arange(12) % 4 == 1, slice(0, 0),
+    ], ids=["slice", "index-array", "bool-array", "empty"])
+    def test_slices_keep_columns_aligned(self, index):
+        specs = small_set()
+        sub = specs[index]
+        assert isinstance(sub, SpecSet)
+        rows = np.arange(len(specs))[index]
+        assert len(sub) == len(rows)
+        np.testing.assert_array_equal(sub.values, specs.values[rows])
+        for column in ("labels", "patient_ids", "ages", "splits", "clip_ids"):
+            np.testing.assert_array_equal(getattr(sub, column), getattr(specs, column)[rows])
+        assert [s.clip_id for s in sub] == specs.clip_ids[rows].tolist()
+        assert (sub.n_frames, sub.n_bands) == (6, 12)
+
+    def test_of_round_trips_clips(self):
+        specs = small_set()
+        again = SpecSet.of(list(specs))
+        assert SpecSet.of(again) is again
+        np.testing.assert_array_equal(again.values, specs.values)
+        for column in ("labels", "patient_ids", "ages", "splits", "clip_ids"):
+            np.testing.assert_array_equal(getattr(again, column), getattr(specs, column))
+
+    def test_of_refuses_mixed_shapes_and_nothing(self):
+        specs = small_set()
+        short = Spectrogram(specs.values[0, :4], specs.band_centers, 0.032)
+        with pytest.raises(DataError, match="cannot batch"):
+            SpecSet.of([specs[0], short])
+        with pytest.raises(DataError):
+            SpecSet.of([])
+
+    def test_clip_without_provenance(self):
+        clip = Spectrogram(np.zeros((3, 4), np.float32), np.arange(1.0, 5.0), 0.01)
+        specs = SpecSet.of([clip])
+        assert specs.labels.tolist() == [-1]
+        assert specs.patient_ids.tolist() == [None]
+        assert np.isnan(specs.ages[0])
+        assert specs[0].label is None and specs[0].age_years is None
+        with pytest.raises(DataError, match="no label"):
+            specs.targets("multiclass")
+
+    def test_targets(self):
+        specs = small_set()
+        np.testing.assert_array_equal(specs.targets("multiclass"), np.repeat([0, 1, 2], 4))
+        np.testing.assert_array_equal(specs.targets("binary"), np.repeat([0, 1, 1], 4))
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("values", np.full((1, 6, 12), np.nan, np.float32), DataError),
+        ("splits", ["train"], DataError),
+        ("band_centers", np.arange(12.0)[::-1], DataError),
+        ("hop_seconds", 0.0, DataError),
+        ("labels", [0, 1], ShapeError),
+    ])
+    def test_invalid_sets_refused(self, field, value, error):
+        from dataclasses import replace
+
+        one = small_set()[:1]
+        with pytest.raises(error):
+            replace(one, **{field: value})
+
+    def test_set_mask_matches_per_clip_mask(self):
+        specs = small_set()
+        mask = FrequencyMask(np.ones(12, dtype=bool)).remove([0, 5, 6, 11])
+        masked = apply_mask(specs, mask)
+        assert isinstance(masked, SpecSet) and masked.values.flags.c_contiguous
+        for clip, row in zip(specs, masked):
+            oracle = apply_mask(clip, mask)  # the per-clip mask
+            np.testing.assert_array_equal(row.values, oracle.values)
+            np.testing.assert_array_equal(row.band_centers, oracle.band_centers)
+            assert row.clip_id == oracle.clip_id and row.label == oracle.label
+        np.testing.assert_array_equal(masked.labels, specs.labels)
+        np.testing.assert_array_equal(masked.clip_ids, specs.clip_ids)
+
+    def test_full_mask_returns_input(self):
+        specs = small_set()
+        assert apply_mask(specs, FrequencyMask.full(12)) is specs
+        assert apply_mask(specs[0:3], FrequencyMask.full(12)).values.base is specs.values
+
+    def test_mask_of_other_length_refused(self):
+        with pytest.raises(ShapeError):
+            apply_mask(small_set(), FrequencyMask.full(16))

@@ -91,6 +91,13 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="past the last tensor"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.ones(2, np.float32), "w": np.array([1.0, bad], np.float32)}, {})
+        with pytest.raises(DataError, match="'w' holds non-finite"):
+            load_checkpoint(path)
+
 
 def blob(magic: bytes, header, payload=b"") -> bytes:
     text = header if isinstance(header, bytes) else json.dumps(header).encode()
@@ -120,6 +127,53 @@ class TestSpecCache:
         with pytest.raises(DataError):
             read_spec_cache(path)
 
+
+    def cache_with(self, tmp_path, edit):
+        """A valid three-clip cache whose header entries ``edit`` changes."""
+        path = tmp_path / "c.cache"
+        write_spec_cache(path, make_specs(), {})
+        data = path.read_bytes()
+        hlen = struct.unpack("<I", data[8:12])[0]
+        header = json.loads(data[12 : 12 + hlen])
+        edit(header["entries"])
+        path.write_bytes(blob(b"LSCACHE1", header, data[12 + hlen :]))
+        return path
+
+    def test_rewritten_header_reads(self, tmp_path):
+        loaded, _, _ = read_spec_cache(self.cache_with(tmp_path, lambda entries: None))
+        assert len(loaded) == 3
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda es: es[1].update(t=4, f=12), "mixed"),
+        (lambda es: es.reverse(), "not contiguous"),
+        (lambda es: es[2].update(offset=es[2]["offset"] + 4), "not contiguous"),
+        (lambda es: es.pop(), "past the last clip"),
+        (lambda es: es[0].update(split="train"), "split"),
+        (lambda es: es[0].update(label=-2), "labels must be"),
+        (lambda es: es[0].update(age_years="old"), "malformed"),
+        (lambda es: es.clear(), "no clips"),
+    ], ids=["mixed-shapes", "reordered", "gap", "trailing-bytes", "split-tag",
+            "negative-label", "age-type", "no-clips"])
+    def test_inconsistent_entries_rejected(self, tmp_path, edit, match):
+        with pytest.raises(DataError, match=match):
+            read_spec_cache(self.cache_with(tmp_path, edit))
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "c.cache"
+        write_spec_cache(path, make_specs(), {})
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="non-finite"):
+            read_spec_cache(path)
+
+    def test_null_label_read_as_unlabeled(self, tmp_path):
+        def unlabel(entries):
+            entries[1]["label"] = None
+
+        loaded, _, _ = read_spec_cache(self.cache_with(tmp_path, unlabel))
+        assert loaded.labels.tolist() == [0, -1, 0]
+        assert loaded[1].label is None
 
     def test_round_trip(self, tmp_path):
         specs = make_specs()
@@ -198,8 +252,7 @@ class TestAtomicWrites:
         write_spec_cache(path, make_specs(), {"v": 1})
         before = path.read_bytes()
         specs = make_specs()
-        # the last block cannot become float32: the header and the first
-        # blocks are already written when it fails
+        # the last clip cannot become float32, so the write fails
         specs[-1].values = np.full((6, 8), "x")
         with pytest.raises(ValueError):
             write_spec_cache(path, specs, {"v": 2})
@@ -273,35 +326,3 @@ class TestFrequencyMaskInvariants:
         out = apply_mask(spec, FrequencyMask(np.array([1, 0, 1, 0], dtype=bool)))
         np.testing.assert_array_equal(out.values, vals[:, [0, 2]])
         np.testing.assert_array_equal(out.band_centers, [10.0, 30.0])
-
-
-class TestImportHook:
-    def test_backbone_import_with_name_map(self, tmp_path):
-        from lungsound.io import import_backbone_weights, save_checkpoint
-
-        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
-        donor = CnnTsa(cfg, seed=11)
-        external = {
-            "features.0.w": donor.params["conv1.weight"].data,
-            "features.0.bn_g": donor.params["bn1.gamma"].data + 0.25,
-            "head.ignore_me": np.zeros(3, np.float32),
-        }
-        path = tmp_path / "external.ckpt"
-        save_checkpoint(path, external, {}, {"source": "external"})
-        target = CnnTsa(cfg, seed=12)
-        imported = import_backbone_weights(
-            target,
-            path,
-            name_map={"features.0.w": "conv1.weight", "features.0.bn_g": "bn1.gamma"},
-        )
-        assert imported == ["bn1.gamma", "conv1.weight"]
-        np.testing.assert_array_equal(
-            target.params["conv1.weight"].data, donor.params["conv1.weight"].data
-        )
-        np.testing.assert_array_equal(
-            target.params["bn1.gamma"].data, donor.params["bn1.gamma"].data + 0.25
-        )
-        # head untouched
-        assert not np.array_equal(
-            target.params["head.weight"].data, donor.params["head.weight"].data
-        )

@@ -305,8 +305,7 @@ class TestEvaluate:
 
 def aged_corpus(seed=0):
     corpus = tiny_corpus(seed=seed, n=12)
-    for i, s in enumerate(corpus):
-        s.provenance.age_years = 8.0 if i % 2 == 0 else 40.0
+    corpus.ages[0::2], corpus.ages[1::2] = 8.0, 40.0
     return corpus
 
 
@@ -324,8 +323,7 @@ class TestAgeSpecific:
 
     def test_all_child_dataset_errors(self):
         corpus = tiny_corpus(n=6)
-        for s in corpus:
-            s.provenance.age_years = 5.0
+        corpus.ages[:] = 5.0
         with pytest.raises(DataError, match="adult"):
             train_age_specific(corpus, tiny_model_cfg(), tiny_train_cfg(epochs=1))
 
@@ -333,7 +331,7 @@ class TestAgeSpecific:
         from lungsound.train import split_by_age
 
         corpus = aged_corpus()
-        corpus[0].provenance.age_years = None
+        corpus.ages[0] = np.nan
         child, adult = split_by_age(corpus, 18.0)
         assert len(child) + len(adult) == len(corpus) - 1
 
