@@ -23,7 +23,7 @@ import numpy as np
 
 from .audio import LOG_FLOOR, Spectrogram
 from .data import SpecSet
-from .errors import UnsupportedMethodError
+from .errors import DivergenceError, UnsupportedMethodError
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -54,6 +54,8 @@ class AttributionMap:
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 2:
             raise ValueError(f"attribution map must be 2-D, got {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            raise DivergenceError(f"{self.method} map of {self.sample_id!r} holds non-finite values")
 
 
 def bilinear_resize(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarray:

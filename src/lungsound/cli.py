@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 Commands: preprocess, train, fbs, evaluate, attribute, flops. Every
-command resolves paths against --workdir, emits one manifest line, and
-is byte-deterministic for fixed seed/config/inputs (manifests carry
-timestamps and are exempt).
+command resolves paths against --workdir and is byte-deterministic for
+fixed seed/config/inputs. A command returns its run record (config,
+seed, input hash, outputs), which ``main`` appends to the manifest with
+the wall-clock time (manifests carry timestamps and are exempt); a
+preprocess cache hit returns None and writes no record.
 
 A JSON config file (flat keys matching the long option names with
 underscores) can prefill any option; explicit flags win. Exit codes:
@@ -58,6 +60,9 @@ log = logging.getLogger("lungsound.cli")
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# what a command returns for its manifest line: (config, seed, input hash, outputs)
+Record = tuple[dict, int, str, list[Path]]
 
 
 # -- option plumbing -----------------------------------------------------------------
@@ -164,6 +169,12 @@ def _n_classes(preproc_config: dict, specs: SpecSet) -> int:
     return int(specs.labels.max()) + 1
 
 
+def _check_mask_length(mask: FrequencyMask, n_bands: int, against: str) -> None:
+    """Refuse a mask that does not cover ``n_bands`` bands (``against``: "the cache has")."""
+    if mask.n_bands != n_bands:
+        raise ConfigError(f"mask covers {mask.n_bands} bands but {against} {n_bands}")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -208,8 +219,7 @@ def _preproc_config(args) -> dict:
     }
 
 
-def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
-    t0 = time.time()
+def cmd_preprocess(args, workdir: Path, argv: list[str]) -> Record | None:
     out_path = _resolve(workdir, args.out)
     cfg = _preproc_config(args)
     chash = config_hash(cfg)
@@ -220,7 +230,7 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
             existing_hash = None
         if existing_hash == chash:
             print(f"cache hit: {out_path} already holds config {chash}")
-            return 0
+            return None
     if args.dataset == "synth":
         spec = SynthSpec(
             n_classes=args.synth_classes,
@@ -240,34 +250,7 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
             records = parse_icbhi(root)
         else:
             records = parse_sprsound(root, edition=args.sprsound_edition)
-        clips = []
-        by_wav: dict[str, list] = {}
-        for rec in records:
-            by_wav.setdefault(rec.audio_path, []).append(rec)
-        for wav_path in sorted(by_wav):
-            clip = read_wav(wav_path)
-            mono = standardize(clip)
-            for rec in by_wav[wav_path]:
-                a = int(rec.onset_s * mono.sample_rate)
-                b = int(rec.offset_s * mono.sample_rate)
-                b = min(b, mono.samples.shape[0])
-                if b - a <= 0:
-                    raise DataError(f"cycle {rec.clip_id} lies outside {wav_path}")
-                cycle = replace(mono, samples=mono.samples[a:b].copy())
-                cycle = fit_duration(cycle, args.target_seconds, args.pad_mode)
-                clips.append(
-                    mel_spectrogram(
-                        cycle,
-                        n_mels=args.n_mels,
-                        win=args.win,
-                        hop=args.hop,
-                        f_min=args.f_min,
-                        f_max=args.f_max,
-                        provenance=rec,
-                        label=rec.label,
-                    )
-                )
-        specs = SpecSet.of(clips)
+        specs = _spectrograms(records, args)
         input_hash = config_hash({"records": specs.clip_ids.tolist()})
     write_spec_cache(out_path, specs, cfg)
     names = ICBHI_CLASSES if args.dataset == "icbhi" else SPRSOUND_CLASSES
@@ -276,10 +259,55 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> int:
     for c, n in enumerate(counts):
         label = names[c] if args.dataset in ("icbhi", "sprsound") and c < len(names) else f"class {c}"
         print(f"  {label}: {n}")
-    append_manifest(
-        workdir, "preprocess", cfg, args.seed, input_hash, [out_path], time.time() - t0, __version__
+    return cfg, args.seed, input_hash, [out_path]
+
+
+def _spectrograms(records, args) -> SpecSet:
+    """Log-Mel clips of ``records``, by sorted WAV path and then annotation order.
+
+    Each clip is written into one preallocated (N, T, F) block as it is
+    made, so no per-clip list is held next to the block.
+    """
+    by_wav: dict[str, list] = {}
+    for rec in records:
+        by_wav.setdefault(rec.audio_path, []).append(rec)
+    values, ordered = None, []
+    for wav_path in sorted(by_wav):
+        mono = standardize(read_wav(wav_path))
+        for rec in by_wav[wav_path]:
+            a = int(rec.onset_s * mono.sample_rate)
+            b = min(int(rec.offset_s * mono.sample_rate), mono.samples.shape[0])
+            if b - a <= 0:
+                raise DataError(f"cycle {rec.clip_id} lies outside {wav_path}")
+            cycle = replace(mono, samples=mono.samples[a:b].copy())
+            cycle = fit_duration(cycle, args.target_seconds, args.pad_mode)
+            clip = mel_spectrogram(
+                cycle,
+                n_mels=args.n_mels,
+                win=args.win,
+                hop=args.hop,
+                f_min=args.f_min,
+                f_max=args.f_max,
+                provenance=rec,
+                label=rec.label,
+            )
+            if values is None:
+                values = np.empty((len(records), *clip.values.shape), dtype=np.float32)
+                band_centers, hop_seconds = clip.band_centers, clip.hop_seconds
+            elif clip.values.shape != values.shape[1:]:
+                raise DataError(f"clips of shapes {values.shape[1:]} and {clip.values.shape} in one cache")
+            values[len(ordered)] = clip.values
+            ordered.append(rec)
+    if values is None:
+        raise DataError("no annotated cycles to preprocess")
+    return SpecSet(
+        values, band_centers, hop_seconds,
+        labels=[-1 if rec.label is None else rec.label for rec in ordered],
+        patient_ids=[rec.patient_id for rec in ordered],
+        ages=[np.nan if rec.age_years is None else rec.age_years for rec in ordered],
+        splits=[rec.split for rec in ordered],
+        clip_ids=[rec.clip_id for rec in ordered],
     )
-    return 0
 
 
 # -- train ------------------------------------------------------------------------------
@@ -289,15 +317,13 @@ def _history_rows(history):
     return [[h.epoch, h.lr, h.loss, h.train_as] for h in history]
 
 
-def cmd_train(args, workdir: Path, argv: list[str]) -> int:
-    t0 = time.time()
+def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
     cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     mask = None
     mask_hash = ""
     if args.mask:
         mask, mask_hash = read_mask_file(_resolve(workdir, args.mask))
-        if mask.n_bands != specs.n_bands:
-            raise ConfigError(f"mask covers {mask.n_bands} bands but the cache has {specs.n_bands}")
+        _check_mask_length(mask, specs.n_bands, "the cache has")
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     n_bands = mask.n_kept if mask else specs.n_bands
     model_cfg = _model_config(args, n_bands, n_classes)
@@ -347,17 +373,8 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> int:
             f"trained {train_cfg.epochs} epochs; final loss "
             f"{result.history[-1].loss:.4f}, train AS {result.history[-1].train_as:.2f}"
         )
-    append_manifest(
-        workdir,
-        "train",
-        {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)},
-        args.seed,
-        sha256_file(cache_path),
-        outputs,
-        time.time() - t0,
-        __version__,
-    )
-    return 0
+    config = {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)}
+    return config, args.seed, sha256_file(cache_path), outputs
 
 
 # -- fbs --------------------------------------------------------------------------------
@@ -414,8 +431,7 @@ def _emit_fbs_outputs(result: FbsResult, out_dir: Path, cache_hash: str, tag: st
     return outputs
 
 
-def cmd_fbs(args, workdir: Path, argv: list[str]) -> int:
-    t0 = time.time()
+def cmd_fbs(args, workdir: Path, argv: list[str]) -> Record:
     cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     model_cfg = _model_config(args, specs.n_bands, n_classes)
@@ -466,17 +482,8 @@ def cmd_fbs(args, workdir: Path, argv: list[str]) -> int:
             line_chart_svg(lams, {"best CV AS": sweep_scores}, title="lambda sweep", x_label="lambda", y_label="AS")
         )
         outputs += [sweep_path, svg_path]
-    append_manifest(
-        workdir,
-        "fbs",
-        {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)},
-        args.seed,
-        sha256_file(cache_path),
-        outputs,
-        time.time() - t0,
-        __version__,
-    )
-    return 0
+    config = {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)}
+    return config, args.seed, sha256_file(cache_path), outputs
 
 
 # -- evaluate --------------------------------------------------------------------------
@@ -500,39 +507,41 @@ def _load_model(ckpt_path: Path) -> tuple[CnnTsa, dict]:
     return model, meta
 
 
-def _checkpoint_mask(model: CnnTsa, meta: dict, n_bands: int) -> FrequencyMask:
-    """The checkpoint's band mask over ``n_bands``; refuses one the model does not fit."""
-    bits = str(meta.get("mask") or "1" * n_bands)
-    mask = FrequencyMask(np.array([ch == "1" for ch in bits], dtype=bool))
-    if mask.n_bands != n_bands:
-        raise ConfigError(f"checkpoint mask covers {mask.n_bands} bands but the cache has {n_bands}")
-    if model.cfg.n_mel_rows_in != mask.n_kept:
-        raise ConfigError(
-            f"checkpoint model reads {model.cfg.n_mel_rows_in} bands but the cache gives "
-            f"{mask.n_kept} (after the checkpoint's mask)"
-        )
-    return mask
+def _open_checkpoint(args, workdir: Path):
+    """(cache path, created --out-dir, model, meta, mask, cache hash, clips) for a checkpoint reader.
 
-
-def cmd_evaluate(args, workdir: Path, argv: list[str]) -> int:
-    t0 = time.time()
+    Refuses a checkpoint trained on another cache config, a stored mask
+    of another length than the cache's bands and a model that does not
+    read the bands the mask keeps. The clips are the --split clips (all
+    of them for ``attribute``), narrowed to the checkpoint's age stratum
+    when it has one; they are not masked yet.
+    """
     cache_path, out_dir, specs, data, _, cache_hash = _open_cache(args, workdir)
     model, meta = _load_model(_resolve(workdir, args.checkpoint))
     if meta.get("data_config_hash") and meta["data_config_hash"] != cache_hash:
         raise ConfigError(
             f"checkpoint was trained on cache config {meta['data_config_hash']} "
-            f"but this cache has {cache_hash}; refusing to evaluate mismatched "
-            f"preprocessing"
+            f"but this cache has {cache_hash}; refusing mismatched preprocessing"
         )
-    mask = _checkpoint_mask(model, meta, specs.n_bands)
+    bits = str(meta.get("mask") or "1" * specs.n_bands)
+    mask = FrequencyMask(np.array([ch == "1" for ch in bits], dtype=bool))
+    _check_mask_length(mask, specs.n_bands, "the cache has")
+    if model.cfg.n_mel_rows_in != mask.n_kept:
+        raise ConfigError(
+            f"checkpoint model reads {model.cfg.n_mel_rows_in} bands but the cache gives "
+            f"{mask.n_kept} (after the checkpoint's mask)"
+        )
     if meta.get("age_stratum"):
         child, adult = split_by_age(data, float(meta["age_split"]))
         data = child if meta["age_stratum"] == "child" else adult
         if not data:
-            raise DataError(f"no {meta['age_stratum']} records in split {args.split}")
-    data = apply_mask(data, mask)
-    task = args.task or meta.get("task", "multiclass")
-    report = evaluate(model, data, task)
+            raise DataError(f"no {meta['age_stratum']} records in split {getattr(args, 'split', 'all')}")
+    return cache_path, out_dir, model, meta, mask, cache_hash, data
+
+
+def cmd_evaluate(args, workdir: Path, argv: list[str]) -> Record:
+    cache_path, out_dir, model, meta, mask, _, data = _open_checkpoint(args, workdir)
+    report = evaluate(model, apply_mask(data, mask), args.task or meta.get("task", "multiclass"))
     report_path = out_dir / "report.json"
     report_path.write_text(_report_json(report))
     conf_path = out_dir / "confusion.csv"
@@ -545,35 +554,23 @@ def cmd_evaluate(args, workdir: Path, argv: list[str]) -> int:
         f"Se {report.se:.2f}  Sp {report.sp:.2f}  AS {report.as_score:.2f}  "
         f"HS {report.hs:.2f}  TS {report.ts:.2f}  (n={report.n_eval})"
     )
-    append_manifest(
-        workdir,
-        "evaluate",
-        {"argv": argv},
-        0,
-        sha256_file(cache_path),
-        [report_path, conf_path],
-        time.time() - t0,
-        __version__,
-    )
-    return 0
+    return {"argv": argv}, 0, sha256_file(cache_path), [report_path, conf_path]
 
 
 # -- attribute -------------------------------------------------------------------------
 
 
-def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
-    t0 = time.time()
-    cache_path, out_dir, specs, _, _, cache_hash = _open_cache(args, workdir)
-    model, meta = _load_model(_resolve(workdir, args.checkpoint))
-    mask = _checkpoint_mask(model, meta, specs.n_bands)
+def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
+    cache_path, out_dir, model, meta, mask, cache_hash, data = _open_checkpoint(args, workdir)
     if args.samples:
         wanted = set(args.samples.split(","))
-        picked = specs[np.isin(specs.clip_ids, sorted(wanted))]
+        picked = data[np.isin(data.clip_ids, sorted(wanted))]
         missing = wanted.difference(picked.clip_ids)
         if missing:
-            raise DataError(f"sample ids not in cache: {sorted(missing)}")
+            stratum = f" ({meta['age_stratum']} stratum)" if meta.get("age_stratum") else ""
+            raise DataError(f"sample ids not in the cache{stratum}: {sorted(missing)}")
     else:
-        picked = specs[: args.first]
+        picked = data[: args.first]
     if not picked:
         raise DataError("no samples selected for attribution")
     picked = apply_mask(picked, mask)
@@ -616,17 +613,7 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> int:
             f"{x_score - b_score:.4f} (rel err {100 * gap / denom:.2f}%)"
         )
     print(f"wrote {len(maps)} attribution maps to {dump_path}")
-    append_manifest(
-        workdir,
-        "attribute",
-        {"argv": argv},
-        0,
-        sha256_file(cache_path),
-        outputs,
-        time.time() - t0,
-        __version__,
-    )
-    return 0
+    return {"argv": argv}, 0, sha256_file(cache_path), outputs
 
 
 def _score_of(model: CnnTsa, values: np.ndarray, class_id: int) -> float:
@@ -638,18 +625,13 @@ def _score_of(model: CnnTsa, values: np.ndarray, class_id: int) -> float:
 # -- flops ------------------------------------------------------------------------------
 
 
-def cmd_flops(args, workdir: Path, argv: list[str]) -> int:
-    t0 = time.time()
+def cmd_flops(args, workdir: Path, argv: list[str]) -> Record:
     out_path = _resolve(workdir, args.out)
-    n_bands = args.n_mels
     mask = None
     if args.mask:
         mask, _ = read_mask_file(_resolve(workdir, args.mask))
-        if mask.n_bands != n_bands:
-            raise ConfigError(
-                f"mask covers {mask.n_bands} bands but --n-mels is {n_bands}"
-            )
-    full_cfg = _model_config(args, n_bands, args.n_classes)
+        _check_mask_length(mask, args.n_mels, "--n-mels is")
+    full_cfg = _model_config(args, args.n_mels, args.n_classes)
     full = count_flops(full_cfg, n_frames=args.n_frames)
     rows = [[name, flops] for name, flops in full.rows]
     rows.append(["total", full.total])
@@ -663,10 +645,7 @@ def cmd_flops(args, workdir: Path, argv: list[str]) -> int:
     print(f"total FLOPs: {full.total / 1e9:.3f} G ({full.n_frames}x{full.n_bands} input)")
     if mask is not None:
         print(f"masked/full FLOPs ratio at {mask.n_kept}/{mask.n_bands} bands: {ratio:.4f}")
-    append_manifest(
-        workdir, "flops", {"argv": argv}, 0, "", [out_path], time.time() - t0, __version__
-    )
-    return 0
+    return {"argv": argv}, 0, "", [out_path]
 
 
 # -- parser -----------------------------------------------------------------------------
@@ -788,7 +767,8 @@ def main(argv: list[str] | None = None) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     try:
         _apply_config_file(args, argv, workdir)
-        return args.func(args, workdir, argv)
+        t0 = time.time()
+        record = args.func(args, workdir, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -798,6 +778,12 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if record is not None:  # None: preprocess found its cache already built
+        config, seed, input_hash, outputs = record
+        append_manifest(
+            workdir, args.command, config, seed, input_hash, outputs, time.time() - t0, __version__
+        )
+    return 0
 
 
 if __name__ == "__main__":

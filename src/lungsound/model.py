@@ -39,7 +39,6 @@ __all__ = [
     "aggregate_frequency",
     "temporal_self_attention",
     "classify_head",
-    "feature_shapes",
 ]
 
 KERNEL = 5
@@ -137,16 +136,6 @@ def icbhi_config(n_classes: int = 4, **overrides) -> ModelConfig:
 def sprsound_config(n_classes: int = 7, **overrides) -> ModelConfig:
     """Three-block configuration (d=256) used for SPRSound-style tasks."""
     return ModelConfig(channels=(64, 128, 256), n_classes=n_classes, **overrides)
-
-
-def feature_shapes(cfg: ModelConfig, n_frames: int) -> list[tuple[int, int, int]]:
-    """(channels, T, F) after each conv block for a given frame count."""
-    shapes = []
-    t, f = n_frames, cfg.n_mel_rows_in
-    for cout in cfg.channels:
-        t, f = t // POOL, f // POOL
-        shapes.append((cout, t, f))
-    return shapes
 
 
 # -- building blocks (usable standalone) -----------------------------------------
@@ -300,7 +289,7 @@ class CnnTsa:
                 f"conv block {i}: feature map {t}x{f} too small for "
                 f"{POOL}x{POOL} pooling"
             )
-        fm = pool2d(fm, "avg", POOL)
+        fm = pool2d(fm, POOL)
         if self._attention_block() == i:
             fm = self._attend_flat(fm)
         return fm
@@ -340,15 +329,15 @@ class CnnTsa:
             out[f"{name}.running_var"] = st.running_var.copy()
         return out
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> list[str]:
-        """Load arrays by name; returns names that were skipped."""
-        skipped = []
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load arrays by name; a name the model does not hold is a ``ConfigError``."""
+        unexpected = []
         for k, arr in state.items():
             if k.endswith(".running_mean") or k.endswith(".running_var"):
                 layer, attr = k.rsplit(".", 1)
                 st = self.bn_states.get(layer)
                 if st is None:
-                    skipped.append(k)
+                    unexpected.append(k)
                     continue
                 getattr(st, attr)[...] = arr
             elif k in self.params:
@@ -359,7 +348,6 @@ class CnnTsa:
                     )
                 self.params[k].data[...] = arr
             else:
-                skipped.append(k)
-        if strict and skipped:
-            raise ConfigError(f"unexpected tensors in state dict: {skipped}")
-        return skipped
+                unexpected.append(k)
+        if unexpected:
+            raise ConfigError(f"unexpected tensors in state dict: {unexpected}")

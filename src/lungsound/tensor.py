@@ -2,7 +2,7 @@
 
 Covers exactly the operations the classifier needs: elementwise
 arithmetic, matmul with leading-batch broadcasting, 2D convolution,
-batch normalization, average/max pooling, softmax, axis reductions,
+batch normalization, average pooling, softmax, axis reductions,
 ReLU, log, and shape manipulation. Values are float32 throughout
 (the ``precision`` context widens the engine for gradient oracles).
 
@@ -645,15 +645,9 @@ def batchnorm2d(
 # -- pooling --------------------------------------------------------------------
 
 
-def pool2d(x: Tensor, kind: str, window: int, stride: int | None = None) -> Tensor:
-    """Average or max pooling with a square window over the last two dims.
-
-    Max pooling routes the gradient to the first (row-major) maximal
-    element of each window.
-    """
+def pool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
+    """Average pooling with a square window over the last two dims."""
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if kind not in ("avg", "max"):
-        raise ValueError(f"unknown pooling kind {kind!r}")
     stride = window if stride is None else stride
     b, c, h, w = x.shape
     if window > h or window > w:
@@ -662,43 +656,21 @@ def pool2d(x: Tensor, kind: str, window: int, stride: int | None = None) -> Tens
         )
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    if kind == "avg":
-        # one add of whole (Ho, Wo) planes per window offset; a mean over
-        # the two small window axes of a strided view loops element-wise
-        # when the input is NCHW-contiguous, as conv2d outputs are
-        out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
+    # one add of whole (Ho, Wo) planes per window offset; a mean over
+    # the two small window axes of a strided view loops element-wise
+    # when the input is NCHW-contiguous, as conv2d outputs are
+    out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
+    for i in range(window):
+        for j in range(window):
+            out_data += x.data[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    out_data /= _DTYPE(window * window)
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gshare = g / _DTYPE(window * window)
         for i in range(window):
             for j in range(window):
-                out_data += x.data[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-        out_data /= _DTYPE(window * window)
-
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            gshare = g / _DTYPE(window * window)
-            for i in range(window):
-                for j in range(window):
-                    gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gshare
-            x._accum(gx)
-
-    else:
-        s0, s1, s2, s3 = x.data.strides
-        win = np.lib.stride_tricks.as_strided(
-            x.data,
-            shape=(b, c, ho, wo, window, window),
-            strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-            writeable=False,
-        )
-        flat = win.reshape(b, c, ho, wo, window * window)
-        arg = np.argmax(flat, axis=-1)  # first occurrence on ties
-        out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        ii, jj = np.divmod(arg, window)
-        bi, ci, oi, oj = np.indices((b, c, ho, wo))
-        rows = oi * stride + ii
-        cols = oj * stride + jj
-
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (bi, ci, rows, cols), g)
-            x._accum(gx)
+                gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gshare
+        x._accum(gx)
 
     return Tensor._from_op(np.ascontiguousarray(out_data, dtype=x.data.dtype), (x,), bwd)

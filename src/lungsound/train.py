@@ -242,7 +242,8 @@ def evaluate(
     """Score a frozen model; labels and predictions follow ``task``.
 
     Forward passes run under ``no_grad``: no graph is built, so each
-    conv's im2col buffer is freed as soon as the conv returns.
+    conv's im2col buffer is freed as soon as the conv returns. A batch
+    whose logits are not all finite raises ``DivergenceError``.
 
     A multiclass model evaluated on the binary task has its argmax
     predictions collapsed (anything non-normal counts as adventitious).
@@ -256,6 +257,8 @@ def evaluate(
     with no_grad():
         for start in range(0, len(dataset), batch_size):
             logits = model.forward(Tensor(x_all[start : start + batch_size]), training=False)
+            if not np.isfinite(logits.data).all():
+                raise DivergenceError(f"non-finite logits for clips {start}..{start + logits.shape[0] - 1}")
             preds[start : start + logits.shape[0]] = logits.data.argmax(axis=1)
     if task == "binary" and model.cfg.n_classes > 2:
         preds = collapse_to_binary(preds)

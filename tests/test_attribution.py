@@ -15,7 +15,7 @@ from lungsound.attribution import (
 )
 from lungsound.audio import Spectrogram
 from lungsound.data import SynthSpec, synth_corpus
-from lungsound.errors import DataError, UnsupportedMethodError
+from lungsound.errors import DataError, DivergenceError, UnsupportedMethodError
 from lungsound.model import CnnTsa, ModelConfig
 from lungsound.tensor import Tensor, conv2d, reduce
 from lungsound.train import TrainConfig, train
@@ -326,6 +326,15 @@ class TestBatchedMatchesPerSample:
         assert grads_untouched(model)
         integrated_gradients(model, corpus[0], 0, steps=5)
         assert grads_untouched(model)
+
+
+class TestAttributionMap:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, bad):
+        vals = np.zeros((4, 6), np.float32)
+        vals[2, 3] = bad
+        with pytest.raises(DivergenceError, match="non-finite"):
+            AttributionMap(vals, "s", 0, "gradcam")
 
 
 class TestBandProfile:

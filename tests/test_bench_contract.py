@@ -1,19 +1,26 @@
-"""The traced benchmark's view of attribution.
+"""The traced benchmark's view of attribution and of the CLI.
 
 perfbench/tracer.py wraps lungsound functions by the names their
 callers import and reads a few model attributes. These tests run one
-Grad-CAM call and one IG call under the tracer, so that a rename in
-``src/`` fails here rather than in a traced benchmark run, and check
-that attribution computes no parameter gradient.
+Grad-CAM call and one IG call under the tracer, and the CLI's evaluate
+and attribute commands, so that a rename in ``src/`` or a command bound
+before the tracer patches it fails here rather than in a traced
+benchmark run, and check that attribution computes no parameter
+gradient.
 """
 
+import contextlib
+import io
 import sys
+from dataclasses import asdict
 from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
+from lungsound.cli import main
 from lungsound.data import SynthSpec, synth_corpus
+from lungsound.io import save_checkpoint
 from lungsound.model import CnnTsa, ModelConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -51,6 +58,25 @@ def test_conv_backward_only_under_ig():
     conv_bwd = [i for i, n in enumerate(tracer.names) if n == "tensor.conv2d.bwd"]
     assert conv_bwd
     assert all(tracer._ancestor(i, "attribution.ig") for i in conv_bwd)
+
+
+def test_cli_commands_traced(tmp_path):
+    # main looks the commands up when it runs, so the tracer's wrappers are what it calls
+    model = CnnTsa(ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8), seed=0)
+    save_checkpoint(tmp_path / "m.ckpt", model.state_dict(), asdict(model.cfg), {"task": "multiclass"})
+    ckpt = ["--checkpoint", "m.ckpt", "--cache", "s.cache"]
+    tracer = Tracer()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--workdir", str(tmp_path), "preprocess", "--dataset", "synth", "--out", "s.cache",
+                     "--synth-per-class", "3", "--synth-bands", "8", "--synth-frames", "8"]) == 0
+        with tracer.active():
+            assert main(["--workdir", str(tmp_path), "evaluate", *ckpt, "--split", "all",
+                         "--out-dir", "ev"]) == 0
+            assert main(["--workdir", str(tmp_path), "attribute", *ckpt, "--class-id", "1",
+                         "--out-dir", "at"]) == 0
+    for name, calls in [("cli.evaluate", 1), ("cli.attribute", 1), ("train.evaluate", 1),
+                        ("attribution.gradcam", 1), ("io.load_checkpoint", 2), ("io.read_spec_cache", 2)]:
+        assert tracer.names.count(name) == calls, name
 
 
 def test_wrappers_removed_on_exit():

@@ -42,9 +42,11 @@ class TestPreprocess:
 
     def test_cache_hit_short_circuits(self, cache_dir, capsys):
         before = (cache_dir / "synth.cache").read_bytes()
+        manifest = (cache_dir / "manifests.jsonl").read_text()
         assert run(cache_dir, *SYNTH_ARGS) == 0
         assert "cache hit" in capsys.readouterr().out
         assert (cache_dir / "synth.cache").read_bytes() == before
+        assert (cache_dir / "manifests.jsonl").read_text() == manifest  # a hit writes no record
 
     def test_config_change_invalidates(self, cache_dir):
         args = list(SYNTH_ARGS)
@@ -189,8 +191,12 @@ class TestTrainEvaluate:
         assert 0 <= combined["AS"] <= 100
 
 
-def write_checkpoint(path, n_bands, meta, nan=False):
-    """An untrained tiny-preset checkpoint without a data_config_hash."""
+def write_checkpoint(path, n_bands, meta, nan=False, overflow=False):
+    """An untrained tiny-preset checkpoint without a data_config_hash.
+
+    ``overflow`` scales the conv weights so that the finite checkpoint's
+    forward pass overflows to inf and NaN.
+    """
     from dataclasses import asdict
 
     from lungsound.io import save_checkpoint
@@ -200,6 +206,8 @@ def write_checkpoint(path, n_bands, meta, nan=False):
     state = CnnTsa(cfg, seed=0).state_dict()
     if nan:
         state["head.bias"] = np.array([0.0, np.nan], np.float32)
+    if overflow:
+        state["conv1.weight"] *= np.float32(1e37)
     save_checkpoint(path, state, asdict(cfg), {"task": "multiclass", **meta})
 
 
@@ -238,6 +246,20 @@ class TestCheckpointAgainstCache:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "non-finite" in err and err.count("\n") == 1
 
+    def test_unknown_tensor_exits_3(self, cache_dir, capsys):
+        from dataclasses import asdict
+
+        from lungsound.io import save_checkpoint
+        from lungsound.model import CnnTsa, ModelConfig
+
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=16)
+        state = CnnTsa(cfg, seed=0).state_dict() | {"extra.weight": np.zeros(3, np.float32)}
+        save_checkpoint(cache_dir / "m.ckpt", state, asdict(cfg), {"task": "multiclass"})
+        capsys.readouterr()
+        assert run(cache_dir, *READERS["evaluate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "extra.weight" in err and err.count("\n") == 1
+
     def test_null_label_cache(self, cache_dir):
         # attribution needs no labels; training and scoring do
         from lungsound.io import read_spec_cache, write_spec_cache
@@ -268,6 +290,87 @@ class TestCheckpointAgainstCache:
 
         write_mask_file(cache_dir / "m12.txt", FrequencyMask.full(12))
         assert run(cache_dir, *train_args(extra=("--mask", "m12.txt"))) == 2
+
+
+class TestOneCheckpointPath:
+    """evaluate and attribute share the hash guard, the age stratum and
+    the numerical checks."""
+
+    def test_attribute_hash_mismatch_exits_2(self, cache_dir, capsys):
+        # evaluate's case is TestTrainEvaluate::test_evaluate_hash_mismatch_refused
+        assert run(cache_dir, *train_args()) == 0
+        args = list(SYNTH_ARGS)
+        args[args.index("--out") + 1] = "other.cache"
+        args[args.index("--synth-snr-db") + 1] = "30"
+        assert run(cache_dir, *args) == 0
+        capsys.readouterr()
+        code = run(
+            cache_dir, "attribute", "--checkpoint", "run1/checkpoint.ckpt",
+            "--cache", "other.cache", "--class-id", "0", "--out-dir", "at",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "cache config" in err and err.count("\n") == 1
+
+    @pytest.fixture
+    def age_run(self, tmp_path):
+        """A cache whose even clips are children and odd clips adults, and
+        the two age-specific checkpoints trained on it."""
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.io import write_spec_cache
+
+        corpus = synth_corpus(
+            SynthSpec(n_classes=2, n_bands=16, n_frames=10, n_per_class=10, snr_db=15.0, seed=0)
+        )
+        corpus.ages[0::2], corpus.ages[1::2] = 6.0, 35.0
+        write_spec_cache(tmp_path / "aged.cache", corpus, {"synthetic": True})
+        code = run(
+            tmp_path, "train", "--cache", "aged.cache", "--out-dir", "age_run",
+            "--task", "multiclass", "--preset", "tiny", "--epochs", "1",
+            "--batch-size", "8", "--no-specaugment", "--age-specific",
+        )
+        assert code == 0
+        return tmp_path, corpus
+
+    def test_child_checkpoint_attributes_child_clips(self, age_run):
+        from lungsound.io import load_checkpoint
+
+        root, corpus = age_run
+        code = run(
+            root, "attribute", "--checkpoint", "age_run/checkpoint_child.ckpt",
+            "--cache", "aged.cache", "--class-id", "1", "--first", "3", "--out-dir", "at",
+        )
+        assert code == 0
+        maps, _, _ = load_checkpoint(root / "at" / "attributions.ckpt")
+        assert sorted(maps) == sorted(corpus.clip_ids[0::2][:3])
+
+    def test_samples_outside_stratum_exit_3(self, age_run, capsys):
+        root, corpus = age_run
+        capsys.readouterr()
+        code = run(
+            root, "attribute", "--checkpoint", "age_run/checkpoint_child.ckpt",
+            "--cache", "aged.cache", "--class-id", "1", "--out-dir", "at",
+            "--samples", f"{corpus.clip_ids[0]},{corpus.clip_ids[1]}",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "child" in err and corpus.clip_ids[1] in err
+        assert corpus.clip_ids[0] not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scaled conv overflows
+    @pytest.mark.parametrize("command,extra,output", [
+        ("evaluate", (), "report.json"),
+        ("attribute", ("--method", "gradcam"), "attributions.ckpt"),
+        ("attribute", ("--method", "ig", "--ig-steps", "4"), "attributions.ckpt"),
+    ], ids=["evaluate", "gradcam", "ig"])
+    def test_overflowing_checkpoint_exits_4(self, cache_dir, capsys, command, extra, output):
+        write_checkpoint(cache_dir / "m.ckpt", 16, {}, overflow=True)
+        capsys.readouterr()
+        assert run(cache_dir, *READERS[command], *extra) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort:") and "non-finite" in err and err.count("\n") == 1
+        out_dir = READERS[command][READERS[command].index("--out-dir") + 1]
+        assert not (cache_dir / out_dir / output).exists()
 
 
 class TestFbsCommand:

@@ -9,7 +9,7 @@ import pytest
 
 from lungsound.audio import Spectrogram
 from lungsound.data import CycleRecord
-from lungsound.errors import DataError
+from lungsound.errors import ConfigError, DataError
 from lungsound.io import (
     config_hash,
     load_checkpoint,
@@ -59,6 +59,13 @@ class TestCheckpoint:
         m2.load_state_dict(state)
         x = np.random.default_rng(0).normal(size=(1, 1, 6, 8)).astype(np.float32)
         np.testing.assert_array_equal(m1.forward(x).data, m2.forward(x).data)
+
+    @pytest.mark.parametrize("name", ["extra.weight", "bn9.running_mean"])
+    def test_unknown_tensor_name_refused(self, name):
+        model = CnnTsa(ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8), seed=1)
+        state = model.state_dict() | {name: np.zeros(8, np.float32)}
+        with pytest.raises(ConfigError, match=name):
+            model.load_state_dict(state)
 
     def test_byte_identical_writes(self, tmp_path):
         cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)

@@ -354,7 +354,7 @@ class TestBatchNormReferenceOracle:
 class TestPool2d:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
-        assert pool2d(x, "avg", 2).data.item() == 2.5
+        assert pool2d(x, 2).data.item() == 2.5
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (2, 1), (3, 2), (3, 3)])
     @pytest.mark.parametrize("channels_last", [False, True])
@@ -367,37 +367,20 @@ class TestPool2d:
                       .mean(axis=(2, 3)) for j in range(wo)], axis=-1)
             for i in range(ho)
         ], axis=-2)
-        out = pool2d(Tensor(x), "avg", window, stride=stride)
+        out = pool2d(Tensor(x), window, stride=stride)
         np.testing.assert_allclose(out.data, expected, rtol=1e-6, atol=1e-7)
-
-    def test_max_2x2(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
-        assert pool2d(x, "max", 2).data.item() == 4.0
-
-    def test_max_gradient_routes_to_argmax(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None], requires_grad=True)
-        out = pool2d(x, "max", 2)
-        out.backward()
-        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 0.0], [0.0, 1.0]])
-
-    def test_max_tie_routes_to_first_row_major(self):
-        x = Tensor(np.full((1, 1, 2, 2), 5.0), requires_grad=True)
-        pool2d(x, "max", 2).backward()
-        np.testing.assert_array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_window_larger_than_input_errors(self):
         with pytest.raises(ShapeError):
-            pool2d(Tensor(np.zeros((1, 1, 2, 2))), "avg", 3)
+            pool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
 
-    @pytest.mark.parametrize("kind", ["avg", "max"])
-    def test_gradient_vs_finite_differences(self, kind):
+    def test_gradient_vs_finite_differences(self):
         g = rng(11)
-        # distinct values so the max argmax is stable under perturbation
         x = g.permutation(64).reshape(1, 1, 8, 8).astype(np.float32) * 0.1
         mix = rng(12).normal(size=(1, 1, 4, 4)).astype(np.float32)
 
         def loss(t):
-            return (pool2d(t["x"], kind, 2) * Tensor(mix)).sum()
+            return (pool2d(t["x"], 2) * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x})
 
@@ -407,7 +390,7 @@ class TestPool2d:
         mix = rng(14).normal(size=(1, 1, 4, 4)).astype(np.float32)
 
         def loss(t):
-            return (pool2d(t["x"], "avg", 2, stride=1) * Tensor(mix)).sum()
+            return (pool2d(t["x"], 2, stride=1) * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x})
 
@@ -528,7 +511,7 @@ class TestEngineProperties:
             x = Tensor(g.normal(size=(2, 3, 8, 8)).astype(np.float32))
             w = Tensor(g.normal(size=(4, 3, 3, 3)).astype(np.float32))
             out = conv2d(x, w, padding=1)
-            out = pool2d(out, "max", 2)
+            out = pool2d(out, 2)
             return softmax(out.reshape(2, -1), axis=1).data
 
         a, b = run(), run()
@@ -547,7 +530,7 @@ class TestEngineProperties:
             state = BatchNormState(2)
             h = conv2d(t["x"], t["w"], padding=1)
             h = batchnorm2d(h, t["gamma"], t["beta"], state, training=True)
-            h = pool2d(h, "avg", 2)
+            h = pool2d(h, 2)
             h = h.reshape(2, -1)
             out = matmul(h, t["proj"])
             return (softmax(out, axis=1) * Tensor(mix)).sum()
@@ -631,7 +614,7 @@ class TestGradientRelease:
         }
         h = conv2d(leaves["x"], leaves["w"], padding=1)
         h = batchnorm2d(h, leaves["gamma"], leaves["beta"], BatchNormState(3), training=True)
-        h = pool2d(h.relu(), "avg", 2).reshape(2, -1)
+        h = pool2d(h.relu(), 2).reshape(2, -1)
         s = softmax(matmul(h, leaves["proj"]) * 2.0, axis=1)
         return leaves, (reduce(s, "max", axis=1) + s.log().sum(axis=1)).sum()
 
@@ -674,7 +657,7 @@ class TestNoGrad:
         proj = Tensor(g.normal(size=(27, 2)).astype(np.float32), requires_grad=True)
         h = conv2d(x, w, padding=1)
         h2 = batchnorm2d(h, gamma, beta, BatchNormState(3), training=True)
-        h3 = pool2d(h2.relu(), "avg", 2)
+        h3 = pool2d(h2.relu(), 2)
         h4 = matmul(h3.reshape(2, -1), proj)
         h5 = softmax(h4 * 2.0 + Tensor(np.ones(2)), axis=1)
         return [h, h2, h3, h4, h5, reduce(h5, "max", axis=1), h5.log().sum()]

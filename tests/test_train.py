@@ -7,7 +7,7 @@ import pytest
 
 from helpers import check_gradient
 from lungsound.data import CycleRecord, SynthSpec, synth_corpus
-from lungsound.errors import DataError
+from lungsound.errors import DataError, DivergenceError
 from lungsound.metrics import MetricReport, collapse_to_binary, scores_from_rates
 from lungsound.model import ModelConfig
 from lungsound.tensor import Tensor
@@ -289,6 +289,15 @@ class TestEvaluate:
 
         with pytest.raises(DataError):
             evaluate(CnnTsa(tiny_model_cfg(), 0), [], "binary")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scaled conv overflows
+    def test_overflowing_model_raises(self):
+        from lungsound.model import CnnTsa
+
+        model = CnnTsa(tiny_model_cfg(), seed=0)
+        model.params["conv1.weight"].data[...] *= np.float32(1e37)
+        with pytest.raises(DivergenceError, match="non-finite logits"):
+            evaluate(model, tiny_corpus(n=10), "multiclass")
 
     def test_report_identities_hold(self):
         corpus = tiny_corpus(n=12)
