@@ -47,8 +47,6 @@ class AudioClip:
     samples: np.ndarray
     sample_rate: int
     source_id: str = ""
-    patient_id: str | None = None
-    age_years: float | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float32)
@@ -116,7 +114,7 @@ class Spectrogram:
 _INT_SCALES = {np.dtype(np.int16): 2**15, np.dtype(np.int32): 2**31}
 
 
-def read_wav(path, source_id: str | None = None) -> AudioClip:
+def read_wav(path) -> AudioClip:
     """Read a PCM WAV (16/24/32-bit int or 32-bit float) as float32.
 
     Integer samples are scaled to [-1, 1); 24-bit files arrive from
@@ -132,7 +130,7 @@ def read_wav(path, source_id: str | None = None) -> AudioClip:
         data = (data.astype(np.float32) - 128.0) / 128.0
     else:
         data = data.astype(np.float32)
-    return AudioClip(data, int(rate), source_id=source_id or str(path))
+    return AudioClip(data, int(rate), source_id=str(path))
 
 
 def standardize(clip: AudioClip) -> AudioClip:
@@ -228,8 +226,6 @@ def mel_spectrogram(
     hop: int = 512,
     f_min: float = 50.0,
     f_max: float = 2000.0,
-    provenance=None,
-    label: int | None = None,
 ) -> Spectrogram:
     """Log-Mel spectrogram of a standardized (16 kHz mono) clip."""
     if clip.sample_rate != TARGET_RATE:
@@ -255,8 +251,6 @@ def mel_spectrogram(
         values=values.astype(np.float32),
         band_centers=centers,
         hop_seconds=hop / clip.sample_rate,
-        label=label,
-        provenance=provenance,
     )
 
 

@@ -8,7 +8,8 @@ the wall-clock time (manifests carry timestamps and are exempt); a
 preprocess cache hit returns None and writes no record.
 
 A JSON config file (flat keys matching the long option names with
-underscores) can prefill any option; explicit flags win. Exit codes:
+underscores) can prefill any option; its values are parsed like flags,
+and explicit flags win. Exit codes:
 0 success, 2 config error, 3 data error, 4 numerical abort.
 """
 
@@ -68,10 +69,17 @@ Record = tuple[dict, int, str, list[Path]]
 # -- option plumbing -----------------------------------------------------------------
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str], workdir: Path) -> None:
-    """Fill options from --config JSON; explicit flags keep priority."""
+def _apply_config_file(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str], workdir: Path
+) -> argparse.Namespace:
+    """Parse ``argv`` again with the --config JSON keys as flags right after the subcommand.
+
+    argparse then converts and checks each value as it does a flag's,
+    and explicit flags win because they come later. An on/off option's
+    key takes ``true`` (flag given) or ``false``.
+    """
     if not getattr(args, "config", None):
-        return
+        return args
     path = _resolve(workdir, args.config)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -79,16 +87,28 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str], workdir: Path)
         values = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=")[0].replace("-", "_"))
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        o[2:].replace("-", "_"): a for a in sub.choices[args.command]._actions for o in a.option_strings
+    }
+    tokens = []
     for key, value in values.items():
-        if key in explicit:
-            continue
-        if not hasattr(args, key):
+        action = options.get(key)
+        if action is None or action.dest == "help":
             raise ConfigError(f"config key {key!r} is not an option of this command")
-        setattr(args, key, value)
+        flag = "--" + key.replace("_", "-")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} takes true or false, got {value!r}")
+        elif value:
+            tokens.append(flag)
+    i = 0  # top-level options precede the subcommand; of them only --workdir takes a value
+    while argv[i] != args.command:
+        i += 2 if argv[i].startswith("--w") and "=" not in argv[i] else 1
+    return parser.parse_args(argv[: i + 1] + tokens + argv[i + 1 :])
 
 
 def _resolve(workdir: Path, value: str | None) -> Path | None:
@@ -288,8 +308,6 @@ def _spectrograms(records, args) -> SpecSet:
                 hop=args.hop,
                 f_min=args.f_min,
                 f_max=args.f_max,
-                provenance=rec,
-                label=rec.label,
             )
             if values is None:
                 values = np.empty((len(records), *clip.values.shape), dtype=np.float32)
@@ -766,7 +784,7 @@ def main(argv: list[str] | None = None) -> int:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        _apply_config_file(args, argv, workdir)
+        args = _apply_config_file(parser, args, argv, workdir)
         t0 = time.time()
         record = args.func(args, workdir, argv)
     except ConfigError as exc:

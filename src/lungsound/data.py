@@ -377,7 +377,6 @@ class SynthSpec:
     disjoint: bool = False
     amp_jitter: tuple[float, float] = (0.7, 1.4)
     jitter_log: bool = False  # draw jitter log-uniformly (heavy spread)
-    samples_per_patient: int = 1
     seed: int = 0
 
     def resolved_bands(self) -> tuple[tuple[int, ...], ...]:
@@ -470,12 +469,11 @@ def synth_corpus(cfg: SynthSpec) -> SpecSet:
                 amp = np.ones(len(band_idx))
             clip[:, band_idx] += amp[None, :] * pattern[:, None]
             values[c * cfg.n_per_class + i] = clip
-    per_patient = max(cfg.samples_per_patient, 1)
     rows = [(c, i) for c in range(cfg.n_classes) for i in range(cfg.n_per_class)]
     return SpecSet(
         values, centers, 0.032,
         labels=[c for c, _ in rows],
-        patient_ids=[f"synth-c{c}-p{i // per_patient:04d}" for c, i in rows],
+        patient_ids=[f"synth-c{c}-p{i:04d}" for c, i in rows],
         ages=np.full(n, np.nan),
         splits=["unsplit"] * n,
         clip_ids=[f"synth-c{c}-{i:04d}" for c, i in rows],

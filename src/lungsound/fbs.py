@@ -52,6 +52,8 @@ __all__ = [
 log = logging.getLogger("lungsound.fbs")
 
 MIN_BANDS = 8
+IG_STEPS = 20  # interpolation steps per IG map during selection
+GROUP = 4  # adjacent bands per backward-selection candidate
 
 
 @dataclass
@@ -66,7 +68,6 @@ class ImportanceTable:
     mean: np.ndarray
     maxdiff: np.ndarray
     lam: float
-    fold_count: int
 
     def __post_init__(self):
         self.band_indices = np.asarray(self.band_indices, dtype=np.int64)
@@ -144,10 +145,9 @@ def fold_average(per_fold: list[np.ndarray]) -> np.ndarray:
 
 
 def importance_scores(
-    class_profiles: list[np.ndarray] | dict[int, np.ndarray],
+    class_profiles: list[np.ndarray],
     lam: float,
     band_indices: np.ndarray | None = None,
-    fold_count: int = 1,
 ) -> ImportanceTable:
     """Combine per-class band attributions into importance scores.
 
@@ -157,10 +157,7 @@ def importance_scores(
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    if isinstance(class_profiles, dict):
-        vectors = [class_profiles[c] for c in sorted(class_profiles)]
-    else:
-        vectors = list(class_profiles)
+    vectors = list(class_profiles)
     if not vectors:
         raise DataError("no class profiles given")
     a = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])  # (C, F')
@@ -173,7 +170,6 @@ def importance_scores(
         mean=mean,
         maxdiff=maxdiff,
         lam=lam,
-        fold_count=fold_count,
     )
 
 
@@ -212,7 +208,6 @@ def _fold_class_profiles(
     n_classes: int,
     method: str,
     fold: int,
-    ig_steps: int,
 ) -> list[np.ndarray]:
     profiles = []
     for c in range(n_classes):
@@ -224,7 +219,7 @@ def _fold_class_profiles(
         elif method == "ig":
             maps = [
                 integrated_gradients(
-                    model, spec, c, baseline=np.zeros_like(spec.values), steps=ig_steps
+                    model, spec, c, baseline=np.zeros_like(spec.values), steps=IG_STEPS
                 )
                 for spec in specs
             ]
@@ -262,7 +257,6 @@ def fbs_importance(
     stop_epsilon: float = 0.5,
     min_bands: int = MIN_BANDS,
     attribution_method: str = "gradcam",
-    ig_steps: int = 20,
 ) -> FbsResult:
     """Iterative importance-based selection (one CV training per iteration)."""
     if not 0.0 <= lam <= 1.0:
@@ -305,7 +299,6 @@ def fbs_importance(
                 n_classes,
                 attribution_method,
                 fold=f,
-                ig_steps=ig_steps,
             )
             per_fold.append(np.stack(profiles))  # (C, F')
         per_class = fold_average(per_fold)  # (C, F')
@@ -313,7 +306,6 @@ def fbs_importance(
             list(per_class),
             lam,
             band_indices=mask.kept_indices,
-            fold_count=k_folds,
         )
         nxt = eliminate_lowest(record.table, mask, r=r, floor=min_bands)
         if nxt is None:
@@ -330,28 +322,30 @@ def fbs_backward(
     k_folds: int = 5,
     stop_epsilon: float = 0.5,
     min_bands: int = MIN_BANDS,
-    window: int = 4,
 ) -> FbsResult:
     """Grouped backward selection (one CV training per candidate group).
 
-    Candidates are the disjoint adjacent groups of ``window`` bands in
+    Candidates are the disjoint adjacent groups of ``GROUP`` bands in
     compacted kept order (F/4 groups per iteration, which is what keeps
     the total cost at O((F/4)^2) trainings); after removals, "adjacent"
     means adjacent among the survivors. Ties on the best candidate
-    break toward the lowest group start.
+    break toward the lowest group start. Raises ``ConfigError``, before
+    any training, when ``min_bands`` leaves no group to remove.
     """
     dataset = SpecSet.of(dataset)
     n_bands = dataset.n_bands
+    if n_bands - GROUP < min_bands:
+        raise ConfigError(f"min_bands {min_bands} leaves no group of {GROUP} to remove from {n_bands} bands")
     splits = patient_kfold(dataset, k=k_folds, seed=train_cfg.seed)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="backward")
     iterations: list[FbsIteration] = []
     train_runs = 0
     best_as = -np.inf
-    best_mask: FrequencyMask | None = None
-    while mask.n_kept - window >= min_bands:
+    best_mask = mask
+    while mask.n_kept - GROUP >= min_bands:
         it_idx = len(iterations)
         kept = mask.kept_indices
-        candidates = [kept[i * window : (i + 1) * window] for i in range(len(kept) // window)]
+        candidates = [kept[i * GROUP : (i + 1) * GROUP] for i in range(len(kept) // GROUP)]
         cand_as: list[float] = []
         for cand in candidates:
             fold_as, _ = _cv_train_eval(
@@ -380,6 +374,4 @@ def fbs_backward(
         record.removed = mask.history[-1]
         if chosen_as > best_as:
             best_as, best_mask = chosen_as, mask
-    if best_mask is None:
-        best_mask = mask
     return FbsResult(mask=best_mask, final_mask=mask, iterations=iterations, train_runs=train_runs)

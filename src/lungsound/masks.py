@@ -52,7 +52,7 @@ class FrequencyMask:
     def kept_indices(self) -> np.ndarray:
         return np.flatnonzero(self.keep)
 
-    def remove(self, indices, origin: str | None = None) -> "FrequencyMask":
+    def remove(self, indices) -> "FrequencyMask":
         """New mask with ``indices`` (original band numbering) removed."""
         indices = sorted(int(i) for i in indices)
         keep = self.keep.copy()
@@ -60,9 +60,7 @@ class FrequencyMask:
             if not keep[i]:
                 raise ValueError(f"band {i} already removed")
             keep[i] = False
-        return FrequencyMask(
-            keep, origin=origin or self.origin, history=self.history + [indices]
-        )
+        return FrequencyMask(keep, origin=self.origin, history=self.history + [indices])
 
     def bitstring(self) -> str:
         return "".join("1" if k else "0" for k in self.keep)

@@ -28,10 +28,10 @@ def scores_from_rates(se: float, sp: float) -> tuple[float, float, float]:
     return as_score, hs, ts
 
 
-def collapse_to_binary(labels: np.ndarray, normal_class: int = NORMAL_CLASS) -> np.ndarray:
+def collapse_to_binary(labels: np.ndarray) -> np.ndarray:
     """Map any non-normal class to 1 (adventitious), normal to 0."""
     labels = np.asarray(labels)
-    return (labels != normal_class).astype(np.int64)
+    return (labels != NORMAL_CLASS).astype(np.int64)
 
 
 @dataclass
@@ -68,18 +68,18 @@ class MetricReport:
         return cls(se, sp, as_score, hs, ts, confusion, n_eval)
 
     @classmethod
-    def from_confusion(cls, confusion: np.ndarray, normal_class: int = NORMAL_CLASS) -> "MetricReport":
+    def from_confusion(cls, confusion: np.ndarray) -> "MetricReport":
         conf = np.asarray(confusion, dtype=np.int64)
         if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
             raise DataError(f"confusion matrix must be square, got {conf.shape}")
         n = int(conf.sum())
         if n == 0:
             raise DataError("empty confusion matrix")
-        adv = [c for c in range(conf.shape[0]) if c != normal_class]
+        adv = [c for c in range(conf.shape[0]) if c != NORMAL_CLASS]
         adv_total = int(conf[adv, :].sum())
         adv_correct = int(sum(conf[c, c] for c in adv))
-        normal_total = int(conf[normal_class, :].sum())
-        normal_correct = int(conf[normal_class, normal_class])
+        normal_total = int(conf[NORMAL_CLASS, :].sum())
+        normal_correct = int(conf[NORMAL_CLASS, NORMAL_CLASS])
         se = 100.0 * adv_correct / adv_total if adv_total else 0.0
         sp = 100.0 * normal_correct / normal_total if normal_total else 0.0
         return cls.from_rates(se, sp, confusion=conf, n_eval=n)

@@ -10,6 +10,10 @@ from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step", "cosine_lr"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
@@ -25,12 +29,9 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One in-place Adam update with bias correction.
+    """One in-place Adam update with bias correction (``BETA1``, ``BETA2``, ``EPS``).
 
     Weight decay is coupled L2: ``decay * param`` is added to the raw
     gradient before the moment updates. Parameters with a missing or
@@ -39,8 +40,8 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -53,13 +54,13 @@ def adam_step(
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
         mhat = m / np.float32(bc1)
         vhat = v / np.float32(bc2)
-        p.data -= np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(eps))
+        p.data -= np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(EPS))
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

@@ -554,6 +554,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 # -- batch normalization --------------------------------------------------------
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running estimates
+BN_EPS = 1e-5
+
 
 class BatchNormState:
     """Running statistics for one batchnorm layer (not trainable)."""
@@ -570,8 +573,6 @@ def batchnorm2d(
     beta: Tensor,
     state: BatchNormState,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization over [B,C,H,W].
 
@@ -605,16 +606,16 @@ def batchnorm2d(
         del dev
         unbiased = var * (n / max(n - 1, 1))
         state.running_mean = (
-            (1 - momentum) * state.running_mean + momentum * mean
+            (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         ).astype(state.running_mean.dtype)
         state.running_var = (
-            (1 - momentum) * state.running_var + momentum * unbiased
+            (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
         ).astype(state.running_var.dtype)
         state.n_batches += 1
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=dt))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=dt))
     scale = (gamma.data * inv_std).astype(dt, copy=False)
     out_data = xv * scale[:, None]
     out_data += (beta.data - mean * scale).astype(dt, copy=False)[:, None]

@@ -37,23 +37,23 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-12
+# SpecAugment on training batches: (time masks, frequency masks, max
+# frames per time mask, max bands per frequency mask)
+SPECAUGMENT = (2, 2, 20, 8)
+# each age stratum sees fewer records, so it trains at half the pooled batch
+AGE_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
-    age_batch_size: int = 64  # used by the age-stratified trainer
     lr0: float = 1e-3
     weight_decay: float = 1e-4
     seed: int = 0
     task: str = "multiclass"  # or "binary"
     age_split: float = 18.0  # years; child < threshold <= adult
     specaugment: bool = True
-    sa_time_masks: int = 2
-    sa_freq_masks: int = 2
-    sa_max_t: int = 20
-    sa_max_f: int = 8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -182,8 +182,8 @@ def train(
     counts = np.bincount(labels, minlength=n_classes)
     model = CnnTsa(model_cfg, seed=train_cfg.seed)
     state = AdamState()
-    max_t = min(train_cfg.sa_max_t, t_dim)
-    max_f = min(train_cfg.sa_max_f, f_dim)
+    time_masks, freq_masks, max_t, max_f = SPECAUGMENT
+    max_t, max_f = min(max_t, t_dim), min(max_f, f_dim)
     history: list[EpochStats] = []
     last_epoch = train_cfg.epochs - 1
     for epoch in range(train_cfg.epochs):
@@ -198,14 +198,7 @@ def train(
             yb = labels[idx]
             if train_cfg.specaugment:
                 for row in xb:
-                    _augment_values(
-                        row[0],
-                        train_cfg.sa_time_masks,
-                        train_cfg.sa_freq_masks,
-                        max_t,
-                        max_f,
-                        sa_rng,
-                    )
+                    _augment_values(row[0], time_masks, freq_masks, max_t, max_f, sa_rng)
             logits = model.forward(Tensor(xb), training=True)
             loss = wcce_loss(logits, yb, counts)
             if not np.isfinite(loss.data):
@@ -312,8 +305,8 @@ def train_age_specific(
 ) -> AgeSpecificResult:
     """Train one model per age stratum and report the averaged metrics.
 
-    Uses ``train_cfg.age_batch_size`` (half the pooled default, since
-    each stratum sees fewer records). Reported metrics here are on each
+    Each stratum trains at ``AGE_BATCH_SIZE``, whatever
+    ``train_cfg.batch_size`` says. Reported metrics here are on each
     stratum's own training data; ``evaluate`` on a stratum checkpoint
     scores a held-out split.
     """
@@ -333,7 +326,7 @@ def train_age_specific(
     for tag, data in (("child", child_data), ("adult", adult_data)):
         cfg = replace(
             train_cfg,
-            batch_size=train_cfg.age_batch_size,
+            batch_size=AGE_BATCH_SIZE,
             seed=int(rng_for(train_cfg.seed, "age", tag).integers(2**31)),
         )
         res = train(data, model_cfg, cfg)

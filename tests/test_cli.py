@@ -415,6 +415,18 @@ class TestFbsCommand:
         assert code == 0
         assert (cache_dir / "fbs3" / "mask.txt").exists()
 
+    def test_backward_without_a_removable_group_exits_2(self, cache_dir, capsys):
+        capsys.readouterr()
+        code = run(
+            cache_dir, "fbs", "--cache", "synth.cache", "--out-dir", "fbs4",
+            "--method", "backward", "--preset", "tiny", "--epochs", "1",
+            "--k-folds", "2", "--min-bands", "14",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "min_bands 14" in err and err.count("\n") == 1
+        assert not list((cache_dir / "fbs4").iterdir())
+
 
 class TestAttributeCommand:
     def test_gradcam_dumps_and_svg(self, cache_dir):
@@ -492,6 +504,49 @@ class TestConfigFileAndDeterminism:
         assert len(history) == 3  # config epochs=2 applied
         manifest = [json.loads(l) for l in (cache_dir / "manifests.jsonl").read_text().splitlines()]
         assert manifest[-1]["config"]["train"]["seed"] == 3  # explicit flag wins
+
+    def test_config_values_are_converted_like_flags(self, cache_dir):
+        (cache_dir / "cfg.json").write_text(json.dumps({"epochs": "3"}))
+        code = run(
+            cache_dir, "train", "--cache", "synth.cache", "--out-dir", "str_run",
+            "--preset", "tiny", "--batch-size", "8", "--config", "cfg.json",
+        )
+        assert code == 0
+        history = (cache_dir / "str_run" / "history.csv").read_text().splitlines()
+        assert len(history) == 4  # header + the 3 epochs of "3"
+
+    def test_alias_flag_wins_over_config_dest(self, cache_dir, capsys):
+        (cache_dir / "cfg.json").write_text(json.dumps({"fbs_lambda": 0.9}))
+        code = run(
+            cache_dir, "fbs", "--cache", "synth.cache", "--out-dir", "alias",
+            "--method", "importance", "--lambda", "0.1", "--k-folds", "2",
+            "--stop-epsilon", "inf", "--min-bands", "12", "--preset", "tiny",
+            "--epochs", "1", "--batch-size", "8", "--no-specaugment", "--config", "cfg.json",
+        )
+        assert code == 0
+        assert "lambda=0.1:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, body, unwritten", [
+        (("fbs", "--cache", "synth.cache", "--out-dir", "shap", "--method", "importance",
+          "--preset", "tiny", "--epochs", "1", "--k-folds", "2"), {"attribution": "shap"}, "shap"),
+        (SYNTH_ARGS[:4] + ["bogus.cache"] + SYNTH_ARGS[5:], {"pad_mode": "bogus"}, "bogus.cache"),
+        (train_args("list"), {"age_split": [10]}, "list"),
+    ])
+    def test_bad_config_value_exits_2_before_any_work(self, cache_dir, capsys, args, body, unwritten):
+        (cache_dir / "cfg.json").write_text(json.dumps(body))
+        with pytest.raises(SystemExit) as exc:
+            run(cache_dir, *args, "--config", "cfg.json")
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert not (cache_dir / unwritten).exists()
+
+    @pytest.mark.parametrize("body", [{"no_specaugment": "yes"}, {"help": True}, [1, 2]])
+    def test_malformed_config_value_is_config_error(self, cache_dir, capsys, body):
+        (cache_dir / "cfg.json").write_text(json.dumps(body))
+        capsys.readouterr()
+        assert run(cache_dir, *train_args("x"), "--config", "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_unknown_config_key_rejected(self, cache_dir):
         (cache_dir / "bad.json").write_text(json.dumps({"nonsense": 1}))

@@ -226,6 +226,18 @@ class TestFbsBackwardLoop:
                           stop_epsilon=float("inf"), min_bands=12)
         np.testing.assert_array_equal(r1.final_mask.keep, r2.final_mask.keep)
 
+    @pytest.mark.parametrize("min_bands", [13, 14, 16])
+    def test_no_group_to_remove_is_config_error_before_training(self, monkeypatch, min_bands):
+        import lungsound.fbs as fbs
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before refusing min_bands")
+
+        monkeypatch.setattr(fbs, "train", no_training)
+        corpus, mcfg, tcfg = small_setup(n_bands=16)
+        with pytest.raises(ConfigError, match=f"min_bands {min_bands}"):
+            fbs_backward(corpus, mcfg, tcfg, k_folds=2, min_bands=min_bands)
+
     def test_small_recovery_avoids_planted_group(self):
         # 16 bands, planted 4..7 aligned to a group: backward should drop
         # noise groups, not the planted one
