@@ -8,7 +8,7 @@ metric suite (Se/Sp/AS/HS/TS).
 
 __version__ = "0.1.0"
 
-from .audio import AudioClip, Spectrogram, fit_duration, mel_spectrogram, spec_augment, standardize
+from .audio import AudioClip, Spectrogram, fit_duration, mel_spectrogram, standardize
 from .attribution import AttributionMap, band_profile, gradcam, integrated_gradients
 from .data import CycleRecord, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
 from .fbs import (
@@ -43,7 +43,6 @@ __all__ = [
     "standardize",
     "fit_duration",
     "mel_spectrogram",
-    "spec_augment",
     "AttributionMap",
     "gradcam",
     "integrated_gradients",

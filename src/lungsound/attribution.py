@@ -119,7 +119,7 @@ def _frozen(model):
             p.requires_grad = flag
 
 
-def gradcam(model, specs: SpecSet | list, class_id: int) -> list[AttributionMap]:
+def gradcam(model, specs: SpecSet, class_id: int) -> list[AttributionMap]:
     """Grad-CAM at the last conv layer, upsampled to the input size.
 
     Weights are the spatial average of d(score)/d(feature map); the
@@ -137,7 +137,6 @@ def gradcam(model, specs: SpecSet | list, class_id: int) -> list[AttributionMap]
             "grad-cam needs a model with a convolutional backbone exposing "
             "features() and head()"
         )
-    specs = SpecSet.of(specs)
     maps = []
     with _frozen(model):
         for start in range(0, len(specs), ATTRIBUTION_BATCH):

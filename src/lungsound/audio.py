@@ -1,5 +1,5 @@
 """Audio frontend: WAV loading, 16 kHz standardization, duration
-fitting, log-Mel spectrograms, and SpecAugment.
+fitting, log-Mel spectrograms, and SpecAugment masking.
 
 Conventions (fixed so the numeric tests are exact):
   * periodic Hann window, no STFT centering, so the frame count is
@@ -29,7 +29,6 @@ __all__ = [
     "fit_duration",
     "mel_filterbank",
     "mel_spectrogram",
-    "spec_augment",
 ]
 
 TARGET_RATE = 16_000
@@ -38,7 +37,7 @@ LOG_FLOOR = 1e-10
 
 @dataclass
 class AudioClip:
-    """Raw audio with its provenance.
+    """Raw audio with its source.
 
     ``samples`` is float32, shape (n,) for mono or (n, channels)
     before standardization.
@@ -68,13 +67,17 @@ def _band_centers(centers, n_bands: int) -> np.ndarray:
 
 @dataclass
 class Spectrogram:
-    """Log-Mel energies, time on axis 0 and Mel band on axis 1."""
+    """One clip's log-Mel energies, time on axis 0 and Mel band on axis 1.
+
+    Patient, age and split are dataset columns (``data.SpecSet``), not
+    clip fields.
+    """
 
     values: np.ndarray  # (T, F) float32
     band_centers: np.ndarray  # (F,) Hz, strictly increasing
     hop_seconds: float
     label: int | None = None
-    provenance: object | None = None  # CycleRecord when derived from a dataset
+    clip_id: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -91,22 +94,6 @@ class Spectrogram:
     @property
     def n_bands(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def clip_id(self) -> str:
-        return getattr(self.provenance, "clip_id", "")
-
-    @property
-    def patient_id(self) -> str | None:
-        return getattr(self.provenance, "patient_id", None)
-
-    @property
-    def age_years(self) -> float | None:
-        return getattr(self.provenance, "age_years", None)
-
-    @property
-    def split(self) -> str:
-        return getattr(self.provenance, "split", "unsplit")
 
 
 # -- loading and standardization ------------------------------------------------
@@ -265,7 +252,11 @@ def _augment_values(
     max_f: int,
     rng: np.random.Generator,
 ) -> None:
-    """In-place time/frequency masking; fill value is the overall mean."""
+    """In-place time/frequency masking; fill value is the overall mean.
+
+    Widths are drawn from [0, max_t] and [0, max_f], which must not
+    exceed the clip's frames and bands (``train`` clamps them).
+    """
     t_dim, f_dim = values.shape
     fill = np.float32(values.mean())
     for _ in range(time_masks):
@@ -281,23 +272,3 @@ def _augment_values(
         start = int(rng.integers(0, f_dim - width + 1))
         values[:, start : start + width] = fill
 
-
-def spec_augment(
-    spec: Spectrogram,
-    time_masks: int = 2,
-    freq_masks: int = 2,
-    max_t: int = 20,
-    max_f: int = 8,
-    rng: np.random.Generator | None = None,
-) -> Spectrogram:
-    """SpecAugment-style masking; returns a copy, the input is untouched."""
-    if max_t > spec.n_frames or max_f > spec.n_bands:
-        raise ShapeError(
-            f"mask widths (t<={max_t}, f<={max_f}) exceed spectrogram "
-            f"{spec.n_frames}x{spec.n_bands}"
-        )
-    if rng is None:
-        rng = np.random.default_rng()
-    values = spec.values.copy()
-    _augment_values(values, time_masks, freq_masks, max_t, max_f, rng)
-    return replace(spec, values=values)

@@ -47,6 +47,7 @@ from .metrics import MetricReport
 from .model import CnnTsa, ModelConfig, icbhi_config, sprsound_config
 from .attribution import gradcam, integrated_gradients, band_profile
 from .train import (
+    AGE_BATCH_SIZE,
     TrainConfig,
     evaluate,
     split_by_age,
@@ -118,11 +119,21 @@ def _resolve(workdir: Path, value: str | None) -> Path | None:
     return p if p.is_absolute() else workdir / p
 
 
+def _comma_list(item):
+    """An argparse ``type``: a comma-separated list of ``item`` values, as a tuple."""
+
+    def parse(text: str) -> tuple:
+        return tuple(item(v) for v in text.split(","))
+
+    # argparse turns the ValueError of a bad item into a usage error (exit 2) naming this
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
 def _model_config(args, n_bands: int, n_classes: int) -> ModelConfig:
     if getattr(args, "channels", None):
-        channels = tuple(int(c) for c in str(args.channels).split(","))
         return ModelConfig(
-            channels=channels,
+            channels=args.channels,
             n_classes=n_classes,
             attention_placement=args.placement,
             n_mel_rows_in=n_bands,
@@ -355,6 +366,7 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
         "split": args.split,
     }
     if args.age_specific:
+        train_cfg = replace(train_cfg, batch_size=AGE_BATCH_SIZE)  # what each stratum trains at
         result = train_age_specific(data, model_cfg, train_cfg, mask=mask)
         for tag, res, report in (
             ("child", result.child, result.child_report),
@@ -454,11 +466,7 @@ def cmd_fbs(args, workdir: Path, argv: list[str]) -> Record:
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     model_cfg = _model_config(args, specs.n_bands, n_classes)
     train_cfg = _train_config(args)
-    lams = (
-        [float(v) for v in args.lambda_sweep.split(",")]
-        if args.lambda_sweep
-        else [args.fbs_lambda]
-    )
+    lams = args.lambda_sweep or (args.fbs_lambda,)
     outputs = []
     sweep_scores = []
     for lam in lams:
@@ -681,7 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_train_opts(p):
         p.add_argument("--task", choices=("binary", "multiclass"), default="multiclass")
         p.add_argument("--preset", choices=("icbhi", "sprsound", "tiny"), default="icbhi")
-        p.add_argument("--channels", default=None, help="comma-separated conv widths (overrides preset)")
+        p.add_argument("--channels", type=_comma_list(int), default=None,
+                       help="comma-separated conv widths (overrides preset)")
         p.add_argument("--placement", default="after_aggregation")
         p.add_argument("--epochs", type=int, default=200)
         p.add_argument("--batch-size", type=int, default=128)
@@ -727,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=("importance", "backward"), required=True)
     p.add_argument("--fbs-lambda", "--lambda", dest="fbs_lambda", type=float, default=0.5)
-    p.add_argument("--lambda-sweep", default=None, help="comma-separated lambdas")
+    p.add_argument("--lambda-sweep", type=_comma_list(float), default=None, help="comma-separated lambdas")
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--k-folds", type=int, default=5)
     p.add_argument("--stop-epsilon", type=float, default=0.5)
@@ -762,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="per-layer FLOPs breakdown")
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=("icbhi", "sprsound", "tiny"), default="icbhi")
-    p.add_argument("--channels", default=None)
+    p.add_argument("--channels", type=_comma_list(int), default=None)
     p.add_argument("--placement", default="after_aggregation")
     p.add_argument("--n-classes", type=int, default=4)
     p.add_argument("--n-frames", type=int, default=249)

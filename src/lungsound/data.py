@@ -87,9 +87,9 @@ class SpecSet:
     (N,) columns in the same order. Splits, folds and age strata are
     index arrays over the columns (``specs[specs.splits == "official_test"]``),
     and a frequency mask is a slice of the band axis (``masks.apply_mask``).
-    An integer index gives one clip as a ``Spectrogram`` whose values are
-    a view into the set, and iteration yields the clips in order; a slice
-    or an index array gives a ``SpecSet``.
+    An integer index gives one clip as a ``Spectrogram`` (values a view
+    into the set, label None for -1, clip id), and iteration yields the
+    clips in order; a slice or an index array gives a ``SpecSet``.
     """
 
     values: np.ndarray  # (N, T, F) float32, all finite
@@ -122,27 +122,6 @@ class SpecSet:
         if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
             raise DataError("spectrogram set contains non-finite values")
 
-    @classmethod
-    def of(cls, clips) -> "SpecSet":
-        """The set of a sequence of ``Spectrogram`` clips; a SpecSet as is."""
-        if isinstance(clips, cls):
-            return clips
-        clips = list(clips)
-        shapes = sorted({c.values.shape for c in clips})
-        if len(shapes) != 1:
-            raise DataError(f"cannot batch spectrograms of shapes {shapes}")
-        values = np.empty((len(clips), *shapes[0]), dtype=np.float32)
-        for i, c in enumerate(clips):
-            values[i] = c.values
-        return cls(
-            values, clips[0].band_centers, clips[0].hop_seconds,
-            labels=[-1 if c.label is None else c.label for c in clips],
-            patient_ids=[c.patient_id for c in clips],
-            ages=[np.nan if c.age_years is None else c.age_years for c in clips],
-            splits=[c.split for c in clips],
-            clip_ids=[c.clip_id for c in clips],
-        )
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -157,13 +136,11 @@ class SpecSet:
     def __getitem__(self, idx):
         if not isinstance(idx, (int, np.integer)):
             return replace(self, values=self.values[idx], **{c: getattr(self, c)[idx] for c in self.COLUMNS})
-        label, age = int(self.labels[idx]), float(self.ages[idx])
-        label = None if label < 0 else label
-        rec = CycleRecord(
-            "", 0.0, max(self.n_frames, 1) * self.hop_seconds, label, self.patient_ids[idx],
-            age_years=None if math.isnan(age) else age, split=self.splits[idx], clip_id=self.clip_ids[idx],
+        label = int(self.labels[idx])
+        return Spectrogram(
+            self.values[idx], self.band_centers, self.hop_seconds,
+            None if label < 0 else label, self.clip_ids[idx],
         )
-        return Spectrogram(self.values[idx], self.band_centers, self.hop_seconds, label, provenance=rec)
 
     def targets(self, task: str) -> np.ndarray:
         """Class labels for ``task``; "binary" maps every adventitious class to 1."""

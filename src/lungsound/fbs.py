@@ -248,7 +248,7 @@ def _cv_train_eval(masked: SpecSet, splits, model_cfg: ModelConfig, train_cfg: T
 
 
 def fbs_importance(
-    dataset: SpecSet | list,
+    dataset: SpecSet,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     lam: float = 0.5,
@@ -258,13 +258,18 @@ def fbs_importance(
     min_bands: int = MIN_BANDS,
     attribution_method: str = "gradcam",
 ) -> FbsResult:
-    """Iterative importance-based selection (one CV training per iteration)."""
+    """Iterative importance-based selection (one CV training per iteration).
+
+    Raises ``ConfigError``, before any training, for r < 1: removing no
+    band would retrain the same mask forever.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    dataset = SpecSet.of(dataset)
+    if r < 1:
+        raise ConfigError(f"r must be >= 1 band per iteration, got {r}")
     n_bands = dataset.n_bands
     n_classes = 2 if train_cfg.task == "binary" else model_cfg.n_classes
-    splits = patient_kfold(dataset, k=k_folds, seed=train_cfg.seed)
+    splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="importance")
     iterations: list[FbsIteration] = []
     train_runs = 0
@@ -316,7 +321,7 @@ def fbs_importance(
 
 
 def fbs_backward(
-    dataset: SpecSet | list,
+    dataset: SpecSet,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     k_folds: int = 5,
@@ -332,11 +337,10 @@ def fbs_backward(
     break toward the lowest group start. Raises ``ConfigError``, before
     any training, when ``min_bands`` leaves no group to remove.
     """
-    dataset = SpecSet.of(dataset)
     n_bands = dataset.n_bands
     if n_bands - GROUP < min_bands:
         raise ConfigError(f"min_bands {min_bands} leaves no group of {GROUP} to remove from {n_bands} bands")
-    splits = patient_kfold(dataset, k=k_folds, seed=train_cfg.seed)
+    splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="backward")
     iterations: list[FbsIteration] = []
     train_runs = 0

@@ -174,11 +174,10 @@ def load_checkpoint(path):
 # -- spectrogram cache -----------------------------------------------------------------
 
 
-def write_spec_cache(path, specs: SpecSet | list, preproc_config: dict) -> str:
+def write_spec_cache(path, specs: SpecSet, preproc_config: dict) -> str:
     """Write a labeled spectrogram set; returns the config hash key."""
     if not len(specs):
         raise DataError("refusing to write an empty cache")
-    specs = SpecSet.of(specs)
     n, t, f = specs.values.shape
     chash = config_hash(preproc_config)
     entries = [

@@ -111,19 +111,17 @@ def wcce_loss(logits: Tensor, labels: np.ndarray, class_counts: np.ndarray) -> T
 # -- splits -----------------------------------------------------------------------
 
 
-def patient_kfold(records, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Patient-wise K-fold split over a SpecSet's ``patient_ids`` column,
-    or over items exposing ``patient_id``.
+def patient_kfold(patient_ids, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Patient-wise K-fold split over a SpecSet's ``patient_ids`` column.
 
     Every patient's records land in exactly one validation fold; folds
     are balanced greedily by record count. Returns (train_idx, val_idx)
-    pairs of sorted index arrays.
+    pairs of sorted index arrays. Raises ``ConfigError`` for k < 2.
     """
-    pids = getattr(records, "patient_ids", None)
-    if pids is None:
-        pids = [getattr(rec, "patient_id", None) for rec in records]
+    if k < 2:
+        raise ConfigError(f"k-fold split needs k >= 2, got {k}")
     by_patient: dict[str, list[int]] = {}
-    for i, pid in enumerate(pids):
+    for i, pid in enumerate(patient_ids):
         if pid is None:
             raise DataError(f"record {i} has no patient id; patient-wise split impossible")
         by_patient.setdefault(str(pid), []).append(i)
@@ -140,7 +138,7 @@ def patient_kfold(records, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, 
         fold_members[tgt].append(pid)
         fold_sizes[tgt] += len(by_patient[pid])
     splits = []
-    all_idx = set(range(len(pids)))
+    all_idx = set(range(len(patient_ids)))
     for members in fold_members:
         val = sorted(i for p in members for i in by_patient[p])
         train = sorted(all_idx.difference(val))
@@ -152,7 +150,7 @@ def patient_kfold(records, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, 
 
 
 def train(
-    dataset: SpecSet | list,
+    dataset: SpecSet,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     mask: FrequencyMask | None = None,
@@ -166,7 +164,6 @@ def train(
     """
     if not dataset:
         raise DataError("empty training dataset")
-    dataset = SpecSet.of(dataset)
     if mask is not None:
         dataset = apply_mask(dataset, mask)
         model_cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)
@@ -228,7 +225,7 @@ def train(
 
 def evaluate(
     model: CnnTsa,
-    dataset: SpecSet | list,
+    dataset: SpecSet,
     task: str,
     batch_size: int = 128,
 ) -> MetricReport:
@@ -243,7 +240,6 @@ def evaluate(
     """
     if not dataset:
         raise DataError("empty evaluation set")
-    dataset = SpecSet.of(dataset)
     labels = dataset.targets(task)
     x_all = dataset.values[:, None]
     preds = np.empty(len(dataset), dtype=np.int64)
@@ -298,7 +294,7 @@ def combine_reports(child: MetricReport, adult: MetricReport) -> MetricReport:
 
 
 def train_age_specific(
-    dataset: SpecSet | list,
+    dataset: SpecSet,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     mask: FrequencyMask | None = None,
@@ -311,7 +307,6 @@ def train_age_specific(
     scores a held-out split.
     """
     threshold = train_cfg.age_split
-    dataset = SpecSet.of(dataset)
     if mask is not None:
         dataset = apply_mask(dataset, mask)
         model_cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)

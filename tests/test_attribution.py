@@ -14,8 +14,8 @@ from lungsound.attribution import (
     integrated_gradients,
 )
 from lungsound.audio import Spectrogram
-from lungsound.data import SynthSpec, synth_corpus
-from lungsound.errors import DataError, DivergenceError, UnsupportedMethodError
+from lungsound.data import SpecSet, SynthSpec, synth_corpus
+from lungsound.errors import DivergenceError, UnsupportedMethodError
 from lungsound.model import CnnTsa, ModelConfig
 from lungsound.tensor import Tensor, conv2d, reduce
 from lungsound.train import TrainConfig, train
@@ -25,6 +25,16 @@ def make_spec(t=6, f=8, seed=0, scale=1.0):
     vals = np.random.default_rng(seed).normal(size=(t, f)).astype(np.float32) * scale
     centers = np.linspace(100, 2000, f)
     return Spectrogram(vals, centers, hop_seconds=0.032)
+
+
+def make_set(n=1, t=6, f=8, seed=0, scale=1.0):
+    """n random clips as a set, clip i drawn from seed + i."""
+    vals = np.stack([np.random.default_rng(seed + i).normal(size=(t, f)) for i in range(n)]) * scale
+    return SpecSet(
+        vals, np.linspace(100, 2000, f), 0.032, labels=np.zeros(n, np.int64),
+        patient_ids=[None] * n, ages=np.full(n, np.nan), splits=["unsplit"] * n,
+        clip_ids=[f"clip{i}" for i in range(n)],
+    )
 
 
 class OneConvModel:
@@ -144,22 +154,22 @@ class TestBilinearResize:
 class TestGradCam:
     def test_zero_feature_maps_zero_attribution(self):
         model = OneConvModel(np.zeros((1, 1, 3, 3), np.float32))
-        [amap] = gradcam(model, [make_spec()], class_id=0)
+        [amap] = gradcam(model, make_set(), class_id=0)
         np.testing.assert_array_equal(amap.values, 0.0)
 
     def test_one_conv_closed_form(self):
         kernel = np.random.default_rng(1).normal(size=(1, 1, 3, 3)).astype(np.float32)
         model = OneConvModel(kernel)
-        spec = make_spec(t=5, f=7, seed=2)
-        [amap] = gradcam(model, [spec], class_id=0)
-        act = conv2d(Tensor(spec.values[None, None]), Tensor(kernel), padding=1).data[0, 0]
+        specs = make_set(t=5, f=7, seed=2)
+        [amap] = gradcam(model, specs, class_id=0)
+        act = conv2d(Tensor(specs.values[:, None]), Tensor(kernel), padding=1).data[0, 0]
         np.testing.assert_allclose(amap.values, act / act.size, rtol=1e-5, atol=1e-7)
 
     def test_linearity_in_feature_maps(self):
         kernel = np.random.default_rng(3).normal(size=(1, 1, 3, 3)).astype(np.float32)
-        spec = make_spec(seed=4)
-        a1 = gradcam(OneConvModel(kernel), [spec], 0)[0].values
-        a2 = gradcam(OneConvModel(2.0 * kernel), [spec], 0)[0].values
+        specs = make_set(seed=4)
+        a1 = gradcam(OneConvModel(kernel), specs, 0)[0].values
+        a2 = gradcam(OneConvModel(2.0 * kernel), specs, 0)[0].values
         # doubling the maps (same gradients: score is mean, weights fixed)
         np.testing.assert_allclose(a2, 2.0 * a1, rtol=1e-5, atol=1e-7)
 
@@ -167,7 +177,7 @@ class TestGradCam:
         cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
         model = CnnTsa(cfg, seed=0)
         found_negative = False
-        specs = [make_spec(t=8, f=8, seed=seed, scale=3.0) for seed in range(5)]
+        specs = make_set(5, t=8, f=8, scale=3.0)
         for amap in gradcam(model, specs, class_id=1):
             assert np.all(np.isfinite(amap.values))
             found_negative |= bool((amap.values < 0).any())
@@ -185,26 +195,20 @@ class TestGradCam:
                 return x
 
         with pytest.raises(UnsupportedMethodError):
-            gradcam(NoConv(), [make_spec()], 0)
+            gradcam(NoConv(), make_set(), 0)
         with pytest.raises(UnsupportedMethodError):
-            gradcam(FeaturesOnly(), [make_spec()], 0)
+            gradcam(FeaturesOnly(), make_set(), 0)
 
     def test_upsampled_shape_matches_input(self):
         cfg = ModelConfig(channels=(8, 8), n_classes=2, n_mel_rows_in=16)
         model = CnnTsa(cfg, seed=1)
-        spec = make_spec(t=12, f=16, seed=5)
-        [amap] = gradcam(model, [spec], 0)
+        [amap] = gradcam(model, make_set(t=12, f=16, seed=5), 0)
         assert amap.values.shape == (12, 16)
-
-    def test_mixed_shapes_refused(self):
-        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
-        with pytest.raises(DataError):
-            gradcam(CnnTsa(cfg, seed=0), [make_spec(t=8, f=8), make_spec(t=10, f=8)], 0)
 
     def test_class_out_of_range(self):
         cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
         with pytest.raises(ValueError):
-            gradcam(CnnTsa(cfg, seed=0), [make_spec(t=8, f=8)], 2)
+            gradcam(CnnTsa(cfg, seed=0), make_set(t=8, f=8), 2)
 
 
 class TestIntegratedGradients:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lungsound.cli import main
+from test_fbs import no_training  # noqa: F401 (fixture: CV training fails)
 
 SYNTH_ARGS = [
     "preprocess", "--dataset", "synth", "--out", "synth.cache",
@@ -189,6 +190,24 @@ class TestTrainEvaluate:
         assert (tmp_path / "age_run" / "checkpoint_adult.ckpt").exists()
         combined = json.loads((tmp_path / "age_run" / "report_combined.json").read_text())
         assert 0 <= combined["AS"] <= 100
+
+    def test_age_specific_manifest_records_the_stratum_batch_size(self, tmp_path):
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.io import write_spec_cache
+
+        corpus = synth_corpus(
+            SynthSpec(n_classes=2, n_bands=16, n_frames=10, n_per_class=10, snr_db=15.0, seed=0)
+        )
+        corpus.ages[0::2], corpus.ages[1::2] = 6.0, 35.0
+        write_spec_cache(tmp_path / "aged.cache", corpus, {"synthetic": True})
+        common = ["train", "--cache", "aged.cache", "--preset", "tiny", "--epochs", "2", "--age-specific"]
+        assert run(tmp_path, *common, "--out-dir", "b8", "--batch-size", "8") == 0
+        assert run(tmp_path, *common, "--out-dir", "default") == 0
+        manifest = [json.loads(l) for l in (tmp_path / "manifests.jsonl").read_text().splitlines()]
+        assert [m["config"]["train"]["batch_size"] for m in manifest] == [64, 64]
+        for tag in ("child", "adult"):
+            name = f"checkpoint_{tag}.ckpt"
+            assert (tmp_path / "b8" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 def write_checkpoint(path, n_bands, meta, nan=False, overflow=False):
@@ -427,6 +446,25 @@ class TestFbsCommand:
         assert err.startswith("config error:") and "min_bands 14" in err and err.count("\n") == 1
         assert not list((cache_dir / "fbs4").iterdir())
 
+    @pytest.mark.parametrize("extra,match", [
+        (("--r", "0"), "r must be >= 1"),
+        (("--r", "-4"), "r must be >= 1"),
+        (("--k-folds", "0"), "k >= 2"),
+        (("--k-folds", "-2"), "k >= 2"),
+        (("--k-folds", "1"), "k >= 2"),
+    ], ids=["r0", "r-4", "k0", "k-2", "k1"])
+    def test_bad_r_or_k_folds_exits_2_before_training(self, cache_dir, capsys, no_training, extra, match):
+        # no_training: unchecked, --r 0 would retrain the same mask forever
+        capsys.readouterr()
+        code = run(
+            cache_dir, "fbs", "--cache", "synth.cache", "--out-dir", "fbs5",
+            "--method", "importance", "--preset", "tiny", "--epochs", "1",
+            "--k-folds", "2", "--min-bands", "8", *extra,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and match in err and err.count("\n") == 1
+
 
 class TestAttributeCommand:
     def test_gradcam_dumps_and_svg(self, cache_dir):
@@ -531,6 +569,9 @@ class TestConfigFileAndDeterminism:
           "--preset", "tiny", "--epochs", "1", "--k-folds", "2"), {"attribution": "shap"}, "shap"),
         (SYNTH_ARGS[:4] + ["bogus.cache"] + SYNTH_ARGS[5:], {"pad_mode": "bogus"}, "bogus.cache"),
         (train_args("list"), {"age_split": [10]}, "list"),
+        (train_args("chan"), {"channels": "abc"}, "chan"),
+        (("fbs", "--cache", "synth.cache", "--out-dir", "sweep", "--method", "importance",
+          "--preset", "tiny", "--epochs", "1", "--k-folds", "2"), {"lambda_sweep": "0.1,x"}, "sweep"),
     ])
     def test_bad_config_value_exits_2_before_any_work(self, cache_dir, capsys, args, body, unwritten):
         (cache_dir / "cfg.json").write_text(json.dumps(body))
@@ -539,6 +580,31 @@ class TestConfigFileAndDeterminism:
         assert exc.value.code == 2
         assert "invalid" in capsys.readouterr().err
         assert not (cache_dir / unwritten).exists()
+
+    @pytest.mark.parametrize("args, unwritten", [
+        (train_args("chan", extra=("--channels", "abc")), "chan"),
+        (("fbs", "--cache", "synth.cache", "--out-dir", "sweep", "--method", "importance",
+          "--lambda-sweep", "0.1,x", "--preset", "tiny", "--epochs", "1", "--k-folds", "2"), "sweep"),
+    ], ids=["channels", "lambda-sweep"])
+    def test_bad_comma_list_flag_is_usage_error(self, cache_dir, capsys, args, unwritten):
+        with pytest.raises(SystemExit) as exc:
+            run(cache_dir, *args)
+        assert exc.value.code == 2
+        assert "invalid comma-separated" in capsys.readouterr().err
+        assert not (cache_dir / unwritten).exists()
+
+    def test_comma_lists_parse(self, cache_dir, capsys):
+        assert run(cache_dir, *train_args("chan", extra=("--channels", "4,8"))) == 0
+        manifest = [json.loads(l) for l in (cache_dir / "manifests.jsonl").read_text().splitlines()]
+        assert manifest[-1]["config"]["model"]["channels"] == [4, 8]
+        code = run(
+            cache_dir, "fbs", "--cache", "synth.cache", "--out-dir", "sweep", "--method", "importance",
+            "--lambda-sweep", "0,1", "--preset", "tiny", "--epochs", "1", "--k-folds", "2",
+            "--min-bands", "12", "--stop-epsilon", "inf", "--no-specaugment",
+        )
+        assert code == 0
+        assert "lambda=0:" in capsys.readouterr().out
+        assert (cache_dir / "sweep" / "lambda_sweep.csv").read_text().splitlines()[0] == "lambda,best_cv_as"
 
     @pytest.mark.parametrize("body", [{"no_specaugment": "yes"}, {"help": True}, [1, 2]])
     def test_malformed_config_value_is_config_error(self, cache_dir, capsys, body):

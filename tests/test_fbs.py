@@ -149,7 +149,33 @@ def small_setup(seed=0, n_bands=16, planted=(4, 5, 6, 7)):
     return corpus, mcfg, tcfg
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Make any CV training fail, so a check that must come first fails fast."""
+    import lungsound.fbs as fbs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before refusing the settings")
+
+    monkeypatch.setattr(fbs, "train", refuse)
+
+
+@pytest.mark.parametrize("method", [fbs_importance, fbs_backward], ids=["importance", "backward"])
+@pytest.mark.parametrize("k_folds", [1, 0, -2])
+def test_k_folds_below_two_is_config_error_before_training(no_training, method, k_folds):
+    corpus, mcfg, tcfg = small_setup()
+    with pytest.raises(ConfigError, match=f"k >= 2, got {k_folds}"):
+        method(corpus, mcfg, tcfg, k_folds=k_folds, min_bands=8)
+
+
 class TestFbsImportanceLoop:
+    @pytest.mark.parametrize("r", [0, -4])
+    def test_r_below_one_is_config_error_before_training(self, no_training, r):
+        # r = 0 removes no band, so the loop would retrain the same mask forever
+        corpus, mcfg, tcfg = small_setup()
+        with pytest.raises(ConfigError, match=f"r must be >= 1 .*, got {r}"):
+            fbs_importance(corpus, mcfg, tcfg, r=r, k_folds=2, min_bands=8)
+
     def test_masks_monotone_and_counter_matches_iterations(self):
         corpus, mcfg, tcfg = small_setup()
         res = fbs_importance(
@@ -227,13 +253,7 @@ class TestFbsBackwardLoop:
         np.testing.assert_array_equal(r1.final_mask.keep, r2.final_mask.keep)
 
     @pytest.mark.parametrize("min_bands", [13, 14, 16])
-    def test_no_group_to_remove_is_config_error_before_training(self, monkeypatch, min_bands):
-        import lungsound.fbs as fbs
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before refusing min_bands")
-
-        monkeypatch.setattr(fbs, "train", no_training)
+    def test_no_group_to_remove_is_config_error_before_training(self, no_training, min_bands):
         corpus, mcfg, tcfg = small_setup(n_bands=16)
         with pytest.raises(ConfigError, match=f"min_bands {min_bands}"):
             fbs_backward(corpus, mcfg, tcfg, k_folds=2, min_bands=min_bands)

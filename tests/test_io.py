@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lungsound.audio import Spectrogram
-from lungsound.data import CycleRecord
+from lungsound.data import SpecSet
 from lungsound.errors import ConfigError, DataError
 from lungsound.io import (
     config_hash,
@@ -24,17 +24,16 @@ from lungsound.model import CnnTsa, ModelConfig
 
 
 def make_specs(n=3, t=6, f=8):
-    out = []
-    for i in range(n):
-        rec = CycleRecord(
-            audio_path="x.wav", onset_s=0.0, offset_s=1.0, label=i % 2,
-            patient_id=f"p{i}", age_years=10.0 * i if i else None,
-            split="official_train" if i % 2 == 0 else "official_test",
-            clip_id=f"clip{i}",
-        )
-        vals = np.random.default_rng(i).normal(size=(t, f)).astype(np.float32)
-        out.append(Spectrogram(vals, np.linspace(100, 2000, f), 0.032, label=i % 2, provenance=rec))
-    return out
+    """n random clips; labels and splits alternate, clip 0's age is unknown."""
+    return SpecSet(
+        np.stack([np.random.default_rng(i).normal(size=(t, f)) for i in range(n)]),
+        np.linspace(100, 2000, f), 0.032,
+        labels=np.arange(n) % 2,
+        patient_ids=[f"p{i}" for i in range(n)],
+        ages=[10.0 * i if i else np.nan for i in range(n)],
+        splits=["official_train" if i % 2 == 0 else "official_test" for i in range(n)],
+        clip_ids=[f"clip{i}" for i in range(n)],
+    )
 
 
 class TestCheckpoint:
@@ -189,21 +188,19 @@ class TestSpecCache:
         loaded, cfg, chash2 = read_spec_cache(path)
         assert chash == chash2 == config_hash({"n_mels": 8})
         assert cfg == {"n_mels": 8}
-        assert len(loaded) == len(specs)
-        for a, b in zip(loaded, specs):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert a.label == b.label
-            assert a.patient_id == b.patient_id
-            assert a.split == b.split
-            assert a.clip_id == b.clip_id
+        np.testing.assert_array_equal(loaded.values, specs.values)
+        np.testing.assert_array_equal(loaded.band_centers, specs.band_centers)
+        assert loaded.hop_seconds == specs.hop_seconds
+        for column in ("labels", "patient_ids", "splits", "clip_ids"):
+            np.testing.assert_array_equal(getattr(loaded, column), getattr(specs, column))
 
     def test_age_none_survives(self, tmp_path):
         specs = make_specs()
         path = tmp_path / "c.cache"
         write_spec_cache(path, specs, {})
         loaded, _, _ = read_spec_cache(path)
-        assert loaded[0].age_years is None
-        assert loaded[1].age_years == 10.0
+        assert np.isnan(loaded.ages[0])
+        assert loaded.ages[1] == 10.0
 
     def test_byte_identical(self, tmp_path):
         specs = make_specs()
@@ -214,7 +211,7 @@ class TestSpecCache:
 
     def test_empty_refused(self, tmp_path):
         with pytest.raises(DataError):
-            write_spec_cache(tmp_path / "e", [], {})
+            write_spec_cache(tmp_path / "e", make_specs()[:0], {})
 
 
 class TestMaskFile:
@@ -254,15 +251,22 @@ class TestAtomicWrites:
     """Writers go through a temp file renamed over the target, so a write
     that fails partway leaves the old file whole and no temp file behind."""
 
-    def test_cache_write_failing_partway_keeps_old_file(self, tmp_path):
+    def test_cache_write_failing_partway_keeps_old_file(self, tmp_path, monkeypatch):
+        import lungsound.io as lio
+
         path = tmp_path / "c.cache"
         write_spec_cache(path, make_specs(), {"v": 1})
         before = path.read_bytes()
         specs = make_specs()
-        # the last clip cannot become float32, so the write fails
-        specs[-1].values = np.full((6, 8), "x")
-        with pytest.raises(ValueError):
-            write_spec_cache(path, specs, {"v": 2})
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        # the header is written, then the disk fills before the values block
+        with monkeypatch.context() as m:
+            m.setattr(lio.np, "ascontiguousarray", disk_full)
+            with pytest.raises(OSError, match="No space"):
+                write_spec_cache(path, specs, {"v": 2})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.cache"]
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import check_gradient
-from lungsound.data import CycleRecord, SynthSpec, synth_corpus
-from lungsound.errors import DataError, DivergenceError
+from lungsound.data import SynthSpec, synth_corpus
+from lungsound.errors import ConfigError, DataError, DivergenceError
 from lungsound.metrics import MetricReport, collapse_to_binary, scores_from_rates
 from lungsound.model import ModelConfig
 from lungsound.tensor import Tensor
@@ -87,48 +87,47 @@ class TestWcceLoss:
 # -- patient k-fold ------------------------------------------------------------------
 
 
-def records_for(patients):
-    recs = []
-    for pid, n in patients.items():
-        for i in range(n):
-            recs.append(
-                CycleRecord(
-                    audio_path="x", onset_s=0.0, offset_s=1.0, label=0,
-                    patient_id=pid, clip_id=f"{pid}-{i}",
-                )
-            )
-    return recs
+def patient_ids(patients):
+    """The id column of a set whose patient ``p`` has ``patients[p]`` clips, in order."""
+    return np.repeat(list(patients), list(patients.values()))
 
 
 class TestPatientKfold:
     def test_five_patients_five_folds(self):
-        recs = records_for({f"p{i}": 3 for i in range(5)})
-        splits = patient_kfold(recs, k=5, seed=0)
+        pids = patient_ids({f"p{i}": 3 for i in range(5)})
+        splits = patient_kfold(pids, k=5, seed=0)
         for train_idx, val_idx in splits:
-            val_pids = {recs[i].patient_id for i in val_idx}
-            assert len(val_pids) == 1
+            assert len(set(pids[val_idx])) == 1
 
     def test_no_patient_in_both_sides(self):
-        recs = records_for({f"p{i}": i + 1 for i in range(8)})
-        for train_idx, val_idx in patient_kfold(recs, k=3, seed=1):
-            tr = {recs[i].patient_id for i in train_idx}
-            va = {recs[i].patient_id for i in val_idx}
-            assert not tr & va
+        pids = patient_ids({f"p{i}": i + 1 for i in range(8)})
+        for train_idx, val_idx in patient_kfold(pids, k=3, seed=1):
+            assert not set(pids[train_idx]) & set(pids[val_idx])
 
     def test_validation_folds_partition_everything(self):
-        recs = records_for({f"p{i}": 2 + i % 3 for i in range(7)})
-        splits = patient_kfold(recs, k=4, seed=2)
+        pids = patient_ids({f"p{i}": 2 + i % 3 for i in range(7)})
+        splits = patient_kfold(pids, k=4, seed=2)
         seen = np.concatenate([v for _, v in splits])
-        assert sorted(seen.tolist()) == list(range(len(recs)))
+        assert sorted(seen.tolist()) == list(range(len(pids)))
+
+    def test_train_is_every_record_outside_the_fold(self):
+        pids = patient_ids({"a": 3, "b": 3, "c": 3})
+        for train_idx, val_idx in patient_kfold(pids, k=3, seed=0):
+            assert sorted(np.concatenate([train_idx, val_idx]).tolist()) == list(range(9))
 
     def test_too_few_patients(self):
         with pytest.raises(DataError):
-            patient_kfold(records_for({"a": 4, "b": 2}), k=3)
+            patient_kfold(patient_ids({"a": 4, "b": 2}), k=3)
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_k_below_two_is_config_error(self, k):
+        with pytest.raises(ConfigError, match="k >= 2"):
+            patient_kfold(patient_ids({f"p{i}": 2 for i in range(4)}), k=k)
 
     def test_deterministic_for_seed(self):
-        recs = records_for({f"p{i}": 2 for i in range(9)})
-        a = patient_kfold(recs, k=3, seed=7)
-        b = patient_kfold(recs, k=3, seed=7)
+        pids = patient_ids({f"p{i}": 2 for i in range(9)})
+        a = patient_kfold(pids, k=3, seed=7)
+        b = patient_kfold(pids, k=3, seed=7)
         assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
 
 
@@ -208,7 +207,7 @@ class TestTrain:
 
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
-            train([], tiny_model_cfg(), tiny_train_cfg())
+            train(tiny_corpus()[:0], tiny_model_cfg(), tiny_train_cfg())
 
     def test_mask_applied_and_model_shrinks(self):
         from lungsound.masks import FrequencyMask
@@ -288,7 +287,7 @@ class TestEvaluate:
         from lungsound.model import CnnTsa
 
         with pytest.raises(DataError):
-            evaluate(CnnTsa(tiny_model_cfg(), 0), [], "binary")
+            evaluate(CnnTsa(tiny_model_cfg(), 0), tiny_corpus()[:0], "binary")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scaled conv overflows
     def test_overflowing_model_raises(self):
