@@ -227,7 +227,7 @@ def read_spec_cache(path):
     specs = SpecSet(
         values.copy(), header["band_centers"], header["hop_seconds"],
         labels=[-1 if e["label"] is None else int(e["label"]) for e in entries],
-        patient_ids=[str(e["patient_id"]) if e["patient_id"] is not None else "unknown" for e in entries],
+        patient_ids=[None if e["patient_id"] is None else str(e["patient_id"]) for e in entries],
         ages=[np.nan if e["age_years"] is None else float(e["age_years"]) for e in entries],
         splits=[e["split"] for e in entries],
         clip_ids=[str(e["clip_id"]) for e in entries],

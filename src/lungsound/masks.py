@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .audio import Spectrogram
 from .data import SpecSet
 from .errors import ShapeError
 
@@ -66,18 +65,18 @@ class FrequencyMask:
         return "".join("1" if k else "0" for k in self.keep)
 
 
-def apply_mask(x: Spectrogram | SpecSet, mask: FrequencyMask) -> Spectrogram | SpecSet:
-    """Compact a spectrogram, or every clip of a set, to its kept bands.
+def apply_mask(specs: SpecSet, mask: FrequencyMask) -> SpecSet:
+    """Compact every clip of a set to its kept bands.
 
-    Band order is preserved. A mask that keeps every band returns ``x``
-    itself.
+    Band order is preserved. A mask that keeps every band returns
+    ``specs`` itself.
     """
-    if mask.n_bands != x.n_bands:
+    if mask.n_bands != specs.n_bands:
         raise ShapeError(
             f"mask over {mask.n_bands} bands applied to spectrograms with "
-            f"{x.n_bands}"
+            f"{specs.n_bands}"
         )
     if mask.n_kept == mask.n_bands:
-        return x
+        return specs
     kept = mask.kept_indices
-    return replace(x, values=x.values.take(kept, axis=-1), band_centers=x.band_centers[kept])
+    return replace(specs, values=specs.values.take(kept, axis=-1), band_centers=specs.band_centers[kept])

@@ -11,17 +11,26 @@ match once right-aligned, except that one operand may be missing
 leading dimensions or have size 1 there). Anything else needs an
 explicit reshape; this keeps gradient bookkeeping small and auditable.
 
-Convolution is im2col + GEMM with channels-first columns,
-(B, C*kh*kw, Ho*Wo): the forward GEMM lands directly in NCHW and the
-input-gradient col2im reads contiguous (Ho, Wo) planes (see
-``conv2d``).
+Convolution runs one of two algorithms, picked by a fixed rule on the
+shape of one image (see ``conv2d``):
+
+- Winograd F(4x4, 5x5) (Lavin & Gray, arXiv:1509.09308) for 5x5,
+  stride-1, pad-2 convs with at least 8 input channels and 16 output
+  tiles of 4x4 per image: blocks 2 and up of the paper's backbone. It
+  needs 64 multiplies per 16 outputs where direct convolution needs
+  400; the forward pass and both gradients are batched GEMMs over the
+  64 points of an 8x8 tile.
+- im2col + GEMM with channels-first columns, (B, C*kh*kw, Ho*Wo), for
+  every other conv, including the 1-channel first block: the forward
+  GEMM lands directly in NCHW and the input-gradient col2im reads
+  contiguous (Ho, Wo) planes.
 
 Training memory is bounded by recomputing cheap values instead of
 storing them (sublinear-memory training, arXiv:1604.06174): conv2d
-builds its columns a few batch items at a time (``IM2COL_BYTES``) and
-rebuilds them in backward, batchnorm recomputes its normalized input in
-backward, and ``backward()`` frees each intermediate gradient once it
-has been passed on.
+builds its columns or transformed tiles a few batch items at a time
+(``IM2COL_BYTES``) and rebuilds them in backward, batchnorm recomputes
+its normalized input in backward, and ``backward()`` frees each
+intermediate gradient once it has been passed on.
 
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
@@ -472,26 +481,199 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return np.ascontiguousarray(windows).reshape(b, c * kh * kw, ho * wo)
 
 
+# Winograd F(4x4, 5x5) (Lavin & Gray, arXiv:1509.09308): an 8x8 input
+# tile d and a 5x5 kernel k give the 4x4 output tile
+# AT [(G k G^T) * (BT d B)] A, 64 multiplies where direct convolution
+# needs 400. The interpolation points are 0, 1, -1, 2, -2, 1/2, -1/2 and
+# infinity, so BT and AT hold only halves, quarters and eighths (exact in
+# binary floating point) and only G is rounded.
+_WINO_BT = (
+    (1, 0, -21 / 4, 0, 21 / 4, 0, -1, 0),
+    (0, 1, 1, -17 / 4, -17 / 4, 1, 1, 0),
+    (0, -1, 1, 17 / 4, -17 / 4, -1, 1, 0),
+    (0, 1 / 2, 1 / 4, -5 / 2, -5 / 4, 2, 1, 0),
+    (0, -1 / 2, 1 / 4, 5 / 2, -5 / 4, -2, 1, 0),
+    (0, 2, 4, -5 / 2, -5, 1 / 2, 1, 0),
+    (0, -2, 4, 5 / 2, -5, -1 / 2, 1, 0),
+    (0, -1, 0, 21 / 4, 0, -21 / 4, 0, 1),
+)
+_WINO_G = (
+    (1, 0, 0, 0, 0),
+    (-2 / 9, -2 / 9, -2 / 9, -2 / 9, -2 / 9),
+    (-2 / 9, 2 / 9, -2 / 9, 2 / 9, -2 / 9),
+    (1 / 90, 1 / 45, 2 / 45, 4 / 45, 8 / 45),
+    (1 / 90, -1 / 45, 2 / 45, -4 / 45, 8 / 45),
+    (32 / 45, 16 / 45, 8 / 45, 4 / 45, 2 / 45),
+    (32 / 45, -16 / 45, 8 / 45, -4 / 45, 2 / 45),
+    (0, 0, 0, 0, 1),
+)
+_WINO_AT = (
+    (1, 1, 1, 1, 1, 1, 1, 0),
+    (0, 1, -1, 2, -2, 1 / 2, -1 / 2, 0),
+    (0, 1, 1, 4, 4, 1 / 4, 1 / 4, 0),
+    (0, 1, -1, 8, -8, 1 / 8, -1 / 8, 1),
+)
+
+
+def _winograd_applies(ci: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> bool:
+    """The fixed rule that sends a conv to the Winograd path.
+
+    Only 5x5, stride-1, pad-2 convs with at least 8 input channels and 16
+    output tiles per image: below that the transforms cost more than the
+    multiplies they save. The rule reads one image's shape, never the
+    batch size, so a clip's output does not depend on its batch.
+    """
+    tiles = -(-h // 4) * -(-w // 4)
+    return (kh, kw, stride, padding) == (5, 5, 1, 2) and ci >= 8 and tiles >= 16
+
+
+def _wino_transforms(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-D transforms over a flattened tile: input (64, 64), kernel
+    (64, 25) and output (16, 64), at ``dtype``."""
+    bt, g, at = (np.array(m, dtype=dtype) for m in (_WINO_BT, _WINO_G, _WINO_AT))
+    return np.kron(bt, bt), np.kron(g, g), np.kron(at, at)
+
+
+def _wino_kernel(weight: np.ndarray, kg: np.ndarray) -> np.ndarray:
+    """U = (64, C', C): the transformed kernel."""
+    co, ci = weight.shape[:2]
+    return (kg @ weight.reshape(co * ci, 25).T).reshape(64, co, ci)
+
+
+def _wino_input(x: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """V = (64, C, n*T): the transformed 8x8 tiles, at stride 4, of the
+    chunk ``x`` (n, C, H, W) padded by 2 and then to whole 4x4 output
+    tiles; columns run over (item, tile row, tile column)."""
+    n, c, h, w = x.shape
+    th, tw = -(-h // 4), -(-w // 4)
+    xp = np.zeros((n, c, 4 * th + 4, 4 * tw + 4), dtype=x.dtype)
+    xp[:, :, 2 : 2 + h, 2 : 2 + w] = x
+    s0, s1, s2, s3 = xp.strides
+    tiles = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, n, th, tw, 8, 8), strides=(s1, s0, 4 * s2, 4 * s3, s2, s3), writeable=False
+    )
+    d = np.ascontiguousarray(tiles).reshape(c * n * th * tw, 64)
+    return (kb @ d.T).reshape(64, c, n * th * tw)
+
+
+def _winograd_forward(x: np.ndarray, weight: np.ndarray, chunk: int) -> np.ndarray:
+    """(B, C', H, W) output for the input ``x`` (B, C, H, W)."""
+    dt = np.result_type(x, weight)
+    kb, kg, ka = _wino_transforms(dt)
+    b, _, h, w = x.shape
+    th, tw = -(-h // 4), -(-w // 4)
+    co = weight.shape[0]
+    u = _wino_kernel(weight, kg)
+    out = np.empty((b, co, h, w), dtype=dt)
+    for s in range(0, b, chunk):
+        n = min(chunk, b - s)
+        m = np.matmul(u, _wino_input(x[s : s + n], kb)).reshape(64, -1)
+        y = (ka @ m).reshape(4, 4, co, n, th, tw)
+        del m
+        # output pixel (4*ty + i, 4*tx + j) is y[i, j, :, :, ty, tx]; the
+        # last tile row and column may hang over the edge
+        outs = out[s : s + n].transpose(1, 0, 2, 3)
+        for i in range(4):
+            for j in range(4):
+                outs[:, :, i::4, j::4] = y[i, j, :, :, : (h - i + 3) // 4, : (w - j + 3) // 4]
+    return out
+
+
+def _winograd_backward(
+    x: np.ndarray, weight: np.ndarray, g: np.ndarray, chunk: int, want_w: bool, want_x: bool
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(d weight, d x) for the output gradient ``g`` (B, C', H, W).
+
+    In the transformed domain dU = dM V^T and dV = U^T dM, where dM is
+    the adjoint output transform of ``g``; dV's adjoint input transform
+    is scatter-added into the overlapping tiles of the chunk's padded
+    input gradient. V is rebuilt from ``x`` only for dU, and U only for
+    dV.
+    """
+    dt = np.result_type(x, weight)
+    kb, kg, ka = _wino_transforms(dt)
+    b, c, h, w = x.shape
+    th, tw = -(-h // 4), -(-w // 4)
+    co = weight.shape[0]
+    # the long-lived d x first, and U freed before d weight exists: in
+    # the other order the transient U and dU leave holes in the heap that
+    # raise a B=16 ICBHI train step's peak RSS by about 4%
+    gx = np.empty_like(x) if want_x else None
+    ut = _wino_kernel(weight, kg).transpose(0, 2, 1) if want_x else None
+    du = np.zeros((64, co, c), dtype=dt) if want_w else None
+    ragged = (4 * th, 4 * tw) != (h, w)
+    for s in range(0, b, chunk):
+        n = min(chunk, b - s)
+        # g's tiles, zero where they hang over the edge
+        gt = (np.zeros if ragged else np.empty)((4, 4, co, n, th, tw), dtype=dt)
+        gs = g[s : s + n].transpose(1, 0, 2, 3)
+        for i in range(4):
+            for j in range(4):
+                gt[i, j, :, :, : (h - i + 3) // 4, : (w - j + 3) // 4] = gs[:, :, i::4, j::4]
+        dm = (ka.T @ gt.reshape(16, -1)).reshape(64, co, -1)
+        del gt
+        if du is not None:
+            v = _wino_input(x[s : s + n], kb)
+            for k in range(64):  # one (C', C) product at a time, added in place
+                du[k] += dm[k] @ v[k].T
+            del v  # hold one chunk's transformed buffers at a time
+        if gx is not None:
+            dd = (kb.T @ np.matmul(ut, dm).reshape(64, -1)).reshape(8, 8, c, n, th, tw)
+            gxp = np.zeros((c, n, 4 * th + 4, 4 * tw + 4), dtype=dt)
+            for i in range(8):
+                for j in range(8):
+                    gxp[:, :, i : i + 4 * th : 4, j : j + 4 * tw : 4] += dd[i, j]
+            del dd
+            gx[s : s + n] = gxp[:, :, 2 : 2 + h, 2 : 2 + w].transpose(1, 0, 2, 3)
+        del dm
+    del ut
+    gw = None if du is None else (du.reshape(64, co * c).T @ kg).reshape(co, c, 5, 5)
+    return gw, gx
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation of ``x`` [B,C,H,W] with ``weight`` [C',C,kh,kw].
 
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1 (same for W).
-    Implemented as im2col + GEMM; gradients are produced for both the
-    input and the kernel.
+    Gradients are produced for both the input and the kernel.
 
-    The im2col columns are channels-first, (B, C*kh*kw, Ho*Wo), for
-    memory layout, not FLOPs: the forward GEMM ``wmat @ cols`` lands in
-    NCHW with no output transpose, the input-gradient col2im reads each
-    kernel shift as contiguous (Ho, Wo) planes instead of striding by
-    C*kh*kw elements, and the weight gradient accumulates one batch item
-    at a time into one (C', C*kh*kw) buffer.
+    Two algorithms, chosen by ``_winograd_applies`` from constants and
+    the shape of one image, never from the batch size (a clip's output
+    must not depend on the batch it is in):
+
+    Winograd F(4x4, 5x5) when the kernel is 5x5, stride 1 and padding 2,
+    C >= 8 and ceil(H/4)*ceil(W/4) >= 16. The input, padded to whole
+    tiles, is cut into 8x8 tiles at stride 4 and transformed to V
+    (64, C, n*tiles); the kernel to U (64, C', C); one batched GEMM
+    ``U @ V`` gives M (64, C', n*tiles), whose output transform is the
+    4x4 output tiles. Backward has the same shape: dM is the adjoint
+    output transform of the output gradient, the kernel gradient is the
+    kernel transform's adjoint of dU = dM V^T (V rebuilt from the input,
+    which the graph keeps), and the input gradient is the adjoint input
+    transform of dV = U^T dM, scatter-added into the overlapping tiles.
+    Below 8 channels or 16 tiles the transforms cost more than the
+    multiplies they save. Results differ from im2col's in float rounding
+    only, by about 1e-5 of the largest output in float32.
+
+    im2col + GEMM otherwise. The im2col columns are channels-first,
+    (B, C*kh*kw, Ho*Wo), for memory layout, not FLOPs: the forward GEMM
+    ``wmat @ cols`` lands in NCHW with no output transpose, the
+    input-gradient col2im reads each kernel shift as contiguous (Ho, Wo)
+    planes instead of striding by C*kh*kw elements, and the weight
+    gradient accumulates one batch item at a time into one
+    (C', C*kh*kw) buffer.
 
     Columns are built a chunk of batch items at a time, as many items as
     fit in ``IM2COL_BYTES`` (at least one), and are not kept: backward keeps
     only the padded input and rebuilds each chunk's columns for the
     weight gradient, so frozen weights (``requires_grad`` cleared) never
     rebuild them. The input gradient's ``wmat.T @ g`` and col2im run per
-    chunk too, into that chunk's slice of the padded input gradient.
+    chunk too, into that chunk's slice of the padded input gradient. The
+    Winograd path chunks the batch the same way, so that V and M (or dM,
+    V and dV) of one chunk fit in ``IM2COL_BYTES``, and pads each chunk
+    as it cuts its tiles, so it keeps no padded copy of the input;
+    frozen weights build no dU and rebuild no V, and an input without
+    ``requires_grad`` builds no U or dV in backward.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
@@ -512,19 +694,35 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"conv2d kernel {weight.shape} larger than padded input {x.shape}"
             f" (padding={padding})"
         )
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    patch = ci * kh * kw
-    chunk = max(1, IM2COL_BYTES // (patch * ho * wo * xp.itemsize))
-    wmat = weight.data.reshape(co, patch)
-    out_data = np.empty((b, co, ho * wo), dtype=np.result_type(wmat, xp))
-    for s in range(0, b, chunk):
-        np.matmul(wmat, _im2col(xp[s : s + chunk], kh, kw, stride, ho, wo), out=out_data[s : s + chunk])
+    winograd = _winograd_applies(ci, h, w, kh, kw, stride, padding)
+    if winograd:
+        # V and M, or dM, V and dV, of one chunk: (C' + 2C) * 64 values per tile
+        tiles = -(-h // 4) * -(-w // 4)
+        chunk = max(1, IM2COL_BYTES // (64 * tiles * (co + 2 * ci) * x.data.itemsize))
+        out_data = _winograd_forward(x.data, weight.data, chunk)
+    else:
+        patch = ci * kh * kw
+        wmat = weight.data.reshape(co, patch)
+        xp = x.data
+        if padding:
+            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        chunk = max(1, IM2COL_BYTES // (patch * ho * wo * xp.itemsize))
+        out_data = np.empty((b, co, ho * wo), dtype=np.result_type(wmat, xp))
+        for s in range(0, b, chunk):
+            np.matmul(wmat, _im2col(xp[s : s + chunk], kh, kw, stride, ho, wo), out=out_data[s : s + chunk])
 
     def bwd(g):
+        if winograd:
+            gw, gx = _winograd_backward(
+                x.data, weight.data, g, chunk, weight.requires_grad, x.requires_grad
+            )
+            if gw is not None:
+                weight._accum(gw)
+            if gx is not None:
+                x._accum(gx)
+            return
         g2 = g.reshape(b, co, ho * wo)
         gw = np.zeros_like(wmat) if weight.requires_grad else None
         gx = np.zeros_like(xp) if x.requires_grad else None

@@ -107,7 +107,8 @@ def _gradient_cases():
 
     for i, (shape, kshape, stride, pad) in enumerate(
         [((2, 3, 8, 8), (4, 3, 3, 3), 1, 0), ((1, 2, 6, 5), (3, 2, 3, 3), 1, 1),
-         ((2, 1, 7, 7), (2, 1, 5, 5), 2, 2)]
+         ((2, 1, 7, 7), (2, 1, 5, 5), 2, 2),
+         ((1, 8, 13, 16), (2, 8, 5, 5), 1, 2)]  # Winograd: 8 channels, 16 tiles
     ):
         x = g.normal(size=shape).astype(np.float32) * 0.5
         w = g.normal(size=kshape).astype(np.float32) * 0.5

@@ -446,6 +446,23 @@ class TestFbsCommand:
         assert err.startswith("config error:") and "min_bands 14" in err and err.count("\n") == 1
         assert not list((cache_dir / "fbs4").iterdir())
 
+    def test_cache_with_unknown_patients_exits_3(self, cache_dir, capsys, no_training):
+        # a clip of unknown patient cannot go to a patient-wise fold
+        from lungsound.io import read_spec_cache, write_spec_cache
+
+        specs, preproc, _ = read_spec_cache(cache_dir / "synth.cache")
+        specs.patient_ids[3] = None
+        write_spec_cache(cache_dir / "synth.cache", specs, preproc)
+        capsys.readouterr()
+        code = run(
+            cache_dir, "fbs", "--cache", "synth.cache", "--out-dir", "fbs6",
+            "--method", "importance", "--preset", "tiny", "--epochs", "1",
+            "--k-folds", "2", "--min-bands", "8",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "has no patient id" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("extra,match", [
         (("--r", "0"), "r must be >= 1"),
         (("--r", "-4"), "r must be >= 1"),

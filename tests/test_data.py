@@ -309,11 +309,11 @@ class TestSpecSet:
         mask = FrequencyMask(np.ones(12, dtype=bool)).remove([0, 5, 6, 11])
         masked = apply_mask(specs, mask)
         assert isinstance(masked, SpecSet) and masked.values.flags.c_contiguous
-        for clip, row in zip(specs, masked):
-            oracle = apply_mask(clip, mask)  # the per-clip mask
-            np.testing.assert_array_equal(row.values, oracle.values)
+        for i, row in enumerate(masked):
+            oracle = apply_mask(specs[i : i + 1], mask)  # each clip masked alone
+            np.testing.assert_array_equal(row.values, oracle.values[0])
             np.testing.assert_array_equal(row.band_centers, oracle.band_centers)
-            assert row.clip_id == oracle.clip_id and row.label == oracle.label
+            assert row.clip_id == oracle.clip_ids[0] and row.label == specs[i].label
         np.testing.assert_array_equal(masked.labels, specs.labels)
         np.testing.assert_array_equal(masked.clip_ids, specs.clip_ids)
 

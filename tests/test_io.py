@@ -3,11 +3,11 @@ truncated or corrupt files."""
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lungsound.audio import Spectrogram
 from lungsound.data import SpecSet
 from lungsound.errors import ConfigError, DataError
 from lungsound.io import (
@@ -202,6 +202,26 @@ class TestSpecCache:
         assert np.isnan(loaded.ages[0])
         assert loaded.ages[1] == 10.0
 
+    @pytest.mark.parametrize("ids", [
+        [None] * 6,
+        ["p0", "p1", None, "p3", None, "p5"],
+    ], ids=["all_unknown", "mixed"])
+    def test_unknown_patient_survives(self, tmp_path, ids):
+        # an unknown patient stays unknown, so a patient-wise split refuses
+        # the cache as it refuses the set, instead of pooling the clips
+        from lungsound.train import patient_kfold
+
+        specs = replace(make_specs(6), patient_ids=ids)
+        with pytest.raises(DataError, match="record (\\d+) has no patient id") as before:
+            patient_kfold(specs.patient_ids, k=2)
+        path = tmp_path / "c.cache"
+        write_spec_cache(path, specs, {})
+        loaded, _, _ = read_spec_cache(path)
+        assert loaded.patient_ids.tolist() == ids
+        with pytest.raises(DataError) as after:
+            patient_kfold(loaded.patient_ids, k=2)
+        assert str(after.value) == str(before.value)
+
     def test_byte_identical(self, tmp_path):
         specs = make_specs()
         p1, p2 = tmp_path / "a", tmp_path / "b"
@@ -314,26 +334,26 @@ class TestFrequencyMaskInvariants:
 
         specs = make_specs(1, t=4, f=8)
         mask = FrequencyMask(np.array([1, 0, 1, 1, 0, 1, 1, 1], dtype=bool))
-        compact = apply_mask(specs[0], mask)
+        compact = apply_mask(specs, mask)
         assert compact.n_bands == 6
-        # re-expand with zeros then re-mask: identical compact spectrogram
-        full = np.zeros((4, 8), np.float32)
-        full[:, mask.kept_indices] = compact.values
-        re_spec = Spectrogram(full, specs[0].band_centers, 0.032)
-        again = apply_mask(re_spec, mask)
+        # re-expand with zeros then re-mask: identical compact set
+        full = np.zeros((1, 4, 8), np.float32)
+        full[..., mask.kept_indices] = compact.values
+        again = apply_mask(replace(specs, values=full), mask)
         np.testing.assert_array_equal(again.values, compact.values)
+        np.testing.assert_array_equal(again.band_centers, compact.band_centers)
 
     def test_all_true_mask_is_identity(self):
         from lungsound.masks import apply_mask
 
-        spec = make_specs(1)[0]
-        assert apply_mask(spec, FrequencyMask(np.ones(8, dtype=bool))) is spec
+        specs = make_specs(1)
+        assert apply_mask(specs, FrequencyMask(np.ones(8, dtype=bool))) is specs
 
     def test_keep_bands_0_2_of_4(self):
         from lungsound.masks import apply_mask
 
-        vals = np.arange(8, dtype=np.float32).reshape(2, 4)
-        spec = Spectrogram(vals, np.array([10.0, 20.0, 30.0, 40.0]), 0.01)
-        out = apply_mask(spec, FrequencyMask(np.array([1, 0, 1, 0], dtype=bool)))
-        np.testing.assert_array_equal(out.values, vals[:, [0, 2]])
+        vals = np.arange(8, dtype=np.float32).reshape(1, 2, 4)
+        specs = replace(make_specs(1, t=2, f=4), values=vals, band_centers=[10.0, 20.0, 30.0, 40.0])
+        out = apply_mask(specs, FrequencyMask(np.array([1, 0, 1, 0], dtype=bool)))
+        np.testing.assert_array_equal(out.values, vals[..., [0, 2]])
         np.testing.assert_array_equal(out.band_centers, [10.0, 30.0])

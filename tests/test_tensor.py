@@ -232,6 +232,120 @@ class TestConv2dReferenceOracle:
         assert peak < tensor_mod.IM2COL_BYTES + 4 * io_bytes, (peak, b * item_cols)
 
 
+class TestConv2dWinograd:
+    """The Winograd F(4x4, 5x5) path of 5x5, stride-1, pad-2 convs against
+    the im2col-era oracle. Its error is relative to the largest output
+    value, not per element: the transforms mix values of both signs."""
+
+    # (B, C, H, W), C_out: every H mod 4 and W mod 4 from 0 to 3
+    SHAPES = [
+        ((2, 8, 16, 17), 3),
+        ((1, 9, 18, 19), 4),
+        ((2, 8, 17, 20), 2),
+        ((3, 12, 19, 18), 5),
+    ]
+    TOL = {np.float32: 5e-5, np.float64: 1e-12}
+
+    @staticmethod
+    def assert_close(actual, expected, tol):
+        scale = np.abs(expected).max()
+        assert np.abs(actual - expected).max() <= tol * scale, (np.abs(actual - expected).max(), scale)
+
+    def run(self, x, w, need_x=True, need_w=True):
+        xt, wt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w)
+        out = conv2d(xt, wt, padding=2)
+        mix = rng(99).normal(size=out.shape).astype(x.dtype)
+        (out * Tensor(mix)).sum().backward()
+        return out, xt, wt, mix
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        real = getattr(tensor_mod, name)
+        monkeypatch.setattr(tensor_mod, name, lambda a, *rest: calls.append(len(a)) or real(a, *rest))
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,co", SHAPES)
+    def test_matches_reference(self, shape, co, dtype, monkeypatch):
+        g = rng(21)
+        x = g.normal(size=shape).astype(dtype)
+        w = g.normal(size=(co, shape[1], 5, 5)).astype(dtype)
+        built = self.spy(monkeypatch, "_wino_input")
+        with precision(dtype):
+            out, xt, wt, mix = self.run(x, w)
+        assert built, "the shape should take the Winograd path"
+        ref_out, ref_gx, ref_gw = reference_conv2d(x, w, mix, 1, 2)
+        assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == dtype
+        assert out.data.flags.c_contiguous and xt.grad.shape == x.shape
+        for actual, expected in ((out.data, ref_out), (xt.grad, ref_gx), (wt.grad, ref_gw)):
+            self.assert_close(actual, expected, self.TOL[dtype])
+
+    def test_ragged_chunks(self, monkeypatch):
+        (b, c, h, w), co = (5, 8, 17, 18), 3
+        item = 64 * -(-h // 4) * -(-w // 4) * (co + 2 * c) * 4
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", 2 * item + item // 2)
+        built = self.spy(monkeypatch, "_wino_input")
+        g = rng(22)
+        x = g.normal(size=(b, c, h, w)).astype(np.float32)
+        wk = g.normal(size=(co, c, 5, 5)).astype(np.float32)
+        out, xt, wt, mix = self.run(x, wk)
+        # forward builds V per chunk, the weight gradient rebuilds it once
+        assert built == [2, 2, 1, 2, 2, 1]
+        ref_out, ref_gx, ref_gw = reference_conv2d(x, wk, mix, 1, 2)
+        for actual, expected in ((out.data, ref_out), (xt.grad, ref_gx), (wt.grad, ref_gw)):
+            self.assert_close(actual, expected, self.TOL[np.float32])
+
+    def test_frozen_weight_rebuilds_no_tiles(self, monkeypatch):
+        g = rng(23)
+        x = g.normal(size=(2, 8, 16, 16)).astype(np.float32)
+        w = g.normal(size=(4, 8, 5, 5)).astype(np.float32)
+        built = self.spy(monkeypatch, "_wino_input")
+        out, xt, wt, mix = self.run(x, w, need_w=False)
+        assert built == [2] and wt.grad is None
+        self.assert_close(xt.grad, reference_conv2d(x, w, mix, 1, 2)[1], self.TOL[np.float32])
+
+    def test_input_without_grad_gets_none(self, monkeypatch):
+        g = rng(24)
+        x = g.normal(size=(2, 8, 16, 16)).astype(np.float32)
+        w = g.normal(size=(4, 8, 5, 5)).astype(np.float32)
+        kernels = self.spy(monkeypatch, "_wino_kernel")
+        out, xt, wt, mix = self.run(x, w, need_x=False)
+        assert xt.grad is None and len(kernels) == 1  # U for the forward only
+        self.assert_close(wt.grad, reference_conv2d(x, w, mix, 1, 2)[2], self.TOL[np.float32])
+
+    @pytest.mark.parametrize("shape,co", SHAPES)
+    def test_batch_rows_match_single_items(self, shape, co):
+        # the path is chosen per image, so a clip's output does not depend
+        # on the batch it is in
+        g = rng(25)
+        x = g.normal(size=(16, *shape[1:])).astype(np.float32)
+        w = g.normal(size=(co, shape[1], 5, 5)).astype(np.float32)
+        batched = conv2d(Tensor(x), Tensor(w), padding=2).data
+        single = np.concatenate([conv2d(Tensor(x[i : i + 1]), Tensor(w), padding=2).data for i in range(16)])
+        assert np.abs(batched - single).max() <= 1e-5 * np.abs(batched).max()
+
+    def test_selection_rule_boundaries(self, monkeypatch):
+        applies = tensor_mod._winograd_applies
+        assert applies(8, 16, 16, 5, 5, 1, 2) and not applies(7, 16, 16, 5, 5, 1, 2)
+        # 16 tiles of 4x4 outputs against 15
+        assert applies(8, 13, 16, 5, 5, 1, 2) and not applies(8, 12, 20, 5, 5, 1, 2)
+        assert not applies(8, 16, 16, 3, 3, 1, 2)
+        assert not applies(8, 16, 16, 5, 3, 1, 2)
+        assert not applies(8, 16, 16, 5, 5, 2, 2)
+        assert not applies(8, 16, 16, 5, 5, 1, 1)
+        # the rule decides the kernel that conv2d runs
+        cols = self.spy(monkeypatch, "_im2col")
+        tiles = self.spy(monkeypatch, "_wino_input")
+        for c, h, w, k, stride, pad, winograd in [
+            (8, 16, 16, 5, 1, 2, True), (7, 16, 16, 5, 1, 2, False),
+            (8, 12, 20, 5, 1, 2, False), (8, 16, 16, 3, 1, 2, False),
+            (8, 16, 16, 5, 2, 2, False), (8, 16, 16, 5, 1, 1, False),
+        ]:
+            cols.clear(), tiles.clear()
+            conv2d(Tensor(np.ones((1, c, h, w))), Tensor(np.ones((2, c, k, k))), stride=stride, padding=pad)
+            assert (bool(tiles), bool(cols)) == (winograd, not winograd), (c, h, w, k, stride, pad)
+
+
 # -- batchnorm ----------------------------------------------------------------------
 
 
