@@ -10,7 +10,8 @@ preprocess cache hit returns None and writes no record.
 A JSON config file (flat keys matching the long option names with
 underscores) can prefill any option; its values are parsed like flags,
 and explicit flags win. Exit codes:
-0 success, 2 config error, 3 data error, 4 numerical abort.
+0 success, 2 config error, 3 data error, 4 numerical abort, 5 a worker
+process of ``fbs`` died while running a job.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .audio import fit_duration, mel_spectrogram, read_wav, standardize
 from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .fbs import MIN_BANDS, FbsResult, fbs_backward, fbs_importance
 from .flops import count_flops
 from .io import (
@@ -62,6 +63,7 @@ log = logging.getLogger("lungsound.cli")
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_WORKER = 5
 
 # what a command returns for its manifest line: (config, seed, input hash, outputs)
 Record = tuple[dict, int, str, list[Path]]
@@ -524,8 +526,7 @@ def _load_model(ckpt_path: Path) -> tuple[CnnTsa, dict]:
             attention_placement=model_cfg_dict["attention_placement"],
             n_mel_rows_in=model_cfg_dict["n_mel_rows_in"],
         )
-        model = CnnTsa(cfg, seed=0)
-        model.load_state_dict(state)
+        model = CnnTsa(cfg, state=state)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{ckpt_path}: tensors do not fit the model config ({exc})") from exc
     if not isinstance(meta, dict):
@@ -805,6 +806,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     if record is not None:  # None: preprocess found its cache already built
         config, seed, input_hash, outputs = record
         append_manifest(

@@ -412,12 +412,17 @@ def _jitter_norm(cfg: SynthSpec) -> float:
     return 1.0 / math.sqrt(mean_sq)
 
 
-def _draw_jitter(cfg: SynthSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Independent per-band amplitude jitter for one sample."""
+def _jitter(cfg: SynthSpec, u: np.ndarray) -> np.ndarray:
+    """Per-band amplitude jitter from uniform draws ``u`` in [0, 1).
+
+    ``lo + (hi - lo) * u`` is how ``Generator.uniform(lo, hi)`` maps
+    each draw, so the values are those it would give.
+    """
     lo, hi = cfg.amp_jitter
     if cfg.jitter_log:
-        return np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
-    return rng.uniform(lo, hi, size=n)
+        lo, hi = math.log(lo), math.log(hi)
+        return np.exp(lo + (hi - lo) * u)
+    return lo + (hi - lo) * u
 
 
 def synth_corpus(cfg: SynthSpec) -> SpecSet:
@@ -434,18 +439,20 @@ def synth_corpus(cfg: SynthSpec) -> SpecSet:
     _, centers = mel_filterbank(n_mels=cfg.n_bands, n_fft=1024)
     n = cfg.n_classes * cfg.n_per_class
     values = np.empty((n, cfg.n_frames, cfg.n_bands), dtype=np.float32)
+    block = np.empty((cfg.n_per_class, cfg.n_frames, cfg.n_bands))  # one class, float64
     for c in range(cfg.n_classes):
-        pattern = _class_pattern(c, cfg.n_frames)
         band_idx = np.asarray(bands[c], dtype=np.int64)
-        for i in range(cfg.n_per_class):
-            if np.isfinite(cfg.snr_db):
-                clip = rng.normal(0.0, 1.0, size=(cfg.n_frames, cfg.n_bands))
-                amp = amp0 * jnorm * _draw_jitter(cfg, rng, len(band_idx))
-            else:
-                clip = np.zeros((cfg.n_frames, cfg.n_bands))
-                amp = np.ones(len(band_idx))
-            clip[:, band_idx] += amp[None, :] * pattern[:, None]
-            values[c * cfg.n_per_class + i] = clip
+        if amp0 is None:
+            block[...] = 0.0
+            amps = np.ones((cfg.n_per_class, len(band_idx)))
+        else:
+            u = np.empty((cfg.n_per_class, len(band_idx)))
+            for i in range(cfg.n_per_class):  # each clip's noise, then its jitter draws
+                rng.standard_normal(out=block[i])  # the stream of rng.normal(0, 1, size)
+                rng.random(out=u[i])
+            amps = amp0 * jnorm * _jitter(cfg, u)
+        block[:, :, band_idx] += amps[:, None, :] * _class_pattern(c, cfg.n_frames)[None, :, None]
+        values[c * cfg.n_per_class : (c + 1) * cfg.n_per_class] = block
     rows = [(c, i) for c in range(cfg.n_classes) for i in range(cfg.n_per_class)]
     return SpecSet(
         values, centers, 0.032,

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, DivergenceError -> 4.
+DataError -> 3, DivergenceError -> 4, WorkerError -> 5.
 """
 
 
@@ -23,6 +23,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)
         self.epoch = epoch
+
+
+class WorkerError(RuntimeError):
+    """A pool worker process died (killed by a signal, or exited) while running a job."""
 
 
 class UnsupportedMethodError(RuntimeError):

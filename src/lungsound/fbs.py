@@ -18,22 +18,35 @@ Both stop when the mean CV average score drops more than stop_epsilon
 below the best seen so far (or at the kept-band floor) and return the
 best-scoring mask. ``FbsResult.train_runs`` counts CV trainings so the
 complexity split is directly assertable.
+
+Each fold of each CV training is one job, a pure function of (kept
+bands, fold). A sweep runs its jobs on a ``fork`` process pool sized to
+the CPUs and the available memory (in this process when that size is
+one) and reduces their results in job order, so every score is the
+float a serial loop computes.
 """
 
 from __future__ import annotations
 
 import logging
+import mmap
+import multiprocessing
+import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attribution import AttributionMap, band_profile, gradcam, integrated_gradients
 from .data import SpecSet
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .masks import FrequencyMask, apply_mask
-from .model import ModelConfig
+from .model import POOL, ModelConfig
 from .seeding import rng_for
-from .train import TrainConfig, evaluate, patient_kfold, train
+from .tensor import IM2COL_BYTES
+from .train import EVAL_BATCH, TrainConfig, evaluate, patient_kfold, train
 
 __all__ = [
     "FrequencyMask",
@@ -198,50 +211,191 @@ def eliminate_lowest(
     return mask.remove(victims)
 
 
-# -- attribution under a mask ---------------------------------------------------------
+# -- one CV job --------------------------------------------------------------------------
+
+# live float32 copies of every conv block's output, per clip, in one training
+# step; 5 fits the 4.8 GB peak of one ICBHI-preset step at B=128 on 249x64 input
+ACTIVATION_COPIES = 5
 
 
-def _fold_class_profiles(
-    model,
-    fold_train: SpecSet,
-    labels: np.ndarray,
-    n_classes: int,
-    method: str,
-    fold: int,
-) -> list[np.ndarray]:
+@dataclass(frozen=True)
+class _Sweep:
+    """What every job of one sweep reads; pool workers inherit it when they fork."""
+
+    dataset: SpecSet
+    splits: list[tuple[np.ndarray, np.ndarray]]
+    model_cfg: ModelConfig
+    train_cfg: TrainConfig
+    attribution: str | None  # None: the jobs only score (backward selection)
+
+
+def _cv_job(sweep: _Sweep, keep: np.ndarray, fold: int):
+    """One fold of a CV training under the kept bands ``keep``.
+
+    Trains the fold model and returns its validation AS and, for
+    importance selection, the fold's (C, F') class band profiles over
+    its training clips. It is a pure function of (keep, fold): the fold
+    seed depends only on the fold, so across candidate masks (common
+    random numbers) AS differences isolate the mask. An attribution
+    error comes back in place of the profiles, so that the caller
+    raises it only if the iteration goes on to score bands.
+    """
+    masked = apply_mask(sweep.dataset, FrequencyMask(keep))
+    tr, va = sweep.splits[fold]
+    fold_train = masked[tr]
+    task = sweep.train_cfg.task
+    fold_seed = int(rng_for(sweep.train_cfg.seed, "fbs-train", fold).integers(2**31))
+    model = train(
+        fold_train,
+        replace(sweep.model_cfg, n_mel_rows_in=masked.n_bands),
+        replace(sweep.train_cfg, seed=fold_seed),
+    ).model
+    fold_as = evaluate(model, masked[va], task).as_score
+    if sweep.attribution is None:
+        return fold_as, None
+    labels = fold_train.targets(task)
+    n_classes = 2 if task == "binary" else sweep.model_cfg.n_classes
     profiles = []
-    for c in range(n_classes):
-        specs = fold_train[labels == c]
-        if not specs:
-            raise DataError(f"no training samples of class {c} in fold {fold}")
-        if method == "gradcam":
-            maps = gradcam(model, specs, c)
-        elif method == "ig":
-            maps = [
-                integrated_gradients(
-                    model, spec, c, baseline=np.zeros_like(spec.values), steps=IG_STEPS
-                )
-                for spec in specs
-            ]
+    try:
+        for c in range(n_classes):
+            specs = fold_train[labels == c]
+            if not specs:
+                raise DataError(f"no training samples of class {c} in fold {fold}")
+            if sweep.attribution == "gradcam":
+                maps = gradcam(model, specs, c)
+            else:
+                maps = [
+                    integrated_gradients(
+                        model, spec, c, baseline=np.zeros_like(spec.values), steps=IG_STEPS
+                    )
+                    for spec in specs
+                ]
+            profiles.append(per_class_band_attribution(maps, class_id=c, fold=fold))
+    except (DataError, DivergenceError) as exc:
+        return fold_as, exc
+    return fold_as, np.stack(profiles)
+
+
+# -- running a sweep's jobs ---------------------------------------------------------------
+
+
+def _training_bytes(sweep: _Sweep) -> int:
+    """Estimated peak memory of one job.
+
+    Every conv block's output at the larger of the training batch and
+    ``evaluate``'s batch, ``ACTIVATION_COPIES`` times, plus one im2col chunk.
+    """
+    _, t, f = sweep.dataset.values.shape
+    per_clip = 0
+    for c in sweep.model_cfg.channels:
+        per_clip += c * t * f
+        t, f = t // POOL, f // POOL
+    batch = max(sweep.train_cfg.batch_size, EVAL_BATCH)
+    return 4 * ACTIVATION_COPIES * per_clip * batch + IM2COL_BYTES
+
+
+def _available_bytes() -> int:
+    """MemAvailable from /proc/meminfo; 0 where the system has none."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return 0
+
+
+def _pool_size(sweep: _Sweep, n_jobs: int) -> int:
+    """Workers for a sweep whose largest round has ``n_jobs`` jobs.
+
+    No more than the CPUs this process may run on, the jobs, or the
+    trainings that fit in the available memory; at least one.
+    """
+    fit = _available_bytes() // _training_bytes(sweep)
+    if fit < 2:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_jobs, fit)
+
+
+_WORKER = None  # (sweep, started) inside a pool worker; set by _adopt
+
+
+def _adopt(sweep: _Sweep, started: np.ndarray) -> None:
+    global _WORKER
+    _WORKER = (sweep, started)
+
+
+def _pool_job(j: int, keep: np.ndarray, fold: int):
+    """``_cv_job`` in a pool worker; ``started[j]`` holds the worker's pid while it runs."""
+    sweep, started = _WORKER
+    started[j] = os.getpid()
+    try:
+        return _cv_job(sweep, keep, fold)
+    finally:
+        started[j] = 0
+
+
+class _Jobs:
+    """Runs a sweep's (keep, fold) jobs and returns their results in job order.
+
+    With one worker (see ``_pool_size``) the jobs run in this process.
+    Otherwise they run on a ``fork`` process pool that lives as long as
+    the ``with`` block. The workers inherit the sweep copy-on-write, so
+    a job ships only its mask bits and fold. A job's exception is raised
+    here; a worker that dies mid-job raises ``WorkerError`` naming the job.
+    """
+
+    def __init__(self, sweep: _Sweep, n_jobs: int):
+        self.sweep = sweep
+        self.pool = None
+        size = _pool_size(sweep, n_jobs)
+        if size > 1:
+            # the pid of the worker running job j, 0 when none; shared with the workers
+            self.started = np.frombuffer(mmap.mmap(-1, 8 * n_jobs), dtype=np.int64)
+            self.pool = ProcessPoolExecutor(
+                size,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt,
+                initargs=(sweep, self.started),
+            )
+            self.workers = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def run(self, jobs: list[tuple[np.ndarray, int]]) -> list:
+        if self.pool is None:
+            return [_cv_job(self.sweep, keep, fold) for keep, fold in jobs]
+        futures = [self.pool.submit(_pool_job, j, keep, fold) for j, (keep, fold) in enumerate(jobs)]
+        if not self.workers:  # a fork pool starts all its workers on the first submit
+            self.workers = multiprocessing.active_children()
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool:
+            self.pool.shutdown()  # joins every worker
+            raise WorkerError(self._death(jobs)) from None
+
+    def _death(self, jobs) -> str:
+        """Names the job whose worker died.
+
+        The pool sends SIGTERM to the workers that outlive a dead one, so
+        a job whose worker ended that way is not the cause.
+        """
+        codes = {p.pid: p.exitcode for p in self.workers}
+        running = [(j, int(pid)) for j, pid in enumerate(self.started[: len(jobs)]) if pid]
+        cause = [(j, pid) for j, pid in running if codes.get(pid) != -signal.SIGTERM] or running
+        if not cause:
+            return "a worker process died between jobs"
+        j, pid = cause[0]
+        code = codes.get(pid)
+        if code is not None and code < 0:
+            how = f"was killed by {signal.Signals(-code).name}"
         else:
-            raise ConfigError(f"unknown attribution method {method!r}")
-        profiles.append(per_class_band_attribution(maps, class_id=c, fold=fold))
-    return profiles
-
-
-def _cv_train_eval(masked: SpecSet, splits, model_cfg: ModelConfig, train_cfg: TrainConfig):
-    """One counted CV training on masked clips: the fold models and their val AS."""
-    cfg = replace(model_cfg, n_mel_rows_in=masked.n_bands)
-    fold_as: list[float] = []
-    fold_models = []
-    for f, (tr, va) in enumerate(splits):
-        # common random numbers across candidate masks: the fold seed
-        # depends only on the fold, so AS differences isolate the mask
-        fold_seed = int(rng_for(train_cfg.seed, "fbs-train", f).integers(2**31))
-        res = train(masked[tr], cfg, replace(train_cfg, seed=fold_seed))
-        fold_as.append(evaluate(res.model, masked[va], train_cfg.task).as_score)
-        fold_models.append(res.model)
-    return fold_as, fold_models
+            how = f"exited with status {code}"
+        keep, fold = jobs[j]
+        return f"worker process {pid} {how} while running job (mask {FrequencyMask(keep).bitstring()}, fold {fold})"
 
 
 # -- the selection loops ----------------------------------------------------------------
@@ -260,63 +414,59 @@ def fbs_importance(
 ) -> FbsResult:
     """Iterative importance-based selection (one CV training per iteration).
 
-    Raises ``ConfigError``, before any training, for r < 1: removing no
-    band would retrain the same mask forever.
+    An iteration is k (mask, fold) jobs. Raises ``ConfigError``, before
+    any training, for r < 1 (removing no band would retrain the same
+    mask forever) and for an unknown attribution method.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     if r < 1:
         raise ConfigError(f"r must be >= 1 band per iteration, got {r}")
+    if attribution_method not in ("gradcam", "ig"):
+        raise ConfigError(f"unknown attribution method {attribution_method!r}")
     n_bands = dataset.n_bands
-    n_classes = 2 if train_cfg.task == "binary" else model_cfg.n_classes
     splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
+    sweep = _Sweep(dataset, splits, model_cfg, train_cfg, attribution_method)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="importance")
     iterations: list[FbsIteration] = []
     train_runs = 0
     best_as = -np.inf
     best_mask = mask
-    while True:
-        it_idx = len(iterations)
-        masked = apply_mask(dataset, mask)
-        fold_as, models = _cv_train_eval(masked, splits, model_cfg, train_cfg)
-        mean_as = float(np.mean(fold_as))
-        train_runs += 1
-        record = FbsIteration(
-            index=it_idx,
-            kept=mask.kept_indices.copy(),
-            mean_cv_as=mean_as,
-            fold_as=fold_as,
-            removed=[],
-        )
-        iterations.append(record)
-        log.info("fbs[is] iter %d: %d bands, CV AS %.2f", it_idx, mask.n_kept, mean_as)
-        if mean_as > best_as:
-            best_as, best_mask = mean_as, mask
-        elif mean_as < best_as - stop_epsilon:
-            break
-        all_labels = masked.targets(train_cfg.task)
-        per_fold = []
-        for f, (model, (tr, _)) in enumerate(zip(models, splits)):
-            profiles = _fold_class_profiles(
-                model,
-                masked[tr],
-                all_labels[tr],
-                n_classes,
-                attribution_method,
-                fold=f,
+    with _Jobs(sweep, len(splits)) as jobs:
+        while True:
+            it_idx = len(iterations)
+            results = jobs.run([(mask.keep, f) for f in range(len(splits))])
+            fold_as = [a for a, _ in results]
+            mean_as = float(np.mean(fold_as))
+            train_runs += 1
+            record = FbsIteration(
+                index=it_idx,
+                kept=mask.kept_indices.copy(),
+                mean_cv_as=mean_as,
+                fold_as=fold_as,
+                removed=[],
             )
-            per_fold.append(np.stack(profiles))  # (C, F')
-        per_class = fold_average(per_fold)  # (C, F')
-        record.table = importance_scores(
-            list(per_class),
-            lam,
-            band_indices=mask.kept_indices,
-        )
-        nxt = eliminate_lowest(record.table, mask, r=r, floor=min_bands)
-        if nxt is None:
-            break
-        record.removed = nxt.history[-1]
-        mask = nxt
+            iterations.append(record)
+            log.info("fbs[is] iter %d: %d bands, CV AS %.2f", it_idx, mask.n_kept, mean_as)
+            if mean_as > best_as:
+                best_as, best_mask = mean_as, mask
+            elif mean_as < best_as - stop_epsilon:
+                break
+            per_fold = []
+            for _, profiles in results:
+                if isinstance(profiles, Exception):
+                    raise profiles
+                per_fold.append(profiles)  # (C, F')
+            record.table = importance_scores(
+                list(fold_average(per_fold)),
+                lam,
+                band_indices=mask.kept_indices,
+            )
+            nxt = eliminate_lowest(record.table, mask, r=r, floor=min_bands)
+            if nxt is None:
+                break
+            record.removed = nxt.history[-1]
+            mask = nxt
     return FbsResult(mask=best_mask, final_mask=mask, iterations=iterations, train_runs=train_runs)
 
 
@@ -333,49 +483,52 @@ def fbs_backward(
     Candidates are the disjoint adjacent groups of ``GROUP`` bands in
     compacted kept order (F/4 groups per iteration, which is what keeps
     the total cost at O((F/4)^2) trainings); after removals, "adjacent"
-    means adjacent among the survivors. Ties on the best candidate
-    break toward the lowest group start. Raises ``ConfigError``, before
-    any training, when ``min_bands`` leaves no group to remove.
+    means adjacent among the survivors. An iteration is groups x k
+    (mask, fold) jobs. Ties on the best candidate break toward the
+    lowest group start. Raises ``ConfigError``, before any training,
+    when ``min_bands`` leaves no group to remove.
     """
     n_bands = dataset.n_bands
     if n_bands - GROUP < min_bands:
         raise ConfigError(f"min_bands {min_bands} leaves no group of {GROUP} to remove from {n_bands} bands")
     splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
+    k = len(splits)
+    sweep = _Sweep(dataset, splits, model_cfg, train_cfg, None)
     mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="backward")
     iterations: list[FbsIteration] = []
     train_runs = 0
     best_as = -np.inf
     best_mask = mask
-    while mask.n_kept - GROUP >= min_bands:
-        it_idx = len(iterations)
-        kept = mask.kept_indices
-        candidates = [kept[i * GROUP : (i + 1) * GROUP] for i in range(len(kept) // GROUP)]
-        cand_as: list[float] = []
-        for cand in candidates:
-            fold_as, _ = _cv_train_eval(
-                apply_mask(dataset, mask.remove(cand)), splits, model_cfg, train_cfg
+    with _Jobs(sweep, n_bands // GROUP * k) as jobs:
+        while mask.n_kept - GROUP >= min_bands:
+            it_idx = len(iterations)
+            kept = mask.kept_indices
+            candidates = [kept[i * GROUP : (i + 1) * GROUP] for i in range(len(kept) // GROUP)]
+            results = jobs.run([(mask.remove(c).keep, f) for c in candidates for f in range(k)])
+            train_runs += len(candidates)
+            cand_as = [
+                float(np.mean([a for a, _ in results[i * k : (i + 1) * k]]))
+                for i in range(len(candidates))
+            ]
+            pick = int(np.argmax(cand_as))  # first occurrence wins ties
+            chosen_as = cand_as[pick]
+            record = FbsIteration(
+                index=it_idx,
+                kept=kept.copy(),
+                mean_cv_as=chosen_as,
+                fold_as=[],
+                removed=[],
+                candidate_as=cand_as,
             )
-            train_runs += 1
-            cand_as.append(float(np.mean(fold_as)))
-        pick = int(np.argmax(cand_as))  # first occurrence wins ties
-        chosen_as = cand_as[pick]
-        record = FbsIteration(
-            index=it_idx,
-            kept=kept.copy(),
-            mean_cv_as=chosen_as,
-            fold_as=[],
-            removed=[],
-            candidate_as=cand_as,
-        )
-        iterations.append(record)
-        log.info(
-            "fbs[bs] iter %d: %d bands, best candidate AS %.2f over %d windows",
-            it_idx, mask.n_kept, chosen_as, len(candidates),
-        )
-        if chosen_as < best_as - stop_epsilon:
-            break
-        mask = mask.remove(candidates[pick])
-        record.removed = mask.history[-1]
-        if chosen_as > best_as:
-            best_as, best_mask = chosen_as, mask
+            iterations.append(record)
+            log.info(
+                "fbs[bs] iter %d: %d bands, best candidate AS %.2f over %d windows",
+                it_idx, mask.n_kept, chosen_as, len(candidates),
+            )
+            if chosen_as < best_as - stop_epsilon:
+                break
+            mask = mask.remove(candidates[pick])
+            record.removed = mask.history[-1]
+            if chosen_as > best_as:
+                best_as, best_mask = chosen_as, mask
     return FbsResult(mask=best_mask, final_mask=mask, iterations=iterations, train_runs=train_runs)

@@ -196,36 +196,57 @@ class CnnTsa:
     never stores one.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, state: dict[str, np.ndarray] | None = None):
+        """A random init drawn from ``seed``, or, given ``state`` (a
+        ``state_dict``), copies of its tensors and no random draw.
+
+        ``state`` must hold every tensor the model has, at its shape, and
+        nothing else: a missing or unknown name is a ``ConfigError``, a
+        wrong shape a ``ShapeError``.
+        """
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}
         self.last_conv_activation: Tensor | None = None
         rng = rng_for(seed, "model-init")
+
+        def take(name, shape):
+            if name not in state:
+                raise ConfigError(f"state dict lacks tensor {name}")
+            if state[name].shape != shape:
+                raise ShapeError(f"checkpoint tensor {name} has shape {state[name].shape}, model expects {shape}")
+            return state[name].copy()  # the model owns its tensors
+
+        def param(name, shape, draw):
+            self.params[name] = Tensor(draw() if state is None else take(name, shape), requires_grad=True)
+
         cin = 1
         for i, cout in enumerate(cfg.channels, start=1):
-            self.params[f"conv{i}.weight"] = Tensor(
-                _kaiming_uniform(rng, (cout, cin, KERNEL, KERNEL), cin * KERNEL * KERNEL),
-                requires_grad=True,
-            )
-            self.params[f"bn{i}.gamma"] = Tensor(np.ones(cout, np.float32), requires_grad=True)
-            self.params[f"bn{i}.beta"] = Tensor(np.zeros(cout, np.float32), requires_grad=True)
-            self.bn_states[f"bn{i}"] = BatchNormState(cout)
+            shape = (cout, cin, KERNEL, KERNEL)
+            param(f"conv{i}.weight", shape, lambda: _kaiming_uniform(rng, shape, cin * KERNEL * KERNEL))
+            param(f"bn{i}.gamma", (cout,), lambda: np.ones(cout, np.float32))
+            param(f"bn{i}.beta", (cout,), lambda: np.zeros(cout, np.float32))
+            st = self.bn_states[f"bn{i}"] = BatchNormState(cout)
+            if state is not None:
+                st.running_mean[...] = take(f"bn{i}.running_mean", (cout,))
+                st.running_var[...] = take(f"bn{i}.running_var", (cout,))
             cin = cout
         dims = cfg.attention_dims()
         if dims is not None:
             dm, dk = dims
-            self.params["tsa.wq"] = Tensor(_kaiming_uniform(rng, (dm, dk), dm), requires_grad=True)
-            self.params["tsa.wk"] = Tensor(_kaiming_uniform(rng, (dm, dk), dm), requires_grad=True)
-            self.params["tsa.wv"] = Tensor(_kaiming_uniform(rng, (dm, dm), dm), requires_grad=True)
+            param("tsa.wq", (dm, dk), lambda: _kaiming_uniform(rng, (dm, dk), dm))
+            param("tsa.wk", (dm, dk), lambda: _kaiming_uniform(rng, (dm, dk), dm))
+            param("tsa.wv", (dm, dm), lambda: _kaiming_uniform(rng, (dm, dm), dm))
         # near-zero head init keeps the untrained model an (almost)
         # uniform predictor, so the initial loss sits at the
         # random-predictor value; Adam rescales it within a few steps
-        self.params["head.weight"] = Tensor(
-            rng.uniform(-1e-3, 1e-3, size=(cfg.d, cfg.n_classes)).astype(np.float32),
-            requires_grad=True,
-        )
-        self.params["head.bias"] = Tensor(np.zeros(cfg.n_classes, np.float32), requires_grad=True)
+        head = (cfg.d, cfg.n_classes)
+        param("head.weight", head, lambda: rng.uniform(-1e-3, 1e-3, size=head).astype(np.float32))
+        param("head.bias", (cfg.n_classes,), lambda: np.zeros(cfg.n_classes, np.float32))
+        if state is not None:
+            held = set(self.params) | {f"{b}.{s}" for b in self.bn_states for s in ("running_mean", "running_var")}
+            if set(state) - held:
+                raise ConfigError(f"unexpected tensors in state dict: {sorted(set(state) - held)}")
 
     # -- forward -------------------------------------------------------------
     #
@@ -328,26 +349,3 @@ class CnnTsa:
             out[f"{name}.running_mean"] = st.running_mean.copy()
             out[f"{name}.running_var"] = st.running_var.copy()
         return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load arrays by name; a name the model does not hold is a ``ConfigError``."""
-        unexpected = []
-        for k, arr in state.items():
-            if k.endswith(".running_mean") or k.endswith(".running_var"):
-                layer, attr = k.rsplit(".", 1)
-                st = self.bn_states.get(layer)
-                if st is None:
-                    unexpected.append(k)
-                    continue
-                getattr(st, attr)[...] = arr
-            elif k in self.params:
-                if self.params[k].data.shape != arr.shape:
-                    raise ShapeError(
-                        f"checkpoint tensor {k} has shape {arr.shape}, model "
-                        f"expects {self.params[k].data.shape}"
-                    )
-                self.params[k].data[...] = arr
-            else:
-                unexpected.append(k)
-        if unexpected:
-            raise ConfigError(f"unexpected tensors in state dict: {unexpected}")

@@ -42,6 +42,7 @@ LOG_CLAMP = 1e-12
 SPECAUGMENT = (2, 2, 20, 8)
 # each age stratum sees fewer records, so it trains at half the pooled batch
 AGE_BATCH_SIZE = 64
+EVAL_BATCH = 128  # clips per forward pass in evaluate()
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def evaluate(
     model: CnnTsa,
     dataset: SpecSet,
     task: str,
-    batch_size: int = 128,
+    batch_size: int = EVAL_BATCH,
 ) -> MetricReport:
     """Score a frozen model; labels and predictions follow ``task``.
 

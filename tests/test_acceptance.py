@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line. Run with `pytest tests/test_acceptance.py -v -s`.
 
-The planted-band recovery sweep (criterion 7) dominates the runtime
-(about 8 minutes on one CPU); everything else finishes in seconds.
+The planted-band recovery sweep (criterion 7) dominates the runtime:
+its fixture took 142-200 s with its CV jobs run one at a time, and
+about 100 s on a pool of two worker processes (2 vCPUs); everything
+else finishes in seconds.
 Criterion 10 needs the real datasets on disk and is skipped unless
 LUNGSOUND_ICBHI_ROOT / LUNGSOUND_SPRSOUND_ROOT are set.
 """

@@ -279,6 +279,24 @@ class TestCheckpointAgainstCache:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "extra.weight" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", sorted(READERS))
+    @pytest.mark.parametrize("name", ["head.weight", "bn1.running_mean"])
+    def test_missing_tensor_exits_3(self, cache_dir, capsys, command, name):
+        # a model built with a random init would fill the gap and score, exit 0
+        from dataclasses import asdict
+
+        from lungsound.io import save_checkpoint
+        from lungsound.model import CnnTsa, ModelConfig
+
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=16)
+        state = CnnTsa(cfg, seed=0).state_dict()
+        del state[name]
+        save_checkpoint(cache_dir / "m.ckpt", state, asdict(cfg), {"task": "multiclass"})
+        capsys.readouterr()
+        assert run(cache_dir, *READERS[command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"lacks tensor {name}" in err and err.count("\n") == 1
+
     def test_null_label_cache(self, cache_dir):
         # attribution needs no labels; training and scoring do
         from lungsound.io import read_spec_cache, write_spec_cache
@@ -481,6 +499,93 @@ class TestFbsCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and match in err and err.count("\n") == 1
+
+
+FBS_SMALL = [
+    "fbs", "--cache", "synth.cache", "--out-dir", "fbs7", "--method", "importance",
+    "--fbs-lambda", "0", "--r", "4", "--k-folds", "2", "--stop-epsilon", "inf",
+    "--min-bands", "8", "--preset", "tiny", "--epochs", "2", "--batch-size", "8",
+    "--no-specaugment", "--seed", "1",
+]
+
+
+def fold_seed(seed, fold):
+    from lungsound.seeding import rng_for
+
+    return int(rng_for(seed, "fbs-train", fold).integers(2**31))
+
+
+class TestFbsWorkers:
+    """``fbs`` on a pool of worker processes ends as a serial run does."""
+
+    @pytest.mark.parametrize("error", ["DataError", "DivergenceError"])
+    @pytest.mark.parametrize("method", ["importance", "backward"])
+    def test_job_error_in_a_worker_exits_as_serial(self, cache_dir, capsys, monkeypatch, error, method):
+        import lungsound.errors as errors
+        import lungsound.fbs as fbs
+
+        real = fbs.train
+
+        def failing(dataset, model_cfg, train_cfg):
+            if train_cfg.seed == fold_seed(1, 1) and model_cfg.n_mel_rows_in == 12:
+                raise getattr(errors, error)("planted failure")
+            return real(dataset, model_cfg, train_cfg)
+
+        monkeypatch.setattr(fbs, "train", failing)
+        args = [a if a != "importance" else method for a in FBS_SMALL]
+        ends = []
+        for n in (1, 2):
+            monkeypatch.setattr(fbs, "_pool_size", lambda sweep, n_jobs, n=n: n)
+            capsys.readouterr()
+            ends.append((run(cache_dir, *args), capsys.readouterr().err))
+        code = {"DataError": 3, "DivergenceError": 4}[error]
+        assert ends[0] == ends[1]
+        assert ends[0][0] == code and ends[0][1].count("\n") == 1 and "planted failure" in ends[0][1]
+
+    def test_killed_worker_exits_with_one_line_naming_the_job(self, cache_dir):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # a worker that trains fold 1 of the 12-band candidate without bands 0-3 kills itself
+        script = f"""
+import os, signal, sys
+import lungsound.fbs as fbs
+from lungsound.cli import main
+real, parent = fbs.train, os.getpid()
+def train(dataset, model_cfg, train_cfg):
+    if os.getpid() != parent and train_cfg.seed == {fold_seed(1, 1)} and dataset.n_bands == 12:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(dataset, model_cfg, train_cfg)
+fbs.train = train
+fbs._pool_size = lambda sweep, n_jobs: 2
+sys.exit(main(["--workdir", sys.argv[1], *sys.argv[2:]]))
+"""
+        args = [a if a != "importance" else "backward" for a in FBS_SMALL]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cache_dir), *args],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("worker error: worker process ")
+        assert f"killed by SIGKILL while running job (mask 0000{'1' * 12}, fold 1)" in proc.stderr
+
+
+def test_import_starts_no_process():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import multiprocessing, threading, lungsound, lungsound.cli; "
+        "print(len(multiprocessing.active_children()), threading.active_count())"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "1"], out.stderr
 
 
 class TestAttributeCommand:

@@ -2,6 +2,8 @@
 loop structure, and a small planted-band recovery run (the full-size
 recovery sweep lives in the acceptance suite)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,88 @@ class TestFbsBackwardLoop:
         kept = set(res.final_mask.kept_indices.tolist())
         assert res.final_mask.n_kept == 8
         assert len(kept & {4, 5, 6, 7}) >= 3
+
+
+# -- the job pool ------------------------------------------------------------------------
+
+
+def sweep_repr(res) -> str:
+    """Every mask, score, table and counter of a sweep, floats as repr."""
+
+    def floats(xs):
+        return [repr(float(x)) for x in xs]
+
+    lines = [res.mask.bitstring(), res.final_mask.bitstring(), str(res.train_runs)]
+    for it in res.iterations:
+        lines.append(repr((it.index, it.kept.tolist(), repr(it.mean_cv_as), floats(it.fold_as), it.removed)))
+        if it.candidate_as is not None:
+            lines.append(repr(floats(it.candidate_as)))
+        if it.table is not None:
+            t = it.table
+            lines.append(repr((t.band_indices.tolist(), floats(t.mean), floats(t.maxdiff), floats(t.score))))
+    return "\n".join(lines)
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Set the number of workers every sweep uses; count the pools started."""
+    import lungsound.fbs as fbs
+
+    pools = []
+
+    class Counted(fbs.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fbs, "ProcessPoolExecutor", Counted)
+
+    def set_size(n):
+        monkeypatch.setattr(fbs, "_pool_size", lambda sweep, n_jobs: n)
+        return pools
+
+    return set_size
+
+
+SWEEPS = {
+    "importance": lambda c, m, t: fbs_importance(c, m, t, lam=0.5, r=4, k_folds=3,
+                                                 stop_epsilon=float("inf"), min_bands=8),
+    "importance-ig": lambda c, m, t: fbs_importance(c, m, t, lam=0.0, r=4, k_folds=2, stop_epsilon=float("inf"),
+                                                    min_bands=12, attribution_method="ig"),
+    "backward": lambda c, m, t: fbs_backward(c, m, t, k_folds=3, stop_epsilon=float("inf"), min_bands=8),
+}
+
+
+class TestJobPool:
+    @pytest.mark.parametrize("method", sorted(SWEEPS))
+    def test_one_worker_equals_several(self, pool_of, method):
+        import multiprocessing
+
+        corpus, mcfg, tcfg = small_setup(seed=4)
+        pools = pool_of(1)
+        serial = sweep_repr(SWEEPS[method](corpus, mcfg, tcfg))
+        assert pools == []  # one worker: the jobs ran in this process
+        pool_of(3)
+        pooled = sweep_repr(SWEEPS[method](corpus, mcfg, tcfg))
+        assert pools == [3]
+        assert multiprocessing.active_children() == []  # the pool is gone with the sweep
+        assert pooled == serial
+
+    def test_pool_size_rule(self, monkeypatch):
+        import lungsound.fbs as fbs
+        from lungsound.model import icbhi_config
+
+        corpus, mcfg, tcfg = small_setup()
+        sweep = fbs._Sweep(corpus, [], mcfg, tcfg, None)
+        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
+        assert fbs._pool_size(sweep, 32) == 4  # CPUs
+        assert fbs._pool_size(sweep, 2) == 2  # jobs
+        # the paper's ICBHI step at B=128 (about 4.8 GB) fits once in 7 GB
+        big = replace(sweep, dataset=synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1)),
+                      model_cfg=icbhi_config(), train_cfg=replace(tcfg, batch_size=128))
+        assert 4.5e9 < fbs._training_bytes(big) < 5.5e9
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 7 << 30)
+        assert fbs._pool_size(big, 32) == 1
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 1 << 20)
+        assert fbs._pool_size(sweep, 32) == 1  # never below one

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lungsound.data import SpecSet
-from lungsound.errors import ConfigError, DataError
+from lungsound.errors import ConfigError, DataError, ShapeError
 from lungsound.io import (
     config_hash,
     load_checkpoint,
@@ -53,18 +53,47 @@ class TestCheckpoint:
         m1 = CnnTsa(cfg, seed=1)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, m1.state_dict(), {}, {})
-        m2 = CnnTsa(cfg, seed=2)
         state, _, _ = load_checkpoint(path)
-        m2.load_state_dict(state)
+        m2 = CnnTsa(cfg, seed=2, state=state)
         x = np.random.default_rng(0).normal(size=(1, 1, 6, 8)).astype(np.float32)
         np.testing.assert_array_equal(m1.forward(x).data, m2.forward(x).data)
 
     @pytest.mark.parametrize("name", ["extra.weight", "bn9.running_mean"])
     def test_unknown_tensor_name_refused(self, name):
-        model = CnnTsa(ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8), seed=1)
-        state = model.state_dict() | {name: np.zeros(8, np.float32)}
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
+        state = CnnTsa(cfg, seed=1).state_dict() | {name: np.zeros(8, np.float32)}
         with pytest.raises(ConfigError, match=name):
-            model.load_state_dict(state)
+            CnnTsa(cfg, state=state)
+
+    @pytest.mark.parametrize("name", ["head.weight", "conv1.weight", "bn1.running_var"])
+    def test_missing_tensor_refused(self, name):
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
+        state = CnnTsa(cfg, seed=1).state_dict()
+        del state[name]
+        with pytest.raises(ConfigError, match=f"lacks tensor {name}"):
+            CnnTsa(cfg, state=state)
+
+    def test_misshapen_tensor_refused(self):
+        cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
+        state = CnnTsa(cfg, seed=1).state_dict()
+        state["head.bias"] = np.zeros(3, np.float32)
+        with pytest.raises(ShapeError, match="head.bias"):
+            CnnTsa(cfg, state=state)
+
+    def test_state_load_draws_no_init(self, monkeypatch):
+        import lungsound.model as model_mod
+
+        cfg = ModelConfig(channels=(8, 16), n_classes=3, n_mel_rows_in=8)
+        state = CnnTsa(cfg, seed=1).state_dict()
+
+        def refuse(*args):
+            raise AssertionError("random init drawn for a loaded model")
+
+        monkeypatch.setattr(model_mod, "_kaiming_uniform", refuse)
+        loaded = CnnTsa(cfg, state=state).state_dict()
+        assert loaded.keys() == state.keys()
+        for k, v in state.items():
+            np.testing.assert_array_equal(loaded[k], v)
 
     def test_byte_identical_writes(self, tmp_path):
         cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=8)
