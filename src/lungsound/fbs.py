@@ -214,8 +214,9 @@ def eliminate_lowest(
 # -- one CV job --------------------------------------------------------------------------
 
 # live float32 copies of every conv block's output, per clip, in one training
-# step; 5 fits the 4.8 GB peak of one ICBHI-preset step at B=128 on 249x64 input
-ACTIVATION_COPIES = 5
+# step: the smallest count whose estimate is at least 1.15 times the 3.17 GB
+# peak of one ICBHI-preset step at B=128 on 249x64 input (3.93 GB)
+ACTIVATION_COPIES = 4
 
 
 @dataclass(frozen=True)

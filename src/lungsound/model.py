@@ -1,7 +1,11 @@
 """CNN with temporal self-attention for spectrogram classification.
 
 The backbone is a stack of [5x5 conv (stride 1, pad 2) -> batchnorm ->
-ReLU -> 2x2 average pool] blocks. A frequency aggregation step (mean +
+ReLU -> 2x2 average pool] blocks. In every block but the last, the
+batchnorm, ReLU and pool run as one op (``tensor.bn_relu_pool``) whose
+graph keeps only the conv output, so a training step holds no batchnorm
+or ReLU map of those blocks; the last block's ReLU output is kept,
+because Grad-CAM reads it. A frequency aggregation step (mean +
 max over the band axis) collapses the feature map to a per-frame
 vector sequence; scaled dot-product self-attention over time follows,
 then temporal mean pooling and a linear classifier.
@@ -24,6 +28,7 @@ from .tensor import (
     BatchNormState,
     Tensor,
     batchnorm2d,
+    bn_relu_pool,
     conv2d,
     matmul,
     pool2d,
@@ -275,7 +280,14 @@ class CnnTsa:
         return stage if stage is not None and stage >= 0 else None
 
     def features(self, x, training: bool = False) -> Tensor:
-        """The last conv block's ReLU output [B, d, T', F'], before its pool."""
+        """The last conv block's ReLU output [B, d, T', F'], before its pool.
+
+        Blocks 1 to n-1 run conv, then ``bn_relu_pool`` (batchnorm, ReLU
+        and the 2x2 pool as one op that keeps only the conv output for
+        backward), then attention if it is placed after that block. The
+        last block runs conv, ``batchnorm2d`` and ReLU, and returns the
+        ReLU output that Grad-CAM reads; ``head`` pools it.
+        """
         x = x if isinstance(x, Tensor) else Tensor(x)
         cfg = self.cfg
         if x.ndim != 4 or x.shape[1] != 1:
@@ -288,29 +300,28 @@ class CnnTsa:
         fm = x
         if self._attention_block() == 0:
             fm = self._attend_flat(fm)
-        for i in range(1, cfg.n_conv_blocks + 1):
-            if i > 1:
-                fm = self._pool_stage(fm, i - 1)
+        n = cfg.n_conv_blocks
+        for i in range(1, n + 1):
             fm = conv2d(fm, self.params[f"conv{i}.weight"], stride=1, padding=PADDING)
-            fm = batchnorm2d(
-                fm,
-                self.params[f"bn{i}.gamma"],
-                self.params[f"bn{i}.beta"],
-                self.bn_states[f"bn{i}"],
-                training=training,
-            )
-            fm = fm.relu()
-        return fm
+            bn = (self.params[f"bn{i}.gamma"], self.params[f"bn{i}.beta"], self.bn_states[f"bn{i}"])
+            if i == n:
+                return batchnorm2d(fm, *bn, training=training).relu()
+            fm = self._pool_stage(fm, i, bn, training)
 
-    def _pool_stage(self, fm: Tensor, i: int) -> Tensor:
-        """Block i's 2x2 average pool, then attention if it is placed there."""
+    def _pool_stage(self, fm: Tensor, i: int, bn=None, training: bool = False) -> Tensor:
+        """Block i's 2x2 average pool, then attention if it is placed there.
+
+        Without ``bn``, ``fm`` is the block's ReLU output. With ``bn``
+        (gamma, beta, state), ``fm`` is its conv output, and batchnorm
+        and ReLU run inside the pool's op, ``bn_relu_pool``.
+        """
         _, _, t, f = fm.shape
         if t < POOL or f < POOL:
             raise ShapeError(
                 f"conv block {i}: feature map {t}x{f} too small for "
                 f"{POOL}x{POOL} pooling"
             )
-        fm = pool2d(fm, POOL)
+        fm = pool2d(fm, POOL) if bn is None else bn_relu_pool(fm, *bn, training=training)
         if self._attention_block() == i:
             fm = self._attend_flat(fm)
         return fm

@@ -2,8 +2,9 @@
 
 Covers exactly the operations the classifier needs: elementwise
 arithmetic, matmul with leading-batch broadcasting, 2D convolution,
-batch normalization, average pooling, softmax, axis reductions,
-ReLU, log, and shape manipulation. Values are float32 throughout
+batch normalization, average pooling, the fused batchnorm -> ReLU ->
+2x2 pool of a conv block, softmax, axis reductions, ReLU, log, and
+shape manipulation. Values are float32 throughout
 (the ``precision`` context widens the engine for gradient oracles).
 
 Broadcasting is restricted to leading batch dimensions (shapes must
@@ -29,8 +30,10 @@ Training memory is bounded by recomputing cheap values instead of
 storing them (sublinear-memory training, arXiv:1604.06174): conv2d
 builds its columns or transformed tiles a few batch items at a time
 (``IM2COL_BYTES``) and rebuilds them in backward, batchnorm recomputes
-its normalized input in backward, and ``backward()`` frees each
-intermediate gradient once it has been passed on.
+its normalized input in backward, ``bn_relu_pool`` keeps only its input
+and recomputes the batchnorm and ReLU maps it never stores, and
+``backward()`` frees each intermediate gradient once it has been passed
+on.
 
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
@@ -55,6 +58,7 @@ __all__ = [
     "BatchNormState",
     "conv2d",
     "batchnorm2d",
+    "bn_relu_pool",
     "pool2d",
     "matmul",
     "softmax",
@@ -765,27 +769,19 @@ class BatchNormState:
         self.n_batches = 0
 
 
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    training: bool,
-) -> Tensor:
-    """Per-channel batch normalization over [B,C,H,W].
+def _bn_stats(
+    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel (mean, inv_std, scale, shift) of batchnorm over ``x``.
 
-    Training mode normalizes with batch statistics and updates the
-    running estimates (exponential moving average, unbiased variance);
-    eval mode normalizes with the running estimates.
-
-    Statistics reduce a (B, C, H*W) view over its contiguous last axis
-    first; the variance is the mean squared deviation from the mean
-    (two passes, no cancellation). The output is ``x*scale + shift``
-    with per-channel ``scale = gamma/std`` and ``shift = beta -
-    mean*scale``. The normalized input is not stored: backward
-    recomputes it from ``x``, which the graph keeps alive anyway.
+    Training mode takes batch statistics and updates the running
+    estimates (exponential moving average, unbiased variance); eval mode
+    reads the running estimates. Statistics reduce a (B, C, H*W) view
+    over its contiguous last axis first; the variance is the mean
+    squared deviation from the mean (two passes, no cancellation). The
+    output is ``x*scale + shift`` with ``scale = gamma/std`` and
+    ``shift = beta - mean*scale``.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, h, w = x.shape
     if b == 0:
         raise ShapeError("batchnorm2d on a zero-size batch")
@@ -796,8 +792,8 @@ def batchnorm2d(
         )
     n = b * h * w
     dt = x.data.dtype
-    xv = x.data.reshape(b, c, h * w)
     if training:
+        xv = x.data.reshape(b, c, h * w)
         mean = xv.sum(axis=2).sum(axis=0) / n
         dev = xv - mean[:, None]
         var = np.einsum("bcs,bcs->c", dev, dev) / n  # biased, used for normalization
@@ -815,30 +811,118 @@ def batchnorm2d(
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=dt))
     scale = (gamma.data * inv_std).astype(dt, copy=False)
-    out_data = xv * scale[:, None]
-    out_data += (beta.data - mean * scale).astype(dt, copy=False)[:, None]
+    shift = (beta.data - mean * scale).astype(dt, copy=False)
+    return mean, inv_std, scale, shift
+
+
+def _bn_adjoint(x, gamma, beta, gv, work, mean, inv_std, scale, training) -> None:
+    """Hand batchnorm's gradients to ``x``, ``gamma`` and ``beta``.
+
+    ``gv`` is the gradient of the output as (B, C, H*W); ``work`` is a
+    buffer of that shape the adjoint may overwrite, or None to allocate
+    one. The normalized input xhat is recomputed into it from ``x``.
+    """
+    b, c, h, w = x.shape
+    n = b * h * w
+    sum_g = gv.sum(axis=2).sum(axis=0) if beta.requires_grad or training else None
+    if beta.requires_grad:
+        beta._accum(sum_g)
+    if x.requires_grad and not training:
+        x._accum((gv * scale[:, None]).reshape(b, c, h, w))
+    if gamma.requires_grad or (x.requires_grad and training):
+        xhat = np.subtract(x.data.reshape(b, c, h * w), mean[:, None], out=work)
+        xhat *= inv_std[:, None]
+        sum_gxhat = np.einsum("bcs,bcs->c", gv, xhat)
+        if gamma.requires_grad:
+            gamma._accum(sum_gxhat)
+        if x.requires_grad and training:
+            # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer
+            xhat *= -(sum_gxhat / n)[:, None]
+            xhat += gv
+            xhat -= (sum_g / n)[:, None]
+            xhat *= scale[:, None]
+            x._accum(xhat.reshape(b, c, h, w))
+
+
+def batchnorm2d(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    state: BatchNormState,
+    training: bool,
+) -> Tensor:
+    """Per-channel batch normalization over [B,C,H,W].
+
+    Training mode normalizes with batch statistics and updates the
+    running estimates; eval mode normalizes with the running estimates
+    (see ``_bn_stats``). The normalized input is not stored: backward
+    recomputes it from ``x``, which the graph keeps alive anyway.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state, training)
+    b, c, h, w = x.shape
+    out_data = x.data.reshape(b, c, h * w) * scale[:, None]
+    out_data += shift[:, None]
 
     def bwd(g):
-        gv = g.reshape(b, c, h * w)
-        sum_g = gv.sum(axis=2).sum(axis=0) if beta.requires_grad or training else None
-        if beta.requires_grad:
-            beta._accum(sum_g)
-        if x.requires_grad and not training:
-            x._accum((gv * scale[:, None]).reshape(b, c, h, w))
-        if gamma.requires_grad or (x.requires_grad and training):
-            xhat = (xv - mean[:, None]) * inv_std[:, None]
-            sum_gxhat = np.einsum("bcs,bcs->c", gv, xhat)
-            if gamma.requires_grad:
-                gamma._accum(sum_gxhat)
-            if x.requires_grad and training:
-                # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer
-                xhat *= -(sum_gxhat / n)[:, None]
-                xhat += gv
-                xhat -= (sum_g / n)[:, None]
-                xhat *= scale[:, None]
-                x._accum(xhat.reshape(b, c, h, w))
+        _bn_adjoint(x, gamma, beta, g.reshape(b, c, h * w), None, mean, inv_std, scale, training)
 
     return Tensor._from_op(out_data.reshape(b, c, h, w), (x, gamma, beta), bwd)
+
+
+def bn_relu_pool(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    state: BatchNormState,
+    training: bool,
+) -> Tensor:
+    """``pool2d(batchnorm2d(x, ...).relu(), 2)`` as one op, bit for bit.
+
+    Only the pooled map is returned, and the graph keeps only ``x``
+    (In-Place Activated BatchNorm, arXiv:1712.02616, keeps what backward
+    recomputes from): no batchnorm or ReLU map outlives the call. The
+    forward pass runs the affine, ReLU and pool a batch chunk of at
+    most ``IM2COL_BYTES`` at a time. Backward scatters the pool adjoint
+    into one buffer, recomputes ``x*scale + shift`` with the forward's
+    float ops into a second to mask the first by its sign, then runs the
+    batchnorm adjoint with xhat in the second buffer.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    b, c, h, w = x.shape
+    if h < 2 or w < 2:
+        raise ShapeError(f"pool window 2 exceeds spatial dims of input {x.shape}")
+    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state, training)
+    ho, wo = h // 2, w // 2
+    xv = x.data.reshape(b, c, h * w)
+    out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
+    chunk = max(1, IM2COL_BYTES // (c * h * w * x.data.itemsize))
+    for s in range(0, b, chunk):
+        y = xv[s : s + chunk] * scale[:, None]
+        y += shift[:, None]
+        np.maximum(y, _DTYPE(0), out=y)
+        y = y.reshape(-1, c, h, w)
+        outs = out_data[s : s + chunk]
+        for i in range(2):
+            for j in range(2):
+                outs += y[:, :, i : i + 2 * ho : 2, j : j + 2 * wo : 2]
+        del y  # hold one chunk's map at a time
+    out_data /= _DTYPE(4)
+
+    def bwd(g):
+        gy = np.zeros_like(x.data)
+        gshare = g / _DTYPE(4)
+        for i in range(2):
+            for j in range(2):
+                gy[:, :, i : i + 2 * ho : 2, j : j + 2 * wo : 2] += gshare
+        del gshare
+        gv = gy.reshape(b, c, h * w)
+        work = xv * scale[:, None]
+        work += shift[:, None]
+        gv *= work > 0
+        _bn_adjoint(x, gamma, beta, gv, work, mean, inv_std, scale, training)
+
+    return Tensor._from_op(out_data, (x, gamma, beta), bwd)
 
 
 # -- pooling --------------------------------------------------------------------

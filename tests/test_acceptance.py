@@ -34,6 +34,7 @@ from lungsound.tensor import (
     BatchNormState,
     Tensor,
     batchnorm2d,
+    bn_relu_pool,
     conv2d,
     matmul,
     pool2d,
@@ -133,6 +134,26 @@ def _gradient_cases():
             return (batchnorm2d(t["x"], t["gamma"], t["beta"], state, training=True) * Tensor(m)).sum()
 
         yield f"batchnorm2d[{i}]", loss, {"x": x, "gamma": gamma, "beta": beta}, 1e-3
+
+    # the fused conv-block epilogue: odd H or W, eval mode, frozen gamma and beta
+    for i, (shape, training, frozen) in enumerate(
+        [((2, 3, 5, 6), True, False), ((1, 2, 7, 5), False, False), ((2, 2, 4, 7), True, True)]
+    ):
+        x = g.normal(size=shape).astype(np.float32)
+        gamma = g.uniform(0.5, 1.5, size=shape[1]).astype(np.float32)
+        beta = (g.normal(size=shape[1]) * 0.3).astype(np.float32)
+        mix = mixer((shape[0], shape[1], shape[2] // 2, shape[3] // 2), 250 + i)
+        arrays = {"x": x} if frozen else {"x": x, "gamma": gamma, "beta": beta}
+
+        def loss(t, c=shape[1], tr=training, ga=gamma, be=beta, m=mix):
+            state = BatchNormState(c)
+            state.running_mean[:] = 0.1
+            state.running_var[:] = 1.3
+            gt, bt = t.get("gamma", Tensor(ga)), t.get("beta", Tensor(be))
+            return (bn_relu_pool(t["x"], gt, bt, state, training=tr) * Tensor(m)).sum()
+
+        # h=1e-5: ReLU's kink sits inside a 1e-3 secant for some entries
+        yield f"bn_relu_pool[{i}]", loss, arrays, 1e-5
 
     for i, (shape, window, stride) in enumerate(
         [((1, 2, 6, 6), 2, 2), ((2, 1, 8, 8), 2, 1), ((1, 1, 5, 5), 3, 3)]

@@ -68,6 +68,26 @@ class TestBackbone:
             m.backbone_forward(Tensor(np.zeros((1, 1, 6, 64), np.float32)))
 
 
+    @pytest.mark.parametrize("placement", ["after_aggregation", "after_block_1", "after_last"])
+    def test_training_graph_holds_no_bn_or_relu_map_before_last_block(self, placement):
+        cfg = ModelConfig(channels=(8, 16, 24), n_classes=2, n_mel_rows_in=16, attention_placement=placement)
+        x = Tensor(rng(4).normal(size=(2, 1, 20, 16)).astype(np.float32), requires_grad=True)
+        logits = CnnTsa(cfg, seed=0).forward(x, training=True)
+        nodes, stack = {}, [logits]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        shapes = [n.shape for n in nodes.values()]
+        t, f = 20, 16
+        for i, c in enumerate(cfg.channels, start=1):
+            # block i's conv output; the last block's batchnorm and ReLU
+            # outputs too, which Grad-CAM and the head's pool read
+            assert shapes.count((2, c, t, f)) == (3 if i == cfg.n_conv_blocks else 1), i
+            t, f = t // 2, f // 2
+
+
 class TestAggregation:
     def test_constant_map_gives_two_v(self):
         fm = Tensor(np.full((1, 3, 5, 4), 2.5, np.float32))

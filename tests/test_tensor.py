@@ -13,6 +13,7 @@ from lungsound.tensor import (
     BatchNormState,
     Tensor,
     batchnorm2d,
+    bn_relu_pool,
     conv2d,
     matmul,
     no_grad,
@@ -463,6 +464,115 @@ class TestBatchNormReferenceOracle:
             np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
         np.testing.assert_allclose(state.running_mean, ref[4].astype(np.float32), rtol=1e-6)
         np.testing.assert_allclose(state.running_var, ref[5].astype(np.float32), rtol=1e-6)
+
+
+class TestBnReluPool:
+    """The fused epilogue against batchnorm2d -> relu -> pool2d, bit for bit."""
+
+    @staticmethod
+    def run(fused, x, gamma, beta, state, training, need):
+        xt = Tensor(x, requires_grad=need[0])
+        gt, bt = Tensor(gamma, requires_grad=need[1]), Tensor(beta, requires_grad=need[2])
+        if fused:
+            out = bn_relu_pool(xt, gt, bt, state, training=training)
+        else:
+            out = pool2d(batchnorm2d(xt, gt, bt, state, training=training).relu(), 2)
+        (out * Tensor(rng(5).normal(size=out.shape).astype(x.dtype))).sum().backward()
+        return out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var
+
+    def compare(self, shape, training, need=(True, True, True), dtype=np.float32):
+        g = rng(sum(shape))
+        c = shape[1]
+        x = (g.normal(size=shape) * g.uniform(0.5, 3.0, size=(1, c, 1, 1))
+             + g.normal(size=(1, c, 1, 1))).astype(dtype)
+        gamma = g.uniform(0.5, 1.5, size=c).astype(dtype)
+        beta = g.normal(size=c).astype(dtype)
+        rm = g.normal(size=c).astype(np.float32)
+        rv = g.uniform(0.5, 2.0, size=c).astype(np.float32)
+        results = []
+        for fused in (False, True):
+            state = BatchNormState(c)
+            state.running_mean[:], state.running_var[:] = rm, rv
+            with precision(dtype):
+                results.append(self.run(fused, x, gamma, beta, state, training, need))
+        for name, want, got in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), *results):
+            assert (want is None) == (got is None), name
+            if want is not None:
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    # odd H or W, where the pool drops the last row or column; B=1
+    SHAPES = [(4, 3, 8, 6), (2, 5, 9, 7), (1, 2, 6, 11), (3, 4, 2, 3)]
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bitwise_equal_to_separate_ops(self, shape, training):
+        self.compare(shape, training)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("need", [(True, False, False), (False, True, True), (False, True, False), (True, False, True)])
+    def test_frozen_parameters(self, need, training):
+        self.compare((3, 4, 7, 8), training, need)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_batch_spanning_several_chunks(self, per_chunk, monkeypatch):
+        shape = (5, 3, 9, 8)
+        item = np.prod(shape[1:]) * 4
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", per_chunk * item + item // 2)
+        for training in (True, False):
+            self.compare(shape, training)
+
+    def test_forward_holds_one_chunk(self, monkeypatch):
+        # eval forward: the pooled output (a quarter of x) plus one item's
+        # affine map, never a map of the whole batch
+        x = Tensor(rng(3).normal(size=(8, 4, 64, 64)).astype(np.float32))
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", x.data[0].nbytes)
+        one, zero = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = bn_relu_pool(x, one, zero, BatchNormState(4), training=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == x.data.nbytes // 4
+        assert peak < x.data.nbytes // 2, peak
+
+    def test_float64(self):
+        self.compare((2, 3, 7, 9), True, dtype=np.float64)
+
+    def test_no_grad_and_errors(self):
+        x, one, zero = Tensor(np.ones((2, 2, 4, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with no_grad():
+            out = bn_relu_pool(Tensor(x.data, requires_grad=True), one, zero, BatchNormState(2), True)
+        assert out._parents == () and out.shape == (2, 2, 2, 2)
+        state = BatchNormState(2)
+        with pytest.raises(ShapeError):
+            bn_relu_pool(Tensor(np.ones((2, 2, 1, 4))), one, zero, state, training=True)
+        assert state.n_batches == 0  # checked before the statistics
+        with pytest.raises(ShapeError):
+            bn_relu_pool(Tensor(np.ones((0, 2, 4, 4))), one, zero, state, training=True)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("need", [(True, True, True), (True, False, False), (False, True, True)])
+    def test_gradient_vs_finite_differences(self, training, need):
+        g = rng(31)
+        x = g.normal(size=(2, 3, 5, 6))
+        gamma = g.uniform(0.5, 1.5, size=3)
+        beta = g.normal(size=3) * 0.3
+        mix = rng(32).normal(size=(2, 3, 2, 3))
+        named = {"x": x, "gamma": gamma, "beta": beta}
+        arrays = {k: v for (k, v), n in zip(named.items(), need) if n}
+
+        def loss(t):
+            t = {k: t[k] if k in t else Tensor(v) for k, v in named.items()}  # the rest frozen
+            state = BatchNormState(3)  # fresh state per evaluation
+            state.running_mean[:] = [0.2, -0.1, 0.0]
+            state.running_var[:] = [1.5, 0.7, 1.0]
+            out = bn_relu_pool(t["x"], t["gamma"], t["beta"], state, training=training)
+            return (out * Tensor(mix)).sum()
+
+        # h=1e-5: ReLU's kink sits inside a 1e-3 secant for some entries
+        check_gradient(loss, arrays, h=1e-5)
 
 
 class TestPool2d:
