@@ -214,9 +214,9 @@ def eliminate_lowest(
 # -- one CV job --------------------------------------------------------------------------
 
 # live float32 copies of every conv block's output, per clip, in one training
-# step: the smallest count whose estimate is at least 1.15 times the 3.17 GB
-# peak of one ICBHI-preset step at B=128 on 249x64 input (3.93 GB)
-ACTIVATION_COPIES = 4
+# step: the smallest count whose estimate is at least 1.15 times the peak RSS
+# of one ICBHI-preset step at B=128 on 249x64 input (2,812 against 2,164 MiB)
+ACTIVATION_COPIES = 3
 
 
 @dataclass(frozen=True)

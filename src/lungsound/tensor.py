@@ -33,7 +33,15 @@ builds its columns or transformed tiles a few batch items at a time
 its normalized input in backward, ``bn_relu_pool`` keeps only its input
 and recomputes the batchnorm and ReLU maps it never stores, and
 ``backward()`` frees each intermediate gradient once it has been passed
-on.
+on. Batchnorm's statistics and adjoint and the fused epilogue run over
+blocks of at most ``EPILOGUE_BYTES`` (whole items, or one item's channel
+range), so their chains of elementwise steps stay in a core's L2 cache
+and hold no whole-batch temporary; each (item, channel) row is summed
+inside its block and the row sums are added over items afterwards, the
+order a whole-batch reduction takes, so no float depends on the
+blocking. A closure that allocates a gradient buffer for one input
+alone hands it over with ``_adopt``, and the input keeps it as its
+gradient instead of copying it.
 
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
@@ -47,6 +55,7 @@ weight-gradient work while gradients still flow to the activations.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -88,6 +97,10 @@ def precision(dtype):
 
 # cleared inside no_grad(); read by Tensor._from_op
 _GRAD_ENABLED = True
+
+# the buffer Tensor._adopt is handing to Tensor._accum, which keeps it
+# instead of copying it; every gradient still enters through _accum
+_ADOPTING = None
 
 
 @contextmanager
@@ -230,10 +243,25 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            # a copy: callers hand in views of buffers they keep using
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            if grad is _ADOPTING and grad.dtype == self.data.dtype:
+                self.grad = grad
+            else:
+                # a copy: callers may hand in views of buffers they keep using
+                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
             self.grad += grad
+
+    def _adopt(self, grad: np.ndarray) -> None:
+        """``_accum`` for a buffer the caller has just allocated for this
+        tensor alone and drops: a first gradient becomes ``.grad`` without
+        a copy, and later ones add into it. Never a view, never a buffer
+        handed to two tensors."""
+        global _ADOPTING
+        _ADOPTING = grad
+        try:
+            self._accum(grad)
+        finally:
+            _ADOPTING = None
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -262,9 +290,9 @@ class Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.shape))
+                a._adopt(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.shape))
+                b._adopt(_unbroadcast(g * a.data, b.shape))
 
         return Tensor._from_op(a.data * b.data, (a, b), bwd)
 
@@ -287,7 +315,7 @@ class Tensor:
         x = self
 
         def bwd(g):
-            x._accum(g * (x.data > 0))
+            x._adopt(g * (x.data > 0))
 
         return Tensor._from_op(np.maximum(x.data, _DTYPE(0)), (x,), bwd)
 
@@ -297,7 +325,7 @@ class Tensor:
         out_data = np.log(x.data)
 
         def bwd(g):
-            x._accum(g / x.data)
+            x._adopt(g / x.data)
 
         return Tensor._from_op(out_data, (x,), bwd)
 
@@ -306,7 +334,7 @@ class Tensor:
         mask = x.data >= floor
 
         def bwd(g):
-            x._accum(g * mask)
+            x._adopt(g * mask)
 
         return Tensor._from_op(np.maximum(x.data, _DTYPE(floor)), (x,), bwd)
 
@@ -376,9 +404,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            a._adopt(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            b._adopt(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd)
 
@@ -395,7 +423,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        x._accum(s * (g - dot))
+        x._adopt(s * (g - dot))
 
     return Tensor._from_op(s, (x,), bwd)
 
@@ -416,14 +444,14 @@ def reduce(x: Tensor, kind: str, axis: int | None = None) -> Tensor:
         out_data = x.data.sum(axis=axis)
 
         def bwd(g):
-            x._accum(_expand_like(g, x.shape, axis))
+            x._adopt(_expand_like(g, x.shape, axis))
 
     elif kind == "mean":
         out_data = x.data.mean(axis=axis)
         n = x.data.size if axis is None else x.shape[axis]
 
         def bwd(g):
-            x._accum(_expand_like(g, x.shape, axis) / _DTYPE(n))
+            x._adopt(_expand_like(g, x.shape, axis) / _DTYPE(n))
 
     elif kind == "max":
         out_data = x.data.max(axis=axis)
@@ -433,7 +461,7 @@ def reduce(x: Tensor, kind: str, axis: int | None = None) -> Tensor:
             def bwd(g):
                 gi = np.zeros_like(x.data)
                 gi.reshape(-1)[flat_idx] = g
-                x._accum(gi)
+                x._adopt(gi)
 
         else:
             ax = axis % x.ndim
@@ -444,7 +472,7 @@ def reduce(x: Tensor, kind: str, axis: int | None = None) -> Tensor:
                 np.put_along_axis(
                     gi, np.expand_dims(idx, ax), np.expand_dims(g, ax), ax
                 )
-                x._accum(gi)
+                x._adopt(gi)
 
     else:
         raise ValueError(f"unknown reduction kind {kind!r}")
@@ -723,9 +751,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 x.data, weight.data, g, chunk, weight.requires_grad, x.requires_grad
             )
             if gw is not None:
-                weight._accum(gw)
+                weight._adopt(gw)
             if gx is not None:
-                x._accum(gx)
+                x._adopt(gx)
             return
         g2 = g.reshape(b, co, ho * wo)
         gw = np.zeros_like(wmat) if weight.requires_grad else None
@@ -747,7 +775,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                         ]
                 del gcols
         if gw is not None:
-            weight._accum(gw.reshape(co, ci, kh, kw))
+            weight._adopt(gw.reshape(co, ci, kh, kw))
         if gx is not None:
             x._accum(gx[:, :, padding : padding + h, padding : padding + w])
 
@@ -769,6 +797,65 @@ class BatchNormState:
         self.n_batches = 0
 
 
+# Bytes of one block of the batchnorm passes: its statistics, its adjoint
+# and the fused epilogue's forward and backward run over a (B, C, H*W)
+# view one block of rows at a time, several whole items when one fits,
+# else one item's channel range. Each pass's chain of elementwise steps
+# then runs in a core's L2 cache instead of streaming the whole batch
+# through memory once per step. 512 KiB to 1 MiB ran fastest with 2 MiB
+# of L2 per core; 1 MiB keeps a small model's whole batch (32 items of
+# 20 KB) in one block, so its passes run once, as unblocked code's do.
+EPILOGUE_BYTES = 1 << 20
+
+
+def _split(total: int, most: int, least: int) -> list[slice]:
+    """``range(total)`` cut into the fewest near-equal parts of at most
+    ``most``, each at least ``least`` long when ``total`` allows."""
+    m = max(1, min(-(-total // most), total // least))
+    return [slice(total * i // m, total * (i + 1) // m) for i in range(m)]
+
+
+def _bn_blocks(x: np.ndarray) -> tuple[list[tuple[slice, slice]], int]:
+    """(items, channels) blocks of ``x`` (B, C, H, W) and the largest one's size.
+
+    A batch that fits in one block is one block. A block holds at least
+    two (item, channel) rows, because ``np.einsum`` sums a lone row of
+    over 8192 values in another order than the same row inside a larger
+    array. A one-channel batch is one block (see ``_row_dots``).
+    """
+    b, c, h, w = x.shape
+    rows = max(1, EPILOGUE_BYTES // (h * w * x.itemsize))
+    if c == 1:
+        blocks = [(slice(0, b), slice(0, 1))]
+    elif rows >= c:
+        blocks = [(items, slice(0, c)) for items in _split(b, rows // c, 1)]
+    else:
+        blocks = [(slice(i, i + 1), chans) for i in range(b) for chans in _split(c, rows, 2)]
+    size = max((i.stop - i.start) * (ch.stop - ch.start) for i, ch in blocks) * h * w
+    return blocks, size
+
+
+def _front(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The start of the flat scratch buffer ``buf`` as an array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Each row's dot product of the (n, C, S) blocks ``u`` and ``v`` into ``out`` (n, C).
+
+    Summing ``out`` over items gives ``np.einsum("bcs,bcs->c")`` of the
+    whole batch bit for bit. That einsum sums each (item, channel) row
+    and then adds the rows item by item, except with one channel, where
+    it sums the whole batch as one flat row: that sum goes in the first
+    row and -0.0, which changes no sum, in the others.
+    """
+    if u.shape[1] > 1:
+        np.einsum("bcs,bcs->bc", u, v, out=out)
+    else:
+        out[...] = -0.0
+        out[0, 0] = np.einsum("bcs,bcs->", u, v)
+
+
 def _bn_stats(
     x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -776,10 +863,12 @@ def _bn_stats(
 
     Training mode takes batch statistics and updates the running
     estimates (exponential moving average, unbiased variance); eval mode
-    reads the running estimates. Statistics reduce a (B, C, H*W) view
-    over its contiguous last axis first; the variance is the mean
-    squared deviation from the mean (two passes, no cancellation). The
-    output is ``x*scale + shift`` with ``scale = gamma/std`` and
+    reads the running estimates. Each (item, channel) row of a
+    (B, C, H*W) view is summed over its contiguous pixels block by block
+    (``EPILOGUE_BYTES``), then the (B, C) row sums over items: the order
+    a whole-batch ``sum(axis=2).sum(axis=0)`` takes. The variance is the
+    mean squared deviation from the mean (two passes, no cancellation).
+    The output is ``x*scale + shift`` with ``scale = gamma/std`` and
     ``shift = beta - mean*scale``.
     """
     b, c, h, w = x.shape
@@ -794,10 +883,17 @@ def _bn_stats(
     dt = x.data.dtype
     if training:
         xv = x.data.reshape(b, c, h * w)
-        mean = xv.sum(axis=2).sum(axis=0) / n
-        dev = xv - mean[:, None]
-        var = np.einsum("bcs,bcs->c", dev, dev) / n  # biased, used for normalization
-        del dev
+        blocks, size = _bn_blocks(x.data)
+        rows = np.empty((b, c), dtype=dt)
+        for i, ch in blocks:
+            xv[i, ch].sum(axis=2, out=rows[i, ch])
+        mean = rows.sum(axis=0) / n
+        work = np.empty(size, dtype=dt)
+        for i, ch in blocks:
+            xb = xv[i, ch]
+            dev = np.subtract(xb, mean[ch, None], out=_front(work, xb.shape))
+            _row_dots(dev, dev, rows[i, ch])
+        var = rows.sum(axis=0) / n  # biased, used for normalization
         unbiased = var * (n / max(n - 1, 1))
         state.running_mean = (
             (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
@@ -815,33 +911,71 @@ def _bn_stats(
     return mean, inv_std, scale, shift
 
 
-def _bn_adjoint(x, gamma, beta, gv, work, mean, inv_std, scale, training) -> None:
+def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> None:
     """Hand batchnorm's gradients to ``x``, ``gamma`` and ``beta``.
 
-    ``gv`` is the gradient of the output as (B, C, H*W); ``work`` is a
-    buffer of that shape the adjoint may overwrite, or None to allocate
-    one. The normalized input xhat is recomputed into it from ``x``.
+    ``grad_block(items, channels, work)`` returns the gradient of the
+    output over one block of ``_bn_blocks(x)`` as (n, c, H*W); ``work``
+    is a block-sized scratch buffer it may overwrite. The adjoint runs
+    two passes over the blocks: the first sums each (item, channel) row
+    of the gradient and of its product with xhat (recomputed from ``x``)
+    for dbeta and dgamma, the second writes dx into one fresh buffer,
+    which ``x`` adopts. The second pass runs the blocks in reverse, so
+    its first block reuses the gradient and xhat the first pass left.
+    A batch of one block works in that dx buffer, as unblocked code
+    would, rather than in a second buffer of the batch's size.
     """
     b, c, h, w = x.shape
     n = b * h * w
-    sum_g = gv.sum(axis=2).sum(axis=0) if beta.requires_grad or training else None
+    xv = x.data.reshape(b, c, h * w)
+    blocks, size = _bn_blocks(x.data)
+    need_g = beta.requires_grad or (x.requires_grad and training)
+    need_gx = gamma.requires_grad or (x.requires_grad and training)
+    rows_g = np.empty((b, c), dtype=x.data.dtype) if need_g else None
+    rows_gx = np.empty((b, c), dtype=x.data.dtype) if need_gx else None
+    gx = np.empty_like(x.data) if x.requires_grad else None
+    if gx is not None and len(blocks) == 1:
+        work = gx.reshape(-1)
+    else:
+        work = np.empty(size, dtype=x.data.dtype)
+
+    def normalized(i, ch):  # xhat of one block, in ``work``
+        xb = xv[i, ch]
+        xhat = np.subtract(xb, mean[ch, None], out=_front(work, xb.shape))
+        xhat *= inv_std[ch, None]
+        return xhat
+
+    gv = xhat = None
+    for i, ch in blocks if need_g or need_gx else ():
+        gv = grad_block(i, ch, work)
+        if need_g:
+            gv.sum(axis=2, out=rows_g[i, ch])
+        if need_gx:
+            xhat = normalized(i, ch)
+            _row_dots(gv, xhat, rows_gx[i, ch])
+    sum_g = rows_g.sum(axis=0) if need_g else None
+    sum_gxhat = rows_gx.sum(axis=0) if need_gx else None
     if beta.requires_grad:
-        beta._accum(sum_g)
-    if x.requires_grad and not training:
-        x._accum((gv * scale[:, None]).reshape(b, c, h, w))
-    if gamma.requires_grad or (x.requires_grad and training):
-        xhat = np.subtract(x.data.reshape(b, c, h * w), mean[:, None], out=work)
-        xhat *= inv_std[:, None]
-        sum_gxhat = np.einsum("bcs,bcs->c", gv, xhat)
-        if gamma.requires_grad:
-            gamma._accum(sum_gxhat)
-        if x.requires_grad and training:
-            # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer
-            xhat *= -(sum_gxhat / n)[:, None]
-            xhat += gv
-            xhat -= (sum_g / n)[:, None]
-            xhat *= scale[:, None]
-            x._accum(xhat.reshape(b, c, h, w))
+        beta._adopt(sum_g)
+    if gamma.requires_grad:
+        gamma._adopt(sum_gxhat)
+    if gx is None:
+        return
+    gxv = gx.reshape(b, c, h * w)
+    for k, (i, ch) in enumerate(reversed(blocks)):
+        if k or gv is None:
+            gv, xhat = grad_block(i, ch, work), None
+        if not training:
+            np.multiply(gv, scale[ch, None], out=gxv[i, ch])
+            continue
+        if xhat is None:
+            xhat = normalized(i, ch)
+        # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer
+        xhat *= -(sum_gxhat / n)[ch, None]
+        xhat += gv
+        xhat -= (sum_g / n)[ch, None]
+        np.multiply(xhat, scale[ch, None], out=gxv[i, ch])
+    x._adopt(gx)
 
 
 def batchnorm2d(
@@ -865,7 +999,8 @@ def batchnorm2d(
     out_data += shift[:, None]
 
     def bwd(g):
-        _bn_adjoint(x, gamma, beta, g.reshape(b, c, h * w), None, mean, inv_std, scale, training)
+        gv = g.reshape(b, c, h * w)
+        _bn_adjoint(x, gamma, beta, lambda i, ch, work: gv[i, ch], mean, inv_std, scale, training)
 
     return Tensor._from_op(out_data.reshape(b, c, h, w), (x, gamma, beta), bwd)
 
@@ -881,12 +1016,14 @@ def bn_relu_pool(
 
     Only the pooled map is returned, and the graph keeps only ``x``
     (In-Place Activated BatchNorm, arXiv:1712.02616, keeps what backward
-    recomputes from): no batchnorm or ReLU map outlives the call. The
-    forward pass runs the affine, ReLU and pool a batch chunk of at
-    most ``IM2COL_BYTES`` at a time. Backward scatters the pool adjoint
-    into one buffer, recomputes ``x*scale + shift`` with the forward's
-    float ops into a second to mask the first by its sign, then runs the
-    batchnorm adjoint with xhat in the second buffer.
+    recomputes from): no batchnorm or ReLU map outlives the call. Both
+    passes run block by block (``_bn_blocks``, ``EPILOGUE_BYTES``), so
+    no temporary is larger than one block. Forward: the affine, ReLU and
+    pool of each block. Backward: for each block, the pool adjoint (g/4
+    in each 2x2 window, zero in a dropped odd row or column) is masked
+    by the sign of ``x*scale + shift``, recomputed with the forward's
+    float ops; the batchnorm adjoint consumes these blocks twice, so
+    they are recomputed in its second pass rather than stored.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, h, w = x.shape
@@ -896,31 +1033,43 @@ def bn_relu_pool(
     ho, wo = h // 2, w // 2
     xv = x.data.reshape(b, c, h * w)
     out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
-    chunk = max(1, IM2COL_BYTES // (c * h * w * x.data.itemsize))
-    for s in range(0, b, chunk):
-        y = xv[s : s + chunk] * scale[:, None]
-        y += shift[:, None]
+    blocks, size = _bn_blocks(x.data)
+    work = np.empty(size, dtype=x.data.dtype)
+    for i, ch in blocks:
+        xb = xv[i, ch]
+        y = np.multiply(xb, scale[ch, None], out=_front(work, xb.shape))
+        y += shift[ch, None]
         np.maximum(y, _DTYPE(0), out=y)
-        y = y.reshape(-1, c, h, w)
-        outs = out_data[s : s + chunk]
-        for i in range(2):
-            for j in range(2):
-                outs += y[:, :, i : i + 2 * ho : 2, j : j + 2 * wo : 2]
-        del y  # hold one chunk's map at a time
-    out_data /= _DTYPE(4)
+        y = y.reshape(-1, y.shape[1], h, w)
+        outs = out_data[i, ch]
+        for di in range(2):
+            for dj in range(2):
+                outs += y[:, :, di : di + 2 * ho : 2, dj : dj + 2 * wo : 2]
+        outs /= _DTYPE(4)
 
     def bwd(g):
-        gy = np.zeros_like(x.data)
-        gshare = g / _DTYPE(4)
-        for i in range(2):
-            for j in range(2):
-                gy[:, :, i : i + 2 * ho : 2, j : j + 2 * wo : 2] += gshare
-        del gshare
-        gv = gy.reshape(b, c, h * w)
-        work = xv * scale[:, None]
-        work += shift[:, None]
-        gv *= work > 0
-        _bn_adjoint(x, gamma, beta, gv, work, mean, inv_std, scale, training)
+        # zeros once: the dropped row and column of an odd H or W stay zero
+        gy = np.zeros(size, dtype=x.data.dtype)
+        share = np.empty(size // 4, dtype=g.dtype)
+
+        def grad_block(i, ch, work):
+            gs = g[i, ch]
+            nb, nc = gs.shape[:2]
+            # 0 + g/4, as the scatter into zeros of pool2d's adjoint adds
+            # it: a -0.0 share becomes +0.0
+            q = np.divide(gs, _DTYPE(4), out=_front(share, gs.shape))
+            q += 0
+            gb = _front(gy, (nb, nc, h, w))
+            for di in range(2):
+                for dj in range(2):
+                    gb[:, :, di : di + 2 * ho : 2, dj : dj + 2 * wo : 2] = q
+            gv = gb.reshape(nb, nc, h * w)
+            y = np.multiply(xv[i, ch], scale[ch, None], out=_front(work, gv.shape))
+            y += shift[ch, None]
+            gv *= y > 0
+            return gv
+
+        _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training)
 
     return Tensor._from_op(out_data, (x, gamma, beta), bwd)
 
@@ -954,6 +1103,6 @@ def pool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         for i in range(window):
             for j in range(window):
                 gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gshare
-        x._accum(gx)
+        x._adopt(gx)
 
     return Tensor._from_op(np.ascontiguousarray(out_data, dtype=x.data.dtype), (x,), bwd)

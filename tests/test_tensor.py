@@ -477,7 +477,9 @@ class TestBnReluPool:
             out = bn_relu_pool(xt, gt, bt, state, training=training)
         else:
             out = pool2d(batchnorm2d(xt, gt, bt, state, training=training).relu(), 2)
-        (out * Tensor(rng(5).normal(size=out.shape).astype(x.dtype))).sum().backward()
+        mix = rng(5).normal(size=out.shape).astype(x.dtype)
+        mix[..., ::3] = -0.0  # pool2d's adjoint hands these on as +0.0
+        (out * Tensor(mix)).sum().backward()
         return out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var
 
     def compare(self, shape, training, need=(True, True, True), dtype=np.float32):
@@ -498,7 +500,7 @@ class TestBnReluPool:
         for name, want, got in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), *results):
             assert (want is None) == (got is None), name
             if want is not None:
-                assert got.dtype == want.dtype and np.array_equal(got, want), name
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     # odd H or W, where the pool drops the last row or column; B=1
     SHAPES = [(4, 3, 8, 6), (2, 5, 9, 7), (1, 2, 6, 11), (3, 4, 2, 3)]
@@ -515,17 +517,50 @@ class TestBnReluPool:
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_batch_spanning_several_chunks(self, per_chunk, monkeypatch):
+        # blocks of one and of two whole items
         shape = (5, 3, 9, 8)
         item = np.prod(shape[1:]) * 4
-        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", per_chunk * item + item // 2)
+        monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", per_chunk * item + item // 2)
         for training in (True, False):
             self.compare(shape, training)
 
+    # 7 channels of 91 x 93 (odd H and W; rows of more than 8192 values,
+    # which numpy sums in another order when a block holds only one):
+    # 1, 2 and 3 rows per block split each item's channels into 3 ranges
+    # (at least 2 rows each), 5 into 2; 7 and 14 rows hold one and two items
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 14])
+    def test_blocks_bitwise_equal_to_one_block(self, rows, monkeypatch):
+        shape = (3, 7, 91, 93)
+        g = rng(40)
+        x = (g.normal(size=shape) * g.uniform(0.5, 3.0, size=(1, 7, 1, 1))).astype(np.float32)
+        gamma, beta = g.uniform(0.5, 1.5, size=7).astype(np.float32), g.normal(size=7).astype(np.float32)
+
+        def outputs(block_bytes):
+            monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", block_bytes)
+            arrays = []
+            for fused in (True, False):
+                for training in (True, False):
+                    xt = Tensor(x, requires_grad=True)
+                    gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+                    state = BatchNormState(7)
+                    op = bn_relu_pool if fused else batchnorm2d
+                    out = op(xt, gt, bt, state, training=training)
+                    mix = rng(41).normal(size=out.shape).astype(np.float32)
+                    mix[..., ::5] = -0.0  # a -0.0 gradient must come out as the whole-batch op gives it
+                    (out * Tensor(mix)).sum().backward()
+                    arrays += [out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var]
+            return arrays
+
+        blocked = outputs(rows * 91 * 93 * 4)
+        whole = outputs(1 << 40)
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_forward_holds_one_chunk(self, monkeypatch):
         # eval forward: the pooled output (a quarter of x) plus one item's
-        # affine map, never a map of the whole batch
+        # block of the affine map, never a map of the whole batch
         x = Tensor(rng(3).normal(size=(8, 4, 64, 64)).astype(np.float32))
-        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", x.data[0].nbytes)
+        monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", x.data[0].nbytes)
         one, zero = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
         tracemalloc.start()
         try:
@@ -536,6 +571,28 @@ class TestBnReluPool:
             tracemalloc.stop()
         assert out.data.nbytes == x.data.nbytes // 4
         assert peak < x.data.nbytes // 2, peak
+
+    def test_backward_holds_gradient_plus_blocks(self, monkeypatch):
+        # training backward: x's gradient, which x adopts without a copy,
+        # plus a few one-item blocks (numpy's ufunc buffers, 8192 values,
+        # are smaller); a whole-batch temporary (even the quarter-size
+        # g/4) or a copy of the gradient breaks the bound
+        x = Tensor(rng(4).normal(size=(16, 8, 64, 64)).astype(np.float32), requires_grad=True)
+        block = x.data[0].nbytes
+        monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", block)
+        gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
+        out = bn_relu_pool(x, gamma, beta, BatchNormState(8), training=True)
+        g = rng(5).normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and gamma.grad is not None and beta.grad is not None
+        assert peak < x.data.nbytes + 4 * block, peak
 
     def test_float64(self):
         self.compare((2, 3, 7, 9), True, dtype=np.float64)
@@ -824,19 +881,47 @@ class TestEngineProperties:
         np.testing.assert_array_equal(x.grad, 3.0)
         np.testing.assert_array_equal(g, 0.0)
 
+    def test_fresh_first_gradient_is_adopted(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        g = np.full((2, 3), 2.0, np.float32)
+        x._adopt(g)
+        assert x.grad is g  # no copy
+        x._adopt(np.ones((2, 3), np.float32))
+        np.testing.assert_array_equal(g, 3.0)  # later gradients add into it
+        y = Tensor(np.ones(3), requires_grad=True)
+        g64 = np.ones(3)
+        y._adopt(g64)  # another dtype is cast, so copied
+        assert y.grad.dtype == np.float32 and not np.shares_memory(y.grad, g64)
+        w = Tensor(np.ones(3), requires_grad=True)
+        h = np.ones(3, np.float32)
+        w._accum(h)  # only _adopt hands a buffer over
+        assert not np.shares_memory(w.grad, h)
+
+
+def _assert_no_shared_gradients(tensors):
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
 
 class TestGradientRelease:
     def _graph(self):
         """Every op of the classifier once, with their leaves."""
         g = rng(80)
         leaves = {
-            "x": Tensor(g.normal(size=(2, 1, 6, 6)), requires_grad=True),
+            "x": Tensor(g.normal(size=(2, 1, 8, 8)), requires_grad=True),
             "w": Tensor(g.normal(size=(3, 1, 3, 3)), requires_grad=True),
+            "gamma1": Tensor(np.ones(3), requires_grad=True),
+            "beta1": Tensor(np.zeros(3), requires_grad=True),
+            "w2": Tensor(g.normal(size=(3, 3, 3, 3)), requires_grad=True),
             "gamma": Tensor(np.ones(3), requires_grad=True),
             "beta": Tensor(np.zeros(3), requires_grad=True),
-            "proj": Tensor(g.normal(size=(27, 2)), requires_grad=True),
+            "proj": Tensor(g.normal(size=(12, 2)), requires_grad=True),
         }
         h = conv2d(leaves["x"], leaves["w"], padding=1)
+        h = bn_relu_pool(h, leaves["gamma1"], leaves["beta1"], BatchNormState(3), training=True)
+        h = conv2d(h, leaves["w2"], padding=1)
         h = batchnorm2d(h, leaves["gamma"], leaves["beta"], BatchNormState(3), training=True)
         h = pool2d(h.relu(), 2).reshape(2, -1)
         s = softmax(matmul(h, leaves["proj"]) * 2.0, axis=1)
@@ -860,6 +945,34 @@ class TestGradientRelease:
         loss.backward()
         assert all(n.grad is None for n in inner)
         assert {id(n) for n in nodes if n.grad is not None} == {id(t) for t in leaves.values()}
+        _assert_no_shared_gradients(leaves.values())
+
+    @pytest.mark.parametrize("fused_first", [True, False])
+    def test_adopted_gradient_takes_fan_out(self, fused_first):
+        # the fused op's input also feeds a product; whichever closure
+        # runs first hands x a buffer it adopts, and the other adds into it
+        g = rng(81)
+        x = Tensor(g.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        gamma = Tensor(g.uniform(0.5, 1.5, size=3), requires_grad=True)
+        beta = Tensor(g.normal(size=3), requires_grad=True)
+        mix, other = Tensor(g.normal(size=(2, 3, 3, 3))), Tensor(g.normal(size=(2, 3, 6, 6)))
+
+        def fused():
+            return (bn_relu_pool(x, gamma, beta, BatchNormState(3), training=True) * mix).sum()
+
+        def product():
+            return (x * other).sum()
+
+        fused().backward()
+        want = [x.grad, gamma.grad, beta.grad]
+        x.zero_grad(), gamma.zero_grad(), beta.zero_grad()
+        product().backward()
+        want[0] = want[0] + x.grad
+        x.zero_grad()
+        (fused() + product() if fused_first else product() + fused()).backward()
+        for got, expected in zip((x.grad, gamma.grad, beta.grad), want):
+            np.testing.assert_array_equal(got, expected)
+        _assert_no_shared_gradients([x, gamma, beta, mix, other])
 
     def test_fan_out_gradient_summed_before_release(self):
         # y feeds two ops; its gradient must hold both contributions when

@@ -366,3 +366,40 @@ class TestAgeSpecific:
             with pytest.raises(DivergenceError) as err:
                 train(corpus, tiny_model_cfg(n_bands=8), cfg)
         assert err.value.epoch == 0
+
+
+# Peak RSS (ru_maxrss, MiB) of one ICBHI-preset train() step at the paper's
+# batch, B=128 on 249 x 64 input with SpecAugment on, measured on a 2-vCPU
+# machine (numpy 2.4.6, OpenBLAS 0.3.31).
+PAPER_STEP_PEAK_MIB = 2164
+
+
+def test_paper_batch_step_memory():
+    # the 1.15 margin that fbs.ACTIVATION_COPIES is set with: a change that
+    # brings back a whole-batch temporary of the conv-block epilogue fails
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lungsound.fbs as fbs
+    from lungsound.model import icbhi_config
+
+    code = """
+import resource
+from lungsound.data import SynthSpec, synth_corpus
+from lungsound.model import icbhi_config
+from lungsound.train import TrainConfig, train
+specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_class=32, seed=0))
+train(specs, icbhi_config(4), TrainConfig(epochs=1, batch_size=128, seed=0, specaugment=True))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
+                         env={"PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    peak = int(out.stdout.split()[-1]) * 1024
+    assert peak < 1.15 * PAPER_STEP_PEAK_MIB * 2**20, peak / 2**20
+    # the FBS pool's memory rule covers the step it sizes workers for
+    specs = synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1))
+    sweep = fbs._Sweep(specs, [], icbhi_config(4), TrainConfig(batch_size=128), None)
+    assert fbs._training_bytes(sweep) > peak
