@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import fit_duration, mel_spectrogram, read_wav, standardize
+from .audio import LOG_FLOOR, fit_duration, mel_spectrogram, read_wav, standardize
 from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
 from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .fbs import MIN_BANDS, FbsResult, fbs_backward, fbs_importance
@@ -631,7 +631,7 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
     if args.method == "ig":
         s = picked[0]
         x_score = _score_of(model, s.values, args.class_id)
-        b_score = _score_of(model, np.full_like(s.values, float(np.log(1e-10))), args.class_id)
+        b_score = _score_of(model, np.full_like(s.values, float(np.log(LOG_FLOOR))), args.class_id)
         total = float(maps[0].values.sum())
         gap = abs(total - (x_score - b_score))
         denom = max(abs(x_score - b_score), 1e-12)

@@ -28,6 +28,7 @@ float a serial loop computes.
 
 from __future__ import annotations
 
+import functools
 import logging
 import mmap
 import multiprocessing
@@ -316,6 +317,24 @@ def _pool_size(sweep: _Sweep, n_jobs: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_jobs, fit)
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas) through ``ctypes``, or
+    None where numpy ships another BLAS, whose threads forked workers
+    would each keep in full. Looked up when the first pool starts."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
 _WORKER = None  # (sweep, started) inside a pool worker; set by _adopt
 
 
@@ -337,10 +356,12 @@ def _pool_job(j: int, keep: np.ndarray, fold: int):
 class _Jobs:
     """Runs a sweep's (keep, fold) jobs and returns their results in job order.
 
-    With one worker (see ``_pool_size``) the jobs run in this process.
+    With one worker (see ``_pool_size``), or no way to set the workers'
+    BLAS threads (see ``_openblas``), the jobs run in this process.
     Otherwise they run on a ``fork`` process pool that lives as long as
-    the ``with`` block. The workers inherit the sweep copy-on-write, so
-    a job ships only its mask bits and fold. A job's exception is raised
+    the ``with`` block, each worker with ``cpus // workers`` BLAS threads
+    (at least one). The workers inherit the sweep copy-on-write, so a
+    job ships only its mask bits and fold. A job's exception is raised
     here; a worker that dies mid-job raises ``WorkerError`` naming the job.
     """
 
@@ -348,7 +369,8 @@ class _Jobs:
         self.sweep = sweep
         self.pool = None
         size = _pool_size(sweep, n_jobs)
-        if size > 1:
+        blas = _openblas() if size > 1 else None
+        if blas is not None:
             # the pid of the worker running job j, 0 when none; shared with the workers
             self.started = np.frombuffer(mmap.mmap(-1, 8 * n_jobs), dtype=np.int64)
             self.pool = ProcessPoolExecutor(
@@ -358,6 +380,12 @@ class _Jobs:
                 initargs=(sweep, self.started),
             )
             self.workers = []
+            # the workers fork with this process's BLAS thread count, so it
+            # is their share while the pool lives; set inside a forked
+            # worker, it would restart OpenBLAS's threads there, and an idle
+            # one spins for about 0.1 s of CPU
+            self.blas_threads = blas.scipy_openblas_get_num_threads64_()
+            blas.scipy_openblas_set_num_threads64_(max(1, len(os.sched_getaffinity(0)) // size))
 
     def __enter__(self):
         return self
@@ -365,6 +393,7 @@ class _Jobs:
     def __exit__(self, *exc):
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
+            _openblas().scipy_openblas_set_num_threads64_(self.blas_threads)
 
     def run(self, jobs: list[tuple[np.ndarray, int]]) -> list:
         if self.pool is None:

@@ -1,11 +1,12 @@
 """CNN with temporal self-attention for spectrogram classification.
 
 The backbone is a stack of [5x5 conv (stride 1, pad 2) -> batchnorm ->
-ReLU -> 2x2 average pool] blocks. In every block but the last, the
-batchnorm, ReLU and pool run as one op (``tensor.bn_relu_pool``) whose
-graph keeps only the conv output, so a training step holds no batchnorm
-or ReLU map of those blocks; the last block's ReLU output is kept,
-because Grad-CAM reads it. A frequency aggregation step (mean +
+ReLU -> 2x2 average pool] blocks. Every block runs its batchnorm, ReLU
+and pool as one op (``tensor.bn_relu_pool``) whose graph keeps only the
+conv output and the op's output, so a training step holds no batchnorm
+map, and no ReLU map but the last block's: that block's op skips the
+pool, Grad-CAM reads its ReLU output, and ``head`` pools it. A
+frequency aggregation step (mean +
 max over the band axis) collapses the feature map to a per-frame
 vector sequence; scaled dot-product self-attention over time follows,
 then temporal mean pooling and a linear classifier.
@@ -27,7 +28,7 @@ from .seeding import rng_for
 from .tensor import (
     BatchNormState,
     Tensor,
-    batchnorm2d,
+    batchnorm2d,  # noqa: F401  unused; perfbench's tracer patches it by name until ROADMAP item 2
     bn_relu_pool,
     conv2d,
     matmul,
@@ -261,10 +262,6 @@ class CnnTsa:
     # with respect to a fresh leaf. The model keeps no activation it
     # computes, so a trained model pins no graph.
 
-    def backbone_forward(self, x: Tensor, training: bool = False) -> Tensor:
-        """Run the conv blocks only; attention stages inside are applied."""
-        return self._pool_stage(self.features(x, training), self.cfg.n_conv_blocks)
-
     def _attend_flat(self, fm: Tensor) -> Tensor:
         """Temporal attention on the frequency-flattened feature map."""
         b, c, t, f = fm.shape
@@ -274,19 +271,19 @@ class CnnTsa:
         )
         return seq.reshape(b, t, c, f).transpose(0, 2, 1, 3)
 
-    def _attention_block(self) -> int | None:
-        """Block after which attention runs on the flattened map (0 = the input)."""
-        stage = self.cfg.attention_stage()
-        return stage if stage is not None and stage >= 0 else None
+    def _attend_at(self, fm: Tensor, i: int) -> Tensor:
+        """``fm`` through attention on the flattened map if attention is
+        placed after block i (0: on the input), else ``fm`` itself."""
+        return self._attend_flat(fm) if self.cfg.attention_stage() == i else fm
 
     def features(self, x, training: bool = False) -> Tensor:
         """The last conv block's ReLU output [B, d, T', F'], before its pool.
 
-        Blocks 1 to n-1 run conv, then ``bn_relu_pool`` (batchnorm, ReLU
-        and the 2x2 pool as one op that keeps only the conv output for
+        Each block runs conv, then ``bn_relu_pool`` (batchnorm, ReLU and
+        the 2x2 pool as one op that keeps only its input and output for
         backward), then attention if it is placed after that block. The
-        last block runs conv, ``batchnorm2d`` and ReLU, and returns the
-        ReLU output that Grad-CAM reads; ``head`` pools it.
+        last block's op skips the pool and returns the ReLU output that
+        Grad-CAM reads; ``head`` pools it.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         cfg = self.cfg
@@ -297,38 +294,25 @@ class CnnTsa:
                 f"input has {x.shape[3]} bands but the model was built for "
                 f"{cfg.n_mel_rows_in}"
             )
-        fm = x
-        if self._attention_block() == 0:
-            fm = self._attend_flat(fm)
+        fm = self._attend_at(x, 0)
         n = cfg.n_conv_blocks
         for i in range(1, n + 1):
             fm = conv2d(fm, self.params[f"conv{i}.weight"], stride=1, padding=PADDING)
+            _, _, t, f = fm.shape
+            if t < POOL or f < POOL:
+                raise ShapeError(
+                    f"conv block {i}: feature map {t}x{f} too small for "
+                    f"{POOL}x{POOL} pooling"
+                )
             bn = (self.params[f"bn{i}.gamma"], self.params[f"bn{i}.beta"], self.bn_states[f"bn{i}"])
-            if i == n:
-                return batchnorm2d(fm, *bn, training=training).relu()
-            fm = self._pool_stage(fm, i, bn, training)
-
-    def _pool_stage(self, fm: Tensor, i: int, bn=None, training: bool = False) -> Tensor:
-        """Block i's 2x2 average pool, then attention if it is placed there.
-
-        Without ``bn``, ``fm`` is the block's ReLU output. With ``bn``
-        (gamma, beta, state), ``fm`` is its conv output, and batchnorm
-        and ReLU run inside the pool's op, ``bn_relu_pool``.
-        """
-        _, _, t, f = fm.shape
-        if t < POOL or f < POOL:
-            raise ShapeError(
-                f"conv block {i}: feature map {t}x{f} too small for "
-                f"{POOL}x{POOL} pooling"
-            )
-        fm = pool2d(fm, POOL) if bn is None else bn_relu_pool(fm, *bn, training=training)
-        if self._attention_block() == i:
-            fm = self._attend_flat(fm)
+            fm = bn_relu_pool(fm, *bn, training=training, pool=i < n)
+            if i < n:
+                fm = self._attend_at(fm, i)
         return fm
 
     def head(self, act: Tensor) -> Tensor:
         """Logits [B, n_classes] from ``features``: pool, attention, aggregation, classifier."""
-        fm = self._pool_stage(act, self.cfg.n_conv_blocks)
+        fm = self._attend_at(pool2d(act), self.cfg.n_conv_blocks)
         seq = aggregate_frequency(fm)  # (B, T', d)
         if self.cfg.attention_stage() == -1:
             seq = temporal_self_attention(

@@ -1,10 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Covers exactly the operations the classifier needs: elementwise
-arithmetic, matmul with leading-batch broadcasting, 2D convolution,
-batch normalization, average pooling, the fused batchnorm -> ReLU ->
-2x2 pool of a conv block, softmax, axis reductions, ReLU, log, and
-shape manipulation. Values are float32 throughout
+Covers exactly the operations the classifier needs: elementwise sum
+and product, matmul with leading-batch broadcasting, 2D convolution,
+the conv-block epilogue ``bn_relu_pool`` (batchnorm -> ReLU -> 2x2
+average pool as one op, or without the pool for the last block), 2x2
+average pooling, softmax, axis reductions, log, clamping, and shape
+manipulation. ``batchnorm2d`` alone is the reference the epilogue is
+tested against. Values are float32 throughout
 (the ``precision`` context widens the engine for gradient oracles).
 
 Broadcasting is restricted to leading batch dimensions (shapes must
@@ -31,16 +33,17 @@ storing them (sublinear-memory training, arXiv:1604.06174): conv2d
 builds its columns or transformed tiles a few batch items at a time
 (``IM2COL_BYTES``) and rebuilds them in backward, batchnorm recomputes
 its normalized input in backward, ``bn_relu_pool`` keeps only its input
-and recomputes the batchnorm and ReLU maps it never stores, and
+and output and recomputes the batchnorm map it never stores, and
 ``backward()`` frees each intermediate gradient once it has been passed
-on. Batchnorm's statistics and adjoint and the fused epilogue run over
-blocks of at most ``EPILOGUE_BYTES`` (whole items, or one item's channel
-range), so their chains of elementwise steps stay in a core's L2 cache
-and hold no whole-batch temporary; each (item, channel) row is summed
-inside its block and the row sums are added over items afterwards, the
-order a whole-batch reduction takes, so no float depends on the
-blocking. A closure that allocates a gradient buffer for one input
-alone hands it over with ``_adopt``, and the input keeps it as its
+on (so a closure may overwrite the gradient it is handed: only its node
+holds it). Batchnorm's statistics and adjoint and the fused epilogue run
+over blocks of at most ``EPILOGUE_BYTES`` (whole items, or one item's
+channel range), so their chains of elementwise steps stay in a core's
+L2 cache and hold no whole-batch temporary; each (item, channel) row is
+summed inside its block and the row sums are added over items
+afterwards, the order a whole-batch reduction takes, so no float depends
+on the blocking. A closure that allocates a gradient buffer for one
+input alone hands it over with ``_adopt``, and the input keeps it as its
 gradient instead of copying it.
 
 Graph building: an op records its parents and backward closure only
@@ -72,7 +75,6 @@ __all__ = [
     "matmul",
     "softmax",
     "reduce",
-    "relu",
     "precision",
     "no_grad",
 ]
@@ -281,8 +283,6 @@ class Tensor:
 
         return Tensor._from_op(a.data + b.data, (a, b), bwd)
 
-    __radd__ = __add__
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         _check_leading_broadcast(self.shape, other.shape)
@@ -295,29 +295,6 @@ class Tensor:
                 b._adopt(_unbroadcast(g * a.data, b.shape))
 
         return Tensor._from_op(a.data * b.data, (a, b), bwd)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
-    def relu(self) -> "Tensor":
-        x = self
-
-        def bwd(g):
-            x._adopt(g * (x.data > 0))
-
-        return Tensor._from_op(np.maximum(x.data, _DTYPE(0)), (x,), bwd)
 
     def log(self) -> "Tensor":
         """Natural log; the caller must guarantee strictly positive input."""
@@ -371,12 +348,6 @@ class Tensor:
 
     def sum(self, axis: int | None = None) -> "Tensor":
         return reduce(self, "sum", axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return reduce(self, "mean", axis)
-
-    def max(self, axis: int | None = None) -> "Tensor":
-        return reduce(self, "max", axis)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -432,7 +403,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def reduce(x: Tensor, kind: str, axis: int | None = None) -> Tensor:
-    """Reduce along ``axis`` (or all elements when None).
+    """Reduce along ``axis`` (``sum`` and ``mean`` also over all elements,
+    when it is None).
 
     ``mean`` spreads the incoming gradient uniformly, ``max`` routes it
     to the first (row-major) maximal element, ``sum`` passes it through.
@@ -454,25 +426,16 @@ def reduce(x: Tensor, kind: str, axis: int | None = None) -> Tensor:
             x._adopt(_expand_like(g, x.shape, axis) / _DTYPE(n))
 
     elif kind == "max":
-        out_data = x.data.max(axis=axis)
         if axis is None:
-            flat_idx = int(np.argmax(x.data))
+            raise ShapeError("reduce 'max' needs an axis")
+        out_data = x.data.max(axis=axis)
+        ax = axis % x.ndim
+        idx = np.argmax(x.data, axis=ax)  # first occurrence on ties
 
-            def bwd(g):
-                gi = np.zeros_like(x.data)
-                gi.reshape(-1)[flat_idx] = g
-                x._adopt(gi)
-
-        else:
-            ax = axis % x.ndim
-            idx = np.argmax(x.data, axis=ax)  # first occurrence on ties
-
-            def bwd(g):
-                gi = np.zeros_like(x.data)
-                np.put_along_axis(
-                    gi, np.expand_dims(idx, ax), np.expand_dims(g, ax), ax
-                )
-                x._adopt(gi)
+        def bwd(g):
+            gi = np.zeros_like(x.data)
+            np.put_along_axis(gi, np.expand_dims(idx, ax), np.expand_dims(g, ax), ax)
+            x._adopt(gi)
 
     else:
         raise ValueError(f"unknown reduction kind {kind!r}")
@@ -484,10 +447,6 @@ def _expand_like(g: np.ndarray, shape: tuple, axis: int | None) -> np.ndarray:
         return np.broadcast_to(np.asarray(g, dtype=_DTYPE), shape).copy()
     ax = axis % len(shape)
     return np.broadcast_to(np.expand_dims(g, ax), shape).copy()
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
 
 
 # -- convolution ----------------------------------------------------------------
@@ -985,7 +944,8 @@ def batchnorm2d(
     state: BatchNormState,
     training: bool,
 ) -> Tensor:
-    """Per-channel batch normalization over [B,C,H,W].
+    """Per-channel batch normalization over [B,C,H,W]; the model runs it
+    only inside ``bn_relu_pool``, and tests hold the fused op to this one.
 
     Training mode normalizes with batch statistics and updates the
     running estimates; eval mode normalizes with the running estimates
@@ -1011,35 +971,47 @@ def bn_relu_pool(
     beta: Tensor,
     state: BatchNormState,
     training: bool,
+    pool: bool = True,
 ) -> Tensor:
-    """``pool2d(batchnorm2d(x, ...).relu(), 2)`` as one op, bit for bit.
+    """Batchnorm, ReLU and a 2x2 average pool (or, with ``pool=False``,
+    no pool) as one op, bit for bit the maps and gradients of the
+    separate ops (``batchnorm2d``, a ReLU and ``pool2d``).
 
-    Only the pooled map is returned, and the graph keeps only ``x``
+    Backward reads only ``x`` and, without the pool, the ReLU output
     (In-Place Activated BatchNorm, arXiv:1712.02616, keeps what backward
-    recomputes from): no batchnorm or ReLU map outlives the call. Both
-    passes run block by block (``_bn_blocks``, ``EPILOGUE_BYTES``), so
-    no temporary is larger than one block. Forward: the affine, ReLU and
-    pool of each block. Backward: for each block, the pool adjoint (g/4
-    in each 2x2 window, zero in a dropped odd row or column) is masked
-    by the sign of ``x*scale + shift``, recomputed with the forward's
-    float ops; the batchnorm adjoint consumes these blocks twice, so
-    they are recomputed in its second pass rather than stored.
+    recomputes from): no batchnorm map, and with the pool no ReLU map,
+    outlives the call. Both passes run block by block (``_bn_blocks``,
+    ``EPILOGUE_BYTES``), so no temporary is larger than one block.
+    Forward: the affine, ReLU and pool of each block. Backward: for each
+    block, the pool adjoint (g/4 in each 2x2 window, zero in a dropped
+    odd row or column) is masked by the sign of ``x*scale + shift``,
+    recomputed with the forward's float ops; without the pool, the
+    output gradient is masked in place by the sign of the ReLU output.
+    The batchnorm adjoint consumes these blocks twice, so they are
+    recomputed (or masked again) in its second pass rather than stored.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, h, w = x.shape
-    if h < 2 or w < 2:
+    if pool and (h < 2 or w < 2):
         raise ShapeError(f"pool window 2 exceeds spatial dims of input {x.shape}")
     mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state, training)
     ho, wo = h // 2, w // 2
+    dt = x.data.dtype
     xv = x.data.reshape(b, c, h * w)
-    out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
     blocks, size = _bn_blocks(x.data)
-    work = np.empty(size, dtype=x.data.dtype)
+    if pool:
+        out_data = np.zeros((b, c, ho, wo), dtype=dt)
+        work = np.empty(size, dtype=dt)
+    else:
+        out_data = np.empty((b, c, h, w), dtype=dt)
+        yv = out_data.reshape(b, c, h * w)
     for i, ch in blocks:
         xb = xv[i, ch]
-        y = np.multiply(xb, scale[ch, None], out=_front(work, xb.shape))
+        y = np.multiply(xb, scale[ch, None], out=_front(work, xb.shape) if pool else yv[i, ch])
         y += shift[ch, None]
         np.maximum(y, _DTYPE(0), out=y)
+        if not pool:
+            continue
         y = y.reshape(-1, y.shape[1], h, w)
         outs = out_data[i, ch]
         for di in range(2):
@@ -1049,12 +1021,20 @@ def bn_relu_pool(
 
     def bwd(g):
         # zeros once: the dropped row and column of an odd H or W stay zero
-        gy = np.zeros(size, dtype=x.data.dtype)
-        share = np.empty(size // 4, dtype=g.dtype)
+        gy = np.zeros(size, dtype=dt) if pool else None
+        share = np.empty(size // 4, dtype=g.dtype) if pool else None
 
         def grad_block(i, ch, work):
             gs = g[i, ch]
             nb, nc = gs.shape[:2]
+            if not pool:
+                # the output gradient where the ReLU passed it on, masked in
+                # place: g is this op's alone and dropped once the closure
+                # returns, and the adjoint's second pass masks it again,
+                # which changes no bit
+                gv = gs.reshape(nb, nc, h * w)
+                gv *= yv[i, ch] > 0
+                return gv
             # 0 + g/4, as the scatter into zeros of pool2d's adjoint adds
             # it: a -0.0 share becomes +0.0
             q = np.divide(gs, _DTYPE(4), out=_front(share, gs.shape))
@@ -1077,32 +1057,29 @@ def bn_relu_pool(
 # -- pooling --------------------------------------------------------------------
 
 
-def pool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    """Average pooling with a square window over the last two dims."""
+def pool2d(x: Tensor) -> Tensor:
+    """2x2 average pooling at stride 2 over the last two dims; an odd
+    last row or column is dropped."""
     x = x if isinstance(x, Tensor) else Tensor(x)
-    stride = window if stride is None else stride
     b, c, h, w = x.shape
-    if window > h or window > w:
-        raise ShapeError(
-            f"pool window {window} exceeds spatial dims of input {x.shape}"
-        )
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    if h < 2 or w < 2:
+        raise ShapeError(f"pool window 2 exceeds spatial dims of input {x.shape}")
+    ho, wo = h // 2, w // 2
     # one add of whole (Ho, Wo) planes per window offset; a mean over
     # the two small window axes of a strided view loops element-wise
     # when the input is NCHW-contiguous, as conv2d outputs are
     out_data = np.zeros((b, c, ho, wo), dtype=x.data.dtype)
-    for i in range(window):
-        for j in range(window):
-            out_data += x.data[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    out_data /= _DTYPE(window * window)
+    for i in range(2):
+        for j in range(2):
+            out_data += x.data[:, :, i : i + 2 * ho : 2, j : j + 2 * wo : 2]
+    out_data /= _DTYPE(4)
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        gshare = g / _DTYPE(window * window)
-        for i in range(window):
-            for j in range(window):
-                gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gshare
+        gshare = g / _DTYPE(4)
+        for i in range(2):
+            for j in range(2):
+                gx[:, :, i : i + 2 * ho : 2, j : j + 2 * wo : 2] += gshare
         x._adopt(gx)
 
-    return Tensor._from_op(np.ascontiguousarray(out_data, dtype=x.data.dtype), (x,), bwd)
+    return Tensor._from_op(out_data, (x,), bwd)

@@ -192,7 +192,7 @@ def train(
         conf = np.zeros((n_classes, n_classes), dtype=np.int64)
         for start in range(0, n, train_cfg.batch_size):
             idx = perm[start : start + train_cfg.batch_size]
-            xb = x_all[idx].copy()
+            xb = x_all[idx]  # a fresh array: SpecAugment may write into it
             yb = labels[idx]
             if train_cfg.specaugment:
                 for row in xb:

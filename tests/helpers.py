@@ -17,6 +17,16 @@ FD_RTOL = 1e-3
 FD_ATOL = 1e-5
 
 
+def relu(x: Tensor) -> Tensor:
+    """ReLU as an op of its own: the reference ``tensor.bn_relu_pool`` is
+    held to, bit for bit, as ``relu(batchnorm2d(...))`` (then ``pool2d``)."""
+
+    def bwd(g):
+        x._adopt(g * (x.data > 0))
+
+    return Tensor._from_op(np.maximum(x.data, x.data.dtype.type(0)), (x,), bwd)
+
+
 def numeric_gradient(fn, x: np.ndarray, h: float = FD_H) -> np.ndarray:
     """Central finite differences of scalar-valued fn at x."""
     x = np.asarray(x, dtype=np.float64)

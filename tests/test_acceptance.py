@@ -135,35 +135,38 @@ def _gradient_cases():
 
         yield f"batchnorm2d[{i}]", loss, {"x": x, "gamma": gamma, "beta": beta}, 1e-3
 
-    # the fused conv-block epilogue: odd H or W, eval mode, frozen gamma and beta
-    for i, (shape, training, frozen) in enumerate(
-        [((2, 3, 5, 6), True, False), ((1, 2, 7, 5), False, False), ((2, 2, 4, 7), True, True)]
-    ):
-        x = g.normal(size=shape).astype(np.float32)
-        gamma = g.uniform(0.5, 1.5, size=shape[1]).astype(np.float32)
-        beta = (g.normal(size=shape[1]) * 0.3).astype(np.float32)
-        mix = mixer((shape[0], shape[1], shape[2] // 2, shape[3] // 2), 250 + i)
-        arrays = {"x": x} if frozen else {"x": x, "gamma": gamma, "beta": beta}
+    # the fused conv-block epilogue, with the pool (blocks 1 to n-1) and
+    # without it (the last block): odd H or W, eval mode, frozen gamma and beta
+    for pool in (True, False):
+        # the no-pool cases draw from a generator of their own
+        gp = g if pool else np.random.default_rng(2025)
+        for i, (shape, training, frozen) in enumerate(
+            [((2, 3, 5, 6), True, False), ((1, 2, 7, 5), False, False), ((2, 2, 4, 7), True, True)]
+        ):
+            x = gp.normal(size=shape).astype(np.float32)
+            gamma = gp.uniform(0.5, 1.5, size=shape[1]).astype(np.float32)
+            beta = (gp.normal(size=shape[1]) * 0.3).astype(np.float32)
+            out_shape = shape[:2] + ((shape[2] // 2, shape[3] // 2) if pool else shape[2:])
+            mix = mixer(out_shape, (250 if pool else 260) + i)
+            arrays = {"x": x} if frozen else {"x": x, "gamma": gamma, "beta": beta}
 
-        def loss(t, c=shape[1], tr=training, ga=gamma, be=beta, m=mix):
-            state = BatchNormState(c)
-            state.running_mean[:] = 0.1
-            state.running_var[:] = 1.3
-            gt, bt = t.get("gamma", Tensor(ga)), t.get("beta", Tensor(be))
-            return (bn_relu_pool(t["x"], gt, bt, state, training=tr) * Tensor(m)).sum()
+            def loss(t, c=shape[1], tr=training, ga=gamma, be=beta, m=mix, p=pool):
+                state = BatchNormState(c)
+                state.running_mean[:] = 0.1
+                state.running_var[:] = 1.3
+                gt, bt = t.get("gamma", Tensor(ga)), t.get("beta", Tensor(be))
+                return (bn_relu_pool(t["x"], gt, bt, state, training=tr, pool=p) * Tensor(m)).sum()
 
-        # h=1e-5: ReLU's kink sits inside a 1e-3 secant for some entries
-        yield f"bn_relu_pool[{i}]", loss, arrays, 1e-5
+            # h=1e-5: ReLU's kink sits inside a 1e-3 secant for some entries
+            yield f"bn_relu_pool{'' if pool else '-nopool'}[{i}]", loss, arrays, 1e-5
 
-    for i, (shape, window, stride) in enumerate(
-        [((1, 2, 6, 6), 2, 2), ((2, 1, 8, 8), 2, 1), ((1, 1, 5, 5), 3, 3)]
-    ):
+    # one 2x2 window; odd H, odd W and both, whose last row or column is dropped
+    for i, shape in enumerate([(1, 2, 6, 6), (2, 1, 7, 8), (1, 1, 5, 5)]):
         x = (g.permutation(int(np.prod(shape))).reshape(shape) * 0.13).astype(np.float32)
-        out_shape = pool2d(Tensor(x), window, stride).shape
-        mix = mixer(out_shape, 300 + i)
+        mix = mixer((shape[0], shape[1], shape[2] // 2, shape[3] // 2), 300 + i)
 
-        def loss(t, w=window, s=stride, m=mix):
-            return (pool2d(t["x"], w, s) * Tensor(m)).sum()
+        def loss(t, m=mix):
+            return (pool2d(t["x"]) * Tensor(m)).sum()
 
         yield f"pool2d[{i}]", loss, {"x": x}, 1e-3
 

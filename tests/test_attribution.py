@@ -17,7 +17,7 @@ from lungsound.audio import Spectrogram
 from lungsound.data import SpecSet, SynthSpec, synth_corpus
 from lungsound.errors import DivergenceError, UnsupportedMethodError
 from lungsound.model import CnnTsa, ModelConfig
-from lungsound.tensor import Tensor, conv2d, reduce
+from lungsound.tensor import Tensor, conv2d, matmul, reduce
 from lungsound.train import TrainConfig, train
 
 
@@ -67,7 +67,7 @@ class LinearModel:
         self.params = {"w": self.w}
 
     def forward(self, x, training=False):
-        return x.reshape(x.shape[0], -1) @ self.w
+        return matmul(x.reshape(x.shape[0], -1), self.w)
 
     def zero_grad(self):
         self.w.zero_grad()
@@ -287,9 +287,10 @@ def assert_close_to(values, ref):
 
 
 class TestBatchedMatchesPerSample:
-    """Batched, parameter-frozen attribution against the per-sample
-    references, on chunk sizes that fill one chunk partly (1), exactly
-    (16 = ATTRIBUTION_BATCH), and spill into a second (17)."""
+    """Parameter-frozen attribution against the per-sample references:
+    Grad-CAM on clip counts that fill one batch partly (1), exactly
+    (16 = ATTRIBUTION_BATCH), and spill into a second (17); IG, one step
+    at a time, on the same step counts."""
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @pytest.mark.parametrize("n_clips", [1, 16, 17])

@@ -336,6 +336,40 @@ class TestJobPool:
         assert multiprocessing.active_children() == []  # the pool is gone with the sweep
         assert pooled == serial
 
+    def test_workers_share_the_blas_threads(self, pool_of, monkeypatch):
+        import os
+
+        import lungsound.fbs as fbs
+
+        cpus = len(os.sched_getaffinity(0))
+        if cpus < 2:
+            pytest.skip("one CPU: no pool of two workers")
+        blas = fbs._openblas()
+        assert blas is not None  # numpy's wheels bundle scipy-openblas
+        own = blas.scipy_openblas_get_num_threads64_()
+        # each job reports the BLAS threads of the worker that ran it
+        monkeypatch.setattr(fbs, "_cv_job", lambda sweep, keep, fold: blas.scipy_openblas_get_num_threads64_())
+        corpus, mcfg, tcfg = small_setup()
+        pools = pool_of(2)
+        with fbs._Jobs(fbs._Sweep(corpus, [], mcfg, tcfg, None), 4) as jobs:
+            threads = jobs.run([(np.ones(16, bool), fold) for fold in range(4)])
+        assert pools == [2]
+        assert threads == [cpus // 2] * 4 and 2 * max(threads) <= cpus
+        assert blas.scipy_openblas_get_num_threads64_() == own  # this process keeps its count
+
+    def test_without_blas_control_jobs_run_here(self, pool_of, monkeypatch):
+        import os
+
+        import lungsound.fbs as fbs
+
+        monkeypatch.setattr(fbs, "_openblas", lambda: None)
+        monkeypatch.setattr(fbs, "_cv_job", lambda sweep, keep, fold: (os.getpid(), fold))
+        corpus, mcfg, tcfg = small_setup()
+        pools = pool_of(2)
+        with fbs._Jobs(fbs._Sweep(corpus, [], mcfg, tcfg, None), 2) as jobs:
+            ran = jobs.run([(np.ones(16, bool), fold) for fold in range(2)])
+        assert pools == [] and ran == [(os.getpid(), 0), (os.getpid(), 1)]
+
     def test_pool_size_rule(self, monkeypatch):
         import lungsound.fbs as fbs
         from lungsound.model import icbhi_config

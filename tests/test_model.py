@@ -18,11 +18,17 @@ from lungsound.model import (
     sprsound_config,
     temporal_self_attention,
 )
-from lungsound.tensor import Tensor, matmul
+from lungsound.tensor import Tensor, matmul, pool2d
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def backbone(m, x):
+    """The conv blocks' output: ``features`` and the last block's pool
+    (and no attention placed after the last block)."""
+    return pool2d(m.features(x))
 
 
 def tiny_cfg(**kw):
@@ -49,12 +55,12 @@ class TestModelConfig:
 class TestBackbone:
     def test_shape_64x64_four_blocks(self):
         m = CnnTsa(icbhi_config(n_mel_rows_in=64), seed=0)
-        out = m.backbone_forward(Tensor(rng().normal(size=(1, 1, 64, 64)).astype(np.float32)))
+        out = backbone(m, Tensor(rng().normal(size=(1, 1, 64, 64)).astype(np.float32)))
         assert out.shape == (1, 512, 4, 4)
 
     def test_shape_248x32_three_blocks(self):
         m = CnnTsa(sprsound_config(n_mel_rows_in=32), seed=0)
-        out = m.backbone_forward(Tensor(rng().normal(size=(2, 1, 248, 32)).astype(np.float32)))
+        out = backbone(m, Tensor(rng().normal(size=(2, 1, 248, 32)).astype(np.float32)))
         assert out.shape == (2, 256, 31, 4)
 
     def test_zero_input_finite_output(self):
@@ -65,7 +71,7 @@ class TestBackbone:
     def test_too_small_input_names_failing_block(self):
         m = CnnTsa(icbhi_config(n_mel_rows_in=64), seed=0)
         with pytest.raises(ShapeError, match="conv block 3"):
-            m.backbone_forward(Tensor(np.zeros((1, 1, 6, 64), np.float32)))
+            m.features(Tensor(np.zeros((1, 1, 6, 64), np.float32)))
 
 
     @pytest.mark.parametrize("placement", ["after_aggregation", "after_block_1", "after_last"])
@@ -82,9 +88,9 @@ class TestBackbone:
         shapes = [n.shape for n in nodes.values()]
         t, f = 20, 16
         for i, c in enumerate(cfg.channels, start=1):
-            # block i's conv output; the last block's batchnorm and ReLU
-            # outputs too, which Grad-CAM and the head's pool read
-            assert shapes.count((2, c, t, f)) == (3 if i == cfg.n_conv_blocks else 1), i
+            # block i's conv output; the last block's ReLU output too,
+            # which Grad-CAM and the head's pool read, but no batchnorm map
+            assert shapes.count((2, c, t, f)) == (2 if i == cfg.n_conv_blocks else 1), i
             t, f = t // 2, f // 2
 
 
@@ -202,7 +208,7 @@ class TestForwardPlacements:
         x = Tensor(rng(10).normal(size=(2, 1, 12, 16)).astype(np.float32))
         logits = m.forward(x)
         manual = classify_head(
-            aggregate_frequency(m.backbone_forward(Tensor(x.data.copy()))),
+            aggregate_frequency(backbone(m, Tensor(x.data.copy()))),
             m.params["head.weight"],
             m.params["head.bias"],
         )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lungsound.tensor as tensor_mod
-from helpers import check_gradient
+from helpers import check_gradient, relu
 from lungsound.errors import ShapeError
 from lungsound.tensor import (
     BatchNormState,
@@ -467,22 +467,24 @@ class TestBatchNormReferenceOracle:
 
 
 class TestBnReluPool:
-    """The fused epilogue against batchnorm2d -> relu -> pool2d, bit for bit."""
+    """The fused epilogue against batchnorm2d -> relu -> pool2d (or, without
+    the pool, batchnorm2d -> relu), bit for bit."""
 
     @staticmethod
-    def run(fused, x, gamma, beta, state, training, need):
+    def run(fused, x, gamma, beta, state, training, need, pool):
         xt = Tensor(x, requires_grad=need[0])
         gt, bt = Tensor(gamma, requires_grad=need[1]), Tensor(beta, requires_grad=need[2])
         if fused:
-            out = bn_relu_pool(xt, gt, bt, state, training=training)
+            out = bn_relu_pool(xt, gt, bt, state, training=training, pool=pool)
         else:
-            out = pool2d(batchnorm2d(xt, gt, bt, state, training=training).relu(), 2)
+            out = relu(batchnorm2d(xt, gt, bt, state, training=training))
+            out = pool2d(out) if pool else out
         mix = rng(5).normal(size=out.shape).astype(x.dtype)
         mix[..., ::3] = -0.0  # pool2d's adjoint hands these on as +0.0
         (out * Tensor(mix)).sum().backward()
         return out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var
 
-    def compare(self, shape, training, need=(True, True, True), dtype=np.float32):
+    def compare(self, shape, training, need=(True, True, True), dtype=np.float32, pool=True):
         g = rng(sum(shape))
         c = shape[1]
         x = (g.normal(size=shape) * g.uniform(0.5, 3.0, size=(1, c, 1, 1))
@@ -496,7 +498,7 @@ class TestBnReluPool:
             state = BatchNormState(c)
             state.running_mean[:], state.running_var[:] = rm, rv
             with precision(dtype):
-                results.append(self.run(fused, x, gamma, beta, state, training, need))
+                results.append(self.run(fused, x, gamma, beta, state, training, need, pool))
         for name, want, got in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), *results):
             assert (want is None) == (got is None), name
             if want is not None:
@@ -514,6 +516,21 @@ class TestBnReluPool:
     @pytest.mark.parametrize("need", [(True, False, False), (False, True, True), (False, True, False), (True, False, True)])
     def test_frozen_parameters(self, need, training):
         self.compare((3, 4, 7, 8), training, need)
+
+    # the last block's form, on batches larger than EPILOGUE_BYTES, so that
+    # several blocks run: two whole items each (5 x 8 x 91 x 93), or half
+    # of one item's channels (2 x 12 x 181 x 131); odd H and W
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(5, 8, 91, 93), (2, 12, 181, 131)])
+    def test_no_pool_bitwise_equal_to_separate_ops(self, shape, training):
+        assert len(tensor_mod._bn_blocks(np.empty(shape, np.float32))[0]) > 1
+        self.compare(shape, training, pool=False)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_no_pool_frozen_parameters_and_small_maps(self, training):
+        self.compare((3, 4, 7, 8), training, (True, False, False), pool=False)
+        self.compare((3, 4, 7, 8), training, (False, True, True), pool=False)
+        self.compare((3, 4, 1, 1), training, pool=False)  # no pool, so no least size
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_batch_spanning_several_chunks(self, per_chunk, monkeypatch):
@@ -608,6 +625,9 @@ class TestBnReluPool:
         assert state.n_batches == 0  # checked before the statistics
         with pytest.raises(ShapeError):
             bn_relu_pool(Tensor(np.ones((0, 2, 4, 4))), one, zero, state, training=True)
+        # without the pool, any spatial size
+        out = bn_relu_pool(Tensor(np.ones((2, 2, 1, 1))), one, zero, state, training=False, pool=False)
+        assert out.shape == (2, 2, 1, 1)
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("need", [(True, True, True), (True, False, False), (False, True, True)])
@@ -635,25 +655,24 @@ class TestBnReluPool:
 class TestPool2d:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
-        assert pool2d(x, 2).data.item() == 2.5
+        assert pool2d(x).data.item() == 2.5
 
-    @pytest.mark.parametrize("window,stride", [(2, 2), (2, 1), (3, 2), (3, 3)])
+    # H x W: one window, then odd sizes whose last row or column is dropped
+    @pytest.mark.parametrize("h,w", [(2, 2), (7, 9), (8, 5)])
     @pytest.mark.parametrize("channels_last", [False, True])
-    def test_avg_matches_window_mean(self, window, stride, channels_last):
-        x = rng(15).normal(size=(2, 7, 9, 3)).astype(np.float32)
+    def test_avg_matches_window_mean(self, h, w, channels_last):
+        x = rng(15).normal(size=(2, h, w, 3)).astype(np.float32)
         x = x.transpose(0, 3, 1, 2) if channels_last else np.ascontiguousarray(x.transpose(0, 3, 1, 2))
-        ho, wo = (7 - window) // stride + 1, (9 - window) // stride + 1
         expected = np.stack([
-            np.stack([x[:, :, i * stride : i * stride + window, j * stride : j * stride + window]
-                      .mean(axis=(2, 3)) for j in range(wo)], axis=-1)
-            for i in range(ho)
+            np.stack([x[:, :, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].mean(axis=(2, 3)) for j in range(w // 2)], axis=-1)
+            for i in range(h // 2)
         ], axis=-2)
-        out = pool2d(Tensor(x), window, stride=stride)
+        out = pool2d(Tensor(x))
         np.testing.assert_allclose(out.data, expected, rtol=1e-6, atol=1e-7)
 
     def test_window_larger_than_input_errors(self):
         with pytest.raises(ShapeError):
-            pool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
+            pool2d(Tensor(np.zeros((1, 1, 1, 2))))
 
     def test_gradient_vs_finite_differences(self):
         g = rng(11)
@@ -661,17 +680,18 @@ class TestPool2d:
         mix = rng(12).normal(size=(1, 1, 4, 4)).astype(np.float32)
 
         def loss(t):
-            return (pool2d(t["x"], 2) * Tensor(mix)).sum()
+            return (pool2d(t["x"]) * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x})
 
-    def test_overlapping_stride_avg_gradient(self):
+    def test_odd_shape_gradient(self):
+        # the dropped last row and column get a zero gradient
         g = rng(13)
-        x = g.normal(size=(1, 1, 5, 5)).astype(np.float32)
-        mix = rng(14).normal(size=(1, 1, 4, 4)).astype(np.float32)
+        x = g.normal(size=(1, 2, 5, 7)).astype(np.float32)
+        mix = rng(14).normal(size=(1, 2, 2, 3)).astype(np.float32)
 
         def loss(t):
-            return (pool2d(t["x"], 2, stride=1) * Tensor(mix)).sum()
+            return (pool2d(t["x"]) * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x})
 
@@ -761,7 +781,7 @@ class TestReduce:
 
     def test_mean_gradient_spreads(self):
         x = Tensor(np.zeros((4,)), requires_grad=True)
-        x.mean(axis=0).backward()
+        reduce(x, "mean", 0).backward()
         np.testing.assert_allclose(x.grad, 0.25)
 
     def test_max_axis_gradient_first_occurrence(self):
@@ -792,7 +812,7 @@ class TestEngineProperties:
             x = Tensor(g.normal(size=(2, 3, 8, 8)).astype(np.float32))
             w = Tensor(g.normal(size=(4, 3, 3, 3)).astype(np.float32))
             out = conv2d(x, w, padding=1)
-            out = pool2d(out, 2)
+            out = pool2d(out)
             return softmax(out.reshape(2, -1), axis=1).data
 
         a, b = run(), run()
@@ -811,7 +831,7 @@ class TestEngineProperties:
             state = BatchNormState(2)
             h = conv2d(t["x"], t["w"], padding=1)
             h = batchnorm2d(h, t["gamma"], t["beta"], state, training=True)
-            h = pool2d(h, 2)
+            h = pool2d(h)
             h = h.reshape(2, -1)
             out = matmul(h, t["proj"])
             return (softmax(out, axis=1) * Tensor(mix)).sum()
@@ -847,12 +867,13 @@ class TestEngineProperties:
         np.testing.assert_array_equal(out.data[0], np.arange(4.0, dtype=np.float32))
 
     def test_relu_and_clamp_gradients(self):
+        # the tests' ReLU reference, and clamp_min
         x = rng(61).normal(size=(10,)).astype(np.float32)
         x = x[np.abs(x) > 0.05]  # keep away from the kink
         mix = rng(62).normal(size=x.shape).astype(np.float32)
 
         def loss(t):
-            return (t["x"].relu() * Tensor(mix)).sum()
+            return ((relu(t["x"]) + t["x"].clamp_min(0.1)) * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x})
 
@@ -867,7 +888,7 @@ class TestEngineProperties:
 
     def test_relu_values(self):
         x = np.array([-2.0, -0.0, 0.0, 0.5, 3.0], np.float32)
-        out = Tensor(x).relu().data
+        out = relu(Tensor(x)).data
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.5, 3.0])
 
@@ -922,8 +943,8 @@ class TestGradientRelease:
         h = conv2d(leaves["x"], leaves["w"], padding=1)
         h = bn_relu_pool(h, leaves["gamma1"], leaves["beta1"], BatchNormState(3), training=True)
         h = conv2d(h, leaves["w2"], padding=1)
-        h = batchnorm2d(h, leaves["gamma"], leaves["beta"], BatchNormState(3), training=True)
-        h = pool2d(h.relu(), 2).reshape(2, -1)
+        h = bn_relu_pool(h, leaves["gamma"], leaves["beta"], BatchNormState(3), training=True, pool=False)
+        h = pool2d(h).reshape(2, -1)
         s = softmax(matmul(h, leaves["proj"]) * 2.0, axis=1)
         return leaves, (reduce(s, "max", axis=1) + s.log().sum(axis=1)).sum()
 
@@ -993,8 +1014,8 @@ class TestNoGrad:
         beta = Tensor(np.zeros(3, np.float32), requires_grad=True)
         proj = Tensor(g.normal(size=(27, 2)).astype(np.float32), requires_grad=True)
         h = conv2d(x, w, padding=1)
-        h2 = batchnorm2d(h, gamma, beta, BatchNormState(3), training=True)
-        h3 = pool2d(h2.relu(), 2)
+        h2 = bn_relu_pool(h, gamma, beta, BatchNormState(3), training=True, pool=False)
+        h3 = pool2d(h2)
         h4 = matmul(h3.reshape(2, -1), proj)
         h5 = softmax(h4 * 2.0 + Tensor(np.ones(2)), axis=1)
         return [h, h2, h3, h4, h5, reduce(h5, "max", axis=1), h5.log().sum()]

@@ -198,6 +198,13 @@ class TestTrain:
         h2 = [e.loss for e in train(corpus, tiny_model_cfg(), cfg).history]
         assert h1 == h2
 
+    def test_specaugment_leaves_the_dataset_untouched(self):
+        # SpecAugment masks each batch in place; a batch is a fresh array
+        corpus = tiny_corpus(n=8)
+        before = corpus.values.tobytes()
+        train(corpus, tiny_model_cfg(), tiny_train_cfg(epochs=2, specaugment=True, seed=3))
+        assert corpus.values.tobytes() == before
+
     def test_lr_schedule_endpoints(self):
         corpus = tiny_corpus(n=4)
         cfg = tiny_train_cfg(epochs=4, lr0=1e-3)
