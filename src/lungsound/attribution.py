@@ -6,13 +6,11 @@ Gradients on the raw input. Both keep the sign of the evidence; no
 ReLU clipping and no per-sample normalization, because downstream band
 scores average the raw values.
 
-Both differentiate only what they read. Neither touches the
-parameters' gradients: the parameters are frozen (``requires_grad``
+Both run batched and differentiate only what they read. Neither touches
+the parameters' gradients: the parameters are frozen (``requires_grad``
 cleared) for the duration of the call, so no weight gradient is ever
-computed. Grad-CAM runs clips in batches and builds no graph for the
-conv backbone (``tensor.no_grad``); its backward starts at the last
-conv activation. IG runs one forward and backward per interpolation
-step: batching the steps bought no speed.
+computed. Grad-CAM additionally builds no graph for the conv backbone
+(``tensor.no_grad``); its backward starts at the last conv activation.
 """
 
 from __future__ import annotations
@@ -37,8 +35,9 @@ __all__ = [
     "ATTRIBUTION_BATCH",
 ]
 
-# clips per Grad-CAM forward pass; 16 is the batch of one ICBHI-preset
-# training step
+# clips (Grad-CAM) or interpolation steps (IG) per forward pass; 16 is the
+# batch of one ICBHI-preset training step, whose full-graph memory peak
+# bounds what one IG chunk holds
 ATTRIBUTION_BATCH = 16
 
 
@@ -170,8 +169,9 @@ def integrated_gradients(
     baseline is the all-log-floor (silence) spectrogram. Exact on
     linear models for any step count.
 
-    The interpolation points go through the model one at a time with
-    the parameters frozen, so backward computes input gradients only.
+    The interpolation points go through the model in batches of
+    ``ATTRIBUTION_BATCH`` with the parameters frozen, so backward
+    computes input gradients only.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -185,10 +185,13 @@ def integrated_gradients(
     diff = x - base
     total = np.zeros_like(x)
     with _frozen(model):
-        for k in range(1, steps + 1):
-            xt = Tensor((base + np.float32(k / steps) * diff)[None, None], requires_grad=True)
+        for start in range(1, steps + 1, ATTRIBUTION_BATCH):
+            alphas = np.arange(start, min(start + ATTRIBUTION_BATCH, steps + 1)) / steps
+            points = base + alphas.astype(np.float32)[:, None, None] * diff
+            xt = Tensor(points[:, None, :, :], requires_grad=True)
             _class_score(model.forward(xt, training=False), class_id).backward()
-            total += xt.grad[0, 0]
+            for g in xt.grad[:, 0]:  # step order, as a per-step loop sums
+                total += g
     values = diff * (total / np.float32(steps))
     return AttributionMap(values, sample_id=spec.clip_id, class_id=class_id, method="ig")
 

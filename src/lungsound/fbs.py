@@ -319,19 +319,23 @@ def _pool_size(sweep: _Sweep, n_jobs: int) -> int:
 
 @functools.cache
 def _openblas():
-    """numpy's bundled OpenBLAS (scipy-openblas) through ``ctypes``, or
-    None where numpy ships another BLAS, whose threads forked workers
-    would each keep in full. Looked up when the first pool starts."""
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS
+    through ``ctypes``, or None where numpy uses another BLAS (MKL,
+    Accelerate), whose threads forked workers would each keep in full.
+    Looked up when the first pool starts."""
     import ctypes
     import glob
 
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
-    for path in glob.glob(libs):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
+    here = os.path.dirname(np.__file__)
+    for libs in (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas_", "openblas_"):  # numpy 2's scipy-openblas, numpy 1's
+                get = getattr(lib, prefix + "get_num_threads64_", None)
+                set_ = getattr(lib, prefix + "set_num_threads64_", None)
+                if get is not None and set_ is not None:
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
     return None
 
 
@@ -384,8 +388,9 @@ class _Jobs:
             # is their share while the pool lives; set inside a forked
             # worker, it would restart OpenBLAS's threads there, and an idle
             # one spins for about 0.1 s of CPU
-            self.blas_threads = blas.scipy_openblas_get_num_threads64_()
-            blas.scipy_openblas_set_num_threads64_(max(1, len(os.sched_getaffinity(0)) // size))
+            get, set_ = blas
+            self.blas_threads = get()
+            set_(max(1, len(os.sched_getaffinity(0)) // size))
 
     def __enter__(self):
         return self
@@ -393,7 +398,7 @@ class _Jobs:
     def __exit__(self, *exc):
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
-            _openblas().scipy_openblas_set_num_threads64_(self.blas_threads)
+            _openblas()[1](self.blas_threads)
 
     def run(self, jobs: list[tuple[np.ndarray, int]]) -> list:
         if self.pool is None:

@@ -287,10 +287,9 @@ def assert_close_to(values, ref):
 
 
 class TestBatchedMatchesPerSample:
-    """Parameter-frozen attribution against the per-sample references:
-    Grad-CAM on clip counts that fill one batch partly (1), exactly
-    (16 = ATTRIBUTION_BATCH), and spill into a second (17); IG, one step
-    at a time, on the same step counts."""
+    """Batched, parameter-frozen attribution against the per-sample
+    references, on chunk sizes that fill one chunk partly (1), exactly
+    (16 = ATTRIBUTION_BATCH), and spill into a second (17)."""
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @pytest.mark.parametrize("n_clips", [1, 16, 17])

@@ -345,17 +345,41 @@ class TestJobPool:
         if cpus < 2:
             pytest.skip("one CPU: no pool of two workers")
         blas = fbs._openblas()
-        assert blas is not None  # numpy's wheels bundle scipy-openblas
-        own = blas.scipy_openblas_get_num_threads64_()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        get, _ = blas
+        own = get()
         # each job reports the BLAS threads of the worker that ran it
-        monkeypatch.setattr(fbs, "_cv_job", lambda sweep, keep, fold: blas.scipy_openblas_get_num_threads64_())
+        monkeypatch.setattr(fbs, "_cv_job", lambda sweep, keep, fold: get())
         corpus, mcfg, tcfg = small_setup()
         pools = pool_of(2)
         with fbs._Jobs(fbs._Sweep(corpus, [], mcfg, tcfg, None), 4) as jobs:
             threads = jobs.run([(np.ones(16, bool), fold) for fold in range(4)])
         assert pools == [2]
         assert threads == [cpus // 2] * 4 and 2 * max(threads) <= cpus
-        assert blas.scipy_openblas_get_num_threads64_() == own  # this process keeps its count
+        assert get() == own  # this process keeps its count
+
+    def test_finds_numpy_1_openblas(self, monkeypatch, tmp_path):
+        import ctypes
+        import types
+
+        import lungsound.fbs as fbs
+
+        # numpy 1.24-1.26 wheels bundle libopenblas64_p-*.so, whose thread
+        # functions have no scipy_ prefix
+        for d in ("numpy", "numpy.libs"):
+            (tmp_path / d).mkdir()
+        (tmp_path / "numpy.libs" / "libopenblas64_p-r0-0cf96a72.3.23.dev.so").touch()
+        fake = types.SimpleNamespace(
+            openblas_get_num_threads64_=lambda: 2, openblas_set_num_threads64_=lambda n: None
+        )
+        monkeypatch.setattr(fbs.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: fake)
+        fbs._openblas.cache_clear()
+        try:
+            assert fbs._openblas() == (fake.openblas_get_num_threads64_, fake.openblas_set_num_threads64_)
+        finally:
+            fbs._openblas.cache_clear()
 
     def test_without_blas_control_jobs_run_here(self, pool_of, monkeypatch):
         import os
