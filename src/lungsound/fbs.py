@@ -326,16 +326,15 @@ def _openblas():
     import ctypes
     import glob
 
-    here = os.path.dirname(np.__file__)
-    for libs in (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs")):
-        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-            lib = ctypes.CDLL(path)
-            for prefix in ("scipy_openblas_", "openblas_"):  # numpy 2's scipy-openblas, numpy 1's
-                get = getattr(lib, prefix + "get_num_threads64_", None)
-                set_ = getattr(lib, prefix + "set_num_threads64_", None)
-                if get is not None and set_ is not None:
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas_", "openblas_"):  # numpy 2's scipy-openblas, numpy 1's
+            get = getattr(lib, prefix + "get_num_threads64_", None)
+            set_ = getattr(lib, prefix + "set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
