@@ -9,9 +9,9 @@ preprocess cache hit returns None and writes no record.
 
 A JSON config file (flat keys matching the long option names with
 underscores) can prefill any option; its values are parsed like flags,
-and explicit flags win. Exit codes:
-0 success, 2 config error, 3 data error, 4 numerical abort, 5 a worker
-process of ``fbs`` died while running a job.
+and explicit flags win. ``main`` returns 0 on success and maps each
+error a command raises to its exit code through ``EXIT_CODES``; a usage
+error exits 2 from argparse. Every error is one stderr line.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .io import (
 )
 from .masks import FrequencyMask, apply_mask
 from .metrics import MetricReport
-from .model import CnnTsa, ModelConfig, icbhi_config, sprsound_config
+from .model import PRESETS, CnnTsa, ModelConfig
 from .attribution import gradcam, integrated_gradients, band_profile
 from .train import (
     AGE_BATCH_SIZE,
@@ -60,10 +60,13 @@ from .tensor import Tensor, no_grad
 
 log = logging.getLogger("lungsound.cli")
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_WORKER = 5
+# the exit code and stderr prefix of each error a command may raise
+EXIT_CODES = {
+    ConfigError: (2, "config error"),
+    DataError: (3, "data error"),
+    DivergenceError: (4, "numerical abort"),
+    WorkerError: (5, "worker error"),
+}
 
 # what a command returns for its manifest line: (config, seed, input hash, outputs)
 Record = tuple[dict, int, str, list[Path]]
@@ -81,7 +84,7 @@ def _apply_config_file(
     and explicit flags win because they come later. An on/off option's
     key takes ``true`` (flag given) or ``false``.
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return args
     path = _resolve(workdir, args.config)
     if not path.exists():
@@ -132,27 +135,21 @@ def _comma_list(item):
     return parse
 
 
-def _model_config(args, n_bands: int, n_classes: int) -> ModelConfig:
-    if getattr(args, "channels", None):
-        return ModelConfig(
-            channels=args.channels,
-            n_classes=n_classes,
-            attention_placement=args.placement,
-            n_mel_rows_in=n_bands,
-        )
-    preset = getattr(args, "preset", "icbhi")
-    if preset == "icbhi":
-        return icbhi_config(n_classes, attention_placement=args.placement, n_mel_rows_in=n_bands)
-    if preset == "sprsound":
-        return sprsound_config(n_classes, attention_placement=args.placement, n_mel_rows_in=n_bands)
-    if preset == "tiny":
-        return ModelConfig(
-            channels=(8,),
-            n_classes=n_classes,
-            attention_placement=args.placement,
-            n_mel_rows_in=n_bands,
-        )
-    raise ConfigError(f"unknown model preset {preset!r}")
+def _model_config(args, n_classes: int, n_frames: int, n_bands: int) -> ModelConfig:
+    """The --preset or --channels model for n_frames x n_bands clips."""
+    cfg = ModelConfig(
+        channels=args.channels or PRESETS[args.preset],
+        n_classes=n_classes,
+        attention_placement=args.placement,
+        n_mel_rows_in=n_bands,
+    )
+    _check_frames(cfg, n_frames)
+    return cfg
+
+
+def _check_frames(cfg: ModelConfig, n_frames: int) -> None:
+    if n_frames < cfg.min_input_size:
+        raise ConfigError(f"a {cfg.n_conv_blocks}-block model needs at least {cfg.min_input_size} frames, got {n_frames}")
 
 
 def _train_config(args) -> TrainConfig:
@@ -163,7 +160,6 @@ def _train_config(args) -> TrainConfig:
         weight_decay=args.weight_decay,
         seed=args.seed,
         task=args.task,
-        age_split=args.age_split,
         specaugment=not args.no_specaugment,
     )
 
@@ -344,10 +340,6 @@ def _spectrograms(records, args) -> SpecSet:
 # -- train ------------------------------------------------------------------------------
 
 
-def _history_rows(history):
-    return [[h.epoch, h.lr, h.loss, h.train_as] for h in history]
-
-
 def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
     cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     mask = None
@@ -355,11 +347,10 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
     if args.mask:
         mask, mask_hash = read_mask_file(_resolve(workdir, args.mask))
         _check_mask_length(mask, specs.n_bands, "the cache has")
+        data = apply_mask(data, mask)
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
-    n_bands = mask.n_kept if mask else specs.n_bands
-    model_cfg = _model_config(args, n_bands, n_classes)
-    train_cfg = _train_config(args)
-    outputs = []
+    model_cfg = _model_config(args, n_classes, data.n_frames, data.n_bands)
+    train_cfg = replace(_train_config(args), age_split=args.age_split)
     meta_common = {
         "task": args.task,
         "data_config_hash": cache_hash,
@@ -367,44 +358,31 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
         "mask_config_hash": mask_hash,
         "split": args.split,
     }
+    outputs = []
     if args.age_specific:
         train_cfg = replace(train_cfg, batch_size=AGE_BATCH_SIZE)  # what each stratum trains at
-        result = train_age_specific(data, model_cfg, train_cfg, mask=mask)
-        for tag, res, report in (
-            ("child", result.child, result.child_report),
-            ("adult", result.adult, result.adult_report),
-        ):
-            ckpt = out_dir / f"checkpoint_{tag}.ckpt"
-            save_checkpoint(
-                ckpt,
-                res.model.state_dict(),
-                asdict(res.model.cfg),
-                meta_common | {"age_stratum": tag, "age_split": result.threshold},
-            )
-            _write_csv(
-                out_dir / f"history_{tag}.csv",
-                ["epoch", "lr", "loss", "train_as"],
-                _history_rows(res.history),
-            )
-            outputs += [ckpt, out_dir / f"history_{tag}.csv"]
+        result = train_age_specific(data, model_cfg, train_cfg)
+        strata = (("child", result.child, result.child_report), ("adult", result.adult, result.adult_report))
+        # (file suffix, training result, checkpoint meta) of each model
+        runs = [(f"_{tag}", res, {"age_stratum": tag, "age_split": result.threshold}) for tag, res, _ in strata]
+        for tag, _, report in strata:
             print(f"{tag}: train AS {report.as_score:.2f} (Se {report.se:.2f}, Sp {report.sp:.2f})")
+        print(f"combined train AS {result.combined.as_score:.2f}")
         (out_dir / "report_combined.json").write_text(_report_json(result.combined))
         outputs.append(out_dir / "report_combined.json")
-        print(f"combined train AS {result.combined.as_score:.2f}")
     else:
-        result = train(data, model_cfg, train_cfg, mask=mask)
-        ckpt = out_dir / "checkpoint.ckpt"
-        save_checkpoint(ckpt, result.model.state_dict(), asdict(result.model.cfg), meta_common)
-        _write_csv(
-            out_dir / "history.csv",
-            ["epoch", "lr", "loss", "train_as"],
-            _history_rows(result.history),
-        )
-        outputs += [ckpt, out_dir / "history.csv"]
+        result = train(data, model_cfg, train_cfg)
+        runs = [("", result, {})]
         print(
             f"trained {train_cfg.epochs} epochs; final loss "
             f"{result.history[-1].loss:.4f}, train AS {result.history[-1].train_as:.2f}"
         )
+    for suffix, res, meta in runs:
+        ckpt, history = out_dir / f"checkpoint{suffix}.ckpt", out_dir / f"history{suffix}.csv"
+        save_checkpoint(ckpt, res.model.state_dict(), asdict(res.model.cfg), meta_common | meta)
+        rows = [[h.epoch, h.lr, h.loss, h.train_as] for h in res.history]
+        _write_csv(history, ["epoch", "lr", "loss", "train_as"], rows)
+        outputs += [ckpt, history]
     config = {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)}
     return config, args.seed, sha256_file(cache_path), outputs
 
@@ -464,35 +442,23 @@ def _emit_fbs_outputs(result: FbsResult, out_dir: Path, cache_hash: str, tag: st
 
 
 def cmd_fbs(args, workdir: Path, argv: list[str]) -> Record:
+    if args.lambda_sweep and args.method == "backward":
+        raise ConfigError("--lambda-sweep needs --method importance: backward selection has no lambda")
     cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
-    model_cfg = _model_config(args, specs.n_bands, n_classes)
+    model_cfg = _model_config(args, n_classes, specs.n_frames, specs.n_bands)
     train_cfg = _train_config(args)
     lams = args.lambda_sweep or (args.fbs_lambda,)
+    sweep = {"k_folds": args.k_folds, "stop_epsilon": args.stop_epsilon, "min_bands": args.min_bands}
     outputs = []
     sweep_scores = []
     for lam in lams:
         if args.method == "importance":
             result = fbs_importance(
-                data,
-                model_cfg,
-                train_cfg,
-                lam=lam,
-                r=args.r,
-                k_folds=args.k_folds,
-                stop_epsilon=args.stop_epsilon,
-                min_bands=args.min_bands,
-                attribution_method=args.attribution,
+                data, model_cfg, train_cfg, lam=lam, r=args.r, attribution_method=args.attribution, **sweep
             )
         else:
-            result = fbs_backward(
-                data,
-                model_cfg,
-                train_cfg,
-                k_folds=args.k_folds,
-                stop_epsilon=args.stop_epsilon,
-                min_bands=args.min_bands,
-            )
+            result = fbs_backward(data, model_cfg, train_cfg, **sweep)
         tag = f"lam{lam:g}" if len(lams) > 1 else ""
         outputs += _emit_fbs_outputs(result, out_dir, cache_hash, tag)
         best_as = max(it.mean_cv_as for it in result.iterations)
@@ -539,9 +505,10 @@ def _open_checkpoint(args, workdir: Path):
 
     Refuses a checkpoint trained on another cache config, a stored mask
     of another length than the cache's bands and a model that does not
-    read the bands the mask keeps. The clips are the --split clips (all
-    of them for ``attribute``), narrowed to the checkpoint's age stratum
-    when it has one; they are not masked yet.
+    read the bands the mask keeps or is too deep for the clips' frames.
+    The clips are the --split clips (all of them for ``attribute``),
+    narrowed to the checkpoint's age stratum when it has one; they are
+    not masked yet.
     """
     cache_path, out_dir, specs, data, _, cache_hash = _open_cache(args, workdir)
     model, meta = _load_model(_resolve(workdir, args.checkpoint))
@@ -558,6 +525,7 @@ def _open_checkpoint(args, workdir: Path):
             f"checkpoint model reads {model.cfg.n_mel_rows_in} bands but the cache gives "
             f"{mask.n_kept} (after the checkpoint's mask)"
         )
+    _check_frames(model.cfg, specs.n_frames)
     if meta.get("age_stratum"):
         child, adult = split_by_age(data, float(meta["age_split"]))
         data = child if meta["age_stratum"] == "child" else adult
@@ -588,7 +556,11 @@ def cmd_evaluate(args, workdir: Path, argv: list[str]) -> Record:
 
 
 def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
+    if args.ig_steps < 1:
+        raise ConfigError(f"--ig-steps must be >= 1, got {args.ig_steps}")
     cache_path, out_dir, model, meta, mask, cache_hash, data = _open_checkpoint(args, workdir)
+    if not 0 <= args.class_id < model.cfg.n_classes:
+        raise ConfigError(f"--class-id {args.class_id} is not a class of the {model.cfg.n_classes}-class checkpoint")
     if args.samples:
         wanted = set(args.samples.split(","))
         picked = data[np.isin(data.clip_ids, sorted(wanted))]
@@ -658,11 +630,10 @@ def cmd_flops(args, workdir: Path, argv: list[str]) -> Record:
     if args.mask:
         mask, _ = read_mask_file(_resolve(workdir, args.mask))
         _check_mask_length(mask, args.n_mels, "--n-mels is")
-    full_cfg = _model_config(args, args.n_mels, args.n_classes)
+    full_cfg = _model_config(args, args.n_classes, args.n_frames, args.n_mels)
     full = count_flops(full_cfg, n_frames=args.n_frames)
     rows = [[name, flops] for name, flops in full.rows]
     rows.append(["total", full.total])
-    ratio = 1.0
     if mask is not None:
         masked_cfg = replace(full_cfg, n_mel_rows_in=mask.n_kept)
         masked = count_flops(masked_cfg, n_frames=args.n_frames)
@@ -678,29 +649,37 @@ def cmd_flops(args, workdir: Path, argv: list[str]) -> Record:
 # -- parser -----------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error: one stderr line, without the usage text, and exit 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lungsound",
         description="Respiratory sound classification pipeline (batch commands)",
     )
     parser.add_argument("--workdir", default=".", help="root for all relative paths")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    tasks = ("binary", "multiclass")
 
-    def add_common_train_opts(p):
-        p.add_argument("--task", choices=("binary", "multiclass"), default="multiclass")
-        p.add_argument("--preset", choices=("icbhi", "sprsound", "tiny"), default="icbhi")
+    def add_model_opts(p):
+        p.add_argument("--preset", choices=tuple(PRESETS), default="icbhi")
         p.add_argument("--channels", type=_comma_list(int), default=None,
                        help="comma-separated conv widths (overrides preset)")
         p.add_argument("--placement", default="after_aggregation")
+
+    def add_train_opts(p):
+        p.add_argument("--task", choices=tasks, default="multiclass")
+        add_model_opts(p)
         p.add_argument("--epochs", type=int, default=200)
         p.add_argument("--batch-size", type=int, default=128)
         p.add_argument("--lr0", type=float, default=1e-3)
         p.add_argument("--weight-decay", type=float, default=1e-4)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--age-split", type=float, default=18.0)
         p.add_argument("--no-specaugment", action="store_true")
-        p.add_argument("--config", default=None, help="JSON config file; flags override")
 
     p = sub.add_parser("preprocess", help="parse a dataset and build the spectrogram cache")
     p.add_argument("--dataset", choices=("icbhi", "sprsound", "synth"), required=True)
@@ -720,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-frames", type=int, default=64)
     p.add_argument("--synth-snr-db", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model from a cache")
@@ -728,8 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--mask", default=None, help="frequency mask file")
     p.add_argument("--age-specific", action="store_true")
+    p.add_argument("--age-split", type=float, default=18.0)
     p.add_argument("--split", default="all", help="official_train | official_test | all")
-    add_common_train_opts(p)
+    add_train_opts(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fbs", help="run frequency band selection")
@@ -744,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-bands", type=int, default=MIN_BANDS)
     p.add_argument("--attribution", choices=("gradcam", "ig"), default="gradcam")
     p.add_argument("--split", default="all")
-    add_common_train_opts(p)
+    add_train_opts(p)
     p.set_defaults(func=cmd_fbs)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a cache split")
@@ -752,8 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--split", default="official_test")
-    p.add_argument("--task", default=None, help="defaults to the checkpoint's task")
-    p.add_argument("--config", default=None)
+    p.add_argument("--task", choices=tasks, default=None, help="defaults to the checkpoint's task")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("attribute", help="dump attribution maps for samples")
@@ -766,20 +744,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first", type=int, default=4, help="attribute the first N samples")
     p.add_argument("--ig-steps", type=int, default=200)
     p.add_argument("--svg", action="store_true", help="also emit heatmap SVGs")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("flops", help="per-layer FLOPs breakdown")
     p.add_argument("--out", required=True)
-    p.add_argument("--preset", choices=("icbhi", "sprsound", "tiny"), default="icbhi")
-    p.add_argument("--channels", type=_comma_list(int), default=None)
-    p.add_argument("--placement", default="after_aggregation")
+    add_model_opts(p)
     p.add_argument("--n-classes", type=int, default=4)
     p.add_argument("--n-frames", type=int, default=249)
     p.add_argument("--n-mels", type=int, default=64)
     p.add_argument("--mask", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_flops)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="JSON config file; flags override")
     return parser
 
 
@@ -797,18 +774,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config_file(parser, args, argv, workdir)
         t0 = time.time()
         record = args.func(args, workdir, argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except WorkerError as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return EXIT_WORKER
+    except tuple(EXIT_CODES) as exc:
+        code, what = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
     if record is not None:  # None: preprocess found its cache already built
         config, seed, input_hash, outputs = record
         append_manifest(

@@ -356,6 +356,10 @@ class SynthSpec:
     jitter_log: bool = False  # draw jitter log-uniformly (heavy spread)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_frames < 1:
+            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
+
     def resolved_bands(self) -> tuple[tuple[int, ...], ...]:
         if self.planted_bands is not None:
             bands = tuple(tuple(sorted(int(i) for i in b)) for b in self.planted_bands)

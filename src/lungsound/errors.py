@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, DivergenceError -> 4, WorkerError -> 5.
+The CLI maps these onto process exit codes through one table,
+``lungsound.cli.EXIT_CODES``: ConfigError -> 2, DataError -> 3,
+DivergenceError -> 4, WorkerError -> 5.
 """
 
 

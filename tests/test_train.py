@@ -7,7 +7,7 @@ import pytest
 
 from helpers import check_gradient
 from lungsound.data import SynthSpec, synth_corpus
-from lungsound.errors import ConfigError, DataError, DivergenceError
+from lungsound.errors import ConfigError, DataError, DivergenceError, ShapeError
 from lungsound.metrics import MetricReport, collapse_to_binary, scores_from_rates
 from lungsound.model import ModelConfig
 from lungsound.tensor import Tensor
@@ -217,14 +217,18 @@ class TestTrain:
             train(tiny_corpus()[:0], tiny_model_cfg(), tiny_train_cfg())
 
     def test_mask_applied_and_model_shrinks(self):
-        from lungsound.masks import FrequencyMask
+        # train() takes the clips as given: the caller masks them first
+        from lungsound.masks import FrequencyMask, apply_mask
 
         corpus = tiny_corpus(n=6, bands=12)
         keep = np.ones(12, dtype=bool)
         keep[:4] = False
-        mask = FrequencyMask(keep)
-        result = train(corpus, tiny_model_cfg(n_bands=12), tiny_train_cfg(epochs=1), mask=mask)
+        masked = apply_mask(corpus, FrequencyMask(keep))
+        np.testing.assert_array_equal(masked.values, corpus.values[:, :, 4:])
+        result = train(masked, tiny_model_cfg(n_bands=masked.n_bands), tiny_train_cfg(epochs=1))
         assert result.model.cfg.n_mel_rows_in == 8
+        with pytest.raises(ShapeError):  # a model for the full band count refuses masked clips
+            train(masked, tiny_model_cfg(n_bands=12), tiny_train_cfg(epochs=1))
 
 
 def reachable_graph_nodes(obj, seen=None):
