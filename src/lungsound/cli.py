@@ -165,10 +165,13 @@ def _train_config(args) -> TrainConfig:
 
 
 def _open_cache(args, workdir: Path):
-    """(cache path, created --out-dir, whole cache, its --split clips, preproc config, hash)."""
+    """(cache path, --out-dir, whole cache, its --split clips, preproc config, hash).
+
+    The command creates --out-dir once its own checks pass, so that a
+    refused command leaves none behind.
+    """
     cache_path = _resolve(workdir, args.cache)
     out_dir = _resolve(workdir, args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     specs, preproc, chash = read_spec_cache(cache_path)
     split = getattr(args, "split", "all")
     data = specs if split == "all" else specs[specs.splits == split]
@@ -351,6 +354,7 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     model_cfg = _model_config(args, n_classes, data.n_frames, data.n_bands)
     train_cfg = replace(_train_config(args), age_split=args.age_split)
+    out_dir.mkdir(parents=True, exist_ok=True)
     meta_common = {
         "task": args.task,
         "data_config_hash": cache_hash,
@@ -441,30 +445,48 @@ def _emit_fbs_outputs(result: FbsResult, out_dir: Path, cache_hash: str, tag: st
     return outputs
 
 
+# fbs options that only importance selection reads, by dest: the flag a
+# refusal names and the value taken when it is not given. The parser
+# leaves them None, so that --method backward can refuse them.
+IMPORTANCE_ONLY = {
+    "lambda_sweep": ("--lambda-sweep", None),
+    "fbs_lambda": ("--lambda", 0.5),
+    "r": ("--r", 4),
+    "attribution": ("--attribution", "gradcam"),
+}
+
+
 def cmd_fbs(args, workdir: Path, argv: list[str]) -> Record:
-    if args.lambda_sweep and args.method == "backward":
-        raise ConfigError("--lambda-sweep needs --method importance: backward selection has no lambda")
+    given = [dest for dest in IMPORTANCE_ONLY if getattr(args, dest) is not None]
+    if args.method == "backward" and given:
+        flags = ", ".join(IMPORTANCE_ONLY[dest][0] for dest in given)
+        raise ConfigError(f"--method backward takes no {flags}: only importance selection reads them")
+    opt = {dest: getattr(args, dest) if dest in given else default
+           for dest, (_, default) in IMPORTANCE_ONLY.items()}
     cache_path, out_dir, specs, data, preproc, cache_hash = _open_cache(args, workdir)
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     model_cfg = _model_config(args, n_classes, specs.n_frames, specs.n_bands)
     train_cfg = _train_config(args)
-    lams = args.lambda_sweep or (args.fbs_lambda,)
+    lams = opt["lambda_sweep"] or (opt["fbs_lambda"],)
     sweep = {"k_folds": args.k_folds, "stop_epsilon": args.stop_epsilon, "min_bands": args.min_bands}
     outputs = []
     sweep_scores = []
     for lam in lams:
         if args.method == "importance":
             result = fbs_importance(
-                data, model_cfg, train_cfg, lam=lam, r=args.r, attribution_method=args.attribution, **sweep
+                data, model_cfg, train_cfg, lam=lam, r=opt["r"], attribution_method=opt["attribution"],
+                **sweep,
             )
         else:
             result = fbs_backward(data, model_cfg, train_cfg, **sweep)
         tag = f"lam{lam:g}" if len(lams) > 1 else ""
+        out_dir.mkdir(parents=True, exist_ok=True)  # after the sweep's own checks
         outputs += _emit_fbs_outputs(result, out_dir, cache_hash, tag)
         best_as = max(it.mean_cv_as for it in result.iterations)
         sweep_scores.append(best_as)
+        label = f" lambda={lam:g}" if args.method == "importance" else ""
         print(
-            f"fbs[{args.method}] lambda={lam:g}: best mask keeps "
+            f"fbs[{args.method}]{label}: best mask keeps "
             f"{result.mask.n_kept}/{result.mask.n_bands} bands, best CV AS "
             f"{best_as:.2f}, {result.train_runs} CV trainings"
         )
@@ -501,7 +523,7 @@ def _load_model(ckpt_path: Path) -> tuple[CnnTsa, dict]:
 
 
 def _open_checkpoint(args, workdir: Path):
-    """(cache path, created --out-dir, model, meta, mask, cache hash, clips) for a checkpoint reader.
+    """(cache path, --out-dir, model, meta, mask, cache hash, clips) for a checkpoint reader.
 
     Refuses a checkpoint trained on another cache config, a stored mask
     of another length than the cache's bands and a model that does not
@@ -536,6 +558,7 @@ def _open_checkpoint(args, workdir: Path):
 
 def cmd_evaluate(args, workdir: Path, argv: list[str]) -> Record:
     cache_path, out_dir, model, meta, mask, _, data = _open_checkpoint(args, workdir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(model, apply_mask(data, mask), args.task or meta.get("task", "multiclass"))
     report_path = out_dir / "report.json"
     report_path.write_text(_report_json(report))
@@ -573,6 +596,7 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
     if not picked:
         raise DataError("no samples selected for attribution")
     picked = apply_mask(picked, mask)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.method == "gradcam":
         maps = gradcam(model, picked, args.class_id)
@@ -715,13 +739,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=("importance", "backward"), required=True)
-    p.add_argument("--fbs-lambda", "--lambda", dest="fbs_lambda", type=float, default=0.5)
-    p.add_argument("--lambda-sweep", type=_comma_list(float), default=None, help="comma-separated lambdas")
-    p.add_argument("--r", type=int, default=4)
+    p.add_argument("--fbs-lambda", "--lambda", dest="fbs_lambda", type=float, default=None,
+                   help="importance only")
+    p.add_argument("--lambda-sweep", type=_comma_list(float), default=None,
+                   help="comma-separated lambdas; importance only")
+    p.add_argument("--r", type=int, default=None, help="bands removed per iteration; importance only")
     p.add_argument("--k-folds", type=int, default=5)
     p.add_argument("--stop-epsilon", type=float, default=0.5)
     p.add_argument("--min-bands", type=int, default=MIN_BANDS)
-    p.add_argument("--attribution", choices=("gradcam", "ig"), default="gradcam")
+    p.add_argument("--attribution", choices=("gradcam", "ig"), default=None, help="importance only")
     p.add_argument("--split", default="all")
     add_train_opts(p)
     p.set_defaults(func=cmd_fbs)

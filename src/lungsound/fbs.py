@@ -216,8 +216,8 @@ def eliminate_lowest(
 
 # live float32 copies of every conv block's output, per clip, in one training
 # step: the smallest count whose estimate is at least 1.15 times the peak RSS
-# of one ICBHI-preset step at B=128 on 249x64 input (2,812 against 2,164 MiB)
-ACTIVATION_COPIES = 3
+# of one ICBHI-preset step at B=128 on 249x64 input (1,880 against 1,558 MiB)
+ACTIVATION_COPIES = 2
 
 
 @dataclass(frozen=True)

@@ -204,9 +204,27 @@ def classify_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- the model --------------------------------------------------------------------
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def _uniform(rng: np.random.Generator, low: float, high: float, shape, scratch: np.ndarray) -> np.ndarray:
+    """``rng.uniform(low, high, size=shape).astype(np.float32)``, bit for bit.
+
+    ``Generator.uniform`` maps each float64 draw u to ``low + (high - low) * u``;
+    the same float ops run here one ``scratch``-sized chunk at a time, so
+    no float64 array of the whole shape is allocated.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for s in range(0, flat.size, scratch.size):
+        u = scratch[: flat.size - s]
+        rng.random(out=u)
+        u *= high - low
+        u += low
+        flat[s : s + u.size] = u
+    return out
+
+
+def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, scratch: np.ndarray) -> np.ndarray:
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return _uniform(rng, -bound, bound, shape, scratch)
 
 
 class CnnTsa:
@@ -230,6 +248,7 @@ class CnnTsa:
         self.bn_states: dict[str, BatchNormState] = {}
         self.last_conv_activation: Tensor | None = None
         rng = rng_for(seed, "model-init")
+        scratch = np.empty(1 << 16)  # float64 draws, reused by every random init
 
         def take(name, shape):
             if name not in state:
@@ -244,7 +263,8 @@ class CnnTsa:
         cin = 1
         for i, cout in enumerate(cfg.channels, start=1):
             shape = (cout, cin, KERNEL, KERNEL)
-            param(f"conv{i}.weight", shape, lambda: _kaiming_uniform(rng, shape, cin * KERNEL * KERNEL))
+            fan_in = cin * KERNEL * KERNEL
+            param(f"conv{i}.weight", shape, lambda: _kaiming_uniform(rng, shape, fan_in, scratch))
             param(f"bn{i}.gamma", (cout,), lambda: np.ones(cout, np.float32))
             param(f"bn{i}.beta", (cout,), lambda: np.zeros(cout, np.float32))
             st = self.bn_states[f"bn{i}"] = BatchNormState(cout)
@@ -255,14 +275,14 @@ class CnnTsa:
         dims = cfg.attention_dims()
         if dims is not None:
             dm, dk = dims
-            param("tsa.wq", (dm, dk), lambda: _kaiming_uniform(rng, (dm, dk), dm))
-            param("tsa.wk", (dm, dk), lambda: _kaiming_uniform(rng, (dm, dk), dm))
-            param("tsa.wv", (dm, dm), lambda: _kaiming_uniform(rng, (dm, dm), dm))
+            param("tsa.wq", (dm, dk), lambda: _kaiming_uniform(rng, (dm, dk), dm, scratch))
+            param("tsa.wk", (dm, dk), lambda: _kaiming_uniform(rng, (dm, dk), dm, scratch))
+            param("tsa.wv", (dm, dm), lambda: _kaiming_uniform(rng, (dm, dm), dm, scratch))
         # near-zero head init keeps the untrained model an (almost)
         # uniform predictor, so the initial loss sits at the
         # random-predictor value; Adam rescales it within a few steps
         head = (cfg.d, cfg.n_classes)
-        param("head.weight", head, lambda: rng.uniform(-1e-3, 1e-3, size=head).astype(np.float32))
+        param("head.weight", head, lambda: _uniform(rng, -1e-3, 1e-3, head, scratch))
         param("head.bias", (cfg.n_classes,), lambda: np.zeros(cfg.n_classes, np.float32))
         if state is not None:
             held = set(self.params) | {f"{b}.{s}" for b in self.bn_states for s in ("running_mean", "running_var")}

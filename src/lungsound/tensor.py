@@ -34,9 +34,12 @@ builds its columns or transformed tiles a few batch items at a time
 (``IM2COL_BYTES``) and rebuilds them in backward, batchnorm recomputes
 its normalized input in backward, ``bn_relu_pool`` keeps only its input
 and output and recomputes the batchnorm map it never stores, and
-``backward()`` frees each intermediate gradient once it has been passed
-on (so a closure may overwrite the gradient it is handed: only its node
-holds it). Batchnorm's statistics and adjoint and the fused epilogue run
+``backward()`` frees the graph as it runs: each intermediate gradient
+once it has been passed on (so a closure may overwrite the gradient it
+is handed: only its node holds it), and each op result's closure and
+parent links as it reaches them, so an activation dies as soon as the
+last closure that reads it has run rather than when the caller drops
+the loss. Batchnorm's statistics and adjoint and the fused epilogue run
 over blocks of at most ``EPILOGUE_BYTES`` (whole items, or one item's
 channel range), so their chains of elementwise steps stay in a core's
 L2 cache and hold no whole-batch temporary; each (item, channel) row is
@@ -119,6 +122,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = saved
+
+
+def _freed(grad) -> None:
+    """The closure of an op result that a backward pass has consumed."""
+    raise RuntimeError("backward through a graph an earlier backward() freed; run the forward pass again")
 
 
 def _as_dtype(data) -> np.ndarray:
@@ -214,7 +222,11 @@ class Tensor:
 
         Only leaves (tensors no op produced: parameters, inputs) keep
         their ``.grad``; an op result's gradient is freed as soon as its
-        closure has passed it on, so it never outlives its use.
+        closure has passed it on, so it never outlives its use. The graph
+        is freed as it is consumed: each op result drops its closure and
+        parent links when backward reaches it, so an activation dies when
+        the last closure that reads it has run. A second backward through
+        a freed graph raises ``RuntimeError``.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -236,10 +248,17 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accum(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
+        while topo:
+            node = topo.pop()  # the list holds no node it has visited
+            closure, g = node._backward, node.grad
+            if closure is None:
+                continue
+            node.grad, node._backward, node._parents = None, _freed, ()
+            # no closure reads its own op's output, so unless the caller
+            # holds this node, its data dies here, before the closure runs
+            del node
+            if g is not None:
+                closure(g)
 
     def _accum(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -873,30 +892,33 @@ def _bn_stats(
 def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> None:
     """Hand batchnorm's gradients to ``x``, ``gamma`` and ``beta``.
 
-    ``grad_block(items, channels, work)`` returns the gradient of the
-    output over one block of ``_bn_blocks(x)`` as (n, c, H*W); ``work``
-    is a block-sized scratch buffer it may overwrite. The adjoint runs
-    two passes over the blocks: the first sums each (item, channel) row
-    of the gradient and of its product with xhat (recomputed from ``x``)
-    for dbeta and dgamma, the second writes dx into one fresh buffer,
-    which ``x`` adopts. The second pass runs the blocks in reverse, so
-    its first block reuses the gradient and xhat the first pass left.
-    A batch of one block works in that dx buffer, as unblocked code
-    would, rather than in a second buffer of the batch's size.
+    ``grad_block(items, channels, out, work)`` writes the gradient of the
+    output over one block of ``_bn_blocks(x)`` into ``out`` (n, c, H*W);
+    ``work`` is a block-sized scratch buffer it may overwrite. The adjoint
+    runs two passes over the blocks. The first writes each block's
+    gradient into that block's slice of dx, one fresh buffer which ``x``
+    adopts, and sums each (item, channel) row of it and of its product
+    with xhat (recomputed from ``x``) for dbeta and dgamma. The second
+    turns each slice into dx in place. When dx alone is wanted in eval
+    mode (frozen gamma and beta), the first pass has nothing to sum and
+    is skipped, and the second has each block's gradient written first.
     """
     b, c, h, w = x.shape
     n = b * h * w
+    dt = x.data.dtype
     xv = x.data.reshape(b, c, h * w)
     blocks, size = _bn_blocks(x.data)
     need_g = beta.requires_grad or (x.requires_grad and training)
     need_gx = gamma.requires_grad or (x.requires_grad and training)
-    rows_g = np.empty((b, c), dtype=x.data.dtype) if need_g else None
-    rows_gx = np.empty((b, c), dtype=x.data.dtype) if need_gx else None
-    gx = np.empty_like(x.data) if x.requires_grad else None
-    if gx is not None and len(blocks) == 1:
-        work = gx.reshape(-1)
-    else:
-        work = np.empty(size, dtype=x.data.dtype)
+    rows_g = np.empty((b, c), dtype=dt) if need_g else None
+    rows_gx = np.empty((b, c), dtype=dt) if need_gx else None
+    work = np.empty(size, dtype=dt)
+    if x.requires_grad:
+        gx = np.empty_like(x.data)
+        gxv = gx.reshape(b, c, h * w)
+    else:  # one block-sized buffer for the gradient blocks dgamma and dbeta read
+        gx = gxv = None
+        spare = np.empty(size, dtype=dt)
 
     def normalized(i, ch):  # xhat of one block, in ``work``
         xb = xv[i, ch]
@@ -904,9 +926,10 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
         xhat *= inv_std[ch, None]
         return xhat
 
-    gv = xhat = None
-    for i, ch in blocks if need_g or need_gx else ():
-        gv = grad_block(i, ch, work)
+    first = need_g or need_gx
+    for i, ch in blocks if first else ():
+        gv = _front(spare, xv[i, ch].shape) if gx is None else gxv[i, ch]
+        grad_block(i, ch, gv, work)
         if need_g:
             gv.sum(axis=2, out=rows_g[i, ch])
         if need_gx:
@@ -920,20 +943,21 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
         gamma._adopt(sum_gxhat)
     if gx is None:
         return
-    gxv = gx.reshape(b, c, h * w)
-    for k, (i, ch) in enumerate(reversed(blocks)):
-        if k or gv is None:
-            gv, xhat = grad_block(i, ch, work), None
+    for i, ch in blocks:
+        gv = gxv[i, ch]
+        if not first:
+            grad_block(i, ch, gv, work)
         if not training:
-            np.multiply(gv, scale[ch, None], out=gxv[i, ch])
+            gv *= scale[ch, None]
             continue
-        if xhat is None:
+        # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer;
+        # a batch of one block still has its xhat from the first pass
+        if len(blocks) > 1:
             xhat = normalized(i, ch)
-        # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer
         xhat *= -(sum_gxhat / n)[ch, None]
         xhat += gv
         xhat -= (sum_g / n)[ch, None]
-        np.multiply(xhat, scale[ch, None], out=gxv[i, ch])
+        np.multiply(xhat, scale[ch, None], out=gv)
     x._adopt(gx)
 
 
@@ -960,7 +984,11 @@ def batchnorm2d(
 
     def bwd(g):
         gv = g.reshape(b, c, h * w)
-        _bn_adjoint(x, gamma, beta, lambda i, ch, work: gv[i, ch], mean, inv_std, scale, training)
+
+        def grad_block(i, ch, out, work):
+            out[...] = gv[i, ch]
+
+        _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training)
 
     return Tensor._from_op(out_data.reshape(b, c, h, w), (x, gamma, beta), bwd)
 
@@ -986,9 +1014,9 @@ def bn_relu_pool(
     block, the pool adjoint (g/4 in each 2x2 window, zero in a dropped
     odd row or column) is masked by the sign of ``x*scale + shift``,
     recomputed with the forward's float ops; without the pool, the
-    output gradient is masked in place by the sign of the ReLU output.
-    The batchnorm adjoint consumes these blocks twice, so they are
-    recomputed (or masked again) in its second pass rather than stored.
+    output gradient is masked by the sign of the ReLU output.
+    Each masked block is made once, in its slice of the input gradient,
+    where the batchnorm adjoint's second pass reads it (``_bn_adjoint``).
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, h, w = x.shape
@@ -1020,34 +1048,28 @@ def bn_relu_pool(
         outs /= _DTYPE(4)
 
     def bwd(g):
-        # zeros once: the dropped row and column of an odd H or W stay zero
-        gy = np.zeros(size, dtype=dt) if pool else None
         share = np.empty(size // 4, dtype=g.dtype) if pool else None
 
-        def grad_block(i, ch, work):
+        def grad_block(i, ch, out, work):
             gs = g[i, ch]
-            nb, nc = gs.shape[:2]
             if not pool:
-                # the output gradient where the ReLU passed it on, masked in
-                # place: g is this op's alone and dropped once the closure
-                # returns, and the adjoint's second pass masks it again,
-                # which changes no bit
-                gv = gs.reshape(nb, nc, h * w)
-                gv *= yv[i, ch] > 0
-                return gv
+                # the output gradient where the ReLU passed it on
+                np.multiply(gs, yv[i, ch].reshape(gs.shape) > 0, out=out.reshape(gs.shape))
+                return
+            nb, nc = gs.shape[:2]
             # 0 + g/4, as the scatter into zeros of pool2d's adjoint adds
             # it: a -0.0 share becomes +0.0
             q = np.divide(gs, _DTYPE(4), out=_front(share, gs.shape))
             q += 0
-            gb = _front(gy, (nb, nc, h, w))
+            gb = out.reshape(nb, nc, h, w)
+            gb[:, :, 2 * ho :] = 0  # the dropped row and column of an odd H or W
+            gb[:, :, :, 2 * wo :] = 0
             for di in range(2):
                 for dj in range(2):
                     gb[:, :, di : di + 2 * ho : 2, dj : dj + 2 * wo : 2] = q
-            gv = gb.reshape(nb, nc, h * w)
-            y = np.multiply(xv[i, ch], scale[ch, None], out=_front(work, gv.shape))
+            y = np.multiply(xv[i, ch], scale[ch, None], out=_front(work, out.shape))
             y += shift[ch, None]
-            gv *= y > 0
-            return gv
+            out *= y > 0
 
         _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training)
 

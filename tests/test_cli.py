@@ -500,7 +500,7 @@ class TestFbsCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "min_bands 14" in err and err.count("\n") == 1
-        assert not list((cache_dir / "fbs4").iterdir())
+        assert not (cache_dir / "fbs4").exists()
 
     def test_cache_with_unknown_patients_exits_3(self, cache_dir, capsys, no_training):
         # a clip of unknown patient cannot go to a patient-wise fold
@@ -547,6 +547,16 @@ FBS_SMALL = [
 ]
 
 
+def fbs_small(method):
+    """FBS_SMALL under ``method``; backward selection takes no --fbs-lambda or --r."""
+    args = [a if a != "importance" else method for a in FBS_SMALL]
+    if method == "backward":
+        for flag in ("--fbs-lambda", "--r"):
+            i = args.index(flag)
+            del args[i : i + 2]
+    return args
+
+
 def fold_seed(seed, fold):
     from lungsound.seeding import rng_for
 
@@ -570,7 +580,7 @@ class TestFbsWorkers:
             return real(dataset, model_cfg, train_cfg)
 
         monkeypatch.setattr(fbs, "train", failing)
-        args = [a if a != "importance" else method for a in FBS_SMALL]
+        args = fbs_small(method)
         ends = []
         for n in (1, 2):
             monkeypatch.setattr(fbs, "_pool_size", lambda sweep, n_jobs, n=n: n)
@@ -599,7 +609,7 @@ fbs.train = train
 fbs._pool_size = lambda sweep, n_jobs: 2
 sys.exit(main(["--workdir", sys.argv[1], *sys.argv[2:]]))
 """
-        args = [a if a != "importance" else "backward" for a in FBS_SMALL]
+        args = fbs_small("backward")
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-c", script, str(cache_dir), *args],
@@ -856,7 +866,7 @@ FBS = ["fbs", "--cache", "synth.cache", "--out-dir", "out", "--preset", "tiny", 
 
 class TestBadArguments:
     """Each bad argument exits with its code and one stderr line before any
-    work: no traceback, no output file, no manifest record. synth.cache is
+    work: no traceback, no output directory, no manifest record. synth.cache is
     16 bands x 10 frames, narrow.cache 8 x 16 and deep.cache 16 x 16; m.ckpt
     is a one-block model of 16 bands and deep.ckpt a four-block one."""
 
@@ -877,6 +887,11 @@ class TestBadArguments:
         (FBS + ["--cache", "deep.cache", "--method", "backward", "--preset", "icbhi"], 2,
          "floor 16 for a 4-block model"),
         (FBS + ["--method", "backward", "--lambda-sweep", "0,0.5,1"], 2, "--lambda-sweep"),
+        (FBS + ["--method", "backward", "--r", "3"], 2, "takes no --r:"),
+        (FBS + ["--method", "backward", "--attribution", "ig"], 2, "takes no --attribution:"),
+        (FBS + ["--method", "backward", "--lambda", "0.9"], 2, "takes no --lambda:"),
+        (FBS + ["--method", "backward", "--attribution", "ig", "--r", "3", "--fbs-lambda", "0.5"], 2,
+         "takes no --lambda, --r, --attribution:"),
         (FBS + ["--method", "importance", "--age-split", "10"], 2, "unrecognized arguments"),
         (["flops", "--out", "out/f.csv", "--n-mels", "4"], 2, "16 bands, got 4"),
         (["flops", "--out", "out/f.csv", "--n-frames", "1"], 2, "16 frames, got 1"),
@@ -887,7 +902,8 @@ class TestBadArguments:
     ], ids=[
         "class-id-9", "class-id--1", "ig-steps-0", "evaluate-task", "evaluate-frames",
         "attribute-frames", "train-bands", "train-frames", "train-masked-bands", "fbs-frames",
-        "fbs-backward-floor", "fbs-backward-lambda-sweep", "fbs-age-split", "flops-bands",
+        "fbs-backward-floor", "fbs-backward-lambda-sweep", "fbs-backward-r", "fbs-backward-attribution",
+        "fbs-backward-lambda", "fbs-backward-all", "fbs-age-split", "flops-bands",
         "flops-frames", "lr0-inf", "lr0-negative", "weight-decay-nan", "synth-frames-0",
     ])
     def test_exits_with_one_line_before_any_work(self, cache_dir, capsys, no_training, args, code, match):
@@ -905,7 +921,7 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert got == code
         assert err.count("\n") == 1 and match in err and "Traceback" not in err, err
-        assert not [p for p in (cache_dir / "out").rglob("*") if p.is_file()]
+        assert not (cache_dir / "out").exists()  # not even an empty --out-dir
         assert (cache_dir / "manifests.jsonl").read_text() == manifest
 
     def test_fbs_importance_stops_at_the_model_floor(self, cache_dir, capsys):

@@ -532,6 +532,34 @@ class TestBnReluPool:
         self.compare((3, 4, 7, 8), training, (False, True, True), pool=False)
         self.compare((3, 4, 1, 1), training, pool=False)  # no pool, so no least size
 
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_input_gradient_alone_in_eval_mode(self, pool, monkeypatch):
+        # IG's path: frozen gamma and beta and the running statistics, so
+        # the adjoint's first pass has nothing to sum; several blocks
+        shape = (5, 3, 9, 8)
+        monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", 2 * 3 * 9 * 8 * 4)
+        assert len(tensor_mod._bn_blocks(np.empty(shape, np.float32))[0]) > 1
+        self.compare(shape, False, (True, False, False), pool=pool)
+        g = rng(6)
+        x = g.normal(size=shape).astype(np.float32)
+        gamma, beta = g.uniform(0.5, 1.5, size=3).astype(np.float32), g.normal(size=3).astype(np.float32)
+        state = BatchNormState(3)
+        state.running_mean[:], state.running_var[:] = g.normal(size=3), g.uniform(0.5, 2.0, size=3)
+        xt = Tensor(x, requires_grad=True)
+        out = bn_relu_pool(xt, Tensor(gamma), Tensor(beta), state, training=False, pool=pool)
+        mix = g.normal(size=out.shape).astype(np.float32)
+        (out * Tensor(mix)).sum().backward()
+        # dx = scale * [x*scale + shift > 0] * (the pool adjoint of) mix
+        scale = gamma / np.sqrt(state.running_var + np.float32(1e-5))
+        shift = beta - state.running_mean * scale
+        y = x * scale[:, None, None] + shift[:, None, None]
+        gy = np.zeros(shape, np.float32)
+        if pool:  # g/4 in each 2x2 window; the odd last row stays zero
+            gy[:, :, :8, :8] = np.repeat(np.repeat(mix, 2, axis=2), 2, axis=3) / 4
+        else:
+            gy = mix
+        np.testing.assert_allclose(xt.grad, gy * (y > 0) * scale[:, None, None], rtol=1e-6, atol=1e-7)
+
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_batch_spanning_several_chunks(self, per_chunk, monkeypatch):
         # blocks of one and of two whole items
@@ -994,6 +1022,52 @@ class TestGradientRelease:
         for got, expected in zip((x.grad, gamma.grad, beta.grad), want):
             np.testing.assert_array_equal(got, expected)
         _assert_no_shared_gradients([x, gamma, beta, mix, other])
+
+    def test_backward_frees_the_graph(self):
+        # with the loss still held, the live heap holds the leaves'
+        # gradients and no activation: each one dies as soon as the last
+        # closure that reads it has run
+        g = rng(82)
+        x = Tensor(g.normal(size=(4, 1, 64, 64)), requires_grad=True)
+        w1 = Tensor(g.normal(size=(8, 1, 3, 3)), requires_grad=True)
+        w2 = Tensor(g.normal(size=(8, 8, 5, 5)) * 0.1, requires_grad=True)  # a Winograd conv
+        gammas = [Tensor(np.ones(8), requires_grad=True) for _ in range(2)]
+        betas = [Tensor(np.zeros(8), requires_grad=True) for _ in range(2)]
+        proj = Tensor(g.normal(size=(8, 3)), requires_grad=True)
+        leaves = [x, w1, w2, *gammas, *betas, proj]
+        states = [BatchNormState(8), BatchNormState(8)]
+        smallest = 4 * 8 * 32 * 32 * 4  # the second block's activations, in bytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = conv2d(x, w1, padding=1)
+            h = bn_relu_pool(h, gammas[0], betas[0], states[0], training=True)
+            h = conv2d(h, w2, padding=2)
+            h = bn_relu_pool(h, gammas[1], betas[1], states[1], training=True, pool=False)
+            h = reduce(h.reshape(4, 8, 32 * 32), "mean", axis=2)
+            loss = softmax(matmul(h, proj), axis=1).log().sum()
+            del h
+            loss.backward()
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        grads = sum(t.grad.nbytes for t in leaves)
+        assert grads <= live < grads + smallest // 4, (live, grads)
+        assert loss._parents == ()
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        leaves, loss = self._graph()
+        loss.backward()
+        assert self._nodes(loss) == [loss]
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        # a graph that reaches a node an earlier backward() consumed
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        y = x * x
+        first, second = y.sum(), (y * 2.0).sum()
+        first.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            second.backward()
 
     def test_fan_out_gradient_summed_before_release(self):
         # y feeds two ops; its gradient must hold both contributions when

@@ -382,7 +382,7 @@ class TestAgeSpecific:
 # Peak RSS (ru_maxrss, MiB) of one ICBHI-preset train() step at the paper's
 # batch, B=128 on 249 x 64 input with SpecAugment on, measured on a 2-vCPU
 # machine (numpy 2.4.6, OpenBLAS 0.3.31).
-PAPER_STEP_PEAK_MIB = 2164
+PAPER_STEP_PEAK_MIB = 1558
 
 
 def test_paper_batch_step_memory():
