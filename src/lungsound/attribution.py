@@ -142,7 +142,7 @@ def gradcam(model, specs: SpecSet, class_id: int) -> list[AttributionMap]:
         for start in range(0, len(specs), ATTRIBUTION_BATCH):
             chunk = slice(start, start + ATTRIBUTION_BATCH)
             with no_grad():
-                feats = model.features(Tensor(specs.values[chunk, None]))
+                feats = model.features(Tensor(specs.clips(chunk)[:, None]))
             act = Tensor(feats.data, requires_grad=True)
             model.last_conv_activation = act  # read by perfbench/tracer.py, not by lungsound
             _class_score(model.head(act), class_id).backward()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import LOG_FLOOR, fit_duration, mel_spectrogram, read_wav, standardize
+from .audio import LOG_FLOOR, TARGET_RATE, fit_duration, mel_spectrogram, read_wav, standardize
 from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
 from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .fbs import MIN_BANDS, FbsResult, fbs_backward, fbs_importance
@@ -251,7 +252,21 @@ def _preproc_config(args) -> dict:
     }
 
 
+def _check_frontend(args) -> None:
+    """Refuse log-Mel settings that give no clip or no band."""
+    if not 0 < args.target_seconds < math.inf:
+        raise ConfigError(f"--target-seconds must be finite and > 0, got {args.target_seconds}")
+    for dest in ("n_mels", "win", "hop"):
+        if getattr(args, dest) < 1:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be >= 1, got {getattr(args, dest)}")
+    if not 0 <= args.f_min < args.f_max <= TARGET_RATE / 2:
+        raise ConfigError(f"need 0 <= --f-min < --f-max <= {TARGET_RATE // 2}, got {args.f_min} and {args.f_max}")
+    if round(args.target_seconds * TARGET_RATE) < args.win:
+        raise ConfigError(f"--target-seconds {args.target_seconds} is shorter than one --win of {args.win} samples")
+
+
 def cmd_preprocess(args, workdir: Path, argv: list[str]) -> Record | None:
+    _check_frontend(args)
     out_path = _resolve(workdir, args.out)
     cfg = _preproc_config(args)
     chash = config_hash(cfg)
@@ -579,8 +594,9 @@ def cmd_evaluate(args, workdir: Path, argv: list[str]) -> Record:
 
 
 def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
-    if args.ig_steps < 1:
-        raise ConfigError(f"--ig-steps must be >= 1, got {args.ig_steps}")
+    for flag, value in (("--ig-steps", args.ig_steps), ("--first", args.first)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     cache_path, out_dir, model, meta, mask, cache_hash, data = _open_checkpoint(args, workdir)
     if not 0 <= args.class_id < model.cfg.n_classes:
         raise ConfigError(f"--class-id {args.class_id} is not a class of the {model.cfg.n_classes}-class checkpoint")
@@ -799,7 +815,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config_file(parser, args, argv, workdir)
         t0 = time.time()
-        record = args.func(args, workdir, argv)
+        # a non-finite value ends a command through its own checks, not a numpy warning
+        with np.errstate(all="ignore"):
+            record = args.func(args, workdir, argv)
     except tuple(EXIT_CODES) as exc:
         code, what = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
         print(f"{what}: {exc}", file=sys.stderr)

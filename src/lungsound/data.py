@@ -83,23 +83,26 @@ class CycleRecord:
 class SpecSet:
     """Equally shaped labeled spectrograms, stored by column.
 
-    ``values`` holds every clip in one (N, T, F) array; the metadata are
-    (N,) columns in the same order. Splits, folds and age strata are
-    index arrays over the columns (``specs[specs.splits == "official_test"]``),
-    and a frequency mask is a slice of the band axis (``masks.apply_mask``).
-    An integer index gives one clip as a ``Spectrogram`` (values a view
-    into the set, label None for -1, clip id), and iteration yields the
-    clips in order; a slice or an index array gives a ``SpecSet``.
+    ``values`` is one array that every set derived from this one shares:
+    ``rows`` and ``bands`` index the clips and bands of it held here (None:
+    all), and ``clips(idx)`` reads them. The metadata are (N,) columns in
+    the same order. Splits, folds and age strata index the columns
+    (``specs[specs.splits == "official_test"]``) and a frequency mask the
+    bands (``masks.apply_mask``); neither copies ``values``. An integer
+    index gives one clip as a ``Spectrogram`` (label None for -1, clip id)
+    and iteration yields them in order; a slice or index array a ``SpecSet``.
     """
 
-    values: np.ndarray  # (N, T, F) float32, all finite
-    band_centers: np.ndarray  # (F,) Hz, strictly increasing
+    values: np.ndarray  # (M, T, B) float32, all finite, shared by derived sets
+    band_centers: np.ndarray  # (F,) Hz of the kept bands, strictly increasing
     hop_seconds: float
     labels: np.ndarray  # (N,) int64; -1 marks an unlabeled clip
     patient_ids: np.ndarray  # (N,) str, None where unknown
     ages: np.ndarray  # (N,) float64 years, NaN where unknown
     splits: np.ndarray  # (N,) one of SPLITS
     clip_ids: np.ndarray  # (N,) str
+    rows: np.ndarray | None = None  # (N,) positions in values' first axis
+    bands: np.ndarray | None = None  # (F,) positions in values' last axis
 
     COLUMNS = ("labels", "patient_ids", "ages", "splits", "clip_ids")
 
@@ -123,7 +126,7 @@ class SpecSet:
             raise DataError("spectrogram set contains non-finite values")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.values if self.rows is None else self.rows)
 
     @property
     def n_frames(self) -> int:
@@ -131,14 +134,21 @@ class SpecSet:
 
     @property
     def n_bands(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[2] if self.bands is None else len(self.bands)
+
+    def clips(self, idx=slice(None)) -> np.ndarray:
+        """The (T, F) or (n, T, F) kept bands of the clips at ``idx``: a fresh
+        array, or a view when the set holds all of ``values`` and ``idx`` is an int or slice."""
+        x = self.values[idx if self.rows is None else self.rows[idx]]
+        return x if self.bands is None else x.take(self.bands, axis=-1)
 
     def __getitem__(self, idx):
         if not isinstance(idx, (int, np.integer)):
-            return replace(self, values=self.values[idx], **{c: getattr(self, c)[idx] for c in self.COLUMNS})
+            rows = np.arange(len(self))[idx] if self.rows is None else self.rows[idx]
+            return replace(self, rows=rows, **{c: getattr(self, c)[idx] for c in self.COLUMNS})
         label = int(self.labels[idx])
         return Spectrogram(
-            self.values[idx], self.band_centers, self.hop_seconds,
+            self.clips(idx), self.band_centers, self.hop_seconds,
             None if label < 0 else label, self.clip_ids[idx],
         )
 

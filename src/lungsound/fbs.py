@@ -287,7 +287,7 @@ def _training_bytes(sweep: _Sweep) -> int:
     Every conv block's output at the larger of the training batch and
     ``evaluate``'s batch, ``ACTIVATION_COPIES`` times, plus one im2col chunk.
     """
-    _, t, f = sweep.dataset.values.shape
+    t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
     per_clip = 0
     for c in sweep.model_cfg.channels:
         per_clip += c * t * f
@@ -451,11 +451,14 @@ def fbs_importance(
     An iteration is k (mask, fold) jobs. Selection keeps at least
     ``min_bands`` bands, and at least the model's ``min_input_size``.
     Raises ``ConfigError``, before any training, for r < 1 (removing no
-    band would retrain the same mask forever) and for an unknown
-    attribution method.
+    band would retrain the same mask forever), for an unknown
+    attribution method, and for a NaN or negative ``stop_epsilon``
+    (``math.inf`` turns the stop rule off).
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+    if not stop_epsilon >= 0:
+        raise ConfigError(f"stop_epsilon must be >= 0, got {stop_epsilon}")
     if r < 1:
         raise ConfigError(f"r must be >= 1 band per iteration, got {r}")
     if attribution_method not in ("gradcam", "ig"):
@@ -524,8 +527,11 @@ def fbs_backward(
     (mask, fold) jobs. Ties on the best candidate break toward the
     lowest group start. Selection keeps at least ``min_bands`` bands, and
     at least the model's ``min_input_size``. Raises ``ConfigError``,
-    before any training, when that floor leaves no group to remove.
+    before any training, for a NaN or negative ``stop_epsilon`` and when
+    that floor leaves no group to remove.
     """
+    if not stop_epsilon >= 0:
+        raise ConfigError(f"stop_epsilon must be >= 0, got {stop_epsilon}")
     n_bands = dataset.n_bands
     floor = max(min_bands, model_cfg.min_input_size)
     if n_bands - GROUP < floor:

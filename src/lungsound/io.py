@@ -95,7 +95,9 @@ def _read_blob(path, magic: bytes):
         header_bytes = fh.read(max(hlen, 0))
         if len(header_bytes) != hlen:
             raise DataError(f"{path}: truncated header")
-        payload = fh.read()
+        # a writable buffer, so that a cache's clips can be this buffer, not a copy of it
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        del payload[fh.readinto(payload):]
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -128,8 +130,8 @@ def _fail_closed(reader):
     return checked
 
 
-def _block(path, payload: bytes, offset: int, shape: tuple) -> np.ndarray:
-    """The float32 block of ``shape`` at byte ``offset`` of the payload."""
+def _block(path, payload: bytearray, offset: int, shape: tuple) -> np.ndarray:
+    """The float32 block of ``shape`` at byte ``offset`` of the payload, a view of it."""
     count = math.prod(shape)
     if min(shape, default=0) < 0 or offset < 0 or offset + 4 * count > len(payload):
         raise DataError(
@@ -178,7 +180,7 @@ def write_spec_cache(path, specs: SpecSet, preproc_config: dict) -> str:
     """Write a labeled spectrogram set; returns the config hash key."""
     if not len(specs):
         raise DataError("refusing to write an empty cache")
-    n, t, f = specs.values.shape
+    n, t, f = len(specs), specs.n_frames, specs.n_bands
     chash = config_hash(preproc_config)
     entries = [
         {
@@ -201,7 +203,7 @@ def write_spec_cache(path, specs: SpecSet, preproc_config: dict) -> str:
         "band_centers": [float(c) for c in specs.band_centers],
         "entries": entries,
     }
-    _write_blob(path, CACHE_MAGIC, header, [specs.values])
+    _write_blob(path, CACHE_MAGIC, header, [specs.clips()])
     return chash
 
 
@@ -225,7 +227,7 @@ def read_spec_cache(path):
     if values.nbytes != len(payload):
         raise DataError(f"{path}: {len(payload) - values.nbytes} bytes past the last clip")
     specs = SpecSet(
-        values.copy(), header["band_centers"], header["hop_seconds"],
+        values, header["band_centers"], header["hop_seconds"],
         labels=[-1 if e["label"] is None else int(e["label"]) for e in entries],
         patient_ids=[None if e["patient_id"] is None else str(e["patient_id"]) for e in entries],
         ages=[np.nan if e["age_years"] is None else float(e["age_years"]) for e in entries],

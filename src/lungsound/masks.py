@@ -1,9 +1,9 @@
 """Frequency masks and their application to spectrograms.
 
-Masked bands are physically removed: kept bands are compacted into a
-contiguous array (band order preserved), which is what shrinks the
-convolution cost. The mask keeps the mapping back to original band
-indices via ``kept_indices``.
+A masked set indexes its kept bands (band order preserved) in the array
+it shares with its parent; batches are gathered to the kept bands alone,
+which is what shrinks the convolution cost. The mask keeps the mapping
+back to original band indices via ``kept_indices``.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class FrequencyMask:
 
 
 def apply_mask(specs: SpecSet, mask: FrequencyMask) -> SpecSet:
-    """Compact every clip of a set to its kept bands.
+    """``specs`` restricted to the kept bands, sharing ``specs.values``.
 
-    Band order is preserved. A mask that keeps every band returns
-    ``specs`` itself.
+    Band order is preserved; nothing is copied. A mask that keeps every
+    band returns ``specs`` itself.
     """
     if mask.n_bands != specs.n_bands:
         raise ShapeError(
@@ -79,4 +79,5 @@ def apply_mask(specs: SpecSet, mask: FrequencyMask) -> SpecSet:
     if mask.n_kept == mask.n_bands:
         return specs
     kept = mask.kept_indices
-    return replace(specs, values=specs.values.take(kept, axis=-1), band_centers=specs.band_centers[kept])
+    bands = kept if specs.bands is None else specs.bands[kept]
+    return replace(specs, bands=bands, band_centers=specs.band_centers[kept])

@@ -28,7 +28,7 @@ from .seeding import rng_for
 from .tensor import (
     BatchNormState,
     Tensor,
-    batchnorm2d,  # noqa: F401  unused; perfbench's tracer patches it by name until ROADMAP item 2
+    batchnorm2d,  # noqa: F401  unused; perfbench's tracer patches it by name until ROADMAP item 4
     bn_relu_pool,
     conv2d,
     matmul,

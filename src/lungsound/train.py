@@ -159,7 +159,8 @@ def train(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig) -> T
 
     The clips are used as given: to train under a frequency mask, pass
     ``masks.apply_mask(dataset, mask)`` and a config built for its band
-    count. The returned model holds no gradients and no reference to any
+    count. Only batches are copied out of the set's shared array. The
+    returned model holds no gradients and no reference to any
     activation. Raises DivergenceError with the offending epoch if the
     loss goes non-finite.
     """
@@ -172,8 +173,7 @@ def train(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig) -> T
             f"label {labels.max()} out of range for a {n_classes}-class model "
             f"(task={train_cfg.task})"
         )
-    x_all = dataset.values[:, None]
-    n, _, t_dim, f_dim = x_all.shape
+    n, t_dim, f_dim = len(dataset), dataset.n_frames, dataset.n_bands
     counts = np.bincount(labels, minlength=n_classes)
     model = CnnTsa(model_cfg, seed=train_cfg.seed)
     state = AdamState()
@@ -189,7 +189,7 @@ def train(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig) -> T
         conf = np.zeros((n_classes, n_classes), dtype=np.int64)
         for start in range(0, n, train_cfg.batch_size):
             idx = perm[start : start + train_cfg.batch_size]
-            xb = x_all[idx]  # a fresh array: SpecAugment may write into it
+            xb = dataset.clips(idx)[:, None]  # a fresh array: SpecAugment may write into it
             yb = labels[idx]
             if train_cfg.specaugment:
                 for row in xb:
@@ -239,11 +239,10 @@ def evaluate(
     if not dataset:
         raise DataError("empty evaluation set")
     labels = dataset.targets(task)
-    x_all = dataset.values[:, None]
     preds = np.empty(len(dataset), dtype=np.int64)
     with no_grad():
         for start in range(0, len(dataset), batch_size):
-            logits = model.forward(Tensor(x_all[start : start + batch_size]), training=False)
+            logits = model.forward(Tensor(dataset.clips(slice(start, start + batch_size))[:, None]), training=False)
             if not np.isfinite(logits.data).all():
                 raise DivergenceError(f"non-finite logits for clips {start}..{start + logits.shape[0] - 1}")
             preds[start : start + logits.shape[0]] = logits.data.argmax(axis=1)

@@ -621,6 +621,23 @@ sys.exit(main(["--workdir", sys.argv[1], *sys.argv[2:]]))
         assert f"killed by SIGKILL while running job (mask 0000{'1' * 12}, fold 1)" in proc.stderr
 
 
+def test_numpy_warnings_stay_off_stderr(cache_dir):
+    """A diverging run ends in exit 4 and its one error line; numpy's
+    overflow warnings on the way there are not printed."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = "import sys; from lungsound.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--workdir", str(cache_dir), *train_args("big", ["--lr0", "1e30"])],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("numerical abort: "), proc.stderr
+
+
 def test_import_starts_no_process():
     import subprocess
     import sys
@@ -899,12 +916,17 @@ class TestBadArguments:
         (train_args("out") + ["--lr0", "-1"], 2, "lr0"),
         (train_args("out") + ["--weight-decay", "nan"], 2, "weight_decay"),
         (synth_cache("out/empty.cache", 16, 0), 2, "n_frames"),
+        (ATTRIBUTE + ["--class-id", "0", "--first", "-1"], 2, "--first must be >= 1, got -1"),
+        (ATTRIBUTE + ["--class-id", "0", "--first", "0"], 2, "--first must be >= 1, got 0"),
+        (FBS + ["--method", "importance", "--stop-epsilon", "nan"], 2, "stop_epsilon must be >= 0, got nan"),
+        (FBS + ["--method", "backward", "--stop-epsilon", "-1"], 2, "stop_epsilon must be >= 0, got -1.0"),
     ], ids=[
         "class-id-9", "class-id--1", "ig-steps-0", "evaluate-task", "evaluate-frames",
         "attribute-frames", "train-bands", "train-frames", "train-masked-bands", "fbs-frames",
         "fbs-backward-floor", "fbs-backward-lambda-sweep", "fbs-backward-r", "fbs-backward-attribution",
         "fbs-backward-lambda", "fbs-backward-all", "fbs-age-split", "flops-bands",
         "flops-frames", "lr0-inf", "lr0-negative", "weight-decay-nan", "synth-frames-0",
+        "attribute-first--1", "attribute-first-0", "fbs-stop-epsilon-nan", "fbs-backward-stop-epsilon--1",
     ])
     def test_exits_with_one_line_before_any_work(self, cache_dir, capsys, no_training, args, code, match):
         assert run(cache_dir, *synth_cache("narrow.cache", 8, 16)) == 0
@@ -923,6 +945,34 @@ class TestBadArguments:
         assert err.count("\n") == 1 and match in err and "Traceback" not in err, err
         assert not (cache_dir / "out").exists()  # not even an empty --out-dir
         assert (cache_dir / "manifests.jsonl").read_text() == manifest
+
+    @pytest.mark.parametrize("args, match", [
+        (["--hop", "0"], "--hop must be >= 1, got 0"),
+        (["--hop", "-1"], "--hop must be >= 1, got -1"),
+        (["--win", "0"], "--win must be >= 1, got 0"),
+        (["--n-mels", "0"], "--n-mels must be >= 1, got 0"),
+        (["--target-seconds", "nan"], "--target-seconds must be finite and > 0, got nan"),
+        (["--target-seconds", "0.01"], "shorter than one --win of 256 samples"),
+        (["--f-min", "3500", "--f-max", "3000"], "got 3500.0 and 3000.0"),
+        (["--f-max", "nan"], "got 50.0 and nan"),
+    ], ids=["hop-0", "hop--1", "win-0", "n-mels-0", "target-seconds-nan", "target-below-win",
+            "f-min-above-f-max", "f-max-nan"])
+    def test_preprocess_frontend_values(self, tmp_path, capsys, args, match):
+        from test_data import write_wav
+
+        root = tmp_path / "icbhi"
+        root.mkdir()
+        write_wav(root / "101_1b1_Al_sc_Meditron.wav", seconds=3.0, rate=8000)
+        (root / "101_1b1_Al_sc_Meditron.txt").write_text("0.0 1.0 0 0\n1.0 2.0 1 0\n")
+        code = run(
+            tmp_path, "preprocess", "--dataset", "icbhi", "--data-root", "icbhi", "--out", "icbhi.cache",
+            "--target-seconds", "2", "--n-mels", "16", "--win", "256", "--hop", "128", "--f-max", "3000",
+            *args,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and match in err and "Traceback" not in err, err
+        assert not (tmp_path / "icbhi.cache").exists() and not (tmp_path / "manifests.jsonl").exists()
 
     def test_fbs_importance_stops_at_the_model_floor(self, cache_dir, capsys):
         # a four-block model reads no fewer than 16 bands: the sweep of a

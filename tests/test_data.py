@@ -2,10 +2,13 @@
 planted-band corpus."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from lungsound.audio import Spectrogram
@@ -19,6 +22,7 @@ from lungsound.data import (
     synth_corpus,
 )
 from lungsound.errors import ConfigError, DataError, ShapeError
+from lungsound.io import read_spec_cache, write_spec_cache
 from lungsound.masks import FrequencyMask, apply_mask
 
 
@@ -270,7 +274,7 @@ class TestSpecSet:
         assert isinstance(sub, SpecSet)
         rows = np.arange(len(specs))[index]
         assert len(sub) == len(rows)
-        np.testing.assert_array_equal(sub.values, specs.values[rows])
+        np.testing.assert_array_equal(sub.clips(), specs.values[rows])
         for column in ("labels", "patient_ids", "ages", "splits", "clip_ids"):
             np.testing.assert_array_equal(getattr(sub, column), getattr(specs, column)[rows])
         assert [s.clip_id for s in sub] == specs.clip_ids[rows].tolist()
@@ -308,10 +312,10 @@ class TestSpecSet:
         specs = small_set()
         mask = FrequencyMask(np.ones(12, dtype=bool)).remove([0, 5, 6, 11])
         masked = apply_mask(specs, mask)
-        assert isinstance(masked, SpecSet) and masked.values.flags.c_contiguous
+        assert isinstance(masked, SpecSet) and masked.clips().flags.c_contiguous
         for i, row in enumerate(masked):
             oracle = apply_mask(specs[i : i + 1], mask)  # each clip masked alone
-            np.testing.assert_array_equal(row.values, oracle.values[0])
+            np.testing.assert_array_equal(row.values, oracle.clips(0))
             np.testing.assert_array_equal(row.band_centers, oracle.band_centers)
             assert row.clip_id == oracle.clip_ids[0] and row.label == specs[i].label
         np.testing.assert_array_equal(masked.labels, specs.labels)
@@ -320,8 +324,70 @@ class TestSpecSet:
     def test_full_mask_returns_input(self):
         specs = small_set()
         assert apply_mask(specs, FrequencyMask.full(12)) is specs
-        assert apply_mask(specs[0:3], FrequencyMask.full(12)).values.base is specs.values
+        sub = apply_mask(specs[0:3], FrequencyMask.full(12))
+        assert sub.values is specs.values  # shared, not copied
+        np.testing.assert_array_equal(sub.clips(), specs.values[0:3])
 
     def test_mask_of_other_length_refused(self):
         with pytest.raises(ShapeError):
             apply_mask(small_set(), FrequencyMask.full(16))
+
+
+def draw_view(data, specs: SpecSet):
+    """One random derivation of ``specs`` and the numpy index it applies:
+    ("rows", idx) for a slice (negative steps included), an index array
+    or a bool mask; ("bands", keep) for ``apply_mask``."""
+    n, f = len(specs), specs.n_bands
+    kind = data.draw(st.sampled_from(["slice", "index", "bool", "mask"]), label="kind")
+    if kind == "mask":
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=f, max_size=f), label="keep"))
+        keep[data.draw(st.integers(0, f - 1), label="kept band")] = True
+        return apply_mask(specs, FrequencyMask(keep)), ("bands", keep)
+    if kind == "slice":
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        step = data.draw(st.sampled_from([None, 1, 2, 3, -1, -2, -3]), label="step")
+        idx = slice(data.draw(bound, label="start"), data.draw(bound, label="stop"), step)
+    elif kind == "index":
+        positions = st.lists(st.integers(-n, n - 1), max_size=2 * n) if n else st.just([])
+        idx = np.array(data.draw(positions, label="positions"), dtype=np.int64)
+    else:
+        idx = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="rows"), dtype=bool)
+    return specs[idx], ("rows", idx)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_views_match_an_eager_oracle(data):
+    """Chains of indexing and ``apply_mask`` read what the same numpy
+    indexing of a private copy reads, share the parent's array, and write
+    a cache that reads back as the view's clips."""
+    specs = small_set()
+    parent = specs.values
+    values, centers = specs.values.copy(), specs.band_centers.copy()
+    columns = {c: getattr(specs, c).copy() for c in SpecSet.COLUMNS}
+    for _ in range(data.draw(st.integers(1, 4), label="chain length")):
+        specs, (axis, idx) = draw_view(data, specs)
+        if axis == "bands":
+            values, centers = values[..., idx], centers[idx]
+        else:
+            values, columns = values[idx], {c: v[idx] for c, v in columns.items()}
+    assert specs.values is parent
+    assert len(specs) == len(values) and (specs.n_frames, specs.n_bands) == values.shape[1:]
+    np.testing.assert_array_equal(specs.clips(), values)
+    np.testing.assert_array_equal(specs.clips(slice(None, None, -2)), values[::-2])
+    np.testing.assert_array_equal(specs.clips(np.arange(len(values))[::-1]), values[::-1])
+    np.testing.assert_array_equal(specs.band_centers, centers)
+    for column, oracle in columns.items():
+        np.testing.assert_array_equal(getattr(specs, column), oracle)
+    for i in range(-len(values), len(values)):
+        np.testing.assert_array_equal(specs[i].values, values[i])
+        assert specs[i].clip_id == columns["clip_ids"][i]
+    if not len(specs):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        write_spec_cache(Path(tmp) / "view.cache", specs, {"dataset": "view"})
+        back, _, _ = read_spec_cache(Path(tmp) / "view.cache")
+    np.testing.assert_array_equal(back.values, values)
+    np.testing.assert_array_equal(back.band_centers, centers)
+    for column, oracle in columns.items():
+        np.testing.assert_array_equal(getattr(back, column), oracle)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lungsound.attribution import AttributionMap
-from lungsound.data import SynthSpec, synth_corpus
+from lungsound.data import SpecSet, SynthSpec, synth_corpus
 from lungsound.errors import ConfigError, DataError
 from lungsound.fbs import (
     FrequencyMask,
@@ -417,3 +417,43 @@ class TestJobPool:
         assert fbs._pool_size(big, 32) == 1
         monkeypatch.setattr(fbs, "_available_bytes", lambda: 1 << 20)
         assert fbs._pool_size(sweep, 32) == 1  # never below one
+
+
+def test_cv_job_copies_no_clip(monkeypatch):
+    """One importance job hands train, evaluate and Grad-CAM sets that share
+    the sweep's array, and allocates well under one copy of it."""
+    import tracemalloc
+    from types import SimpleNamespace
+
+    import lungsound.fbs as fbs
+
+    corpus = synth_corpus(SynthSpec(n_classes=2, n_bands=64, n_frames=64, n_per_class=60, seed=0))
+    mcfg = ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=64)
+    tcfg = TrainConfig(epochs=1, batch_size=16, seed=0, specaugment=False)
+    sweep = fbs._Sweep(corpus, fbs.patient_kfold(corpus.patient_ids, k=2), mcfg, tcfg, "gradcam")
+    seen = []
+
+    def record(result):
+        def stand_in(*args):
+            seen.append(next(a for a in args if isinstance(a, SpecSet)))
+            return result(seen[-1])
+        return stand_in
+
+    def one_map(specs):
+        return [AttributionMap(np.zeros((specs.n_frames, specs.n_bands), np.float32), "s", 0, "gradcam")]
+
+    monkeypatch.setattr(fbs, "train", record(lambda specs: SimpleNamespace(model=None)))
+    monkeypatch.setattr(fbs, "evaluate", record(lambda specs: SimpleNamespace(as_score=50.0)))
+    monkeypatch.setattr(fbs, "gradcam", record(one_map))
+    keep = np.ones(64, dtype=bool)
+    keep[[0, 1, 2, 3, 40]] = False
+    tracemalloc.start()
+    try:
+        fold_as, profiles = fbs._cv_job(sweep, keep, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fold_as == 50.0 and profiles.shape == (2, 59)
+    assert len(seen) == 4  # train, evaluate and one Grad-CAM set per class
+    assert all(s.values is corpus.values and s.n_bands == 59 for s in seen)
+    assert peak < 0.05 * corpus.values.nbytes, (peak, corpus.values.nbytes)

@@ -140,6 +140,21 @@ def blob(magic: bytes, header, payload=b"") -> bytes:
 
 
 class TestSpecCache:
+    def test_read_holds_one_copy_of_the_clips(self, tmp_path):
+        import tracemalloc
+
+        specs = make_specs(n=64, t=64, f=64)
+        write_spec_cache(tmp_path / "c.cache", specs, {})
+        tracemalloc.start()
+        try:
+            back, _, _ = read_spec_cache(tmp_path / "c.cache")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, specs.values)
+        assert back.values.flags.writeable
+        assert peak < 1.5 * back.values.nbytes, (peak, back.values.nbytes)
+
     @pytest.mark.parametrize("cut", [1, 50, 200])
     def test_truncated_rejected(self, tmp_path, cut):
         path = tmp_path / "c.cache"
@@ -367,9 +382,9 @@ class TestFrequencyMaskInvariants:
         assert compact.n_bands == 6
         # re-expand with zeros then re-mask: identical compact set
         full = np.zeros((1, 4, 8), np.float32)
-        full[..., mask.kept_indices] = compact.values
+        full[..., mask.kept_indices] = compact.clips()
         again = apply_mask(replace(specs, values=full), mask)
-        np.testing.assert_array_equal(again.values, compact.values)
+        np.testing.assert_array_equal(again.clips(), compact.clips())
         np.testing.assert_array_equal(again.band_centers, compact.band_centers)
 
     def test_all_true_mask_is_identity(self):
@@ -384,5 +399,5 @@ class TestFrequencyMaskInvariants:
         vals = np.arange(8, dtype=np.float32).reshape(1, 2, 4)
         specs = replace(make_specs(1, t=2, f=4), values=vals, band_centers=[10.0, 20.0, 30.0, 40.0])
         out = apply_mask(specs, FrequencyMask(np.array([1, 0, 1, 0], dtype=bool)))
-        np.testing.assert_array_equal(out.values, vals[..., [0, 2]])
+        np.testing.assert_array_equal(out.clips(), vals[..., [0, 2]])
         np.testing.assert_array_equal(out.band_centers, [10.0, 30.0])
