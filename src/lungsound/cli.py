@@ -229,6 +229,20 @@ def _report_json(report: MetricReport) -> str:
 
 
 def _preproc_config(args) -> dict:
+    """What a cache's values depend on, hashed into its ``data_config_hash``:
+    the synth spec for synth data, which reads no front-end setting."""
+    if args.dataset == "synth":
+        return {
+            "dataset": "synth",
+            "synth": {
+                "classes": args.synth_classes,
+                "per_class": args.synth_per_class,
+                "bands": args.synth_bands,
+                "frames": args.synth_frames,
+                "snr_db": args.synth_snr_db,
+                "seed": args.seed,
+            },
+        }
     return {
         "dataset": args.dataset,
         "target_seconds": args.target_seconds,
@@ -239,16 +253,7 @@ def _preproc_config(args) -> dict:
         "f_min": args.f_min,
         "f_max": args.f_max,
         "sprsound_edition": args.sprsound_edition,
-        "synth": {
-            "classes": args.synth_classes,
-            "per_class": args.synth_per_class,
-            "bands": args.synth_bands,
-            "frames": args.synth_frames,
-            "snr_db": args.synth_snr_db,
-            "seed": args.seed,
-        }
-        if args.dataset == "synth"
-        else None,
+        "synth": None,
     }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -79,6 +80,10 @@ class CycleRecord:
             self.clip_id = f"{Path(self.audio_path).stem}_{self.onset_s:.3f}"
 
 
+# the values arrays of sets whose scan for non-finite values passed, by id
+_FINITE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(eq=False)
 class SpecSet:
     """Equally shaped labeled spectrograms, stored by column.
@@ -121,9 +126,12 @@ class SpecSet:
             raise DataError(f"hop must be positive, got {self.hop_seconds}")
         if (self.labels < -1).any() or not set(self.splits.tolist()) <= set(SPLITS):
             raise DataError("labels must be >= 0 (-1: unlabeled) and splits one of " + str(SPLITS))
-        # min and max carry any NaN or inf, without a mask the size of values
-        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
-            raise DataError("spectrogram set contains non-finite values")
+        # min and max carry any NaN or inf, without a mask the size of
+        # values; a set derived from another shares its checked array
+        if self.values.size and _FINITE.get(id(self.values)) is not self.values:
+            if not np.isfinite([self.values.min(), self.values.max()]).all():
+                raise DataError("spectrogram set contains non-finite values")
+            _FINITE[id(self.values)] = self.values
 
     def __len__(self) -> int:
         return len(self.values if self.rows is None else self.rows)

@@ -28,7 +28,7 @@ float a serial loop computes.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import logging
 import mmap
 import multiprocessing
@@ -46,7 +46,7 @@ from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .masks import FrequencyMask, apply_mask
 from .model import POOL, ModelConfig
 from .seeding import rng_for
-from .tensor import IM2COL_BYTES
+from .tensor import EPILOGUE_BYTES, IM2COL_BYTES, _openblas, thread_budget
 from .train import EVAL_BATCH, TrainConfig, evaluate, patient_kfold, train
 
 __all__ = [
@@ -285,15 +285,20 @@ def _training_bytes(sweep: _Sweep) -> int:
     """Estimated peak memory of one job.
 
     Every conv block's output at the larger of the training batch and
-    ``evaluate``'s batch, ``ACTIVATION_COPIES`` times, plus one im2col chunk.
+    ``evaluate``'s batch, ``ACTIVATION_COPIES`` times, plus one im2col
+    chunk, one gathered batch of clips, and the engine's scratch: the units
+    of a conv hold at most one more chunk between them, and each thread
+    two batchnorm blocks.
     """
     t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
+    batch = max(sweep.train_cfg.batch_size, EVAL_BATCH)
+    gather = 4 * batch * t * f
     per_clip = 0
     for c in sweep.model_cfg.channels:
         per_clip += c * t * f
         t, f = t // POOL, f // POOL
-    batch = max(sweep.train_cfg.batch_size, EVAL_BATCH)
-    return 4 * ACTIVATION_COPIES * per_clip * batch + IM2COL_BYTES
+    scratch = IM2COL_BYTES + 2 * len(os.sched_getaffinity(0)) * EPILOGUE_BYTES
+    return 4 * ACTIVATION_COPIES * per_clip * batch + IM2COL_BYTES + gather + scratch
 
 
 def _available_bytes() -> int:
@@ -315,27 +320,6 @@ def _pool_size(sweep: _Sweep, n_jobs: int) -> int:
     if fit < 2:
         return 1
     return min(len(os.sched_getaffinity(0)), n_jobs, fit)
-
-
-@functools.cache
-def _openblas():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS
-    through ``ctypes``, or None where numpy uses another BLAS (MKL,
-    Accelerate), whose threads forked workers would each keep in full.
-    Looked up when the first pool starts."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in sorted(glob.glob(libs)):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas_", "openblas_"):  # numpy 2's scipy-openblas, numpy 1's
-            get = getattr(lib, prefix + "get_num_threads64_", None)
-            set_ = getattr(lib, prefix + "set_num_threads64_", None)
-            if get is not None and set_ is not None:
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
 
 
 _WORKER = None  # (sweep, started) inside a pool worker; set by _adopt
@@ -360,10 +344,11 @@ class _Jobs:
     """Runs a sweep's (keep, fold) jobs and returns their results in job order.
 
     With one worker (see ``_pool_size``), or no way to set the workers'
-    BLAS threads (see ``_openblas``), the jobs run in this process.
+    BLAS threads (see ``tensor._openblas``), the jobs run in this process.
     Otherwise they run on a ``fork`` process pool that lives as long as
-    the ``with`` block, each worker with ``cpus // workers`` BLAS threads
-    (at least one). The workers inherit the sweep copy-on-write, so a
+    the ``with`` block, forked inside ``thread_budget(cpus // workers)``
+    (at least one), so each worker's engine threads and OpenBLAS take its
+    share of the CPUs. The workers inherit the sweep copy-on-write, so a
     job ships only its mask bits and fold. A job's exception is raised
     here; a worker that dies mid-job raises ``WorkerError`` naming the job.
     """
@@ -371,9 +356,14 @@ class _Jobs:
     def __init__(self, sweep: _Sweep, n_jobs: int):
         self.sweep = sweep
         self.pool = None
+        self.budget = contextlib.ExitStack()
         size = _pool_size(sweep, n_jobs)
-        blas = _openblas() if size > 1 else None
-        if blas is not None:
+        if size > 1 and _openblas() is not None:
+            # the workers fork with this process's thread budget, so it is
+            # their share while the pool lives; set inside a forked worker,
+            # OpenBLAS would restart its threads there, and an idle one
+            # spins for about 0.1 s of CPU
+            self.budget.enter_context(thread_budget(max(1, len(os.sched_getaffinity(0)) // size)))
             # the pid of the worker running job j, 0 when none; shared with the workers
             self.started = np.frombuffer(mmap.mmap(-1, 8 * n_jobs), dtype=np.int64)
             self.pool = ProcessPoolExecutor(
@@ -383,13 +373,6 @@ class _Jobs:
                 initargs=(sweep, self.started),
             )
             self.workers = []
-            # the workers fork with this process's BLAS thread count, so it
-            # is their share while the pool lives; set inside a forked
-            # worker, it would restart OpenBLAS's threads there, and an idle
-            # one spins for about 0.1 s of CPU
-            get, set_ = blas
-            self.blas_threads = get()
-            set_(max(1, len(os.sched_getaffinity(0)) // size))
 
     def __enter__(self):
         return self
@@ -397,7 +380,7 @@ class _Jobs:
     def __exit__(self, *exc):
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
-            _openblas()[1](self.blas_threads)
+        self.budget.close()
 
     def run(self, jobs: list[tuple[np.ndarray, int]]) -> list:
         if self.pool is None:

@@ -49,6 +49,14 @@ on the blocking. A closure that allocates a gradient buffer for one
 input alone hands it over with ``_adopt``, and the input keeps it as its
 gradient instead of copying it.
 
+Threads: conv2d, the batchnorm passes and ``optim.adam_step`` cut their
+work into units fixed by shapes, each writing its own part of buffers
+the calling thread allocated, and run them on a pool of the process's
+thread budget (``thread_budget``; by default its CPUs), with OpenBLAS at
+one thread while the pool has more. No unit adds into another's output,
+so every result is bit-identical at any thread count. Ops are still
+called from one thread: the graph and the flags below are not shared.
+
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
 op records anything, so every result is a leaf and the buffers a
@@ -61,7 +69,10 @@ weight-gradient work while gradients still flow to the activations.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -80,6 +91,7 @@ __all__ = [
     "reduce",
     "precision",
     "no_grad",
+    "thread_budget",
 ]
 
 # float32 is the working precision; gradient-check oracles flip the
@@ -468,6 +480,152 @@ def _expand_like(g: np.ndarray, shape: tuple, axis: int | None) -> np.ndarray:
     return np.broadcast_to(np.expand_dims(g, ax), shape).copy()
 
 
+# -- engine threads -------------------------------------------------------------------
+
+# conv2d, the batchnorm passes and Adam split their work into units that
+# write disjoint parts of buffers the calling thread allocated: channel
+# ranges, transform points, batch items, weight-gradient rows, batchnorm
+# blocks or parameters. The split reads shapes only, never the thread
+# count, and no unit adds into another's output, so every float is the
+# one a loop over the units in order computes, at any thread count. Two
+# parts per split: four ran an ICBHI train step 4% slower on 2 vCPUs
+# (more, smaller GEMMs).
+UNITS = 2
+
+# An op whose largest array holds fewer bytes per batch item (Adam: whose
+# parameters hold fewer) is not split and runs on the calling thread
+# without starting the pool. Like ``_winograd_applies``, the rule reads one
+# image's shape, not the batch size: the tiny preset (20 KB per item) runs
+# serially at any batch, every block of the ICBHI and SPRSound presets
+# (at least 0.5 MB per item) on the pool.
+THREAD_BYTES = 256 << 10
+
+_BUDGET = None  # threads the engine may run; None: the CPUs this process may run on
+_POOL = None  # (threads, executor or None), from the first op that splits
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: it starts its own pool."""
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS
+    through ``ctypes``, or None where numpy uses another BLAS (MKL,
+    Accelerate), whose threads the engine cannot hand over."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas_", "openblas_"):  # numpy 2's scipy-openblas, numpy 1's
+            get = getattr(lib, prefix + "get_num_threads64_", None)
+            set_ = getattr(lib, prefix + "set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _one_heap() -> None:
+    """Have every thread allocate from the main thread's heap (glibc's
+    ``M_ARENA_MAX`` of 1). With heaps of their own, the pool threads' freed
+    unit temporaries stay mapped beside the main heap's: the ``train-icbhi``
+    benchmark's peak RSS read 441-466 MB, against 405-430 MB serially and
+    389-413 MB with one heap."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
+@contextmanager
+def thread_budget(threads: int):
+    """Run the block, and every process forked inside it, on ``threads`` threads.
+
+    The process's one thread budget, by default the CPUs it may run on.
+    Ops inside the block start a pool of that size (the pool from before
+    is set aside until the block ends), and OpenBLAS runs ``threads``
+    threads until one does, then one thread while the pool has more. The
+    FBS job pool forks its workers inside the block, each with its share
+    of the CPUs.
+    """
+    global _BUDGET, _POOL
+    blas = _openblas()
+    saved = _BUDGET, _POOL, blas and blas[0]()
+    _BUDGET, _POOL = threads, None
+    if blas:
+        blas[1](threads)
+    try:
+        yield
+    finally:
+        if _POOL is not None and _POOL[1] is not None:
+            _POOL[1].shutdown()
+        _BUDGET, _POOL, count = saved
+        if blas:
+            blas[1](count)
+
+
+def _lanes(big: bool) -> int:
+    """The threads an op runs its units on: one below ``THREAD_BYTES``,
+    else the pool's. The first such op starts the pool with the thread
+    budget, and sets OpenBLAS to one thread from then on, so that each
+    unit's GEMMs run on the thread that calls them. Without a way to set
+    OpenBLAS's threads the engine stays serial."""
+    global _POOL
+    if not big:
+        return 1
+    if _POOL is None:
+        n = _BUDGET or len(os.sched_getaffinity(0))
+        blas = _openblas() if n > 1 else None
+        if blas is None:
+            _POOL = (1, None)
+        else:
+            blas[1](1)
+            _one_heap()
+            _POOL = (n, ThreadPoolExecutor(n - 1, thread_name_prefix="lungsound-engine"))
+    return _POOL[0]
+
+
+def _parts(total: int, big: bool) -> list[slice]:
+    """``range(total)`` in ``UNITS`` near-equal parts (fewer if it is shorter),
+    or whole for an op below ``THREAD_BYTES``."""
+    m = min(UNITS, total) if big else 1
+    return [slice(total * i // m, total * (i + 1) // m) for i in range(m)]
+
+
+def _each(lanes: int, unit, parts: list) -> None:
+    """``unit(part, lane)`` for each of ``parts``, on ``lanes`` threads;
+    ``lane`` numbers the thread that runs it (0 is this one), so that a
+    unit can use that thread's scratch. A unit's exception is raised once
+    every unit has stopped."""
+    if lanes == 1 or len(parts) == 1:
+        for part in parts:
+            unit(part, 0)
+        return
+    todo = iter(parts)  # each thread takes the next part
+
+    def drain(lane):
+        for part in todo:
+            unit(part, lane)
+
+    others = [_POOL[1].submit(drain, lane) for lane in range(1, min(lanes, len(parts)))]
+    try:
+        drain(0)
+    finally:
+        wait(others)
+    for f in others:
+        f.result()
+
+
 # -- convolution ----------------------------------------------------------------
 
 # Bytes of im2col columns conv2d builds at once. The batch is split into
@@ -476,8 +634,8 @@ def _expand_like(g: np.ndarray, shape: tuple, axis: int | None) -> np.ndarray:
 IM2COL_BYTES = 16 << 20
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """(B, C*kh*kw, Ho*Wo) columns of the already padded ``xp``."""
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int, out: np.ndarray) -> None:
+    """The (B, C*kh*kw, Ho*Wo) columns of the already padded ``xp``, into ``out``."""
     b, c = xp.shape[:2]
     s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -488,7 +646,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     )
     # the window view in its own order, so each row is one contiguous
     # (Ho, Wo) plane and no transpose is copied
-    return np.ascontiguousarray(windows).reshape(b, c * kh * kw, ho * wo)
+    out.reshape(windows.shape)[...] = windows
 
 
 # Winograd F(4x4, 5x5) (Lavin & Gray, arXiv:1509.09308): an 8x8 input
@@ -544,53 +702,83 @@ def _wino_transforms(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.kron(bt, bt), np.kron(g, g), np.kron(at, at)
 
 
-def _wino_kernel(weight: np.ndarray, kg: np.ndarray) -> np.ndarray:
-    """U = (64, C', C): the transformed kernel."""
+def _wino_kernel(weight: np.ndarray, kg: np.ndarray, lanes: int, big: bool) -> np.ndarray:
+    """U = (64, C', C): the transformed kernel, split by output channel
+    (a split by point would have each unit read the whole kernel)."""
     co, ci = weight.shape[:2]
-    return (kg @ weight.reshape(co * ci, 25).T).reshape(64, co, ci)
+    u = np.empty((64, co, ci), dtype=np.result_type(kg, weight))
+
+    def unit(chans, lane):
+        np.matmul(kg, weight[chans].reshape(-1, 25).T, out=u[:, chans].reshape(64, -1))
+
+    _each(lanes, unit, _parts(co, big))
+    return u
 
 
-def _wino_input(x: np.ndarray, kb: np.ndarray) -> np.ndarray:
+def _wino_input(x: np.ndarray, kb: np.ndarray, lanes: int, big: bool) -> np.ndarray:
     """V = (64, C, n*T): the transformed 8x8 tiles, at stride 4, of the
     chunk ``x`` (n, C, H, W) padded by 2 and then to whole 4x4 output
-    tiles; columns run over (item, tile row, tile column)."""
+    tiles; columns run over (item, tile row, tile column). Split by input
+    channel: each unit pads, cuts and transforms its channels' tiles."""
     n, c, h, w = x.shape
     th, tw = -(-h // 4), -(-w // 4)
-    xp = np.zeros((n, c, 4 * th + 4, 4 * tw + 4), dtype=x.dtype)
-    xp[:, :, 2 : 2 + h, 2 : 2 + w] = x
-    s0, s1, s2, s3 = xp.strides
-    tiles = np.lib.stride_tricks.as_strided(
-        xp, shape=(c, n, th, tw, 8, 8), strides=(s1, s0, 4 * s2, 4 * s3, s2, s3), writeable=False
-    )
-    d = np.ascontiguousarray(tiles).reshape(c * n * th * tw, 64)
-    return (kb @ d.T).reshape(64, c, n * th * tw)
+    v = np.empty((64, c, n * th * tw), dtype=np.result_type(kb, x))
+
+    def unit(chans, lane):
+        xs = x[:, chans]
+        xp = np.zeros((n, xs.shape[1], 4 * th + 4, 4 * tw + 4), dtype=x.dtype)
+        xp[:, :, 2 : 2 + h, 2 : 2 + w] = xs
+        s0, s1, s2, s3 = xp.strides
+        tiles = np.lib.stride_tricks.as_strided(
+            xp, shape=(xs.shape[1], n, th, tw, 8, 8), strides=(s1, s0, 4 * s2, 4 * s3, s2, s3), writeable=False
+        )
+        d = np.ascontiguousarray(tiles).reshape(-1, 64)
+        np.matmul(kb, d.T, out=v[:, chans].reshape(64, -1))
+
+    _each(lanes, unit, _parts(c, big))
+    return v
 
 
-def _winograd_forward(x: np.ndarray, weight: np.ndarray, chunk: int) -> np.ndarray:
-    """(B, C', H, W) output for the input ``x`` (B, C, H, W)."""
+def _winograd_forward(x: np.ndarray, weight: np.ndarray, chunk: int, lanes: int, big: bool) -> np.ndarray:
+    """(B, C', H, W) output for the input ``x`` (B, C, H, W).
+
+    Per chunk: V split by input channel, M = U V by transform point, and
+    the output transform and write by output channel.
+    """
     dt = np.result_type(x, weight)
     kb, kg, ka = _wino_transforms(dt)
     b, _, h, w = x.shape
     th, tw = -(-h // 4), -(-w // 4)
     co = weight.shape[0]
-    u = _wino_kernel(weight, kg)
+    u = _wino_kernel(weight, kg, lanes, big)
     out = np.empty((b, co, h, w), dtype=dt)
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
-        m = np.matmul(u, _wino_input(x[s : s + n], kb)).reshape(64, -1)
-        y = (ka @ m).reshape(4, 4, co, n, th, tw)
+        v = _wino_input(x[s : s + n], kb, lanes, big)
+        m = np.empty((64, co, n * th * tw), dtype=dt)
+
+        def products(points, lane):
+            np.matmul(u[points], v[points], out=m[points])
+
+        _each(lanes, products, _parts(64, big))
+        del v
+
+        def write(chans, lane):
+            y = (ka @ m[:, chans].reshape(64, -1)).reshape(4, 4, -1, n, th, tw)
+            # output pixel (4*ty + i, 4*tx + j) is y[i, j, :, :, ty, tx]; the
+            # last tile row and column may hang over the edge
+            outs = out[s : s + n, chans].transpose(1, 0, 2, 3)
+            for i in range(4):
+                for j in range(4):
+                    outs[:, :, i::4, j::4] = y[i, j, :, :, : (h - i + 3) // 4, : (w - j + 3) // 4]
+
+        _each(lanes, write, _parts(co, big))
         del m
-        # output pixel (4*ty + i, 4*tx + j) is y[i, j, :, :, ty, tx]; the
-        # last tile row and column may hang over the edge
-        outs = out[s : s + n].transpose(1, 0, 2, 3)
-        for i in range(4):
-            for j in range(4):
-                outs[:, :, i::4, j::4] = y[i, j, :, :, : (h - i + 3) // 4, : (w - j + 3) // 4]
     return out
 
 
 def _winograd_backward(
-    x: np.ndarray, weight: np.ndarray, g: np.ndarray, chunk: int, want_w: bool, want_x: bool
+    x: np.ndarray, weight: np.ndarray, g: np.ndarray, chunk: int, want_w: bool, want_x: bool, lanes: int, big: bool
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(d weight, d x) for the output gradient ``g`` (B, C', H, W).
 
@@ -598,7 +786,10 @@ def _winograd_backward(
     the adjoint output transform of ``g``; dV's adjoint input transform
     is scatter-added into the overlapping tiles of the chunk's padded
     input gradient. V is rebuilt from ``x`` only for dU, and U only for
-    dV.
+    dV. Per chunk: dM split by output channel, V by input channel, dU and
+    dV by transform point (each dU[k] adds the chunks in order), and the
+    input gradient's transform, scatter and copy-out by input channel; U
+    and the kernel gradient by output channel.
     """
     dt = np.result_type(x, weight)
     kb, kg, ka = _wino_transforms(dt)
@@ -609,35 +800,58 @@ def _winograd_backward(
     # the other order the transient U and dU leave holes in the heap that
     # raise a B=16 ICBHI train step's peak RSS by about 4%
     gx = np.empty_like(x) if want_x else None
-    ut = _wino_kernel(weight, kg).transpose(0, 2, 1) if want_x else None
+    ut = _wino_kernel(weight, kg, lanes, big).transpose(0, 2, 1) if want_x else None
     du = np.zeros((64, co, c), dtype=dt) if want_w else None
     ragged = (4 * th, 4 * tw) != (h, w)
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
-        # g's tiles, zero where they hang over the edge
-        gt = (np.zeros if ragged else np.empty)((4, 4, co, n, th, tw), dtype=dt)
-        gs = g[s : s + n].transpose(1, 0, 2, 3)
-        for i in range(4):
-            for j in range(4):
-                gt[i, j, :, :, : (h - i + 3) // 4, : (w - j + 3) // 4] = gs[:, :, i::4, j::4]
-        dm = (ka.T @ gt.reshape(16, -1)).reshape(64, co, -1)
-        del gt
-        if du is not None:
-            v = _wino_input(x[s : s + n], kb)
-            for k in range(64):  # one (C', C) product at a time, added in place
-                du[k] += dm[k] @ v[k].T
-            del v  # hold one chunk's transformed buffers at a time
-        if gx is not None:
-            dd = (kb.T @ np.matmul(ut, dm).reshape(64, -1)).reshape(8, 8, c, n, th, tw)
-            gxp = np.zeros((c, n, 4 * th + 4, 4 * tw + 4), dtype=dt)
+        dm = np.empty((64, co, n * th * tw), dtype=dt)
+
+        def cut(chans, lane):
+            # g's tiles, zero where they hang over the edge
+            gs = g[s : s + n, chans].transpose(1, 0, 2, 3)
+            gt = (np.zeros if ragged else np.empty)((4, 4, gs.shape[0], n, th, tw), dtype=dt)
+            for i in range(4):
+                for j in range(4):
+                    gt[i, j, :, :, : (h - i + 3) // 4, : (w - j + 3) // 4] = gs[:, :, i::4, j::4]
+            np.matmul(ka.T, gt.reshape(16, -1), out=dm[:, chans].reshape(64, -1))
+
+        _each(lanes, cut, _parts(co, big))
+        v = None if du is None else _wino_input(x[s : s + n], kb, lanes, big)
+        dv = None if gx is None else np.empty((64, c, n * th * tw), dtype=dt)
+
+        def products(points, lane):
+            if du is not None:
+                for k in range(points.start, points.stop):  # one (C', C) product at a time, added in place
+                    du[k] += dm[k] @ v[k].T
+            if dv is not None:
+                np.matmul(ut[points], dm[points], out=dv[points])
+
+        _each(lanes, products, _parts(64, big))
+        del v, dm  # hold one chunk's transformed buffers at a time
+        if gx is None:
+            continue
+
+        def scatter(chans, lane):
+            dd = (kb.T @ dv[:, chans].reshape(64, -1)).reshape(8, 8, -1, n, th, tw)
+            gxp = np.zeros((dd.shape[2], n, 4 * th + 4, 4 * tw + 4), dtype=dt)
             for i in range(8):
                 for j in range(8):
                     gxp[:, :, i : i + 4 * th : 4, j : j + 4 * tw : 4] += dd[i, j]
             del dd
-            gx[s : s + n] = gxp[:, :, 2 : 2 + h, 2 : 2 + w].transpose(1, 0, 2, 3)
-        del dm
+            gx[s : s + n, chans] = gxp[:, :, 2 : 2 + h, 2 : 2 + w].transpose(1, 0, 2, 3)
+
+        _each(lanes, scatter, _parts(c, big))
+        del dv
     del ut
-    gw = None if du is None else (du.reshape(64, co * c).T @ kg).reshape(co, c, 5, 5)
+    if du is None:
+        return None, gx
+    gw = np.empty((co, c, 5, 5), dtype=dt)
+
+    def kernel_adjoint(chans, lane):
+        np.matmul(du[:, chans].reshape(64, -1).T, kg, out=gw[chans].reshape(-1, 25))
+
+    _each(lanes, kernel_adjoint, _parts(co, big))
     return gw, gx
 
 
@@ -684,6 +898,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     as it cuts its tiles, so it keeps no padded copy of the input;
     frozen weights build no dU and rebuild no V, and an input without
     ``requires_grad`` builds no U or dV in backward.
+
+    A conv whose input or output holds ``THREAD_BYTES`` per batch item runs each
+    chunk as units on the engine's threads (see ``_each``), each writing
+    its own part of a buffer allocated here. Winograd: the tile cut and
+    input transform (V), the input gradient's transform, scatter-add and
+    copy-out split by input channel; M = U V, dU and dV by transform
+    point, so each dU[k] still adds the chunks in order; U, the output
+    transform and write, dM and the kernel gradient by output channel.
+    im2col: the columns, the forward GEMM and the input gradient by batch
+    item, the weight gradient by rows, each adding the items in order.
+    The parts are fixed by shapes (``UNITS``), so the result does not
+    depend on the thread count. A smaller conv is one unit per step.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
@@ -707,11 +933,13 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     winograd = _winograd_applies(ci, h, w, kh, kw, stride, padding)
+    big = max(c * h * w, co * ho * wo) * x.data.itemsize >= THREAD_BYTES
+    lanes = _lanes(big)
     if winograd:
         # V and M, or dM, V and dV, of one chunk: (C' + 2C) * 64 values per tile
         tiles = -(-h // 4) * -(-w // 4)
         chunk = max(1, IM2COL_BYTES // (64 * tiles * (co + 2 * ci) * x.data.itemsize))
-        out_data = _winograd_forward(x.data, weight.data, chunk)
+        out_data = _winograd_forward(x.data, weight.data, chunk, lanes, big)
     else:
         patch = ci * kh * kw
         wmat = weight.data.reshape(co, patch)
@@ -721,12 +949,19 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         chunk = max(1, IM2COL_BYTES // (patch * ho * wo * xp.itemsize))
         out_data = np.empty((b, co, ho * wo), dtype=np.result_type(wmat, xp))
         for s in range(0, b, chunk):
-            np.matmul(wmat, _im2col(xp[s : s + chunk], kh, kw, stride, ho, wo), out=out_data[s : s + chunk])
+            cols = np.empty((min(chunk, b - s), patch, ho * wo), dtype=xp.dtype)
+
+            def forward(items, lane):
+                _im2col(xp[s : s + chunk][items], kh, kw, stride, ho, wo, cols[items])
+                np.matmul(wmat, cols[items], out=out_data[s : s + chunk][items])
+
+            _each(lanes, forward, _parts(len(cols), big))
+            del cols
 
     def bwd(g):
         if winograd:
             gw, gx = _winograd_backward(
-                x.data, weight.data, g, chunk, weight.requires_grad, x.requires_grad
+                x.data, weight.data, g, chunk, weight.requires_grad, x.requires_grad, lanes, big
             )
             if gw is not None:
                 weight._adopt(gw)
@@ -738,20 +973,28 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         gx = np.zeros_like(xp) if x.requires_grad else None
         for s in range(0, b, chunk):
             gs = g2[s : s + chunk]
-            if gw is not None:
-                cols = _im2col(xp[s : s + chunk], kh, kw, stride, ho, wo)
+            cols = None if gw is None else np.empty((len(gs), patch, ho * wo), dtype=xp.dtype)
+
+            def per_item(items, lane):
+                if cols is not None:
+                    _im2col(xp[s : s + chunk][items], kh, kw, stride, ho, wo, cols[items])
+                if gx is not None:
+                    gcols = np.matmul(wmat.T, gs[items]).reshape(-1, ci, kh, kw, ho, wo)
+                    gxs = gx[s : s + chunk][items]
+                    for i in range(kh):
+                        for j in range(kw):
+                            gxs[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
+                                :, :, i, j
+                            ]
+
+            def per_rows(rows, lane):  # each item's product added in item order
                 for n in range(len(gs)):
-                    gw += gs[n] @ cols[n].T
-                del cols  # hold one chunk-sized buffer at a time
-            if gx is not None:
-                gcols = np.matmul(wmat.T, gs).reshape(len(gs), ci, kh, kw, ho, wo)
-                gxs = gx[s : s + chunk]
-                for i in range(kh):
-                    for j in range(kw):
-                        gxs[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                            :, :, i, j
-                        ]
-                del gcols
+                    gw[rows] += gs[n, rows] @ cols[n].T
+
+            _each(lanes, per_item, _parts(len(gs), big))
+            if gw is not None:
+                _each(lanes, per_rows, _parts(co, big))
+            del cols  # hold one chunk-sized buffer at a time
         if gw is not None:
             weight._adopt(gw.reshape(co, ci, kh, kw))
         if gx is not None:
@@ -862,15 +1105,24 @@ def _bn_stats(
     if training:
         xv = x.data.reshape(b, c, h * w)
         blocks, size = _bn_blocks(x.data)
+        lanes = _lanes(c * h * w * x.data.itemsize >= THREAD_BYTES)
         rows = np.empty((b, c), dtype=dt)
-        for i, ch in blocks:
+
+        def sums(block, lane):
+            i, ch = block
             xv[i, ch].sum(axis=2, out=rows[i, ch])
+
+        _each(lanes, sums, blocks)
         mean = rows.sum(axis=0) / n
-        work = np.empty(size, dtype=dt)
-        for i, ch in blocks:
+        work = np.empty((lanes, size), dtype=dt)
+
+        def squares(block, lane):
+            i, ch = block
             xb = xv[i, ch]
-            dev = np.subtract(xb, mean[ch, None], out=_front(work, xb.shape))
+            dev = np.subtract(xb, mean[ch, None], out=_front(work[lane], xb.shape))
             _row_dots(dev, dev, rows[i, ch])
+
+        _each(lanes, squares, blocks)
         var = rows.sum(axis=0) / n  # biased, used for normalization
         unbiased = var * (n / max(n - 1, 1))
         state.running_mean = (
@@ -894,12 +1146,13 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
 
     ``grad_block(items, channels, out, work)`` writes the gradient of the
     output over one block of ``_bn_blocks(x)`` into ``out`` (n, c, H*W);
-    ``work`` is a block-sized scratch buffer it may overwrite. The adjoint
-    runs two passes over the blocks. The first writes each block's
-    gradient into that block's slice of dx, one fresh buffer which ``x``
-    adopts, and sums each (item, channel) row of it and of its product
-    with xhat (recomputed from ``x``) for dbeta and dgamma. The second
-    turns each slice into dx in place. When dx alone is wanted in eval
+    ``work`` is a block-sized scratch buffer it may overwrite, one per
+    thread. The adjoint runs two passes over the blocks, each block a
+    unit. The first writes each block's gradient into that block's slice
+    of dx, one fresh buffer which ``x`` adopts, and sums each (item,
+    channel) row of it and of its product with xhat (recomputed from
+    ``x``) for dbeta and dgamma. The second turns each slice into dx in
+    place. When dx alone is wanted in eval
     mode (frozen gamma and beta), the first pass has nothing to sum and
     is skipped, and the second has each block's gradient written first.
     """
@@ -908,33 +1161,38 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
     dt = x.data.dtype
     xv = x.data.reshape(b, c, h * w)
     blocks, size = _bn_blocks(x.data)
+    lanes = _lanes(c * h * w * x.data.itemsize >= THREAD_BYTES)
     need_g = beta.requires_grad or (x.requires_grad and training)
     need_gx = gamma.requires_grad or (x.requires_grad and training)
     rows_g = np.empty((b, c), dtype=dt) if need_g else None
     rows_gx = np.empty((b, c), dtype=dt) if need_gx else None
-    work = np.empty(size, dtype=dt)
+    work = np.empty((lanes, size), dtype=dt)
     if x.requires_grad:
         gx = np.empty_like(x.data)
         gxv = gx.reshape(b, c, h * w)
-    else:  # one block-sized buffer for the gradient blocks dgamma and dbeta read
+    else:  # a block-sized buffer for the gradient blocks dgamma and dbeta read
         gx = gxv = None
-        spare = np.empty(size, dtype=dt)
+        spare = np.empty((lanes, size), dtype=dt)
 
-    def normalized(i, ch):  # xhat of one block, in ``work``
+    def normalized(i, ch, lane):  # xhat of one block, in the thread's ``work``
         xb = xv[i, ch]
-        xhat = np.subtract(xb, mean[ch, None], out=_front(work, xb.shape))
+        xhat = np.subtract(xb, mean[ch, None], out=_front(work[lane], xb.shape))
         xhat *= inv_std[ch, None]
         return xhat
 
-    first = need_g or need_gx
-    for i, ch in blocks if first else ():
-        gv = _front(spare, xv[i, ch].shape) if gx is None else gxv[i, ch]
-        grad_block(i, ch, gv, work)
+    def sums(block, lane):
+        i, ch = block
+        gv = _front(spare[lane], xv[i, ch].shape) if gx is None else gxv[i, ch]
+        grad_block(i, ch, gv, work[lane])
         if need_g:
             gv.sum(axis=2, out=rows_g[i, ch])
         if need_gx:
-            xhat = normalized(i, ch)
+            xhat = normalized(i, ch, lane)
             _row_dots(gv, xhat, rows_gx[i, ch])
+
+    first = need_g or need_gx
+    if first:
+        _each(lanes, sums, blocks)
     sum_g = rows_g.sum(axis=0) if need_g else None
     sum_gxhat = rows_gx.sum(axis=0) if need_gx else None
     if beta.requires_grad:
@@ -943,21 +1201,25 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
         gamma._adopt(sum_gxhat)
     if gx is None:
         return
-    for i, ch in blocks:
+
+    def adjoint(block, lane):
+        i, ch = block
         gv = gxv[i, ch]
         if not first:
-            grad_block(i, ch, gv, work)
+            grad_block(i, ch, gv, work[lane])
         if not training:
             gv *= scale[ch, None]
-            continue
+            return
         # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer;
-        # a batch of one block still has its xhat from the first pass
-        if len(blocks) > 1:
-            xhat = normalized(i, ch)
+        # a batch of one block (one unit, on this thread) still has its
+        # xhat from the first pass
+        xhat = normalized(i, ch, lane) if len(blocks) > 1 else _front(work[0], gv.shape)
         xhat *= -(sum_gxhat / n)[ch, None]
         xhat += gv
         xhat -= (sum_g / n)[ch, None]
         np.multiply(xhat, scale[ch, None], out=gv)
+
+    _each(lanes, adjoint, blocks)
     x._adopt(gx)
 
 
@@ -1027,19 +1289,22 @@ def bn_relu_pool(
     dt = x.data.dtype
     xv = x.data.reshape(b, c, h * w)
     blocks, size = _bn_blocks(x.data)
+    lanes = _lanes(c * h * w * x.data.itemsize >= THREAD_BYTES)
     if pool:
         out_data = np.zeros((b, c, ho, wo), dtype=dt)
-        work = np.empty(size, dtype=dt)
+        work = np.empty((lanes, size), dtype=dt)
     else:
         out_data = np.empty((b, c, h, w), dtype=dt)
         yv = out_data.reshape(b, c, h * w)
-    for i, ch in blocks:
+
+    def forward(block, lane):
+        i, ch = block
         xb = xv[i, ch]
-        y = np.multiply(xb, scale[ch, None], out=_front(work, xb.shape) if pool else yv[i, ch])
+        y = np.multiply(xb, scale[ch, None], out=_front(work[lane], xb.shape) if pool else yv[i, ch])
         y += shift[ch, None]
         np.maximum(y, _DTYPE(0), out=y)
         if not pool:
-            continue
+            return
         y = y.reshape(-1, y.shape[1], h, w)
         outs = out_data[i, ch]
         for di in range(2):
@@ -1047,9 +1312,9 @@ def bn_relu_pool(
                 outs += y[:, :, di : di + 2 * ho : 2, dj : dj + 2 * wo : 2]
         outs /= _DTYPE(4)
 
-    def bwd(g):
-        share = np.empty(size // 4, dtype=g.dtype) if pool else None
+    _each(lanes, forward, blocks)
 
+    def bwd(g):
         def grad_block(i, ch, out, work):
             gs = g[i, ch]
             if not pool:
@@ -1058,8 +1323,9 @@ def bn_relu_pool(
                 return
             nb, nc = gs.shape[:2]
             # 0 + g/4, as the scatter into zeros of pool2d's adjoint adds
-            # it: a -0.0 share becomes +0.0
-            q = np.divide(gs, _DTYPE(4), out=_front(share, gs.shape))
+            # it: a -0.0 share becomes +0.0; ``work`` holds it until the
+            # four copies are made, then the batchnorm map
+            q = np.divide(gs, _DTYPE(4), out=_front(work, gs.shape))
             q += 0
             gb = out.reshape(nb, nc, h, w)
             gb[:, :, 2 * ho :] = 0  # the dropped row and column of an odd H or W

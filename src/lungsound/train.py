@@ -4,7 +4,7 @@ and age-stratified training.
 Training uses weighted categorical cross-entropy (inverse class-count
 weights), Adam with coupled L2 weight decay, a per-epoch cosine
 learning-rate schedule, and SpecAugment on training batches only.
-Runs are deterministic for a fixed seed in single-threaded mode.
+Runs for a fixed seed are bit-identical at any thread count.
 """
 
 from __future__ import annotations

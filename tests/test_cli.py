@@ -591,6 +591,7 @@ class TestFbsWorkers:
         assert ends[0][0] == code and ends[0][1].count("\n") == 1 and "planted failure" in ends[0][1]
 
     def test_killed_worker_exits_with_one_line_naming_the_job(self, cache_dir):
+        import os
         import subprocess
         import sys
         from pathlib import Path
@@ -613,7 +614,7 @@ sys.exit(main(["--workdir", sys.argv[1], *sys.argv[2:]]))
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-c", script, str(cache_dir), *args],
-            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 5, proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
@@ -639,6 +640,7 @@ def test_numpy_warnings_stay_off_stderr(cache_dir):
 
 
 def test_import_starts_no_process():
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -649,7 +651,7 @@ def test_import_starts_no_process():
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-                         env={"PYTHONPATH": src})
+                         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["0", "1"], out.stderr
 
 

@@ -308,6 +308,30 @@ class TestSpecSet:
         with pytest.raises(error):
             replace(one, **{field: value})
 
+    def test_derived_sets_scan_no_shared_values(self, monkeypatch):
+        # a subset or a masked set shares its parent's checked values, so
+        # only a set with an array not yet checked scans it for NaN and inf
+        from dataclasses import replace
+
+        import lungsound.data as data_mod
+
+        specs = small_set()
+        scans = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def isfinite(self, x):
+                scans.append(len(x))
+                return np.isfinite(x)
+
+        monkeypatch.setattr(data_mod, "np", CountingNumpy())
+        masked = apply_mask(specs[2:9], FrequencyMask(np.ones(12, dtype=bool)).remove([0, 3]))
+        assert len(masked[masked.labels == 1][::2]) == 2 and scans == []
+        replace(masked, values=specs.values.copy())
+        assert scans == [2]
+
     def test_set_mask_matches_per_clip_mask(self):
         specs = small_set()
         mask = FrequencyMask(np.ones(12, dtype=bool)).remove([0, 5, 6, 11])

@@ -359,6 +359,50 @@ class TestJobPool:
         assert threads == [cpus // 2] * 4 and 2 * max(threads) <= cpus
         assert get() == own  # this process keeps its count
 
+    def test_fork_after_engine_pool_started(self, pool_of, monkeypatch):
+        # the parent's engine threads are not forked: a sweep whose workers
+        # fork after the parent ran a threaded op finishes, and on two CPUs
+        # each worker runs its ops on its one thread
+        import os
+        import threading
+
+        import lungsound.fbs as fbs
+        import lungsound.tensor as tensor
+
+        if tensor._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        x = np.random.default_rng(0).normal(size=(4, 64, 62, 16)).astype(np.float32)
+        k = np.random.default_rng(1).normal(size=(128, 64, 5, 5)).astype(np.float32)
+
+        def conv():
+            return tensor.conv2d(tensor.Tensor(x), tensor.Tensor(k), padding=2).data
+
+        def job(sweep, keep, fold):  # the worker's threads and pool after a large op
+            out = conv()
+            return threading.active_count(), tensor._POOL[0], out.tobytes() == here.tobytes()
+
+        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(fbs, "_cv_job", job)
+        corpus, mcfg, tcfg = small_setup()
+        with tensor.thread_budget(2):
+            here = conv()
+            assert tensor._POOL[0] == 2 and threading.active_count() > 1
+            pools = pool_of(2)
+            with fbs._Jobs(fbs._Sweep(corpus, [], mcfg, tcfg, None), 4) as jobs:
+                ran = jobs.run([(np.ones(16, bool), fold) for fold in range(4)])
+            # any other fork starts a pool of its own, of this process's budget
+            import multiprocessing
+
+            def check():
+                assert job(None, None, 0) == (2, 2, True)
+
+            other = multiprocessing.get_context("fork").Process(target=check)
+            other.start()
+            other.join(60)
+            other.kill()
+        assert pools == [2] and ran == [(1, 1, True)] * 4
+        assert other.exitcode == 0
+
     def test_finds_numpy_1_openblas(self, monkeypatch, tmp_path):
         import ctypes
         import types
@@ -404,7 +448,7 @@ class TestJobPool:
         monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
         assert fbs._pool_size(sweep, 32) == 4  # CPUs
         assert fbs._pool_size(sweep, 2) == 2  # jobs
-        # the paper's ICBHI step at B=128 (about 1.6 GB, estimated 1.97 GB) fits
+        # the paper's ICBHI step at B=128 (about 1.6 GB, estimated 2.0 GB) fits
         # three times in 7 GB, twice in 5 GB and once in 3 GB
         big = replace(sweep, dataset=synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1)),
                       model_cfg=icbhi_config(), train_cfg=replace(tcfg, batch_size=128))

@@ -1114,3 +1114,144 @@ class TestNoGrad:
             with no_grad():
                 raise RuntimeError
         assert self._ops()[-1].requires_grad
+
+
+# -- engine threads ------------------------------------------------------------------
+
+
+class TestEngineThreads:
+    """Every op that splits its work gives the same bytes at 1, 2 and 3
+    engine threads: the split reads shapes only, and no unit adds into
+    another's output. The first result, at the default budget, is the
+    reference; on one CPU no pool starts there."""
+
+    THREADS = (1, 2, 3)
+
+    @staticmethod
+    def same_bytes(runs):
+        first, *rest = runs
+        for other in rest:
+            assert len(other) == len(first)
+            for a, b in zip(first, other):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def at_each_budget(self, run):
+        import sys
+
+        runs = [run()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads take turns far more often
+        try:
+            for n in self.THREADS:
+                with tensor_mod.thread_budget(n):
+                    runs.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+        self.same_bytes(runs)
+
+    # ICBHI blocks 2-4: (C, C', H, W), each above THREAD_BYTES at B=1
+    BLOCKS = [(64, 128, 124, 32), (128, 256, 62, 16), (256, 512, 31, 8)]
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("block", BLOCKS, ids=lambda s: f"{s[2]}x{s[3]}")
+    def test_conv2d(self, block, batch):
+        c, co, h, w = block
+        g = rng(40)
+        x = g.normal(size=(batch, c, h, w)).astype(np.float32)
+        k = (g.normal(size=(co, c, 5, 5)) * 0.05).astype(np.float32)
+        mix = g.normal(size=(batch, co, h, w)).astype(np.float32)
+        assert tensor_mod._winograd_applies(c, h, w, 5, 5, 1, 2)
+
+        def run(need_x, need_w):
+            xt, wt = Tensor(x, requires_grad=need_x), Tensor(k, requires_grad=need_w)
+            out = conv2d(xt, wt, padding=2)
+            (out * Tensor(mix)).sum().backward()
+            return [out.data] + [t.grad for t in (xt, wt) if t.requires_grad]
+
+        for need_x, need_w in ((True, True), (True, False), (False, True)):
+            self.at_each_budget(lambda: run(need_x, need_w))
+
+    def test_im2col_conv2d(self):
+        # block 1: one input channel, so im2col, split by item and by rows
+        # of the weight gradient; the input gradient by item
+        g = rng(41)
+        x = g.normal(size=(16, 1, 249, 64)).astype(np.float32)
+        k = g.normal(size=(64, 1, 5, 5)).astype(np.float32)
+
+        def run():
+            xt, wt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+            out = conv2d(xt, wt, padding=2)
+            (out * out).sum().backward()
+            return [out.data, xt.grad, wt.grad]
+
+        self.at_each_budget(run)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_bn_relu_pool(self, pool, training):
+        g = rng(42)
+        x = g.normal(size=(16, 128, 62, 16)).astype(np.float32)
+        assert len(tensor_mod._bn_blocks(x)[0]) > 1
+        gamma, beta = g.normal(size=128).astype(np.float32), g.normal(size=128).astype(np.float32)
+        mix = g.normal(size=(16, 128, 31, 8) if pool else x.shape).astype(np.float32)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            state = BatchNormState(128)
+            state.running_var[:] = 2.0
+            out = bn_relu_pool(xt, gt, bt, state, training, pool=pool)
+            (out * Tensor(mix)).sum().backward()
+            return [out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var]
+
+        self.at_each_budget(run)
+
+    def test_adam_step(self):
+        from lungsound.model import CnnTsa, icbhi_config
+        from lungsound.optim import AdamState, adam_step
+
+        model = CnnTsa(icbhi_config(4), seed=0)
+        grads = {name: rng(43).normal(size=p.shape).astype(np.float32) for name, p in model.params.items()}
+
+        def run():
+            params = {name: Tensor(p.data.copy()) for name, p in model.params.items()}
+            state = AdamState()
+            adam_step(params, grads, state, lr=1e-3, weight_decay=1e-4)
+            return [p.data for p in params.values()] + [*state.m.values(), *state.v.values()]
+
+        self.at_each_budget(run)
+
+    def test_icbhi_train_step(self):
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.model import icbhi_config
+        from lungsound.train import TrainConfig, train
+
+        specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_class=1, seed=5))
+
+        def run():
+            model = train(specs, icbhi_config(4), TrainConfig(epochs=1, batch_size=4, seed=5)).model
+            stats = [a for st in model.bn_states.values() for a in (st.running_mean, st.running_var)]
+            return [p.data for p in model.params.values()] + stats
+
+        self.at_each_budget(run)
+
+    def test_small_ops_start_no_pool(self, monkeypatch):
+        # below THREAD_BYTES per item an op runs its one unit on this
+        # thread, at any batch size: the tiny preset at evaluate's batch
+        monkeypatch.setattr(tensor_mod, "_POOL", None)
+        x = Tensor(rng(44).normal(size=(128, 1, 10, 64)), requires_grad=True)
+        y = conv2d(x, Tensor(rng(45).normal(size=(8, 1, 5, 5)), requires_grad=True), padding=2)
+        gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8))
+        bn_relu_pool(y, gamma, beta, BatchNormState(8), True).sum().backward()
+        assert y.data.nbytes > tensor_mod.THREAD_BYTES > y.data[0].nbytes
+        assert tensor_mod._POOL is None
+
+    def test_budget_restores_pool_and_blas(self):
+        blas = tensor_mod._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        before = tensor_mod._POOL, blas[0]()
+        with tensor_mod.thread_budget(2):
+            conv2d(Tensor(np.ones((1, 64, 124, 32))), Tensor(np.ones((128, 64, 5, 5))), padding=2)
+            assert tensor_mod._POOL[0] == 2 and blas[0]() == 1  # BLAS at one thread under the pool
+        assert (tensor_mod._POOL, blas[0]()) == before

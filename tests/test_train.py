@@ -388,6 +388,7 @@ PAPER_STEP_PEAK_MIB = 1558
 def test_paper_batch_step_memory():
     # the 1.15 margin that fbs.ACTIVATION_COPIES is set with: a change that
     # brings back a whole-batch temporary of the conv-block epilogue fails
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -406,7 +407,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
-                         env={"PYTHONPATH": src})
+                         env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     peak = int(out.stdout.split()[-1]) * 1024
     assert peak < 1.15 * PAPER_STEP_PEAK_MIB * 2**20, peak / 2**20
