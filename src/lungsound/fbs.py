@@ -46,7 +46,7 @@ from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .masks import FrequencyMask, apply_mask
 from .model import POOL, ModelConfig
 from .seeding import rng_for
-from .tensor import EPILOGUE_BYTES, IM2COL_BYTES, _openblas, thread_budget
+from .tensor import EPILOGUE_BYTES, IM2COL_BYTES, UNITS, _openblas, thread_budget
 from .train import EVAL_BATCH, TrainConfig, evaluate, patient_kfold, train
 
 __all__ = [
@@ -287,8 +287,8 @@ def _training_bytes(sweep: _Sweep) -> int:
     Every conv block's output at the larger of the training batch and
     ``evaluate``'s batch, ``ACTIVATION_COPIES`` times, plus one im2col
     chunk, one gathered batch of clips, and the engine's scratch: the units
-    of a conv hold at most one more chunk between them, and each thread
-    two batchnorm blocks.
+    of a conv hold at most one more chunk between them, and each of the
+    engine's threads (at most ``UNITS``) two batchnorm blocks.
     """
     t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
     batch = max(sweep.train_cfg.batch_size, EVAL_BATCH)
@@ -297,7 +297,7 @@ def _training_bytes(sweep: _Sweep) -> int:
     for c in sweep.model_cfg.channels:
         per_clip += c * t * f
         t, f = t // POOL, f // POOL
-    scratch = IM2COL_BYTES + 2 * len(os.sched_getaffinity(0)) * EPILOGUE_BYTES
+    scratch = IM2COL_BYTES + 2 * UNITS * EPILOGUE_BYTES
     return 4 * ACTIVATION_COPIES * per_clip * batch + IM2COL_BYTES + gather + scratch
 
 

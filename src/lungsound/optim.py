@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tensor import THREAD_BYTES, Tensor, _each, _lanes
+from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step", "cosine_lr"]
 
@@ -36,26 +36,24 @@ def adam_step(
     Weight decay is coupled L2: ``decay * param`` is added to the raw
     gradient before the moment updates. Parameters with a missing or
     None gradient are treated as zero-gradient (with zero decay they
-    stay untouched). Each parameter's update is one unit of the engine's
-    threads (see ``tensor``).
+    stay untouched).
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    for name, p in params.items():  # the moments, made here in parameter order
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-
-    def update(item, lane):
-        name, p = item
+    for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
         if weight_decay:
             g = g + np.float32(weight_decay) * p.data
-        m, v = state.m[name], state.v[name]
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.m[name] = m
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
@@ -63,9 +61,6 @@ def adam_step(
         mhat = m / np.float32(bc1)
         vhat = v / np.float32(bc2)
         p.data -= np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(EPS))
-
-    big = sum(p.data.nbytes for p in params.values()) >= THREAD_BYTES
-    _each(_lanes(big), update, list(params.items()))
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

@@ -49,13 +49,14 @@ on the blocking. A closure that allocates a gradient buffer for one
 input alone hands it over with ``_adopt``, and the input keeps it as its
 gradient instead of copying it.
 
-Threads: conv2d, the batchnorm passes and ``optim.adam_step`` cut their
-work into units fixed by shapes, each writing its own part of buffers
-the calling thread allocated, and run them on a pool of the process's
-thread budget (``thread_budget``; by default its CPUs), with OpenBLAS at
-one thread while the pool has more. No unit adds into another's output,
-so every result is bit-identical at any thread count. Ops are still
-called from one thread: the graph and the flags below are not shared.
+Threads: conv2d and the batchnorm passes cut their work into units
+fixed by shapes, each writing its own part of buffers the calling
+thread allocated, and run them on a pool of the process's thread budget
+(``thread_budget``; by default its CPUs) when that budget is 2 to
+``UNITS`` threads, with OpenBLAS at one thread while the pool runs. No
+unit adds into another's output, so every result is bit-identical at any
+thread count. Ops are still called from one thread: the graph and the
+flags below are not shared.
 
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
@@ -482,22 +483,21 @@ def _expand_like(g: np.ndarray, shape: tuple, axis: int | None) -> np.ndarray:
 
 # -- engine threads -------------------------------------------------------------------
 
-# conv2d, the batchnorm passes and Adam split their work into units that
-# write disjoint parts of buffers the calling thread allocated: channel
-# ranges, transform points, batch items, weight-gradient rows, batchnorm
-# blocks or parameters. The split reads shapes only, never the thread
-# count, and no unit adds into another's output, so every float is the
-# one a loop over the units in order computes, at any thread count. Two
-# parts per split: four ran an ICBHI train step 4% slower on 2 vCPUs
-# (more, smaller GEMMs).
+# conv2d and the batchnorm passes split their work into units that write
+# disjoint parts of buffers the calling thread allocated: channel ranges,
+# transform points, batch items, weight-gradient rows or batchnorm
+# blocks. The split reads shapes only, never the thread count, and no
+# unit adds into another's output, so every float is the one a loop over
+# the units in order computes, at any thread count. Two parts per split:
+# four ran an ICBHI train step 4% slower on 2 vCPUs (more, smaller GEMMs).
 UNITS = 2
 
-# An op whose largest array holds fewer bytes per batch item (Adam: whose
-# parameters hold fewer) is not split and runs on the calling thread
-# without starting the pool. Like ``_winograd_applies``, the rule reads one
-# image's shape, not the batch size: the tiny preset (20 KB per item) runs
-# serially at any batch, every block of the ICBHI and SPRSound presets
-# (at least 0.5 MB per item) on the pool.
+# An op whose largest array holds fewer bytes per batch item is not split
+# and runs on the calling thread without starting the pool. Like
+# ``_winograd_applies``, the rule reads one image's shape, not the batch
+# size: the tiny preset (20 KB per item) runs serially at any batch,
+# every block of the ICBHI and SPRSound presets (at least 0.5 MB per
+# item) on the pool.
 THREAD_BYTES = 256 << 10
 
 _BUDGET = None  # threads the engine may run; None: the CPUs this process may run on
@@ -552,11 +552,11 @@ def thread_budget(threads: int):
     """Run the block, and every process forked inside it, on ``threads`` threads.
 
     The process's one thread budget, by default the CPUs it may run on.
-    Ops inside the block start a pool of that size (the pool from before
-    is set aside until the block ends), and OpenBLAS runs ``threads``
-    threads until one does, then one thread while the pool has more. The
-    FBS job pool forks its workers inside the block, each with its share
-    of the CPUs.
+    Ops inside the block start a pool of that size when it is 2 to
+    ``UNITS`` (the pool from before is set aside until the block ends),
+    and OpenBLAS runs ``threads`` threads until one does, then one thread
+    while the pool runs. The FBS job pool forks its workers inside the
+    block, each with its share of the CPUs.
     """
     global _BUDGET, _POOL
     blas = _openblas()
@@ -578,14 +578,17 @@ def _lanes(big: bool) -> int:
     """The threads an op runs its units on: one below ``THREAD_BYTES``,
     else the pool's. The first such op starts the pool with the thread
     budget, and sets OpenBLAS to one thread from then on, so that each
-    unit's GEMMs run on the thread that calls them. Without a way to set
-    OpenBLAS's threads the engine stays serial."""
+    unit's GEMMs run on the thread that calls them. A budget above
+    ``UNITS`` keeps the engine serial and OpenBLAS at the budget: the
+    units would run a conv's GEMMs on ``UNITS`` threads where OpenBLAS
+    runs them on all (hosts with more than 2 CPUs are not measured).
+    Without a way to set OpenBLAS's threads the engine stays serial."""
     global _POOL
     if not big:
         return 1
     if _POOL is None:
         n = _BUDGET or len(os.sched_getaffinity(0))
-        blas = _openblas() if n > 1 else None
+        blas = _openblas() if 1 < n <= UNITS else None
         if blas is None:
             _POOL = (1, None)
         else:

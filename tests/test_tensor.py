@@ -1120,12 +1120,15 @@ class TestNoGrad:
 
 
 class TestEngineThreads:
-    """Every op that splits its work gives the same bytes at 1, 2 and 3
-    engine threads: the split reads shapes only, and no unit adds into
-    another's output. The first result, at the default budget, is the
-    reference; on one CPU no pool starts there."""
+    """Every op that splits its work gives the bytes of the serial engine,
+    where no op splits, at the default budget and at 1 and 2 engine
+    threads: the split reads shapes only, and no unit adds into another's
+    output. A budget above ``UNITS`` runs no pool (see
+    ``test_budget_restores_pool_and_blas``): it would only test OpenBLAS
+    at more threads than a 2-CPU host has, where one block-2 conv took
+    40 s instead of 0.6 s."""
 
-    THREADS = (1, 2, 3)
+    THREADS = (1, 2)
 
     @staticmethod
     def same_bytes(runs):
@@ -1138,7 +1141,10 @@ class TestEngineThreads:
     def at_each_budget(self, run):
         import sys
 
-        runs = [run()]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_mod, "THREAD_BYTES", 1 << 62)  # one unit per op
+            runs = [run()]
+        runs.append(run())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # the threads take turns far more often
         try:
@@ -1206,7 +1212,33 @@ class TestEngineThreads:
 
         self.at_each_budget(run)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "case",
+        [(shape, (co, shape[1], 5, 5), 1, 2) for shape, co in TestConv2dWinograd.SHAPES]
+        + TestConv2dReferenceOracle.CASES,
+        ids=lambda case: "x".join(map(str, case[0])),
+    )
+    def test_small_units_match_the_oracle(self, case, dtype, monkeypatch):
+        # every op split, however small, on two threads, one item per chunk
+        # (so dU and the im2col weight gradient add several chunks), against
+        # the float64 oracle
+        shape, kshape, stride, pad = case
+        monkeypatch.setattr(tensor_mod, "THREAD_BYTES", 0)
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", 1)
+        g = rng(46)
+        x, w = g.normal(size=shape).astype(dtype), g.normal(size=kshape).astype(dtype)
+        with precision(dtype), tensor_mod.thread_budget(2):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = conv2d(xt, wt, stride=stride, padding=pad)
+            mix = g.normal(size=out.shape).astype(dtype)
+            (out * Tensor(mix)).sum().backward()
+        ref = reference_conv2d(x, w, mix, stride, pad)
+        for actual, expected in zip((out.data, xt.grad, wt.grad), ref):
+            TestConv2dWinograd.assert_close(actual, expected, TestConv2dWinograd.TOL[dtype])
+
     def test_adam_step(self):
+        # Adam runs on the calling thread: a split of it must keep these bytes
         from lungsound.model import CnnTsa, icbhi_config
         from lungsound.optim import AdamState, adam_step
 
@@ -1251,7 +1283,17 @@ class TestEngineThreads:
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
         before = tensor_mod._POOL, blas[0]()
-        with tensor_mod.thread_budget(2):
+
+        def conv():
             conv2d(Tensor(np.ones((1, 64, 124, 32))), Tensor(np.ones((128, 64, 5, 5))), padding=2)
+
+        with tensor_mod.thread_budget(2):
+            conv()
             assert tensor_mod._POOL[0] == 2 and blas[0]() == 1  # BLAS at one thread under the pool
+        assert (tensor_mod._POOL, blas[0]()) == before
+        # above UNITS threads the units run on this thread and OpenBLAS
+        # keeps the budget for its GEMMs
+        with tensor_mod.thread_budget(tensor_mod.UNITS + 1):
+            assert tensor_mod._lanes(True) == 1 and tensor_mod._POOL == (1, None)
+            assert blas[0]() == tensor_mod.UNITS + 1
         assert (tensor_mod._POOL, blas[0]()) == before
