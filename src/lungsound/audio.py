@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from .errors import DataError, ShapeError
 
@@ -27,6 +25,7 @@ __all__ = [
     "read_wav",
     "standardize",
     "fit_duration",
+    "mel_edges",
     "mel_filterbank",
     "mel_spectrogram",
 ]
@@ -107,6 +106,8 @@ def read_wav(path) -> AudioClip:
     Integer samples are scaled to [-1, 1); 24-bit files arrive from
     scipy as left-justified int32 and scale the same way.
     """
+    from scipy.io import wavfile  # loaded by preprocess alone, as scipy.signal below
+
     try:
         rate, data = wavfile.read(str(path))
     except (ValueError, OSError) as exc:
@@ -122,6 +123,10 @@ def read_wav(path) -> AudioClip:
 
 def standardize(clip: AudioClip) -> AudioClip:
     """Resample to 16 kHz mono (polyphase filter, mean channel downmix)."""
+    # imported here, so that no other command pays its ~1.2 s and 54 MB
+    # (2-vCPU host)
+    from scipy.signal import resample_poly
+
     if clip.sample_rate < 4000:
         raise DataError(
             f"sample rate {clip.sample_rate} below supported minimum 4000 Hz"
@@ -182,6 +187,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def mel_edges(n_mels: int = 64, f_min: float = 50.0, f_max: float = 2000.0) -> np.ndarray:
+    """The n_mels + 2 corners (Hz) of ``mel_filterbank``'s triangles, evenly
+    spaced in mel; band b peaks at corner b + 1. A set's band centers come
+    from here, without building a filterbank's (n_mels, n_fft//2+1) arrays."""
+    return mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+
+
 def mel_filterbank(
     n_mels: int = 64,
     n_fft: int = 1024,
@@ -196,8 +208,7 @@ def mel_filterbank(
     """
     if not 0 <= f_min < f_max <= sample_rate / 2:
         raise ValueError(f"bad mel range [{f_min}, {f_max}] at rate {sample_rate}")
-    mel_pts = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
+    hz_pts = mel_edges(n_mels, f_min, f_max)
     bin_freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
     left, center, right = hz_pts[:-2], hz_pts[1:-1], hz_pts[2:]
     rising = (bin_freqs[None, :] - left[:, None]) / (center - left)[:, None]

@@ -23,12 +23,13 @@ import math
 import sys
 import time
 from dataclasses import asdict, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .audio import LOG_FLOOR, TARGET_RATE, fit_duration, mel_spectrogram, read_wav, standardize
+from .audio import LOG_FLOOR, TARGET_RATE, fit_duration, mel_edges, mel_spectrogram, read_wav, standardize
 from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
 from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .fbs import MIN_BANDS, FbsResult, fbs_backward, fbs_importance
@@ -57,7 +58,7 @@ from .train import (
     train_age_specific,
 )
 from .svg import heatmap_svg, line_chart_svg
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, _each, _lanes, no_grad
 
 log = logging.getLogger("lungsound.cli")
 
@@ -317,41 +318,55 @@ def cmd_preprocess(args, workdir: Path, argv: list[str]) -> Record | None:
 def _spectrograms(records, args) -> SpecSet:
     """Log-Mel clips of ``records``, by sorted WAV path and then annotation order.
 
-    Each clip is written into one preallocated (N, T, F) block as it is
-    made, so no per-clip list is held next to the block.
+    ``fit_duration`` makes every cycle ``--target-seconds`` long, so the
+    (N, T, F) block is allocated before any file is read. Each WAV file
+    is one unit on the engine's threads (``tensor._each``): it reads,
+    standardizes, cuts, fits and transforms its cycles into its own
+    rows, so the block's bytes do not depend on the thread count. A
+    file's error waits in its slot until every file is done; then the
+    first failing file in sorted order raises, as a loop over the files
+    would.
     """
+    if not records:
+        raise DataError("no annotated cycles to preprocess")
     by_wav: dict[str, list] = {}
     for rec in records:
         by_wav.setdefault(rec.audio_path, []).append(rec)
-    values, ordered = None, []
-    for wav_path in sorted(by_wav):
-        mono = standardize(read_wav(wav_path))
-        for rec in by_wav[wav_path]:
-            a = int(rec.onset_s * mono.sample_rate)
-            b = min(int(rec.offset_s * mono.sample_rate), mono.samples.shape[0])
-            if b - a <= 0:
-                raise DataError(f"cycle {rec.clip_id} lies outside {wav_path}")
-            cycle = replace(mono, samples=mono.samples[a:b].copy())
-            cycle = fit_duration(cycle, args.target_seconds, args.pad_mode)
-            clip = mel_spectrogram(
-                cycle,
-                n_mels=args.n_mels,
-                win=args.win,
-                hop=args.hop,
-                f_min=args.f_min,
-                f_max=args.f_max,
-            )
-            if values is None:
-                values = np.empty((len(records), *clip.values.shape), dtype=np.float32)
-                band_centers, hop_seconds = clip.band_centers, clip.hop_seconds
-            elif clip.values.shape != values.shape[1:]:
-                raise DataError(f"clips of shapes {values.shape[1:]} and {clip.values.shape} in one cache")
-            values[len(ordered)] = clip.values
-            ordered.append(rec)
-    if values is None:
-        raise DataError("no annotated cycles to preprocess")
+    wavs = sorted(by_wav)
+    ordered = [rec for wav_path in wavs for rec in by_wav[wav_path]]
+    first_row = list(accumulate((len(by_wav[wav_path]) for wav_path in wavs), initial=0))
+    n_frames = (round(args.target_seconds * TARGET_RATE) - args.win) // args.hop + 1
+    values = np.empty((len(ordered), n_frames, args.n_mels), dtype=np.float32)
+    errors: list[Exception | None] = [None] * len(wavs)
+
+    def unit(i: int, lane: int) -> None:
+        wav_path = wavs[i]
+        try:
+            mono = standardize(read_wav(wav_path))
+            for row, rec in enumerate(by_wav[wav_path], start=first_row[i]):
+                a = int(rec.onset_s * mono.sample_rate)
+                b = min(int(rec.offset_s * mono.sample_rate), mono.samples.shape[0])
+                if b - a <= 0:
+                    raise DataError(f"cycle {rec.clip_id} lies outside {wav_path}")
+                cycle = replace(mono, samples=mono.samples[a:b].copy())
+                cycle = fit_duration(cycle, args.target_seconds, args.pad_mode)
+                values[row] = mel_spectrogram(
+                    cycle,
+                    n_mels=args.n_mels,
+                    win=args.win,
+                    hop=args.hop,
+                    f_min=args.f_min,
+                    f_max=args.f_max,
+                ).values
+        except Exception as exc:  # any error: the one a loop over the files meets first is raised below
+            errors[i] = exc
+
+    _each(_lanes(len(wavs) > 1), unit, range(len(wavs)))
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return SpecSet(
-        values, band_centers, hop_seconds,
+        values, mel_edges(args.n_mels, args.f_min, args.f_max)[1:-1], args.hop / TARGET_RATE,
         labels=[-1 if rec.label is None else rec.label for rec in ordered],
         patient_ids=[rec.patient_id for rec in ordered],
         ages=[np.nan if rec.age_years is None else rec.age_years for rec in ordered],

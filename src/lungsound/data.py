@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Spectrogram, _band_centers, mel_filterbank
+from .audio import Spectrogram, _band_centers, mel_edges
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import collapse_to_binary
 from .seeding import rng_for
@@ -70,7 +70,7 @@ class CycleRecord:
     clip_id: str = ""
 
     def __post_init__(self):
-        if not 0 <= self.onset_s < self.offset_s:
+        if not 0 <= self.onset_s < self.offset_s < math.inf:
             raise DataError(
                 f"bad cycle bounds [{self.onset_s}, {self.offset_s}] in {self.audio_path}"
             )
@@ -279,20 +279,32 @@ def _split_from_path(path: Path) -> str:
 
 
 def _sprsound_events(ann: Path) -> list[tuple[float, float, str]]:
-    events = []
+    """(onset s, offset s, type) of each event of an annotation file: the
+    ``event_annotation`` list of a JSON object, or a .txt line
+    "start end type" per event, with bounds in ms."""
     if ann.suffix == ".json":
-        payload = json.loads(ann.read_text())
-        for ev in payload.get("event_annotation", []):
-            events.append((float(ev["start"]) / 1000.0, float(ev["end"]) / 1000.0, str(ev["type"])))
+        try:
+            payload = json.loads(ann.read_text())
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise DataError(f"annotation {ann} is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DataError(f"annotation {ann} does not hold a JSON object")
+        events = payload.get("event_annotation", [])
+        if not isinstance(events, list):
+            raise DataError(f"event_annotation of {ann} is not a list")
     else:
-        for line in ann.read_text().splitlines():
-            if not line.strip():
-                continue
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise DataError(f"malformed event line in {ann}: {line!r}")
-            events.append((float(parts[0]) / 1000.0, float(parts[1]) / 1000.0, parts[2].strip()))
-    return events
+        events = [line for line in ann.read_text().splitlines() if line.strip()]
+    parsed = []
+    for ev in events:
+        try:
+            if ann.suffix == ".json":
+                start, end, etype = ev["start"], ev["end"], ev["type"]
+            else:
+                start, end, etype = ev.strip().split(None, 2)
+            parsed.append((float(start) / 1000.0, float(end) / 1000.0, str(etype)))
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"malformed event in {ann}: {ev!r}") from None
+    return parsed
 
 
 def parse_sprsound(root_dir, edition: int = 2022, test_partition: str | None = None) -> list[CycleRecord]:
@@ -458,7 +470,7 @@ def synth_corpus(cfg: SynthSpec) -> SpecSet:
     amp0 = 10.0 ** (cfg.snr_db / 20.0) if np.isfinite(cfg.snr_db) else None
     jnorm = _jitter_norm(cfg)
     rng = rng_for(cfg.seed, "synth-corpus")
-    _, centers = mel_filterbank(n_mels=cfg.n_bands, n_fft=1024)
+    centers = mel_edges(cfg.n_bands)[1:-1]
     n = cfg.n_classes * cfg.n_per_class
     values = np.empty((n, cfg.n_frames, cfg.n_bands), dtype=np.float32)
     block = np.empty((cfg.n_per_class, cfg.n_frames, cfg.n_bands))  # one class, float64

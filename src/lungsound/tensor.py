@@ -56,7 +56,8 @@ thread allocated, and run them on a pool of the process's thread budget
 ``UNITS`` threads, with OpenBLAS at one thread while the pool runs. No
 unit adds into another's output, so every result is bit-identical at any
 thread count. Ops are still called from one thread: the graph and the
-flags below are not shared.
+flags below are not shared. ``cli``'s audio frontend runs one unit per
+WAV file on the same threads.
 
 Graph building: an op records its parents and backward closure only
 when one of its inputs has ``requires_grad``. Inside ``no_grad()`` no
@@ -554,16 +555,21 @@ def thread_budget(threads: int):
     The process's one thread budget, by default the CPUs it may run on.
     Ops inside the block start a pool of that size when it is 2 to
     ``UNITS`` (the pool from before is set aside until the block ends),
-    and OpenBLAS runs ``threads`` threads until one does, then one thread
-    while the pool runs. The FBS job pool forks its workers inside the
-    block, each with its share of the CPUs.
+    and OpenBLAS runs ``threads`` threads, but no more than those CPUs,
+    until one does, then one thread while the pool runs. The FBS job
+    pool forks its workers inside the block, each with its share of the
+    CPUs.
     """
     global _BUDGET, _POOL
+    if threads < 1:
+        raise ValueError(f"a thread budget must be at least 1, got {threads}")
     blas = _openblas()
     saved = _BUDGET, _POOL, blas and blas[0]()
     _BUDGET, _POOL = threads, None
     if blas:
-        blas[1](threads)
+        # more OpenBLAS threads than CPUs spin against each other: one
+        # block-2 conv took 39.5 s at 3 threads on 2 CPUs, against 0.6 s
+        blas[1](min(threads, len(os.sched_getaffinity(0))))
     try:
         yield
     finally:

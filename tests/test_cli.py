@@ -35,6 +35,19 @@ def train_args(out="run1", extra=()):
     ]
 
 
+# SPRSound annotations that preprocess refuses with exit 3, by what is wrong
+BAD_ANNOTATIONS = {
+    "event without end": '{"event_annotation": [{"start": "0", "type": "Normal"}]}',
+    "event without type": '{"event_annotation": [{"start": "0", "end": "900"}]}',
+    "bound not a number": '{"event_annotation": [{"start": "abc", "end": "900", "type": "Normal"}]}',
+    "unbounded end": '{"event_annotation": [{"start": "0", "end": "inf", "type": "Normal"}]}',
+    "truncated JSON": '{"event_annotation": [',
+    "not an object": '[{"start": "0", "end": "900", "type": "Normal"}]',
+    "events not a list": '{"event_annotation": 5}',
+    "txt bound not a number": "0 9x0 Normal\n",
+}
+
+
 class TestPreprocess:
     def test_synth_cache_written_with_manifest(self, cache_dir):
         assert (cache_dir / "synth.cache").exists()
@@ -87,6 +100,144 @@ class TestPreprocess:
 
     def test_missing_data_root_is_config_error(self, tmp_path):
         assert run(tmp_path, "preprocess", "--dataset", "icbhi", "--out", "x") == 2
+
+    @pytest.mark.parametrize("name", BAD_ANNOTATIONS)
+    def test_malformed_sprsound_annotation_exits_3(self, tmp_path, capsys, name):
+        from test_data import write_wav
+
+        wav = tmp_path / "spr" / "test_wav" / "1234_2.0_1_p1_1.wav"
+        wav.parent.mkdir(parents=True)
+        write_wav(wav)
+        ann = wav.with_suffix(".txt" if name.startswith("txt") else ".json")
+        ann.write_text(BAD_ANNOTATIONS[name])
+        code = run(tmp_path, "preprocess", "--dataset", "sprsound", "--data-root", "spr", "--out", "x.cache")
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and err.startswith("data error: "), err
+        assert str(ann if name != "unbounded end" else wav) in err
+        assert not (tmp_path / "x.cache").exists()
+
+
+# (rate, format, channels, seconds, events in s) of each WAV of the
+# frontend trees, in sorted order. The first file is the slowest, so
+# that two threads finish the files out of order; cycles fall both
+# shorter and longer than the 8 s clips.
+FRONTEND_WAVS = [
+    (44100, "float32", 2, 12.0, [(0.3, 11.8), (2.0, 4.0), (5.0, 6.5)]),
+    (4000, "pcm16", 1, 3.0, [(0.2, 1.8), (2.0, 2.9)]),
+    (22050, "pcm24", 1, 9.0, [(0.5, 8.9)]),
+    (8000, "pcm32", 2, 5.0, [(0.1, 4.9), (1.0, 1.5)]),
+    (11025, "pcm16", 2, 2.0, [(0.0, 1.0)]),
+    (16000, "float32", 1, 10.0, [(1.0, 9.5)]),
+]
+
+
+def write_frontend_wav(path, rate, fmt, channels, seconds, seed):
+    """A tone in noise as 16-, 24- or 32-bit PCM or float32 (24-bit by
+    hand: scipy reads it but does not write it)."""
+    import struct
+
+    from scipy.io import wavfile
+
+    g = np.random.default_rng([seed, 23])
+    t = np.arange(int(seconds * rate)) / rate
+    x = (0.3 * np.sin(2 * np.pi * g.uniform(100, rate / 3) * t) + g.normal(0, 0.05, t.size)).astype(np.float32)
+    if channels == 2:
+        x = np.stack([x, 0.5 * x], axis=1)
+    if fmt == "float32":
+        wavfile.write(path, rate, x)
+    elif fmt == "pcm16":
+        wavfile.write(path, rate, np.round(x * 32767).astype(np.int16))
+    elif fmt == "pcm32":
+        wavfile.write(path, rate, np.round(x * (2**31 - 1)).astype(np.int32))
+    else:
+        data = np.round(x * 2**23).astype("<i4").reshape(-1, 1).view(np.uint8)[:, :3].tobytes()
+        fmt_chunk = struct.pack("<HHIIHH", 1, channels, rate, rate * channels * 3, channels * 3, 24)
+        path.write_bytes(
+            b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVEfmt " + struct.pack("<I", 16)
+            + fmt_chunk + b"data" + struct.pack("<I", len(data)) + data
+        )
+
+
+def write_frontend_tree(root, dataset):
+    """A SPRSound or ICBHI tree of ``FRONTEND_WAVS``; returns the WAV paths in sorted order."""
+    paths = []
+    for k, (rate, fmt, channels, seconds, events) in enumerate(FRONTEND_WAVS):
+        if dataset == "sprsound":
+            folder = root / ("test_wav" if k < 3 else "train_wav")
+            path = folder / f"{1000 + k}_{3 + k}.5_1_p1_{k}.wav"
+            annotation = json.dumps({"event_annotation": [
+                {"start": str(int(a * 1000)), "end": str(int(b * 1000)), "type": "Normal"} for a, b in events
+            ]})
+            suffix = ".json"
+        else:
+            folder = root
+            path = folder / f"{101 + k}_1b1_Al_sc_Meditron.wav"
+            annotation = "".join(f"{a} {b} {k % 2} {(k // 2) % 2}\n" for a, b in events)
+            suffix = ".txt"
+        folder.mkdir(parents=True, exist_ok=True)
+        write_frontend_wav(path, rate, fmt, channels, seconds, seed=k)
+        path.with_suffix(suffix).write_text(annotation)
+        paths.append(path)
+    return sorted(paths)
+
+
+class TestFrontendThreads:
+    """preprocess runs each WAV file as a unit on the engine's threads and
+    writes its clips into that file's rows: the cache and stdout are the
+    same bytes at a budget of 1 and of 2 threads, and of the two errors of
+    a tree the first file's in sorted order is reported."""
+
+    @staticmethod
+    def preprocess(workdir, dataset, budget, capsys):
+        import sys
+
+        from lungsound import tensor as tensor_mod
+
+        (workdir / "front.cache").unlink(missing_ok=True)  # no cache hit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads take turns far more often
+        try:
+            with tensor_mod.thread_budget(budget):
+                code = run(workdir, "preprocess", "--dataset", dataset, "--data-root", "tree",
+                           "--out", "front.cache")
+                lanes = tensor_mod._POOL and tensor_mod._POOL[0]
+        finally:
+            sys.setswitchinterval(interval)
+        out, err = capsys.readouterr()
+        cache = workdir / "front.cache"
+        return code, lanes, out, err, cache.read_bytes() if cache.exists() else None
+
+    @pytest.mark.parametrize("dataset", ["sprsound", "icbhi"])
+    def test_cache_and_stdout_do_not_depend_on_the_budget(self, tmp_path, capsys, dataset):
+        from lungsound import tensor as tensor_mod
+
+        write_frontend_tree(tmp_path / "tree", dataset)
+        serial = self.preprocess(tmp_path, dataset, 1, capsys)
+        threaded = self.preprocess(tmp_path, dataset, 2, capsys)
+        assert serial[0] == threaded[0] == 0, serial[3] + threaded[3]
+        if tensor_mod._openblas() is not None:
+            assert (serial[1], threaded[1]) == (1, 2)  # the second run split the files
+        assert threaded[2] == serial[2] and f"wrote {sum(len(w[4]) for w in FRONTEND_WAVS)} " in serial[2]
+        assert threaded[4] == serial[4]
+
+    @pytest.mark.parametrize("first", ["unreadable", "fails last"])
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_first_failing_file_in_sorted_order_is_reported(self, tmp_path, capsys, first, budget):
+        paths = write_frontend_tree(tmp_path / "tree", "icbhi")
+        # the first and third files fail; "fails last": the first, the
+        # slowest file, fails after its resample and three cycles, on a
+        # cycle past its end, while the other thread reads the third
+        paths[2].write_bytes(b"RIFF not a wave file")
+        if first == "unreadable":
+            paths[0].write_bytes(b"RIFF not a wave file either")
+            match = f"cannot read WAV {paths[0]}"
+        else:
+            ann = paths[0].with_suffix(".txt")
+            ann.write_text(ann.read_text() + "20.0 21.0 0 0\n")
+            match = f"cycle {paths[0].stem}_4 lies outside {paths[0]}"
+        code, _, out, err, cache = self.preprocess(tmp_path, "icbhi", budget, capsys)
+        assert code == 3 and cache is None and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"data error: {match}"), err
 
 
 class TestTrainEvaluate:
@@ -653,6 +804,21 @@ def test_import_starts_no_process():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["0", "1"], out.stderr
+
+
+def test_import_loads_no_scipy_signal_or_io():
+    """Only preprocess reads WAVs and resamples; scipy.signal alone costs
+    every other command about a second and 54 MB to import."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "import sys, lungsound, lungsound.cli; print(sorted({'scipy.signal', 'scipy.io'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 class TestAttributeCommand:

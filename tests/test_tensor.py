@@ -1,6 +1,7 @@
 """Tensor engine tests: exact op semantics plus finite-difference
 gradient oracles (central differences, h=1e-3, rtol 1e-3, atol 1e-5)."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -1292,8 +1293,24 @@ class TestEngineThreads:
             assert tensor_mod._POOL[0] == 2 and blas[0]() == 1  # BLAS at one thread under the pool
         assert (tensor_mod._POOL, blas[0]()) == before
         # above UNITS threads the units run on this thread and OpenBLAS
-        # keeps the budget for its GEMMs
+        # keeps the budget, up to the CPUs, for its GEMMs
         with tensor_mod.thread_budget(tensor_mod.UNITS + 1):
             assert tensor_mod._lanes(True) == 1 and tensor_mod._POOL == (1, None)
-            assert blas[0]() == tensor_mod.UNITS + 1
+            assert blas[0]() == min(tensor_mod.UNITS + 1, len(os.sched_getaffinity(0)))
         assert (tensor_mod._POOL, blas[0]()) == before
+
+    def test_budget_gives_openblas_no_more_threads_than_cpus(self):
+        # more OpenBLAS threads than CPUs spin against each other (a
+        # block-2 conv took 40 s instead of 0.6 s); no GEMM runs here
+        blas = tensor_mod._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        cpus, before = len(os.sched_getaffinity(0)), blas[0]()
+        with tensor_mod.thread_budget(cpus + 1):
+            assert blas[0]() == cpus
+        assert blas[0]() == before
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                with tensor_mod.thread_budget(bad):
+                    pass
+            assert blas[0]() == before
