@@ -284,21 +284,27 @@ def _cv_job(sweep: _Sweep, keep: np.ndarray, fold: int):
 def _training_bytes(sweep: _Sweep) -> int:
     """Estimated peak memory of one job.
 
-    Every conv block's output at the larger of the training batch and
-    ``evaluate``'s batch, ``ACTIVATION_COPIES`` times, plus one im2col
-    chunk, one gathered batch of clips, and the engine's scratch: the units
-    of a conv hold at most one more chunk between them, and each of the
-    engine's threads (at most ``UNITS``) two batchnorm blocks.
+    The larger of a training step, every conv block's output at the
+    training batch ``ACTIVATION_COPIES`` times, and ``evaluate``, which
+    holds each block's output as ``CnnTsa.features`` leaves it (pooled
+    but for the last block's) at ``evaluate``'s batch, plus one chunk of
+    conv output. Then one im2col chunk, one gathered batch of clips, and
+    the engine's scratch: the units of a conv hold at most one more chunk
+    between them, and each of the engine's threads (at most ``UNITS``)
+    two batchnorm blocks.
     """
     t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
-    batch = max(sweep.train_cfg.batch_size, EVAL_BATCH)
-    gather = 4 * batch * t * f
-    per_clip = 0
-    for c in sweep.model_cfg.channels:
-        per_clip += c * t * f
-        t, f = t // POOL, f // POOL
+    gather = 4 * max(sweep.train_cfg.batch_size, EVAL_BATCH) * t * f
+    conv = kept = 0  # floats per clip: every block's conv output; what evaluate keeps of it
+    for i, c in enumerate(sweep.model_cfg.channels, start=1):
+        conv += c * t * f
+        if i < sweep.model_cfg.n_conv_blocks:
+            t, f = t // POOL, f // POOL
+        kept += c * t * f
+    step = 4 * ACTIVATION_COPIES * conv * sweep.train_cfg.batch_size
+    inference = 4 * kept * EVAL_BATCH + IM2COL_BYTES
     scratch = IM2COL_BYTES + 2 * UNITS * EPILOGUE_BYTES
-    return 4 * ACTIVATION_COPIES * per_clip * batch + IM2COL_BYTES + gather + scratch
+    return max(step, inference) + IM2COL_BYTES + gather + scratch
 
 
 def _available_bytes() -> int:

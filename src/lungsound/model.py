@@ -26,8 +26,12 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .seeding import rng_for
 from .tensor import (
+    IM2COL_BYTES,
     BatchNormState,
     Tensor,
+    _records,
+    _winograd_applies,
+    _winograd_chunk,
     batchnorm2d,  # noqa: F401  unused; perfbench's tracer patches it by name until ROADMAP item 4
     bn_relu_pool,
     conv2d,
@@ -311,6 +315,18 @@ class CnnTsa:
         placed after block i (0: on the input), else ``fm`` itself."""
         return self._attend_flat(fm) if self.cfg.attention_stage() == i else fm
 
+    def _block(self, fm: Tensor, i: int, training: bool) -> Tensor:
+        """Conv block i on ``fm``: conv, then ``bn_relu_pool`` (no pool on the last block)."""
+        out = conv2d(fm, self.params[f"conv{i}.weight"], stride=1, padding=PADDING)
+        _, _, t, f = out.shape
+        if t < POOL or f < POOL:
+            raise ShapeError(
+                f"conv block {i}: feature map {t}x{f} too small for "
+                f"{POOL}x{POOL} pooling"
+            )
+        bn = (self.params[f"bn{i}.gamma"], self.params[f"bn{i}.beta"], self.bn_states[f"bn{i}"])
+        return bn_relu_pool(out, *bn, training=training, pool=i < self.cfg.n_conv_blocks)
+
     def features(self, x, training: bool = False) -> Tensor:
         """The last conv block's ReLU output [B, d, T', F'], before its pool.
 
@@ -319,6 +335,16 @@ class CnnTsa:
         backward), then attention if it is placed after that block. The
         last block's op skips the pool and returns the ReLU output that
         Grad-CAM reads; ``head`` pools it.
+
+        In eval mode with no graph to record, batchnorm is a per-channel
+        affine over its running statistics, so a block's output for a
+        clip depends on that clip alone. A block then runs over chunks of
+        as many items as fit their conv output in ``IM2COL_BYTES`` (at
+        least one, counted from one image's shape, as conv2d counts its
+        own chunks), rounded down to whole chunks of a Winograd conv, and
+        writes each chunk's result into one whole-batch array: no
+        whole-batch conv output exists, and the bytes are those of one
+        whole-batch call. Attention still sees the whole batch.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         cfg = self.cfg
@@ -331,16 +357,24 @@ class CnnTsa:
             )
         fm = self._attend_at(x, 0)
         n = cfg.n_conv_blocks
+        chunked = not training and not _records((x, *self.params.values()))
         for i in range(1, n + 1):
-            fm = conv2d(fm, self.params[f"conv{i}.weight"], stride=1, padding=PADDING)
-            _, _, t, f = fm.shape
-            if t < POOL or f < POOL:
-                raise ShapeError(
-                    f"conv block {i}: feature map {t}x{f} too small for "
-                    f"{POOL}x{POOL} pooling"
-                )
-            bn = (self.params[f"bn{i}.gamma"], self.params[f"bn{i}.beta"], self.bn_states[f"bn{i}"])
-            fm = bn_relu_pool(fm, *bn, training=training, pool=i < n)
+            b, c, t, f = fm.shape  # a 5x5 conv at padding 2 keeps T x F
+            co, size = cfg.channels[i - 1], fm.data.itemsize
+            # whole Winograd chunks: each GEMM gets the columns a whole-batch conv gives it
+            winograd = _winograd_applies(c, t, f, KERNEL, KERNEL, 1, PADDING)
+            unit = _winograd_chunk(c, co, t, f, size) if winograd else 1
+            chunk = max(1, IM2COL_BYTES // (co * t * f * size * unit)) * unit
+            if not chunked or chunk >= b:
+                fm = self._block(fm, i, training)
+            else:
+                out = None
+                for s in range(0, b, chunk):
+                    part = self._block(Tensor(fm.data[s : s + chunk]), i, training)
+                    if out is None:
+                        out = np.empty((b, *part.shape[1:]), dtype=part.data.dtype)
+                    out[s : s + chunk] = part.data
+                fm = Tensor(out)
             if i < n:
                 fm = self._attend_at(fm, i)
         return fm

@@ -114,7 +114,7 @@ def precision(dtype):
         _DTYPE = saved
 
 
-# cleared inside no_grad(); read by Tensor._from_op
+# cleared inside no_grad(); read by _records
 _GRAD_ENABLED = True
 
 # the buffer Tensor._adopt is handing to Tensor._accum, which keeps it
@@ -136,6 +136,12 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = saved
+
+
+def _records(inputs) -> bool:
+    """Whether an op on ``inputs`` records a graph: outside ``no_grad``,
+    when one of them has ``requires_grad``."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
 
 
 def _freed(grad) -> None:
@@ -210,9 +216,7 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        out = Tensor(
-            data, requires_grad=_GRAD_ENABLED and any(p.requires_grad for p in parents)
-        )
+        out = Tensor(data, requires_grad=_records(parents))
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -463,7 +467,8 @@ def reduce(x: Tensor, kind: str, axis: int | None = None) -> Tensor:
             raise ShapeError("reduce 'max' needs an axis")
         out_data = x.data.max(axis=axis)
         ax = axis % x.ndim
-        idx = np.argmax(x.data, axis=ax)  # first occurrence on ties
+        if _records((x,)):
+            idx = np.argmax(x.data, axis=ax)  # first occurrence on ties; only backward reads it
 
         def bwd(g):
             gi = np.zeros_like(x.data)
@@ -698,10 +703,21 @@ def _winograd_applies(ci: int, h: int, w: int, kh: int, kw: int, stride: int, pa
     Only 5x5, stride-1, pad-2 convs with at least 8 input channels and 16
     output tiles per image: below that the transforms cost more than the
     multiplies they save. The rule reads one image's shape, never the
-    batch size, so a clip's output does not depend on its batch.
+    batch size, so every clip of any batch runs the same algorithm (its
+    bytes can still depend on the batch: see ``_winograd_chunk``).
     """
     tiles = -(-h // 4) * -(-w // 4)
     return (kh, kw, stride, padding) == (5, 5, 1, 2) and ci >= 8 and tiles >= 16
+
+
+def _winograd_chunk(ci: int, co: int, h: int, w: int, itemsize: int) -> int:
+    """Batch items a Winograd conv2d runs at once: as many as fit their V
+    and M, or dM, V and dV, (C' + 2C) * 64 values per tile, in
+    ``IM2COL_BYTES``; at least one. A GEMM's rounding can depend on its
+    column count, so only a batch cut into runs of whole chunks gives
+    the bytes of the whole batch."""
+    tiles = -(-h // 4) * -(-w // 4)
+    return max(1, IM2COL_BYTES // (64 * tiles * (co + 2 * ci) * itemsize))
 
 
 def _wino_transforms(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -945,9 +961,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     big = max(c * h * w, co * ho * wo) * x.data.itemsize >= THREAD_BYTES
     lanes = _lanes(big)
     if winograd:
-        # V and M, or dM, V and dV, of one chunk: (C' + 2C) * 64 values per tile
-        tiles = -(-h // 4) * -(-w // 4)
-        chunk = max(1, IM2COL_BYTES // (64 * tiles * (co + 2 * ci) * x.data.itemsize))
+        chunk = _winograd_chunk(ci, co, h, w, x.data.itemsize)
         out_data = _winograd_forward(x.data, weight.data, chunk, lanes, big)
     else:
         patch = ci * kh * kw

@@ -229,9 +229,11 @@ def evaluate(
 ) -> MetricReport:
     """Score a frozen model; labels and predictions follow ``task``.
 
-    Forward passes run under ``no_grad``: no graph is built, so each
-    conv's im2col buffer is freed as soon as the conv returns. A batch
-    whose logits are not all finite raises ``DivergenceError``.
+    Forward passes run under ``no_grad``: no graph is built, so
+    ``CnnTsa.features`` runs each conv block over chunks of items and
+    holds one chunk's conv output at a time beside the whole batch's
+    pooled maps. A batch whose logits are not all finite raises
+    ``DivergenceError``.
 
     A multiclass model evaluated on the binary task has its argmax
     predictions collapsed (anything non-normal counts as adventitious).

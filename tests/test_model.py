@@ -313,3 +313,70 @@ class TestFlops:
             for p in order
         ]
         assert all(a < b for a, b in zip(vals, vals[1:])), dict(zip(order, vals))
+
+
+class TestChunkedInference:
+    """Without a graph and in eval mode, ``features`` runs each conv block
+    over chunks of items. Its logits and Grad-CAM maps are the bytes of
+    the whole-batch path, a grad-enabled forward or a batch of one chunk,
+    at engine budgets of 1 and 2 threads, for every attention placement.
+    The chunk bounds are patched small, so a batch of 7 splits into
+    chunks with a ragged last one."""
+
+    # (preset, T, F): block 2 of the SPRSound and ICBHI inputs runs Winograd,
+    # every other block im2col
+    CASES = [("tiny", 12, 8), ("sprsound", 34, 32), ("icbhi", 37, 32)]
+
+    @staticmethod
+    def bounds(channels, t, f):
+        """(model, tensor) ``IM2COL_BYTES`` pairs, each splitting a batch of 7:
+        block 1 in chunks of 3; block 2 in chunks of 3 items of conv output,
+        but in whole Winograd chunks of 2."""
+        yield 3 * channels[0] * t * f * 4, None
+        if len(channels) > 1:
+            t, f = t // 2, f // 2
+            winograd = 64 * -(-t // 4) * -(-f // 4) * (channels[1] + 2 * channels[0]) * 4
+            yield 3 * channels[1] * t * f * 4, 2 * winograd + winograd // 2
+
+    @pytest.mark.parametrize("preset,t,f", CASES, ids=[c[0] for c in CASES])
+    def test_same_bytes_as_whole_batch(self, preset, t, f):
+        import lungsound.model as model_mod
+        import lungsound.tensor as tensor_mod
+        from lungsound.attribution import gradcam
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.model import PRESETS
+        from lungsound.tensor import no_grad, thread_budget
+
+        channels = PRESETS[preset]
+        specs = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))[:7]
+        x = specs.clips(slice(None))[:, None]
+        convs = []
+
+        def counted(*args, **kwargs):
+            convs.append(args[0].shape[0])
+            return tensor_mod.conv2d(*args, **kwargs)
+
+        for placement in sorted(ModelConfig(channels=channels, n_mel_rows_in=f).allowed_placements()):
+            cfg = ModelConfig(channels=channels, n_classes=3, n_mel_rows_in=f, attention_placement=placement)
+            m = CnnTsa(cfg, seed=1)
+            for k, st in enumerate(m.bn_states.values()):
+                st.running_mean[...] = rng(k).normal(size=st.running_mean.shape) * 0.1
+                st.running_var[...] = 0.5 + rng(k).random(size=st.running_var.shape)
+            for model_bytes, tensor_bytes in self.bounds(channels, t, f):
+                with pytest.MonkeyPatch.context() as patch:
+                    if tensor_bytes is not None:  # conv2d's own chunks: its GEMMs' columns
+                        patch.setattr(tensor_mod, "IM2COL_BYTES", tensor_bytes)
+                    ref = m.forward(Tensor(x)).data  # a graph: one call per block
+                    ref_cams = [a.values for a in gradcam(m, specs, 1)]  # one chunk per block at 7 clips
+                    patch.setattr(model_mod, "IM2COL_BYTES", model_bytes)
+                    patch.setattr(tensor_mod, "THREAD_BYTES", 0)  # every op splits on the pool
+                    patch.setattr(model_mod, "conv2d", counted)
+                    for n in (1, 2):
+                        convs.clear()
+                        with thread_budget(n):
+                            with no_grad():
+                                got = m.forward(Tensor(x)).data
+                            cams = [a.values for a in gradcam(m, specs, 1)]
+                        assert got.tobytes() == ref.tobytes(), (placement, model_bytes, n)
+                        assert all(a.tobytes() == b.tobytes() for a, b in zip(cams, ref_cams))
+                        assert len(convs) > 2 * len(channels) and 1 in convs  # chunked, ragged

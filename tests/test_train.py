@@ -1,5 +1,6 @@
 """Training loop, loss, splits, metric suite, and age-specific models."""
 
+import functools
 import math
 
 import numpy as np
@@ -385,14 +386,23 @@ class TestAgeSpecific:
 PAPER_STEP_PEAK_MIB = 1558
 
 
-def test_paper_batch_step_memory():
-    # the 1.15 margin that fbs.ACTIVATION_COPIES is set with: a change that
-    # brings back a whole-batch temporary of the conv-block epilogue fails
+def _run_peaks(code: str) -> list[int]:
+    """Run ``code`` in a fresh interpreter; the byte counts it prints (in KiB)."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    return [int(v) * 1024 for v in out.stdout.split()]
+
+
+def test_paper_batch_step_memory():
+    # the 1.15 margin that fbs.ACTIVATION_COPIES is set with: a change that
+    # brings back a whole-batch temporary of the conv-block epilogue fails
     import lungsound.fbs as fbs
     from lungsound.model import icbhi_config
 
@@ -405,13 +415,63 @@ specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_clas
 train(specs, icbhi_config(4), TrainConfig(epochs=1, batch_size=128, seed=0, specaugment=True))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode == 0, out.stderr
-    peak = int(out.stdout.split()[-1]) * 1024
+    (peak,) = _run_peaks(code)
     assert peak < 1.15 * PAPER_STEP_PEAK_MIB * 2**20, peak / 2**20
     # the FBS pool's memory rule covers the step it sizes workers for
     specs = synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1))
     sweep = fbs._Sweep(specs, [], icbhi_config(4), TrainConfig(batch_size=128), None)
     assert fbs._training_bytes(sweep) > peak
+
+
+# Peak RSS (MiB) that evaluate() adds over 128 ICBHI-preset clips of 249 x 64
+# at EVAL_BATCH, measured as PAPER_STEP_PEAK_MIB is: 637 MiB when every conv
+# block's output was built for the whole batch, 221 MiB with each block run
+# over chunks of items
+EVALUATE_ADDED_MIB = 221
+
+# the high-water RSS of the process that reads it, in KiB; a child's ru_maxrss
+# starts at the RSS of the process it was forked from, here the test run's
+PEAK_KIB = 'int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])'
+
+
+@functools.cache
+def _evaluate_peaks() -> tuple[int, int]:
+    """Peak RSS (bytes) before and after evaluate() of 128 ICBHI-preset clips."""
+    code = f"""
+from lungsound.data import SynthSpec, synth_corpus
+from lungsound.model import CnnTsa, icbhi_config
+from lungsound.train import evaluate
+specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_class=32, seed=0))
+model = CnnTsa(icbhi_config(4), seed=0)
+print({PEAK_KIB})
+evaluate(model, specs, "multiclass")
+print({PEAK_KIB})
+"""
+    before, after = _run_peaks(code)
+    return before, after
+
+
+def test_evaluate_memory_is_bounded():
+    # a whole-batch conv output per block, as a graph-building forward
+    # builds, adds about 2.9x this
+    before, after = _evaluate_peaks()
+    assert after - before < 1.3 * EVALUATE_ADDED_MIB * 2**20, (after - before) / 2**20
+
+
+def test_training_bytes_covers_evaluate_and_small_batch_step():
+    import lungsound.fbs as fbs
+    from lungsound.model import icbhi_config
+
+    code = f"""
+from lungsound.data import SynthSpec, synth_corpus
+from lungsound.model import icbhi_config
+from lungsound.train import TrainConfig, train
+specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_class=8, seed=0))
+train(specs, icbhi_config(4), TrainConfig(epochs=1, batch_size=32, seed=0, specaugment=True))
+print({PEAK_KIB})
+"""
+    (step,) = _run_peaks(code)
+    _, inference = _evaluate_peaks()
+    specs = synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1))
+    sweep = fbs._Sweep(specs, [], icbhi_config(4), TrainConfig(batch_size=32), None)
+    assert fbs._training_bytes(sweep) > max(step, inference), (step / 2**20, inference / 2**20)
