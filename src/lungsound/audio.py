@@ -32,6 +32,7 @@ __all__ = [
 
 TARGET_RATE = 16_000
 LOG_FLOOR = 1e-10
+FADE_SECONDS = 0.1  # fade at the end of each copy in ``fit_duration``'s repeat_fade
 
 
 @dataclass
@@ -143,17 +144,12 @@ def standardize(clip: AudioClip) -> AudioClip:
     return replace(clip, samples=out.astype(np.float32), sample_rate=TARGET_RATE)
 
 
-def fit_duration(
-    clip: AudioClip,
-    target_seconds: float = 8.0,
-    mode: str = "circular",
-    fade_seconds: float = 0.1,
-) -> AudioClip:
+def fit_duration(clip: AudioClip, target_seconds: float = 8.0, mode: str = "circular") -> AudioClip:
     """Force a clip to exactly ``target_seconds``.
 
     Longer clips keep their start. Shorter clips are extended either by
     circular wrapping or by repetition where each full copy fades
-    linearly to zero over its last ``fade_seconds`` (smooth seams).
+    linearly to zero over its last ``FADE_SECONDS`` (smooth seams).
     """
     if mode not in ("circular", "repeat_fade"):
         raise ValueError(f"unknown fit_duration mode {mode!r}")
@@ -167,7 +163,7 @@ def fit_duration(
         reps = -(-target // n)
         out = np.tile(clip.samples, reps)[:target]
         return replace(clip, samples=out.copy())
-    fade = min(int(round(fade_seconds * clip.sample_rate)), n)
+    fade = min(int(round(FADE_SECONDS * clip.sample_rate)), n)
     unit = clip.samples.copy()
     if fade > 0:
         unit[n - fade :] *= np.linspace(1.0, 0.0, fade, dtype=np.float32)

@@ -307,12 +307,10 @@ def _sprsound_events(ann: Path) -> list[tuple[float, float, str]]:
     return parsed
 
 
-def parse_sprsound(root_dir, edition: int = 2022, test_partition: str | None = None) -> list[CycleRecord]:
+def parse_sprsound(root_dir, edition: int = 2022) -> list[CycleRecord]:
     """Parse a SPRSound tree into one record per annotated event.
 
-    ``test_partition`` ("intra" or "inter"), when given, keeps only
-    test records whose path mentions that partition. The 2023 edition
-    is test-only; records default to official_test there.
+    The 2023 edition is test-only; records default to official_test there.
     """
     if edition not in (2022, 2023):
         raise ConfigError(f"unknown SPRSound edition {edition}")
@@ -341,9 +339,6 @@ def parse_sprsound(root_dir, edition: int = 2022, test_partition: str | None = N
         split = _split_from_path(wav.relative_to(root))
         if split == "unsplit" and edition == 2023:
             split = "official_test"
-        if test_partition and split == "official_test":
-            if test_partition.lower() not in str(wav).lower():
-                continue
         for i, (onset, offset, etype) in enumerate(_sprsound_events(ann), start=1):
             records.append(
                 CycleRecord(

@@ -30,8 +30,6 @@ from .tensor import (
     BatchNormState,
     Tensor,
     _records,
-    _winograd_applies,
-    _winograd_chunk,
     batchnorm2d,  # noqa: F401  unused; perfbench's tracer patches it by name until ROADMAP item 4
     bn_relu_pool,
     conv2d,
@@ -200,9 +198,12 @@ def temporal_self_attention(
 
 
 def classify_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Temporal mean pooling of [B,T,d] followed by a linear layer."""
+    """Temporal mean pooling of [B,T,d] followed by a linear layer, run per
+    item as [B,1,d] @ [d,k]: numpy's stacked matmul gives each clip the
+    logits it gets alone, where one [B,d] @ [d,k] GEMM need not."""
     pooled = reduce(x, "mean", axis=1)  # (B,d)
-    return matmul(pooled, w) + b
+    n, k = pooled.shape[0], w.shape[1]
+    return matmul(pooled.reshape(n, 1, -1), w).reshape(n, k) + b
 
 
 # -- the model --------------------------------------------------------------------
@@ -337,12 +338,12 @@ class CnnTsa:
         Grad-CAM reads; ``head`` pools it.
 
         In eval mode with no graph to record, batchnorm is a per-channel
-        affine over its running statistics, so a block's output for a
-        clip depends on that clip alone. A block then runs over chunks of
-        as many items as fit their conv output in ``IM2COL_BYTES`` (at
-        least one, counted from one image's shape, as conv2d counts its
-        own chunks), rounded down to whole chunks of a Winograd conv, and
-        writes each chunk's result into one whole-batch array: no
+        affine over its running statistics, and conv2d gives each clip
+        the bytes it gets alone, so a block's output for a clip depends
+        on that clip alone. A block then runs over chunks of as many
+        items as fit their conv output in ``IM2COL_BYTES`` (at least one,
+        counted from one image's shape, as conv2d counts its own chunks),
+        and writes each chunk's result into one whole-batch array: no
         whole-batch conv output exists, and the bytes are those of one
         whole-batch call. Attention still sees the whole batch.
         """
@@ -359,12 +360,8 @@ class CnnTsa:
         n = cfg.n_conv_blocks
         chunked = not training and not _records((x, *self.params.values()))
         for i in range(1, n + 1):
-            b, c, t, f = fm.shape  # a 5x5 conv at padding 2 keeps T x F
-            co, size = cfg.channels[i - 1], fm.data.itemsize
-            # whole Winograd chunks: each GEMM gets the columns a whole-batch conv gives it
-            winograd = _winograd_applies(c, t, f, KERNEL, KERNEL, 1, PADDING)
-            unit = _winograd_chunk(c, co, t, f, size) if winograd else 1
-            chunk = max(1, IM2COL_BYTES // (co * t * f * size * unit)) * unit
+            b, _, t, f = fm.shape  # a 5x5 conv at padding 2 keeps T x F
+            chunk = max(1, IM2COL_BYTES // (cfg.channels[i - 1] * t * f * fm.data.itemsize))
             if not chunked or chunk >= b:
                 fm = self._block(fm, i, training)
             else:

@@ -703,20 +703,28 @@ def _winograd_applies(ci: int, h: int, w: int, kh: int, kw: int, stride: int, pa
     Only 5x5, stride-1, pad-2 convs with at least 8 input channels and 16
     output tiles per image: below that the transforms cost more than the
     multiplies they save. The rule reads one image's shape, never the
-    batch size, so every clip of any batch runs the same algorithm (its
-    bytes can still depend on the batch: see ``_winograd_chunk``).
+    batch size, so every clip of any batch runs the same algorithm.
     """
     tiles = -(-h // 4) * -(-w // 4)
     return (kh, kw, stride, padding) == (5, 5, 1, 2) and ci >= 8 and tiles >= 16
 
 
+# OpenBLAS can round a GEMM column by where it falls in the kernel's column
+# blocks. Padded to 16 or 32 tiles, 20-tile items shared M = U V with the
+# bytes each got alone; padded to 8 they did not (C = 64 and 128, 1 and 2
+# threads). The kernel is OpenBLAS's per-CPU pick: TestBatchInvariance holds it.
+WINO_ALIGN = 16
+
+
 def _winograd_chunk(ci: int, co: int, h: int, w: int, itemsize: int) -> int:
-    """Batch items a Winograd conv2d runs at once: as many as fit their V
-    and M, or dM, V and dV, (C' + 2C) * 64 values per tile, in
-    ``IM2COL_BYTES``; at least one. A GEMM's rounding can depend on its
-    column count, so only a batch cut into runs of whole chunks gives
-    the bytes of the whole batch."""
+    """Batch items a Winograd conv2d runs at once, and the one place that
+    decides which clips share a GEMM: one, unless an item's tile count is
+    a multiple of ``WINO_ALIGN``; then as many as fit their V and M, or
+    dM, V and dV, (C' + 2C) * 64 values per tile, in ``IM2COL_BYTES`` (at
+    least one)."""
     tiles = -(-h // 4) * -(-w // 4)
+    if tiles % WINO_ALIGN:
+        return 1
     return max(1, IM2COL_BYTES // (64 * tiles * (co + 2 * ci) * itemsize))
 
 
@@ -886,9 +894,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1 (same for W).
     Gradients are produced for both the input and the kernel.
 
-    Two algorithms, chosen by ``_winograd_applies`` from constants and
-    the shape of one image, never from the batch size (a clip's output
-    must not depend on the batch it is in):
+    A clip's output and input gradient are the bytes it gets alone, in any
+    batch: ``_winograd_applies`` picks one of two algorithms per image, and
+    a GEMM runs per item or over items ``_winograd_chunk`` keeps aligned.
+    That covers no-grad and frozen-weight passes; the weight gradient sums
+    over the batch by definition.
 
     Winograd F(4x4, 5x5) when the kernel is 5x5, stride 1 and padding 2,
     C >= 8 and ceil(H/4)*ceil(W/4) >= 16. The input, padded to whole
@@ -918,9 +928,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     weight gradient, so frozen weights (``requires_grad`` cleared) never
     rebuild them. The input gradient's ``wmat.T @ g`` and col2im run per
     chunk too, into that chunk's slice of the padded input gradient. The
-    Winograd path chunks the batch the same way, so that V and M (or dM,
-    V and dV) of one chunk fit in ``IM2COL_BYTES``, and pads each chunk
-    as it cuts its tiles, so it keeps no padded copy of the input;
+    Winograd path chunks the batch by ``_winograd_chunk``, so that V and
+    M (or dM, V and dV) of one chunk fit in ``IM2COL_BYTES``, and pads
+    each chunk as it cuts its tiles, so it keeps no padded copy of the input;
     frozen weights build no dU and rebuild no V, and an input without
     ``requires_grad`` builds no U or dV in backward.
 

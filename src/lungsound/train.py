@@ -232,7 +232,8 @@ def evaluate(
     Forward passes run under ``no_grad``: no graph is built, so
     ``CnnTsa.features`` runs each conv block over chunks of items and
     holds one chunk's conv output at a time beside the whole batch's
-    pooled maps. A batch whose logits are not all finite raises
+    pooled maps. A clip's logits, and so its prediction, do not depend
+    on ``batch_size``. A batch whose logits are not all finite raises
     ``DivergenceError``.
 
     A multiclass model evaluated on the binary task has its argmax

@@ -78,7 +78,7 @@ class TestFitDuration:
 
     def test_repeat_fade_seams_fade_to_zero(self):
         clip = AudioClip(np.ones(16000, dtype=np.float32), 16000)
-        out = fit_duration(clip, 2.0, mode="repeat_fade", fade_seconds=0.1)
+        out = fit_duration(clip, 2.0, mode="repeat_fade")  # FADE_SECONDS = 0.1: 1600 samples
         assert out.samples.shape[0] == 32000
         assert out.samples[15999] == 0.0  # end of the first copy fully faded
         assert out.samples[16000] == 1.0  # next copy restarts at full level

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import check_gradient
 from lungsound.errors import ConfigError, ShapeError
@@ -29,6 +31,15 @@ def backbone(m, x):
     """The conv blocks' output: ``features`` and the last block's pool
     (and no attention placed after the last block)."""
     return pool2d(m.features(x))
+
+
+def eval_model(cfg):
+    """A seed-1 model whose batchnorm running statistics are not the identity."""
+    m = CnnTsa(cfg, seed=1)
+    for k, state in enumerate(m.bn_states.values()):
+        state.running_mean[...] = rng(k).normal(size=state.running_mean.shape) * 0.1
+        state.running_var[...] = 0.5 + rng(k).random(size=state.running_var.shape)
+    return m
 
 
 def tiny_cfg(**kw):
@@ -320,8 +331,8 @@ class TestChunkedInference:
     over chunks of items. Its logits and Grad-CAM maps are the bytes of
     the whole-batch path, a grad-enabled forward or a batch of one chunk,
     at engine budgets of 1 and 2 threads, for every attention placement.
-    The chunk bounds are patched small, so a batch of 7 splits into
-    chunks with a ragged last one."""
+    The chunk bound is patched small, so a batch of 7 splits into chunks
+    with a ragged last one."""
 
     # (preset, T, F): block 2 of the SPRSound and ICBHI inputs runs Winograd,
     # every other block im2col
@@ -329,14 +340,11 @@ class TestChunkedInference:
 
     @staticmethod
     def bounds(channels, t, f):
-        """(model, tensor) ``IM2COL_BYTES`` pairs, each splitting a batch of 7:
-        block 1 in chunks of 3; block 2 in chunks of 3 items of conv output,
-        but in whole Winograd chunks of 2."""
-        yield 3 * channels[0] * t * f * 4, None
+        """``features``' ``IM2COL_BYTES``, each splitting a batch of 7 into
+        chunks of 3 items of conv output: of block 1, then of block 2."""
+        yield 3 * channels[0] * t * f * 4
         if len(channels) > 1:
-            t, f = t // 2, f // 2
-            winograd = 64 * -(-t // 4) * -(-f // 4) * (channels[1] + 2 * channels[0]) * 4
-            yield 3 * channels[1] * t * f * 4, 2 * winograd + winograd // 2
+            yield 3 * channels[1] * (t // 2) * (f // 2) * 4
 
     @pytest.mark.parametrize("preset,t,f", CASES, ids=[c[0] for c in CASES])
     def test_same_bytes_as_whole_batch(self, preset, t, f):
@@ -358,14 +366,9 @@ class TestChunkedInference:
 
         for placement in sorted(ModelConfig(channels=channels, n_mel_rows_in=f).allowed_placements()):
             cfg = ModelConfig(channels=channels, n_classes=3, n_mel_rows_in=f, attention_placement=placement)
-            m = CnnTsa(cfg, seed=1)
-            for k, st in enumerate(m.bn_states.values()):
-                st.running_mean[...] = rng(k).normal(size=st.running_mean.shape) * 0.1
-                st.running_var[...] = 0.5 + rng(k).random(size=st.running_var.shape)
-            for model_bytes, tensor_bytes in self.bounds(channels, t, f):
+            m = eval_model(cfg)
+            for model_bytes in self.bounds(channels, t, f):
                 with pytest.MonkeyPatch.context() as patch:
-                    if tensor_bytes is not None:  # conv2d's own chunks: its GEMMs' columns
-                        patch.setattr(tensor_mod, "IM2COL_BYTES", tensor_bytes)
                     ref = m.forward(Tensor(x)).data  # a graph: one call per block
                     ref_cams = [a.values for a in gradcam(m, specs, 1)]  # one chunk per block at 7 clips
                     patch.setattr(model_mod, "IM2COL_BYTES", model_bytes)
@@ -380,3 +383,119 @@ class TestChunkedInference:
                         assert got.tobytes() == ref.tobytes(), (placement, model_bytes, n)
                         assert all(a.tobytes() == b.tobytes() for a, b in zip(cams, ref_cams))
                         assert len(convs) > 2 * len(channels) and 1 in convs  # chunked, ragged
+
+
+class TestBatchInvariance:
+    """A clip's no-grad logits, Grad-CAM map and IG map are the bytes it
+    gets alone (B=1, one IG step per pass), in any batch, however
+    ``IM2COL_BYTES`` in ``model`` and ``tensor`` chunks that batch, at
+    engine budgets of 1 and 2 threads. conv2d keeps a clip's GEMM columns
+    apart or aligned (``tensor._winograd_chunk``), and ``classify_head``
+    runs its linear layer per item."""
+
+    # (preset, T, F): block 2's Winograd items hold 16 (32x32), 20 (34x32,
+    # 37x32) or 32 (64x32) tiles, and at 64x64 block 3 runs Winograd on 16
+    # tiles; the tiny preset runs im2col only
+    CASES = [
+        ("tiny", 12, 8), ("sprsound", 32, 32), ("sprsound", 34, 32),
+        ("sprsound", 64, 64), ("icbhi", 37, 32), ("icbhi", 64, 32),
+    ]
+    # the conv of 20-tile items (ICBHI block 2 on 37x32 input) that first
+    # showed a clip's bytes depending on its batch, at 7 items
+    CONV = ("conv", 64, 128, 18, 16)
+    # IM2COL_BYTES, the default first (the example Hypothesis tries first):
+    # many items per chunk down to one
+    BOUNDS = [16 << 20, 4 << 20, 1 << 20, 1 << 18, 1 << 12]
+    IG_STEPS = 4
+    alone = {}  # (case, placement, clip) -> its (logits, Grad-CAM map, IG map) at B=1
+
+    @staticmethod
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def model_run(self, data, case, batch):
+        """The clips ``batch``'s logits and Grad-CAM maps, then one clip's IG
+        map, each clip alone; and a function that runs them as one batch."""
+        import lungsound.attribution as attribution_mod
+        from lungsound.attribution import gradcam, integrated_gradients
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.model import PRESETS
+        from lungsound.tensor import no_grad
+
+        preset, t, f = case
+        channels = PRESETS[preset]
+        placements = sorted(ModelConfig(channels=channels, n_mel_rows_in=f).allowed_placements())
+        placement = data.draw(st.sampled_from(placements), label="placement")
+        per_pass = data.draw(st.sampled_from([2, 3, 16]), label="IG steps per pass")
+        j = data.draw(st.integers(0, len(batch) - 1), label="IG clip")
+        m = eval_model(ModelConfig(channels=channels, n_classes=3, n_mel_rows_in=f, attention_placement=placement))
+        pool = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))
+
+        def run(specs, ig_clip):
+            with no_grad():
+                logits = m.forward(Tensor(specs.clips()[:, None])).data
+            cams = [a.values for a in gradcam(m, specs, 1)]
+            ig = integrated_gradients(m, specs[ig_clip], 1, steps=self.IG_STEPS).values
+            return [*logits, *cams, ig]
+
+        for i in batch:
+            if (case, placement, i) not in self.alone:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(attribution_mod, "ATTRIBUTION_BATCH", 1)
+                    self.alone[case, placement, i] = run(pool[np.array([i])], 0)
+        alone = [self.alone[case, placement, i] for i in batch]
+        expected = [a[0] for a in alone] + [a[1] for a in alone] + [alone[j][2]]
+
+        def batched():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(attribution_mod, "ATTRIBUTION_BATCH", per_pass)
+                return run(pool[np.array(batch)], j)
+
+        return expected, batched
+
+    def conv_run(self, batch):
+        """The items ``batch``'s outputs, then their input gradients (a
+        frozen kernel), each item alone; and a function that runs them as
+        one batch."""
+        from lungsound.tensor import conv2d
+
+        _, c, co, h, w = self.CONV
+        g = rng(26)
+        x = g.normal(size=(8, c, h, w)).astype(np.float32)
+        k = (g.normal(size=(co, c, 5, 5)) * 0.05).astype(np.float32)
+        mix = g.normal(size=(8, co, h, w)).astype(np.float32)
+
+        def run(idx):
+            xt = Tensor(x[idx], requires_grad=True)
+            out = conv2d(xt, Tensor(k), padding=2)
+            (out * Tensor(mix[idx])).sum().backward()
+            return [*out.data, *xt.grad]
+
+        alone = [run([i]) for i in batch]
+        return [a[0] for a in alone] + [a[1] for a in alone], lambda: run(batch)
+
+    # every case in every run: a drawn case left some out of 20 examples
+    @pytest.mark.parametrize("case", [*CASES, CONV], ids=lambda c: f"{c[0]}-{c[-2]}x{c[-1]}")
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_clip_bytes_do_not_depend_on_batch(self, case, data):
+        import lungsound.model as model_mod
+        import lungsound.tensor as tensor_mod
+        from lungsound.tensor import thread_budget
+
+        size = 7 if case == self.CONV else data.draw(st.integers(2, 8), label="batch size")
+        batch = data.draw(st.permutations(range(8)), label="clips")[:size]
+        if case == self.CONV:
+            expected, batched = self.conv_run(batch)
+        else:
+            expected, batched = self.model_run(data, case, batch)
+        with pytest.MonkeyPatch.context() as patch:
+            for mod in (model_mod, tensor_mod):
+                patch.setattr(mod, "IM2COL_BYTES", data.draw(st.sampled_from(self.BOUNDS), label=mod.__name__))
+            patch.setattr(tensor_mod, "THREAD_BYTES", 0)  # every op splits on the pool
+            for n in (1, 2):
+                with thread_budget(n):
+                    got = batched()
+                assert len(got) == len(expected)
+                for k, (a, b) in enumerate(zip(got, expected)):
+                    assert self.same(a, b), (case, n, k, np.abs(a - b).max())

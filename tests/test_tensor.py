@@ -283,19 +283,23 @@ class TestConv2dWinograd:
             self.assert_close(actual, expected, self.TOL[dtype])
 
     def test_ragged_chunks(self, monkeypatch):
-        (b, c, h, w), co = (5, 8, 17, 18), 3
-        item = 64 * -(-h // 4) * -(-w // 4) * (co + 2 * c) * 4
-        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", 2 * item + item // 2)
+        # items of 16 tiles share chunks of as many as fit, the last one
+        # ragged; items of 25 tiles, not a multiple of WINO_ALIGN, run alone
+        b, c, co = 5, 8, 3
         built = self.spy(monkeypatch, "_wino_input")
         g = rng(22)
-        x = g.normal(size=(b, c, h, w)).astype(np.float32)
-        wk = g.normal(size=(co, c, 5, 5)).astype(np.float32)
-        out, xt, wt, mix = self.run(x, wk)
-        # forward builds V per chunk, the weight gradient rebuilds it once
-        assert built == [2, 2, 1, 2, 2, 1]
-        ref_out, ref_gx, ref_gw = reference_conv2d(x, wk, mix, 1, 2)
-        for actual, expected in ((out.data, ref_out), (xt.grad, ref_gx), (wt.grad, ref_gw)):
-            self.assert_close(actual, expected, self.TOL[np.float32])
+        for h, w, chunks in [(16, 16, [2, 2, 1]), (17, 18, [1, 1, 1, 1, 1])]:
+            item = 64 * -(-h // 4) * -(-w // 4) * (co + 2 * c) * 4
+            monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", 2 * item + item // 2)
+            x = g.normal(size=(b, c, h, w)).astype(np.float32)
+            wk = g.normal(size=(co, c, 5, 5)).astype(np.float32)
+            built.clear()
+            out, xt, wt, mix = self.run(x, wk)
+            # forward builds V per chunk, the weight gradient rebuilds it once
+            assert built == chunks + chunks, (h, w)
+            ref_out, ref_gx, ref_gw = reference_conv2d(x, wk, mix, 1, 2)
+            for actual, expected in ((out.data, ref_out), (xt.grad, ref_gx), (wt.grad, ref_gw)):
+                self.assert_close(actual, expected, self.TOL[np.float32])
 
     def test_frozen_weight_rebuilds_no_tiles(self, monkeypatch):
         g = rng(23)
@@ -315,16 +319,16 @@ class TestConv2dWinograd:
         assert xt.grad is None and len(kernels) == 1  # U for the forward only
         self.assert_close(wt.grad, reference_conv2d(x, w, mix, 1, 2)[2], self.TOL[np.float32])
 
-    @pytest.mark.parametrize("shape,co", SHAPES)
+    @pytest.mark.parametrize("shape,co", [*SHAPES, ((1, 64, 16, 16), 16)])
     def test_batch_rows_match_single_items(self, shape, co):
-        # the path is chosen per image, so a clip's output does not depend
-        # on the batch it is in
+        # a clip's output is the bytes it gets alone: items of 16 tiles
+        # share one GEMM, every other shape here runs one item at a time
         g = rng(25)
         x = g.normal(size=(16, *shape[1:])).astype(np.float32)
         w = g.normal(size=(co, shape[1], 5, 5)).astype(np.float32)
         batched = conv2d(Tensor(x), Tensor(w), padding=2).data
         single = np.concatenate([conv2d(Tensor(x[i : i + 1]), Tensor(w), padding=2).data for i in range(16)])
-        assert np.abs(batched - single).max() <= 1e-5 * np.abs(batched).max()
+        assert batched.tobytes() == single.tobytes()
 
     def test_selection_rule_boundaries(self, monkeypatch):
         applies = tensor_mod._winograd_applies

@@ -385,6 +385,10 @@ class TestAgeSpecific:
 # machine (numpy 2.4.6, OpenBLAS 0.3.31).
 PAPER_STEP_PEAK_MIB = 1558
 
+# the high-water RSS of the process that reads it, in KiB; a child's ru_maxrss
+# starts at the RSS of the process it was forked from, here the test run's
+PEAK_KIB = 'int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])'
+
 
 def _run_peaks(code: str) -> list[int]:
     """Run ``code`` in a fresh interpreter; the byte counts it prints (in KiB)."""
@@ -406,14 +410,13 @@ def test_paper_batch_step_memory():
     import lungsound.fbs as fbs
     from lungsound.model import icbhi_config
 
-    code = """
-import resource
+    code = f"""
 from lungsound.data import SynthSpec, synth_corpus
 from lungsound.model import icbhi_config
 from lungsound.train import TrainConfig, train
 specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_class=32, seed=0))
 train(specs, icbhi_config(4), TrainConfig(epochs=1, batch_size=128, seed=0, specaugment=True))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print({PEAK_KIB})
 """
     (peak,) = _run_peaks(code)
     assert peak < 1.15 * PAPER_STEP_PEAK_MIB * 2**20, peak / 2**20
@@ -428,10 +431,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 # block's output was built for the whole batch, 221 MiB with each block run
 # over chunks of items
 EVALUATE_ADDED_MIB = 221
-
-# the high-water RSS of the process that reads it, in KiB; a child's ru_maxrss
-# starts at the RSS of the process it was forked from, here the test run's
-PEAK_KIB = 'int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])'
 
 
 @functools.cache
