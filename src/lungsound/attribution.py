@@ -128,8 +128,9 @@ def gradcam(model, specs: SpecSet, class_id: int) -> list[AttributionMap]:
 
     The model must split its forward pass as ``head(features(x))``.
     Clips go through in chunks of ``ATTRIBUTION_BATCH``: ``features``
-    runs under ``no_grad`` and builds no graph, then only ``head`` is
-    differentiated, with respect to a fresh leaf holding the
+    runs under ``no_grad`` and builds no graph (``CnnTsa`` runs it depth
+    first and transforms each Winograd kernel once per call), then only ``head``
+    is differentiated, with respect to a fresh leaf holding the
     activation, and with the parameters frozen.
     """
     if not (hasattr(model, "features") and hasattr(model, "head")):
@@ -171,7 +172,8 @@ def integrated_gradients(
 
     The interpolation points go through the model in batches of
     ``ATTRIBUTION_BATCH`` with the parameters frozen, so backward
-    computes input gradients only.
+    computes input gradients only, and each Winograd conv's backward
+    reuses the transformed kernel its forward built.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -286,23 +286,26 @@ def _training_bytes(sweep: _Sweep) -> int:
 
     The larger of a training step, every conv block's output at the
     training batch ``ACTIVATION_COPIES`` times, and ``evaluate``, which
-    holds each block's output as ``CnnTsa.features`` leaves it (pooled
-    but for the last block's) at ``evaluate``'s batch, plus one chunk of
-    conv output. Then one im2col chunk, one gathered batch of clips, and
-    the engine's scratch: the units of a conv hold at most one more chunk
-    between them, and each of the engine's threads (at most ``UNITS``)
-    two batchnorm blocks.
+    runs its batch depth first (``CnnTsa.features``): every block's conv
+    output for one chunk of as many clips as fit block 1's in
+    ``IM2COL_BYTES``, plus every block's transformed kernel (64 C C'
+    floats), which the call keeps for all its chunks. Then one im2col
+    chunk, one gathered batch of clips, and the engine's scratch: the
+    units of a conv hold at most one more chunk between them, and each
+    of the engine's threads (at most ``UNITS``) two batchnorm blocks.
     """
     t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
+    channels = sweep.model_cfg.channels
     gather = 4 * max(sweep.train_cfg.batch_size, EVAL_BATCH) * t * f
-    conv = kept = 0  # floats per clip: every block's conv output; what evaluate keeps of it
-    for i, c in enumerate(sweep.model_cfg.channels, start=1):
+    chunk = min(EVAL_BATCH, max(1, IM2COL_BYTES // (4 * channels[0] * t * f)))
+    conv = kernels = 0  # floats: every block's conv output per clip; every block's U
+    cin = 1
+    for c in channels:
         conv += c * t * f
-        if i < sweep.model_cfg.n_conv_blocks:
-            t, f = t // POOL, f // POOL
-        kept += c * t * f
+        kernels += 64 * cin * c
+        t, f, cin = t // POOL, f // POOL, c
     step = 4 * ACTIVATION_COPIES * conv * sweep.train_cfg.batch_size
-    inference = 4 * kept * EVAL_BATCH + IM2COL_BYTES
+    inference = 4 * (conv * chunk + kernels)
     scratch = IM2COL_BYTES + 2 * UNITS * EPILOGUE_BYTES
     return max(step, inference) + IM2COL_BYTES + gather + scratch
 

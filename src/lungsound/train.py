@@ -230,10 +230,11 @@ def evaluate(
     """Score a frozen model; labels and predictions follow ``task``.
 
     Forward passes run under ``no_grad``: no graph is built, so
-    ``CnnTsa.features`` runs each conv block over chunks of items and
-    holds one chunk's conv output at a time beside the whole batch's
-    pooled maps. A clip's logits, and so its prediction, do not depend
-    on ``batch_size``. A batch whose logits are not all finite raises
+    ``CnnTsa.forward`` runs each batch depth first, each chunk of clips
+    through every block and the head before the next, and holds one
+    chunk's maps and each Winograd kernel's transform (built once per
+    batch) at a time. A clip's logits, and so its prediction, do not
+    depend on ``batch_size``. A batch whose logits are not all finite raises
     ``DivergenceError``.
 
     A multiclass model evaluated on the binary task has its argmax

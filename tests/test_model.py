@@ -327,27 +327,23 @@ class TestFlops:
 
 
 class TestChunkedInference:
-    """Without a graph and in eval mode, ``features`` runs each conv block
-    over chunks of items. Its logits and Grad-CAM maps are the bytes of
-    the whole-batch path, a grad-enabled forward or a batch of one chunk,
-    at engine budgets of 1 and 2 threads, for every attention placement.
-    The chunk bound is patched small, so a batch of 7 splits into chunks
-    with a ragged last one."""
+    """Without a graph and in eval mode, ``features`` and ``forward`` run
+    a batch depth first: each chunk of items goes through every block
+    (and ``forward``'s head) before the next starts. Its logits and
+    Grad-CAM maps are the bytes of one chunk (a grad-enabled forward)
+    and of each clip alone, at engine budgets of 1 and 2 threads, for
+    every attention placement, and each Winograd kernel is transformed
+    once per call. The chunk bound is patched small, so a batch of 7
+    splits into chunks with a ragged last one."""
 
     # (preset, T, F): block 2 of the SPRSound and ICBHI inputs runs Winograd,
     # every other block im2col
     CASES = [("tiny", 12, 8), ("sprsound", 34, 32), ("icbhi", 37, 32)]
-
-    @staticmethod
-    def bounds(channels, t, f):
-        """``features``' ``IM2COL_BYTES``, each splitting a batch of 7 into
-        chunks of 3 items of conv output: of block 1, then of block 2."""
-        yield 3 * channels[0] * t * f * 4
-        if len(channels) > 1:
-            yield 3 * channels[1] * (t // 2) * (f // 2) * 4
+    ITEMS = (2, 3)  # items per chunk: 2+2+2+1 and 3+3+1
 
     @pytest.mark.parametrize("preset,t,f", CASES, ids=[c[0] for c in CASES])
     def test_same_bytes_as_whole_batch(self, preset, t, f):
+        import lungsound.attribution as attribution_mod
         import lungsound.model as model_mod
         import lungsound.tensor as tensor_mod
         from lungsound.attribution import gradcam
@@ -358,31 +354,76 @@ class TestChunkedInference:
         channels = PRESETS[preset]
         specs = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))[:7]
         x = specs.clips(slice(None))[:, None]
-        convs = []
+        convs, kernels = [], []
 
         def counted(*args, **kwargs):
-            convs.append(args[0].shape[0])
+            convs.append((args[1].shape[0], args[0].shape[0]))  # (block width, items)
             return tensor_mod.conv2d(*args, **kwargs)
 
+        real_kernel = tensor_mod._wino_kernel
+
+        def built(*args):
+            kernels.append(args[0].shape)
+            return real_kernel(*args)
+
+        cins = (1, *channels[:-1])
+        winograd = sum(tensor_mod._winograd_applies(c, t >> i, f >> i, 5, 5, 1, 2) for i, c in enumerate(cins))
         for placement in sorted(ModelConfig(channels=channels, n_mel_rows_in=f).allowed_placements()):
             cfg = ModelConfig(channels=channels, n_classes=3, n_mel_rows_in=f, attention_placement=placement)
             m = eval_model(cfg)
-            for model_bytes in self.bounds(channels, t, f):
+            ref = m.forward(Tensor(x)).data  # a graph: one chunk
+            ref_cams = [a.values for a in gradcam(m, specs, 1)]  # one chunk at 7 clips
+            with no_grad():
+                alone = np.concatenate([m.forward(Tensor(x[i : i + 1])).data for i in range(7)])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(attribution_mod, "ATTRIBUTION_BATCH", 1)
+                alone_cams = [a.values for a in gradcam(m, specs, 1)]
+            assert alone.tobytes() == ref.tobytes(), placement
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(alone_cams, ref_cams)), placement
+            for items in self.ITEMS:
                 with pytest.MonkeyPatch.context() as patch:
-                    ref = m.forward(Tensor(x)).data  # a graph: one call per block
-                    ref_cams = [a.values for a in gradcam(m, specs, 1)]  # one chunk per block at 7 clips
-                    patch.setattr(model_mod, "IM2COL_BYTES", model_bytes)
+                    patch.setattr(model_mod, "IM2COL_BYTES", items * channels[0] * t * f * 4)
                     patch.setattr(tensor_mod, "THREAD_BYTES", 0)  # every op splits on the pool
                     patch.setattr(model_mod, "conv2d", counted)
+                    patch.setattr(tensor_mod, "_wino_kernel", built)
                     for n in (1, 2):
-                        convs.clear()
+                        convs.clear(), kernels.clear()
                         with thread_budget(n):
                             with no_grad():
                                 got = m.forward(Tensor(x)).data
+                            assert len(kernels) == winograd  # U once per call, not per chunk
                             cams = [a.values for a in gradcam(m, specs, 1)]
-                        assert got.tobytes() == ref.tobytes(), (placement, model_bytes, n)
-                        assert all(a.tobytes() == b.tobytes() for a, b in zip(cams, ref_cams))
-                        assert len(convs) > 2 * len(channels) and 1 in convs  # chunked, ragged
+                        assert got.tobytes() == ref.tobytes(), (placement, items, n)
+                        assert all(a.tobytes() == b.tobytes() for a, b in zip(cams, ref_cams)), (placement, items, n)
+                        # depth first: block 1..n on one chunk, then the next chunk
+                        sizes = [min(items, 7 - s) for s in range(0, 7, items)]
+                        order = [(c, k) for k in sizes for c in channels]
+                        assert convs == order + order, (placement, items, n)
+
+    def test_no_stale_kernel_after_a_step(self):
+        # a no-grad forward, a training step that updates the weights in
+        # place, then a no-grad forward again: the second gets a fresh
+        # model's bytes, so no transformed kernel outlives the first call
+        import lungsound.model as model_mod
+        from lungsound.data import SynthSpec, synth_corpus
+        from lungsound.optim import AdamState, adam_step
+        from lungsound.tensor import no_grad
+
+        cfg = ModelConfig(channels=(64, 128, 256), n_classes=3, n_mel_rows_in=32)
+        specs = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=34, n_per_class=4, seed=3))[:5]
+        x = Tensor(specs.clips(slice(None))[:, None])
+        m = eval_model(cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_mod, "IM2COL_BYTES", 2 * 64 * 34 * 32 * 4)  # chunks of 2 items
+            with no_grad():
+                before = m.forward(x).data
+            m.forward(x, training=True).sum().backward()
+            adam_step(m.params, m.grads(), AdamState(), lr=1e-2)
+            with no_grad():
+                after = m.forward(x).data
+                fresh = CnnTsa(cfg, state=m.state_dict()).forward(x).data
+        assert before.tobytes() != after.tobytes()
+        assert after.tobytes() == fresh.tobytes()
 
 
 class TestBatchInvariance:
