@@ -287,17 +287,17 @@ def _training_bytes(sweep: _Sweep) -> int:
     The larger of a training step, every conv block's output at the
     training batch ``ACTIVATION_COPIES`` times, and ``evaluate``, which
     runs its batch depth first (``CnnTsa.features``): every block's conv
-    output for one chunk of as many clips as fit block 1's in
-    ``IM2COL_BYTES``, plus every block's transformed kernel (64 C C'
-    floats), which the call keeps for all its chunks. Then one im2col
-    chunk, one gathered batch of clips, and the engine's scratch: the
-    units of a conv hold at most one more chunk between them, and each
-    of the engine's threads (at most ``UNITS``) two batchnorm blocks.
+    output for one chunk of ``ModelConfig.depth_first_chunk`` clips, plus
+    every block's transformed kernel (64 C C' floats), which the call
+    keeps for all its chunks. Then one im2col chunk, one gathered batch
+    of clips, and the engine's scratch: the units of a conv hold at most
+    one more chunk between them, and each of the engine's threads (at
+    most ``UNITS``) two batchnorm blocks.
     """
     t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
     channels = sweep.model_cfg.channels
     gather = 4 * max(sweep.train_cfg.batch_size, EVAL_BATCH) * t * f
-    chunk = min(EVAL_BATCH, max(1, IM2COL_BYTES // (4 * channels[0] * t * f)))
+    chunk = min(EVAL_BATCH, sweep.model_cfg.depth_first_chunk(t, f, 4))
     conv = kernels = 0  # floats: every block's conv output per clip; every block's U
     cin = 1
     for c in channels:

@@ -256,6 +256,28 @@ class TestIntegratedGradients:
         assert errors[200] < 0.02, errors
         assert errors[200] <= errors[10] + 1e-6, errors  # error shrinks with steps
 
+    def test_one_kernel_per_call_and_none_stale(self, monkeypatch):
+        # SPRSound preset at 37x32: block 2 (18x16, 20 tiles) is the one
+        # Winograd conv; ATTRIBUTION_BATCH + 1 steps are two passes
+        import lungsound.tensor as tensor_mod
+        from lungsound.model import PRESETS
+        from lungsound.optim import AdamState, adam_step
+
+        cfg = ModelConfig(channels=PRESETS["sprsound"], n_classes=3, n_mel_rows_in=32)
+        m = CnnTsa(cfg, seed=1)
+        spec = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=37, n_per_class=1, seed=3))[0]
+        steps = ATTRIBUTION_BATCH + 1
+        kernels, real = [], tensor_mod._wino_kernel
+        monkeypatch.setattr(tensor_mod, "_wino_kernel", lambda w, *rest: kernels.append(w.shape) or real(w, *rest))
+        before = integrated_gradients(m, spec, 1, steps=steps).values
+        assert kernels == [(128, 64, 5, 5)]  # both passes' forward and dV share one U
+        m.forward(Tensor(spec.values[None, None]), training=True).sum().backward()
+        adam_step(m.params, m.grads(), AdamState(), lr=1e-2)  # the weights change in place
+        after = integrated_gradients(m, spec, 1, steps=steps).values
+        fresh = integrated_gradients(CnnTsa(cfg, state=m.state_dict()), spec, 1, steps=steps).values
+        assert before.tobytes() != after.tobytes()
+        assert after.tobytes() == fresh.tobytes()
+
     def test_bad_steps(self):
         with pytest.raises(ValueError):
             integrated_gradients(LinearModel(np.ones((4, 5), np.float32), np.ones((4, 5), np.float32)), make_spec(4, 5), 0, steps=0)
