@@ -442,7 +442,7 @@ def _emit_fbs_outputs(result: FbsResult, out_dir: Path, cache_hash: str, tag: st
                 it.index,
                 it.n_kept,
                 it.mean_cv_as,
-                len(it.candidate_as) if it.candidate_as is not None else 1,
+                len(it.candidate_as),
                 " ".join(str(b) for b in it.removed),
             ]
         )

@@ -382,8 +382,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_frames < 1:
-            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
+        for name in ("n_classes", "n_per_class", "n_frames"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.snr_db > -math.inf:  # +inf is the noiseless corpus
+            raise ConfigError(f"snr_db must be a number above -inf, got {self.snr_db}")
 
     def resolved_bands(self) -> tuple[tuple[int, ...], ...]:
         if self.planted_bands is not None:

@@ -1,21 +1,22 @@
 """Frequency Band Selection.
 
-Two strategies produce a binary mask over the Mel bands:
+Two strategies produce a binary mask over the Mel bands, as wrapper
+selection on one loop (``_select``): from all bands, each iteration
+scores candidate masks by patient-wise K-fold CV, picks the one of best
+mean CV average score (AS), and takes the strategy's next mask.
 
-* importance-based: per iteration, train with patient-wise K-fold CV
-  under the current mask, attribute each fold's training samples per
-  class (Grad-CAM by default), average profiles over samples and folds,
-  score every kept band as mean - lambda * maxdiff, and drop the r
-  lowest. One CV training per iteration: O(F) selection cost.
+* importance-based: the one candidate is the current mask; the next
+  drops the r bands of lowest mean - lambda * maxdiff of the folds'
+  per-class attribution profiles (Grad-CAM by default). One CV training
+  per iteration: O(F) selection cost.
 
-* grouped backward selection: per iteration, partition the kept bands
-  (in compacted order) into disjoint adjacent groups of 4, tentatively
-  remove each group, and keep the removal with the best mean CV score.
-  One CV training per candidate group, F/4 groups per iteration:
-  O((F/4)^2) cost.
+* grouped backward selection: the candidates drop each disjoint adjacent
+  group of 4 kept bands (in compacted order); the next mask is the
+  picked one. One CV training per candidate, F/4 candidates per
+  iteration: O((F/4)^2) cost.
 
-Both stop when the mean CV average score drops more than stop_epsilon
-below the best seen so far (or at the kept-band floor) and return the
+The loop stops when the picked AS drops more than stop_epsilon below
+the best seen so far (or at the kept-band floor) and returns the
 best-scoring mask. ``FbsResult.train_runs`` counts CV trainings so the
 complexity split is directly assertable.
 
@@ -34,6 +35,7 @@ import mmap
 import multiprocessing
 import os
 import signal
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -99,11 +101,11 @@ class ImportanceTable:
 class FbsIteration:
     index: int
     kept: np.ndarray  # original band indices active during this iteration
-    mean_cv_as: float
-    fold_as: list[float]
+    mean_cv_as: float  # the picked candidate's mean CV AS
+    fold_as: list[float]  # the picked candidate's AS per fold
     removed: list[int]  # bands eliminated at the end (empty on the stop iteration)
-    table: ImportanceTable | None = None  # importance method only
-    candidate_as: list[float] | None = None  # backward method only
+    candidate_as: list[float]  # every candidate's mean CV AS; importance has one candidate
+    table: ImportanceTable | None = None  # importance only; None on an iteration that stops
 
     @property
     def n_kept(self) -> int:
@@ -424,7 +426,53 @@ class _Jobs:
         return f"worker process {pid} {how} while running job (mask {FrequencyMask(keep).bitstring()}, fold {fold})"
 
 
-# -- the selection loops ----------------------------------------------------------------
+# -- the selection loop -----------------------------------------------------------------
+
+
+def _select(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig, k: int, stop_epsilon: float,
+            origin: str, attribution: str | None, candidates: Callable, next_mask: Callable) -> FbsResult:
+    """Wrapper selection from all bands, with a method's two rules.
+
+    Each iteration scores the masks ``candidates(mask)`` by k-fold CV,
+    one (candidate, fold) job each, candidate-major, and picks the first
+    of highest mean AS; the best mask is the picked candidate of the
+    highest AS so far. It stops when there is no candidate, when the
+    picked AS falls more than ``stop_epsilon`` below the best, or when
+    ``next_mask(picked, its fold results, the record)`` returns None.
+    Raises ``ConfigError``, before any training, for a NaN or negative
+    ``stop_epsilon`` (``math.inf`` turns the stop rule off).
+    """
+    if not stop_epsilon >= 0:
+        raise ConfigError(f"stop_epsilon must be >= 0, got {stop_epsilon}")
+    splits = patient_kfold(dataset.patient_ids, k=k, seed=train_cfg.seed)
+    sweep = _Sweep(dataset, splits, model_cfg, train_cfg, attribution)
+    mask = best_mask = FrequencyMask(np.ones(dataset.n_bands, dtype=bool), origin=origin)
+    best_as = -np.inf
+    iterations: list[FbsIteration] = []
+    train_runs = 0
+    cands = candidates(mask)
+    with _Jobs(sweep, len(cands) * k) as jobs:
+        while cands:
+            results = jobs.run([(c.keep, f) for c in cands for f in range(k)])
+            train_runs += len(cands)
+            cand_as = [float(np.mean([a for a, _ in results[i : i + k]])) for i in range(0, len(results), k)]
+            pick = int(np.argmax(cand_as))  # first occurrence wins ties
+            picked, picked_results = cands[pick], results[pick * k : (pick + 1) * k]
+            record = FbsIteration(len(iterations), mask.kept_indices.copy(), cand_as[pick],
+                                  [a for a, _ in picked_results], removed=[], candidate_as=cand_as)
+            iterations.append(record)
+            log.info("fbs[%s] iter %d: %d bands, best of %d candidates CV AS %.2f",
+                     origin, record.index, mask.n_kept, len(cands), record.mean_cv_as)
+            if record.mean_cv_as < best_as - stop_epsilon:
+                break
+            if record.mean_cv_as > best_as:
+                best_as, best_mask = record.mean_cv_as, picked
+            nxt = next_mask(picked, picked_results, record)
+            if nxt is None:
+                break
+            mask, record.removed = nxt, nxt.history[-1]
+            cands = candidates(mask)
+    return FbsResult(mask=best_mask, final_mask=mask, iterations=iterations, train_runs=train_runs)
 
 
 def fbs_importance(
@@ -440,66 +488,30 @@ def fbs_importance(
 ) -> FbsResult:
     """Iterative importance-based selection (one CV training per iteration).
 
-    An iteration is k (mask, fold) jobs. Selection keeps at least
+    Its one candidate is the current mask. Selection keeps at least
     ``min_bands`` bands, and at least the model's ``min_input_size``.
     Raises ``ConfigError``, before any training, for r < 1 (removing no
     band would retrain the same mask forever), for an unknown
-    attribution method, and for a NaN or negative ``stop_epsilon``
-    (``math.inf`` turns the stop rule off).
+    attribution method, and as ``_select`` does.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    if not stop_epsilon >= 0:
-        raise ConfigError(f"stop_epsilon must be >= 0, got {stop_epsilon}")
     if r < 1:
         raise ConfigError(f"r must be >= 1 band per iteration, got {r}")
     if attribution_method not in ("gradcam", "ig"):
         raise ConfigError(f"unknown attribution method {attribution_method!r}")
     floor = max(min_bands, model_cfg.min_input_size)
-    n_bands = dataset.n_bands
-    splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
-    sweep = _Sweep(dataset, splits, model_cfg, train_cfg, attribution_method)
-    mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="importance")
-    iterations: list[FbsIteration] = []
-    train_runs = 0
-    best_as = -np.inf
-    best_mask = mask
-    with _Jobs(sweep, len(splits)) as jobs:
-        while True:
-            it_idx = len(iterations)
-            results = jobs.run([(mask.keep, f) for f in range(len(splits))])
-            fold_as = [a for a, _ in results]
-            mean_as = float(np.mean(fold_as))
-            train_runs += 1
-            record = FbsIteration(
-                index=it_idx,
-                kept=mask.kept_indices.copy(),
-                mean_cv_as=mean_as,
-                fold_as=fold_as,
-                removed=[],
-            )
-            iterations.append(record)
-            log.info("fbs[is] iter %d: %d bands, CV AS %.2f", it_idx, mask.n_kept, mean_as)
-            if mean_as > best_as:
-                best_as, best_mask = mean_as, mask
-            elif mean_as < best_as - stop_epsilon:
-                break
-            per_fold = []
-            for _, profiles in results:
-                if isinstance(profiles, Exception):
-                    raise profiles
-                per_fold.append(profiles)  # (C, F')
-            record.table = importance_scores(
-                list(fold_average(per_fold)),
-                lam,
-                band_indices=mask.kept_indices,
-            )
-            nxt = eliminate_lowest(record.table, mask, r=r, floor=floor)
-            if nxt is None:
-                break
-            record.removed = nxt.history[-1]
-            mask = nxt
-    return FbsResult(mask=best_mask, final_mask=mask, iterations=iterations, train_runs=train_runs)
+
+    def eliminate(mask, results, record):
+        for _, profiles in results:
+            if isinstance(profiles, Exception):
+                raise profiles
+        per_fold = [profiles for _, profiles in results]  # (C, F') each
+        record.table = importance_scores(list(fold_average(per_fold)), lam, band_indices=mask.kept_indices)
+        return eliminate_lowest(record.table, mask, r=r, floor=floor)
+
+    return _select(dataset, model_cfg, train_cfg, k_folds, stop_epsilon, "importance", attribution_method,
+                   lambda mask: [mask], eliminate)
 
 
 def fbs_backward(
@@ -512,18 +524,15 @@ def fbs_backward(
 ) -> FbsResult:
     """Grouped backward selection (one CV training per candidate group).
 
-    Candidates are the disjoint adjacent groups of ``GROUP`` bands in
+    Candidates drop each disjoint adjacent group of ``GROUP`` bands in
     compacted kept order (F/4 groups per iteration, which is what keeps
     the total cost at O((F/4)^2) trainings); after removals, "adjacent"
-    means adjacent among the survivors. An iteration is groups x k
-    (mask, fold) jobs. Ties on the best candidate break toward the
-    lowest group start. Selection keeps at least ``min_bands`` bands, and
-    at least the model's ``min_input_size``. Raises ``ConfigError``,
-    before any training, for a NaN or negative ``stop_epsilon`` and when
-    that floor leaves no group to remove.
+    means adjacent among the survivors. The next mask is the picked
+    candidate. Selection keeps at least ``min_bands`` bands, and at least
+    the model's ``min_input_size``. Raises ``ConfigError``, before any
+    training, when that floor leaves no group to remove, and as
+    ``_select`` does.
     """
-    if not stop_epsilon >= 0:
-        raise ConfigError(f"stop_epsilon must be >= 0, got {stop_epsilon}")
     n_bands = dataset.n_bands
     floor = max(min_bands, model_cfg.min_input_size)
     if n_bands - GROUP < floor:
@@ -531,44 +540,11 @@ def fbs_backward(
             f"min_bands {min_bands} (floor {floor} for a {model_cfg.n_conv_blocks}-block model) "
             f"leaves no group of {GROUP} to remove from {n_bands} bands"
         )
-    splits = patient_kfold(dataset.patient_ids, k=k_folds, seed=train_cfg.seed)
-    k = len(splits)
-    sweep = _Sweep(dataset, splits, model_cfg, train_cfg, None)
-    mask = FrequencyMask(np.ones(n_bands, dtype=bool), origin="backward")
-    iterations: list[FbsIteration] = []
-    train_runs = 0
-    best_as = -np.inf
-    best_mask = mask
-    with _Jobs(sweep, n_bands // GROUP * k) as jobs:
-        while mask.n_kept - GROUP >= floor:
-            it_idx = len(iterations)
-            kept = mask.kept_indices
-            candidates = [kept[i * GROUP : (i + 1) * GROUP] for i in range(len(kept) // GROUP)]
-            results = jobs.run([(mask.remove(c).keep, f) for c in candidates for f in range(k)])
-            train_runs += len(candidates)
-            cand_as = [
-                float(np.mean([a for a, _ in results[i * k : (i + 1) * k]]))
-                for i in range(len(candidates))
-            ]
-            pick = int(np.argmax(cand_as))  # first occurrence wins ties
-            chosen_as = cand_as[pick]
-            record = FbsIteration(
-                index=it_idx,
-                kept=kept.copy(),
-                mean_cv_as=chosen_as,
-                fold_as=[],
-                removed=[],
-                candidate_as=cand_as,
-            )
-            iterations.append(record)
-            log.info(
-                "fbs[bs] iter %d: %d bands, best candidate AS %.2f over %d windows",
-                it_idx, mask.n_kept, chosen_as, len(candidates),
-            )
-            if chosen_as < best_as - stop_epsilon:
-                break
-            mask = mask.remove(candidates[pick])
-            record.removed = mask.history[-1]
-            if chosen_as > best_as:
-                best_as, best_mask = chosen_as, mask
-    return FbsResult(mask=best_mask, final_mask=mask, iterations=iterations, train_runs=train_runs)
+
+    def without_each_group(mask):
+        kept = mask.kept_indices
+        groups = range(len(kept) // GROUP) if mask.n_kept - GROUP >= floor else ()
+        return [mask.remove(kept[i * GROUP : (i + 1) * GROUP]) for i in groups]
+
+    return _select(dataset, model_cfg, train_cfg, k_folds, stop_epsilon, "backward", None,
+                   without_each_group, lambda picked, results, record: picked)

@@ -273,8 +273,9 @@ class Tensor:
             if closure is None:
                 continue
             node.grad, node._backward, node._parents = None, _freed, ()
-            # no closure reads its own op's output, so unless the caller
-            # holds this node, its data dies here, before the closure runs
+            # unless the caller holds this node, its data dies here, before the
+            # closure runs; only softmax's and bn_relu_pool(pool=False)'s closures
+            # read their op's output (``s``, ``yv``), so theirs lives until they run
             del node
             if g is not None:
                 closure(g)

@@ -1084,6 +1084,11 @@ class TestBadArguments:
         (train_args("out") + ["--lr0", "-1"], 2, "lr0"),
         (train_args("out") + ["--weight-decay", "nan"], 2, "weight_decay"),
         (synth_cache("out/empty.cache", 16, 0), 2, "n_frames"),
+        (synth_cache("out/s.cache", 16, 10) + ["--synth-classes", "-1"], 2, "n_classes must be >= 1, got -1"),
+        (synth_cache("out/s.cache", 16, 10) + ["--synth-classes", "0"], 2, "n_classes must be >= 1, got 0"),
+        (synth_cache("out/s.cache", 16, 10) + ["--synth-per-class", "-3"], 2, "n_per_class must be >= 1, got -3"),
+        (synth_cache("out/s.cache", 16, 10) + ["--synth-snr-db", "nan"], 2, "snr_db must be a number above -inf, got nan"),
+        (synth_cache("out/s.cache", 16, 10) + ["--synth-snr-db=-inf"], 2, "snr_db must be a number above -inf, got -inf"),
         (ATTRIBUTE + ["--class-id", "0", "--first", "-1"], 2, "--first must be >= 1, got -1"),
         (ATTRIBUTE + ["--class-id", "0", "--first", "0"], 2, "--first must be >= 1, got 0"),
         (FBS + ["--method", "importance", "--stop-epsilon", "nan"], 2, "stop_epsilon must be >= 0, got nan"),
@@ -1094,6 +1099,7 @@ class TestBadArguments:
         "fbs-backward-floor", "fbs-backward-lambda-sweep", "fbs-backward-r", "fbs-backward-attribution",
         "fbs-backward-lambda", "fbs-backward-all", "fbs-age-split", "flops-bands",
         "flops-frames", "lr0-inf", "lr0-negative", "weight-decay-nan", "synth-frames-0",
+        "synth-classes--1", "synth-classes-0", "synth-per-class--3", "synth-snr-nan", "synth-snr--inf",
         "attribute-first--1", "attribute-first-0", "fbs-stop-epsilon-nan", "fbs-backward-stop-epsilon--1",
     ])
     def test_exits_with_one_line_before_any_work(self, cache_dir, capsys, no_training, args, code, match):

@@ -271,6 +271,73 @@ class TestFbsBackwardLoop:
         assert len(kept & {4, 5, 6, 7}) >= 3
 
 
+@pytest.fixture
+def scripted(monkeypatch):
+    """Replace CV training by a script: the AS of each kept-band tuple, the same
+    on every fold, and class profiles that rank the kept bands by index."""
+    import lungsound.fbs as fbs
+
+    def set_script(as_by_kept):
+        def job(sweep, keep, fold):
+            kept = np.flatnonzero(keep)
+            return as_by_kept[tuple(kept.tolist())], np.tile(kept.astype(np.float64), (2, 1))
+
+        monkeypatch.setattr(fbs, "_pool_size", lambda sweep, n_jobs: 1)
+        monkeypatch.setattr(fbs, "_cv_job", job)
+
+    return set_script
+
+
+def without(*groups):
+    """The kept bands of a 16-band mask without the given aligned groups of 4."""
+    return tuple(b for b in range(16) if b // 4 not in groups)
+
+
+class TestStopRule:
+    """A finite stop_epsilon on scripted scores: the stop iteration, the best
+    mask against the final one, and the trainings counted."""
+
+    def test_backward(self, scripted):
+        scripted({
+            without(0): 50.0, without(1): 70.0, without(2): 70.0, without(3): 60.0,
+            without(1, 0): 65.0, without(1, 2): 69.6, without(1, 3): 68.0,
+            without(1, 2, 0): 60.0, without(1, 2, 3): 69.0,
+        })
+        corpus, mcfg, tcfg = small_setup(n_bands=16)
+        res = fbs_backward(corpus, mcfg, tcfg, k_folds=2, stop_epsilon=0.5, min_bands=4)
+        # round 1: the tie between groups 1 and 2 goes to the first; round 2
+        # removes group 2 at 69.6, within 0.5 of the best 70 but not above it;
+        # round 3's best 69 is below 69.5, so it stops there
+        assert [it.removed for it in res.iterations] == [[4, 5, 6, 7], [8, 9, 10, 11], []]
+        assert [it.mean_cv_as for it in res.iterations] == [70.0, 69.6, 69.0]
+        assert tuple(res.mask.kept_indices.tolist()) == without(1)
+        assert tuple(res.final_mask.kept_indices.tolist()) == without(1, 2)
+        assert res.train_runs == 9
+
+    def test_importance(self, scripted):
+        scripted({tuple(range(16)): 70.0, tuple(range(4, 16)): 70.0, tuple(range(8, 16)): 69.4})
+        corpus, mcfg, tcfg = small_setup(n_bands=16)
+        res = fbs_importance(corpus, mcfg, tcfg, lam=0.5, r=4, k_folds=2, stop_epsilon=0.5, min_bands=4)
+        # 12 bands tie the best 70, which keeps the all-band mask; 8 bands
+        # score 69.4, below 69.5, so that iteration stops without scoring bands
+        assert [it.removed for it in res.iterations] == [[0, 1, 2, 3], [4, 5, 6, 7], []]
+        assert [it.mean_cv_as for it in res.iterations] == [70.0, 70.0, 69.4]
+        assert [it.fold_as for it in res.iterations] == [[70.0, 70.0], [70.0, 70.0], [69.4, 69.4]]
+        assert res.iterations[-1].table is None
+        assert res.mask.n_kept == 16
+        assert res.final_mask.kept_indices.tolist() == list(range(8, 16))
+        assert res.train_runs == 3
+
+    def test_one_record_shape(self, scripted):
+        # fold_as is the picked candidate's; importance scores one candidate
+        scripted({tuple(range(16)): 70.0, without(0): 69.0, without(1): 70.0, without(2): 60.0, without(3): 60.0})
+        corpus, mcfg, tcfg = small_setup(n_bands=16)
+        back = fbs_backward(corpus, mcfg, tcfg, k_folds=2, stop_epsilon=0.5, min_bands=12)
+        imp = fbs_importance(corpus, mcfg, tcfg, k_folds=2, stop_epsilon=0.5, min_bands=4)
+        assert [(it.candidate_as, it.fold_as) for it in back.iterations] == [([69.0, 70.0, 60.0, 60.0], [70.0, 70.0])]
+        assert [(it.candidate_as, it.fold_as) for it in imp.iterations] == [([70.0], [70.0, 70.0]), ([69.0], [69.0, 69.0])]
+
+
 # -- the job pool ------------------------------------------------------------------------
 
 
@@ -283,11 +350,9 @@ def sweep_repr(res) -> str:
     lines = [res.mask.bitstring(), res.final_mask.bitstring(), str(res.train_runs)]
     for it in res.iterations:
         lines.append(repr((it.index, it.kept.tolist(), repr(it.mean_cv_as), floats(it.fold_as), it.removed)))
-        if it.candidate_as is not None:
-            lines.append(repr(floats(it.candidate_as)))
-        if it.table is not None:
-            t = it.table
-            lines.append(repr((t.band_indices.tolist(), floats(t.mean), floats(t.maxdiff), floats(t.score))))
+        lines.append(repr(floats(it.candidate_as)))
+        t = it.table
+        lines.append(repr(t and (t.band_indices.tolist(), floats(t.mean), floats(t.maxdiff), floats(t.score))))
     return "\n".join(lines)
 
 
