@@ -42,6 +42,7 @@ from .io import (
     read_spec_cache,
     sha256_file,
     save_checkpoint,
+    write_file,
     write_mask_file,
     write_spec_cache,
 )
@@ -89,10 +90,12 @@ def _apply_config_file(
     if not args.config:
         return args
     path = _resolve(workdir, args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        values = json.loads(path.read_text())
+        values = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
@@ -124,6 +127,23 @@ def _resolve(workdir: Path, value: str | None) -> Path | None:
         return None
     p = Path(value)
     return p if p.is_absolute() else workdir / p
+
+
+def _output(workdir: Path, value: str, flag: str) -> Path:
+    """``value`` against ``workdir``, checked as a place ``flag`` can write to.
+
+    --out names a file; --out-dir and --workdir name a directory, which
+    the writer makes as the first file lands in it. Refuses a path of
+    the other kind, or one under a file, before any work.
+    """
+    path = _resolve(workdir, value)
+    want_dir = flag != "--out"
+    if path.exists():
+        if path.is_dir() != want_dir:
+            raise ConfigError(f"{flag} {path} is {'not ' if want_dir else ''}a directory")
+    elif not (ancestor := next(p for p in path.parents if p.exists())).is_dir():
+        raise ConfigError(f"{flag} {path} lies under {ancestor}, which is not a directory")
+    return path
 
 
 def _comma_list(item):
@@ -167,13 +187,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _open_cache(args, workdir: Path):
-    """(cache path, --out-dir, whole cache, its --split clips, preproc config, hash).
-
-    The command creates --out-dir once its own checks pass, so that a
-    refused command leaves none behind.
-    """
+    """(cache path, --out-dir, whole cache, its --split clips, preproc config, hash)."""
     cache_path = _resolve(workdir, args.cache)
-    out_dir = _resolve(workdir, args.out_dir)
+    out_dir = _output(workdir, args.out_dir, "--out-dir")
     specs, preproc, chash = read_spec_cache(cache_path)
     split = getattr(args, "split", "all")
     data = specs if split == "all" else specs[specs.splits == split]
@@ -209,11 +225,11 @@ def _check_mask_length(mask: FrequencyMask, n_bands: int, against: str) -> None:
         raise ConfigError(f"mask covers {mask.n_bands} bands but {against} {n_bands}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return write_file(path, [("\n".join(lines) + "\n").encode()])
 
 
 def _csv_cell(v) -> str:
@@ -222,8 +238,8 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _report_json(report: MetricReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+def _report_json(report: MetricReport) -> bytes:
+    return (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
 
 
 # -- preprocess -------------------------------------------------------------------------
@@ -273,7 +289,7 @@ def _check_frontend(args) -> None:
 
 def cmd_preprocess(args, workdir: Path, argv: list[str]) -> Record | None:
     _check_frontend(args)
-    out_path = _resolve(workdir, args.out)
+    out_path = _output(workdir, args.out, "--out")
     cfg = _preproc_config(args)
     chash = config_hash(cfg)
     if out_path.exists():
@@ -389,7 +405,6 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
     n_classes = 2 if args.task == "binary" else _n_classes(preproc, specs)
     model_cfg = _model_config(args, n_classes, data.n_frames, data.n_bands)
     train_cfg = replace(_train_config(args), age_split=args.age_split)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta_common = {
         "task": args.task,
         "data_config_hash": cache_hash,
@@ -397,7 +412,6 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
         "mask_config_hash": mask_hash,
         "split": args.split,
     }
-    outputs = []
     if args.age_specific:
         train_cfg = replace(train_cfg, batch_size=AGE_BATCH_SIZE)  # what each stratum trains at
         result = train_age_specific(data, model_cfg, train_cfg)
@@ -407,21 +421,21 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
         for tag, _, report in strata:
             print(f"{tag}: train AS {report.as_score:.2f} (Se {report.se:.2f}, Sp {report.sp:.2f})")
         print(f"combined train AS {result.combined.as_score:.2f}")
-        (out_dir / "report_combined.json").write_text(_report_json(result.combined))
-        outputs.append(out_dir / "report_combined.json")
+        outputs = [write_file(out_dir / "report_combined.json", [_report_json(result.combined)])]
     else:
         result = train(data, model_cfg, train_cfg)
-        runs = [("", result, {})]
+        runs, outputs = [("", result, {})], []
         print(
             f"trained {train_cfg.epochs} epochs; final loss "
             f"{result.history[-1].loss:.4f}, train AS {result.history[-1].train_as:.2f}"
         )
     for suffix, res, meta in runs:
-        ckpt, history = out_dir / f"checkpoint{suffix}.ckpt", out_dir / f"history{suffix}.csv"
-        save_checkpoint(ckpt, res.model.state_dict(), asdict(res.model.cfg), meta_common | meta)
         rows = [[h.epoch, h.lr, h.loss, h.train_as] for h in res.history]
-        _write_csv(history, ["epoch", "lr", "loss", "train_as"], rows)
-        outputs += [ckpt, history]
+        outputs += [
+            save_checkpoint(out_dir / f"checkpoint{suffix}.ckpt", res.model.state_dict(), asdict(res.model.cfg),
+                            meta_common | meta),
+            _write_csv(out_dir / f"history{suffix}.csv", ["epoch", "lr", "loss", "train_as"], rows),
+        ]
     config = {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)}
     return config, args.seed, sha256_file(cache_path), outputs
 
@@ -431,53 +445,30 @@ def cmd_train(args, workdir: Path, argv: list[str]) -> Record:
 
 def _emit_fbs_outputs(result: FbsResult, out_dir: Path, cache_hash: str, tag: str = "") -> list[Path]:
     suffix = f"_{tag}" if tag else ""
-    outputs = []
-    mask_path = out_dir / f"mask{suffix}.txt"
-    write_mask_file(mask_path, result.mask, cache_hash)
-    outputs.append(mask_path)
-    rows = []
-    for it in result.iterations:
-        rows.append(
-            [
-                it.index,
-                it.n_kept,
-                it.mean_cv_as,
-                len(it.candidate_as),
-                " ".join(str(b) for b in it.removed),
-            ]
-        )
-    it_path = out_dir / f"iterations{suffix}.csv"
-    _write_csv(it_path, ["iteration", "n_kept", "mean_cv_as", "cv_trainings", "removed"], rows)
-    outputs.append(it_path)
-    for it in result.iterations:
-        if it.table is None:
-            continue
-        tab_path = out_dir / f"importance{suffix}_iter{it.index:02d}.csv"
-        _write_csv(
-            tab_path,
-            ["band", "mean", "maxdiff", "score"],
-            [
-                [int(b), float(m), float(d), float(s)]
-                for b, m, d, s in zip(
-                    it.table.band_indices, it.table.mean, it.table.maxdiff, it.table.score
-                )
-            ],
-        )
-        outputs.append(tab_path)
+    rows = [
+        [it.index, it.n_kept, it.mean_cv_as, len(it.candidate_as), " ".join(str(b) for b in it.removed)]
+        for it in result.iterations
+    ]
+    outputs = [
+        write_mask_file(out_dir / f"mask{suffix}.txt", result.mask, cache_hash),
+        _write_csv(out_dir / f"iterations{suffix}.csv",
+                   ["iteration", "n_kept", "mean_cv_as", "cv_trainings", "removed"], rows),
+    ]
+    outputs += [
+        _write_csv(out_dir / f"importance{suffix}_iter{it.index:02d}.csv", ["band", "mean", "maxdiff", "score"],
+                   [[int(b), float(m), float(d), float(s)] for b, m, d, s in
+                    zip(it.table.band_indices, it.table.mean, it.table.maxdiff, it.table.score)])
+        for it in result.iterations if it.table is not None
+    ]
     xs = [it.n_kept for it in result.iterations]
     ys = [it.mean_cv_as for it in result.iterations]
-    curve_path = out_dir / f"retention_curve{suffix}.csv"
-    _write_csv(curve_path, ["n_kept", "mean_cv_as"], list(map(list, zip(xs, ys))))
-    outputs.append(curve_path)
-    svg_path = out_dir / f"retention_curve{suffix}.svg"
-    svg_path.write_text(
-        line_chart_svg(xs, {"mean CV AS": ys}, title="retention vs AS", x_label="kept bands", y_label="AS")
-    )
-    outputs.append(svg_path)
-    mask_svg = out_dir / f"mask{suffix}.svg"
-    mask_svg.write_text(heatmap_svg(result.mask.keep.astype(float)[None, :], cell=6))
-    outputs.append(mask_svg)
-    return outputs
+    curve = line_chart_svg(xs, {"mean CV AS": ys}, title="retention vs AS", x_label="kept bands", y_label="AS")
+    keep = heatmap_svg(result.mask.keep.astype(float)[None, :], cell=6)
+    return outputs + [
+        _write_csv(out_dir / f"retention_curve{suffix}.csv", ["n_kept", "mean_cv_as"], list(map(list, zip(xs, ys)))),
+        write_file(out_dir / f"retention_curve{suffix}.svg", [curve.encode()]),
+        write_file(out_dir / f"mask{suffix}.svg", [keep.encode()]),
+    ]
 
 
 # fbs options that only importance selection reads, by dest: the flag a
@@ -515,7 +506,6 @@ def cmd_fbs(args, workdir: Path, argv: list[str]) -> Record:
         else:
             result = fbs_backward(data, model_cfg, train_cfg, **sweep)
         tag = f"lam{lam:g}" if len(lams) > 1 else ""
-        out_dir.mkdir(parents=True, exist_ok=True)  # after the sweep's own checks
         outputs += _emit_fbs_outputs(result, out_dir, cache_hash, tag)
         best_as = max(it.mean_cv_as for it in result.iterations)
         sweep_scores.append(best_as)
@@ -526,13 +516,12 @@ def cmd_fbs(args, workdir: Path, argv: list[str]) -> Record:
             f"{best_as:.2f}, {result.train_runs} CV trainings"
         )
     if len(lams) > 1:
-        sweep_path = out_dir / "lambda_sweep.csv"
-        _write_csv(sweep_path, ["lambda", "best_cv_as"], list(map(list, zip(lams, sweep_scores))))
-        svg_path = out_dir / "lambda_sweep.svg"
-        svg_path.write_text(
-            line_chart_svg(lams, {"best CV AS": sweep_scores}, title="lambda sweep", x_label="lambda", y_label="AS")
-        )
-        outputs += [sweep_path, svg_path]
+        chart = line_chart_svg(lams, {"best CV AS": sweep_scores}, title="lambda sweep", x_label="lambda", y_label="AS")
+        rows = list(map(list, zip(lams, sweep_scores)))
+        outputs += [
+            _write_csv(out_dir / "lambda_sweep.csv", ["lambda", "best_cv_as"], rows),
+            write_file(out_dir / "lambda_sweep.svg", [chart.encode()]),
+        ]
     config = {"argv": argv, "model": asdict(model_cfg), "train": asdict(train_cfg)}
     return config, args.seed, sha256_file(cache_path), outputs
 
@@ -593,21 +582,20 @@ def _open_checkpoint(args, workdir: Path):
 
 def cmd_evaluate(args, workdir: Path, argv: list[str]) -> Record:
     cache_path, out_dir, model, meta, mask, _, data = _open_checkpoint(args, workdir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(model, apply_mask(data, mask), args.task or meta.get("task", "multiclass"))
-    report_path = out_dir / "report.json"
-    report_path.write_text(_report_json(report))
-    conf_path = out_dir / "confusion.csv"
-    _write_csv(
-        conf_path,
-        ["true\\pred"] + [str(c) for c in range(report.confusion.shape[1])],
-        [[str(r)] + [int(v) for v in row] for r, row in enumerate(report.confusion)],
-    )
+    outputs = [
+        write_file(out_dir / "report.json", [_report_json(report)]),
+        _write_csv(
+            out_dir / "confusion.csv",
+            ["true\\pred"] + [str(c) for c in range(report.confusion.shape[1])],
+            [[str(r)] + [int(v) for v in row] for r, row in enumerate(report.confusion)],
+        ),
+    ]
     print(
         f"Se {report.se:.2f}  Sp {report.sp:.2f}  AS {report.as_score:.2f}  "
         f"HS {report.hs:.2f}  TS {report.ts:.2f}  (n={report.n_eval})"
     )
-    return {"argv": argv}, 0, sha256_file(cache_path), [report_path, conf_path]
+    return {"argv": argv}, 0, sha256_file(cache_path), outputs
 
 
 # -- attribute -------------------------------------------------------------------------
@@ -632,15 +620,13 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
     if not picked:
         raise DataError("no samples selected for attribution")
     picked = apply_mask(picked, mask)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.method == "gradcam":
         maps = gradcam(model, picked, args.class_id)
     else:
         maps = [integrated_gradients(model, s, args.class_id, steps=args.ig_steps) for s in picked]
-    dump_path = out_dir / "attributions.ckpt"
-    save_checkpoint(
-        dump_path,
+    dump_path = save_checkpoint(
+        out_dir / "attributions.ckpt",
         {m.sample_id or f"sample{i}": m.values for i, m in enumerate(maps)},
         {},
         {"method": args.method, "class_id": args.class_id, "data_config_hash": cache_hash},
@@ -649,17 +635,14 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
     profile_rows = []
     for i, m in enumerate(maps):
         if args.svg:
-            svg_path = out_dir / f"attr_{i:03d}_{m.sample_id or 'sample'}.svg"
-            svg_path.write_text(heatmap_svg(m.values))
-            outputs.append(svg_path)
+            outputs.append(write_file(out_dir / f"attr_{i:03d}_{m.sample_id or 'sample'}.svg",
+                                      [heatmap_svg(m.values).encode()]))
         profile_rows.append([m.sample_id, *[float(v) for v in band_profile(m)]])
-    prof_path = out_dir / "band_profiles.csv"
-    _write_csv(
-        prof_path,
+    outputs.append(_write_csv(
+        out_dir / "band_profiles.csv",
         ["clip_id"] + [f"band{b}" for b in range(picked.n_bands)],
         profile_rows,
-    )
-    outputs.append(prof_path)
+    ))
     if args.method == "ig":
         s = picked[0]
         x_score = _score_of(model, s.values, args.class_id)
@@ -685,7 +668,7 @@ def _score_of(model: CnnTsa, values: np.ndarray, class_id: int) -> float:
 
 
 def cmd_flops(args, workdir: Path, argv: list[str]) -> Record:
-    out_path = _resolve(workdir, args.out)
+    out_path = _output(workdir, args.out, "--out")
     mask = None
     if args.mask:
         mask, _ = read_mask_file(_resolve(workdir, args.mask))
@@ -699,11 +682,11 @@ def cmd_flops(args, workdir: Path, argv: list[str]) -> Record:
         masked = count_flops(masked_cfg, n_frames=args.n_frames)
         ratio = masked.total / full.total
         rows.append(["total_masked", masked.total])
-    _write_csv(out_path, ["layer", "flops"], rows)
+    outputs = [_write_csv(out_path, ["layer", "flops"], rows)]
     print(f"total FLOPs: {full.total / 1e9:.3f} G ({full.n_frames}x{full.n_bands} input)")
     if mask is not None:
         print(f"masked/full FLOPs ratio at {mask.n_kept}/{mask.n_bands} bands: {ratio:.4f}")
-    return {"argv": argv}, 0, "", [out_path]
+    return {"argv": argv}, 0, "", outputs
 
 
 # -- parser -----------------------------------------------------------------------------
@@ -830,23 +813,22 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s",
     )
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     try:
+        workdir = _output(Path(), args.workdir, "--workdir")
         args = _apply_config_file(parser, args, argv, workdir)
         t0 = time.time()
         # a non-finite value ends a command through its own checks, not a numpy warning
         with np.errstate(all="ignore"):
             record = args.func(args, workdir, argv)
+        if record is not None:  # None: preprocess found its cache already built
+            config, seed, input_hash, outputs = record
+            append_manifest(
+                workdir, args.command, config, seed, input_hash, outputs, time.time() - t0, __version__
+            )
     except tuple(EXIT_CODES) as exc:
         code, what = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
         print(f"{what}: {exc}", file=sys.stderr)
         return code
-    if record is not None:  # None: preprocess found its cache already built
-        config, seed, input_hash, outputs = record
-        append_manifest(
-            workdir, args.command, config, seed, input_hash, outputs, time.time() - t0, __version__
-        )
     return 0
 
 

@@ -1,10 +1,16 @@
-"""Serialization: weight checkpoints, the spectrogram cache, mask
-files, and run manifests.
+"""Serialization: ``write_file``, the one writer of every output file;
+weight checkpoints, the spectrogram cache, mask files and run manifests.
 
 Binary formats are a fixed magic, a little-endian uint32 header
 length, a canonical-JSON header, then raw little-endian float32 blocks
 in header order. Writing the same content twice yields identical bytes
 (no timestamps, sorted keys), which the determinism tests rely on.
+
+A written file is whole or absent: ``write_file`` fills a temp file
+beside the target, fsyncs it and renames it over the target, creating
+the target's directory as the first file lands in it. A failed write
+is a DataError naming the path ("cannot write"), as a failed read is
+("cannot read"). Only the manifest is appended to in place.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import math
 import os
 import struct
 import time
-from contextlib import contextmanager
+from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +35,7 @@ from .masks import FrequencyMask
 __all__ = [
     "config_hash",
     "sha256_file",
+    "write_file",
     "save_checkpoint",
     "load_checkpoint",
     "write_spec_cache",
@@ -58,32 +66,37 @@ def sha256_file(path) -> str:
     return h.hexdigest()[:16]
 
 
-@contextmanager
-def _replacing(path):
-    """Open a temp file beside ``path`` for binary writing; rename it over
-    ``path`` once the block completes.
+def write_file(path, parts) -> Path:
+    """Write the bytes-like ``parts``, in order, as the whole of ``path``; returns ``path``.
 
-    A run that fails or is killed mid-write leaves the old file (or no
-    file) in place, never a half-written one that a later run trusts.
+    The parts stream into a temp file beside ``path`` (its missing
+    directories are made first), which is flushed, fsynced and renamed
+    over ``path``. A write that fails or is killed partway leaves the
+    old file (or none) and no temp file, never a torn file that a later
+    run trusts.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
-            yield fh
+            for part in parts:
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # renamed already, or never made
+            tmp.unlink()
+    return path
 
 
-def _write_blob(path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
+def _write_blob(path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> Path:
     header_bytes = _canonical_json(header).encode("utf-8")
-    with _replacing(path) as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
+    head = (magic, struct.pack("<I", len(header_bytes)), header_bytes)
+    return write_file(path, chain(head, (np.ascontiguousarray(a, dtype="<f4").data for a in arrays)))
 
 
 def _read_blob(path, magic: bytes):
@@ -144,8 +157,8 @@ def _block(path, payload: bytearray, offset: int, shape: tuple) -> np.ndarray:
 # -- checkpoints ---------------------------------------------------------------------
 
 
-def save_checkpoint(path, state: dict[str, np.ndarray], model_config: dict, meta: dict | None = None) -> None:
-    """Write name -> float32 array state plus the model config."""
+def save_checkpoint(path, state: dict[str, np.ndarray], model_config: dict, meta: dict | None = None) -> Path:
+    """Write name -> float32 array state plus the model config; returns ``path``."""
     names = sorted(state)
     header = {
         "format_version": FORMAT_VERSION,
@@ -153,7 +166,7 @@ def save_checkpoint(path, state: dict[str, np.ndarray], model_config: dict, meta
         "meta": meta or {},
         "tensors": [{"name": n, "shape": list(state[n].shape)} for n in names],
     }
-    _write_blob(path, CKPT_MAGIC, header, [state[n] for n in names])
+    return _write_blob(path, CKPT_MAGIC, header, [state[n] for n in names])
 
 
 @_fail_closed
@@ -243,7 +256,7 @@ def read_spec_cache(path):
 # -- mask files ------------------------------------------------------------------------
 
 
-def write_mask_file(path, mask: FrequencyMask, config_hash_value: str = "") -> None:
+def write_mask_file(path, mask: FrequencyMask, config_hash_value: str = "") -> Path:
     lines = [
         "lungsound-mask v1",
         f"bands {mask.n_bands}",
@@ -253,8 +266,7 @@ def write_mask_file(path, mask: FrequencyMask, config_hash_value: str = "") -> N
     ]
     for i, removed in enumerate(mask.history, start=1):
         lines.append("iter {} removed {}".format(i, " ".join(str(b) for b in removed)))
-    with _replacing(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    return write_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 @_fail_closed
@@ -288,7 +300,7 @@ def read_mask_file(path) -> tuple[FrequencyMask, str]:
 def append_manifest(workdir, command: str, config: dict, seed: int,
                     input_hash: str, outputs: list[str], wall_clock_s: float,
                     code_version: str) -> Path:
-    """Append one run record to <workdir>/manifests.jsonl."""
+    """Append one run record to <workdir>/manifests.jsonl, making <workdir> if need be."""
     path = Path(workdir) / "manifests.jsonl"
     record = {
         "command": command,
@@ -300,6 +312,10 @@ def append_manifest(workdir, command: str, config: dict, seed: int,
         "wall_clock_s": round(wall_clock_s, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    with open(path, "a") as fh:
-        fh.write(_canonical_json(record) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a") as fh:
+            fh.write(_canonical_json(record) + "\n")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from exc
     return path

@@ -2,6 +2,7 @@
 codes, manifests, and byte-determinism of primary outputs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ class TestPreprocess:
         assert "cache hit" in capsys.readouterr().out
         assert (cache_dir / "synth.cache").read_bytes() == before
         assert (cache_dir / "manifests.jsonl").read_text() == manifest  # a hit writes no record
+
+    def test_out_in_a_missing_directory_is_made(self, tmp_path):
+        args = synth_cache("o/s.cache", 16, 10)
+        assert run(tmp_path, *args) == 0
+        record = json.loads((tmp_path / "manifests.jsonl").read_text())
+        assert record["outputs"] == [str(tmp_path / "o" / "s.cache")]
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["s.cache"]  # no temp file left
 
     def test_config_change_invalidates(self, cache_dir):
         args = list(SYNTH_ARGS)
@@ -879,6 +887,17 @@ class TestFlopsCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_out_in_a_missing_directory_is_made(self, tmp_path):
+        assert run(tmp_path, "flops", "--out", "nodir/f.csv", "--preset", "tiny") == 0
+        assert (tmp_path / "nodir" / "f.csv").read_text().startswith("layer,flops\n")
+
+    def test_workdir_is_made_by_its_manifest(self, tmp_path):
+        # an --out given as an absolute path lands outside the workdir; the
+        # manifest record still makes the workdir it is appended to
+        out = tmp_path / "elsewhere" / "f.csv"
+        assert run(tmp_path / "wd", "flops", "--out", str(out), "--preset", "tiny") == 0
+        assert out.exists() and [p.name for p in (tmp_path / "wd").iterdir()] == ["manifests.jsonl"]
+
     def test_no_mask_ratio_is_one(self, tmp_path, capsys):
         assert run(tmp_path, "flops", "--out", "f.csv", "--preset", "sprsound") == 0
         assert "total FLOPs" in capsys.readouterr().out
@@ -968,6 +987,21 @@ class TestConfigFileAndDeterminism:
         assert run(cache_dir, *train_args("x"), "--config", "cfg.json") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda path: None, "cannot be read (No such file or directory)"),
+        (lambda path: path.mkdir(), "cannot be read (Is a directory)"),
+        (lambda path: path.write_bytes(b"\xff\xfe{\x00}\x00"), "is not UTF-8 text"),
+    ], ids=["missing", "directory", "utf-16"])
+    def test_unreadable_config_file_is_config_error(self, cache_dir, capsys, make, match):
+        make(cache_dir / "cfg")
+        manifest = (cache_dir / "manifests.jsonl").read_text()
+        capsys.readouterr()
+        assert run(cache_dir, *train_args("x"), "--config", "cfg") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and match in err, err
+        assert not (cache_dir / "x").exists()
+        assert (cache_dir / "manifests.jsonl").read_text() == manifest
 
     def test_unknown_config_key_rejected(self, cache_dir):
         (cache_dir / "bad.json").write_text(json.dumps({"nonsense": 1}))
@@ -1148,6 +1182,31 @@ class TestBadArguments:
         assert err.count("\n") == 1 and match in err and "Traceback" not in err, err
         assert not (tmp_path / "icbhi.cache").exists() and not (tmp_path / "manifests.jsonl").exists()
 
+    @pytest.mark.parametrize("args, match", [
+        (synth_cache("afile/s.cache", 16, 10), "afile/s.cache lies under"),
+        (synth_cache("adir", 16, 10), "--out adir is a directory"),
+        (train_args("afile/run"), "afile/run lies under afile, which is not a directory"),
+        (train_args("afile"), "--out-dir afile is not a directory"),
+        (["flops", "--out", "adir", "--preset", "tiny"], "--out adir is a directory"),
+        (["--workdir", "afile", "flops", "--out", "f.csv", "--preset", "tiny"],
+         "--workdir afile is not a directory"),
+        (FBS + ["--out-dir", "afile", "--method", "importance"], "--out-dir afile is not a directory"),
+    ], ids=["preprocess-under-file", "preprocess-out-dir", "train-under-file", "train-out-dir-file",
+            "flops-out-dir", "workdir-file", "fbs-out-dir-file"])
+    def test_output_location_of_the_wrong_kind(self, cache_dir, capsys, monkeypatch, no_training, args, match):
+        # paths relative to the working directory, so that --workdir can be one of them
+        monkeypatch.chdir(cache_dir)
+        (cache_dir / "afile").write_text("a file\n")
+        (cache_dir / "adir").mkdir()
+        manifest = (cache_dir / "manifests.jsonl").read_text()
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and match in err, err
+        assert (cache_dir / "afile").read_text() == "a file\n" and not any((cache_dir / "adir").iterdir())
+        assert not (cache_dir / "f.csv").exists()
+        assert (cache_dir / "manifests.jsonl").read_text() == manifest
+
     def test_fbs_importance_stops_at_the_model_floor(self, cache_dir, capsys):
         # a four-block model reads no fewer than 16 bands: the sweep of a
         # 16-band cache trains once and keeps every band
@@ -1158,3 +1217,58 @@ class TestBadArguments:
         rows = (cache_dir / "out" / "iterations.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("0,16,")
         assert "best mask keeps 16/16 bands" in capsys.readouterr().out
+
+
+class TestWriteFailures:
+    """A write that fails, here on a full disk, exits 3 with one stderr line
+    naming the file: the file keeps its earlier bytes, no temp file is left
+    and no manifest record is written. A patched os call stands in for the
+    errno, since the tests may run as root, whom EACCES never stops."""
+
+    def test_evaluate(self, cache_dir, capsys, monkeypatch):
+        import lungsound.io as lio
+
+        write_checkpoint(cache_dir / "m.ckpt", 16, {})
+        report = cache_dir / "ev" / "report.json"
+        report.parent.mkdir()
+        report.write_text("earlier\n")
+        manifest = (cache_dir / "manifests.jsonl").read_text()
+        capsys.readouterr()
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(lio.os, "fsync", disk_full)
+        code = run(cache_dir, "evaluate", "--checkpoint", "m.ckpt", "--cache", "synth.cache",
+                   "--split", "all", "--out-dir", "ev")
+        monkeypatch.undo()
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {report}: cannot write (No space left on device)\n"
+        assert [p.name for p in report.parent.iterdir()] == ["report.json"]
+        assert report.read_text() == "earlier\n"
+        assert (cache_dir / "manifests.jsonl").read_text() == manifest
+
+    def test_fbs(self, cache_dir, capsys, monkeypatch):
+        import lungsound.io as lio
+
+        assert run(cache_dir, *FBS_SMALL) == 0
+        out = cache_dir / "fbs7"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = (cache_dir / "manifests.jsonl").read_text()
+        capsys.readouterr()
+        replace = lio.os.replace
+
+        def disk_full_at_iterations(src, dst):
+            if Path(dst).name == "iterations.csv":
+                raise OSError(28, "No space left on device")
+            return replace(src, dst)
+
+        monkeypatch.setattr(lio.os, "replace", disk_full_at_iterations)
+        code = run(cache_dir, *FBS_SMALL[:-1], "2")  # another seed
+        monkeypatch.undo()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {out / 'iterations.csv'}: cannot write (No space left on device)\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert (out / "iterations.csv").read_bytes() == before["iterations.csv"]
+        assert (cache_dir / "manifests.jsonl").read_text() == manifest

@@ -1,9 +1,12 @@
 """Serialization round-trips, byte determinism, and rejection of
 truncated or corrupt files."""
 
+import ast
 import json
+import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from lungsound.io import (
     read_mask_file,
     read_spec_cache,
     save_checkpoint,
+    write_file,
     write_mask_file,
     write_spec_cache,
 )
@@ -329,7 +333,7 @@ class TestAtomicWrites:
         # the header is written, then the disk fills before the values block
         with monkeypatch.context() as m:
             m.setattr(lio.np, "ascontiguousarray", disk_full)
-            with pytest.raises(OSError, match="No space"):
+            with pytest.raises(DataError, match="c.cache: cannot write \\(No space"):
                 write_spec_cache(path, specs, {"v": 2})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.cache"]
@@ -359,6 +363,90 @@ class TestAtomicWrites:
             write_mask_file(path, FrequencyMask(np.zeros(4, dtype=bool)), "new")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+    def test_write_makes_missing_directories_and_returns_the_path(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.bin"
+        assert write_file(path, [b"ab", memoryview(b"cd"), bytearray(b"e")]) == path
+        assert path.read_bytes() == b"abcde"
+        assert [p.name for p in path.parent.iterdir()] == ["f.bin"]
+
+    def test_write_under_a_file_is_data_error_and_makes_nothing(self, tmp_path):
+        (tmp_path / "afile").write_bytes(b"keep")
+        with pytest.raises(DataError, match=r"afile/run/f.csv: cannot write \("):
+            write_file(tmp_path / "afile" / "run" / "f.csv", [b"x"])
+        assert (tmp_path / "afile").read_bytes() == b"keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_cache_values_stream_from_their_buffer(self, tmp_path, monkeypatch):
+        # the (N, T, F) block goes to the file as a view of the set's own
+        # values: no joined copy of a cache that can be hundreds of MB
+        import lungsound.io as lio
+
+        specs = make_specs()
+        seen = []
+        write = lio.write_file
+
+        def recording(path, parts):
+            seen.extend(parts)
+            return write(path, seen)
+
+        monkeypatch.setattr(lio, "write_file", recording)
+        write_spec_cache(tmp_path / "c.cache", specs, {"v": 1})
+        block = np.frombuffer(seen[-1], dtype="<f4")
+        assert block.size == specs.values.size and np.shares_memory(block, specs.values)
+
+
+# writes that name a file mode or an os.open flag
+_WRITE_MODE = re.compile(r"[rb]*[wax+][rwaxbt+]*")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _file_writes(source: str) -> list[int]:
+    """Line numbers of the calls in ``source`` that write a file: ``write_text``,
+    ``write_bytes``, or any ``open``/``fdopen`` given a write or append mode."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+        args = [*node.args, *(kw.value for kw in node.keywords)]
+        if name in ("write_text", "write_bytes") or name.endswith("open") and any(
+            isinstance(a, ast.Constant) and isinstance(a.value, str) and _WRITE_MODE.fullmatch(a.value)
+            or any(getattr(n, "attr", None) in _WRITE_FLAGS for n in ast.walk(a))
+            for a in args
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneWriter:
+    """Every file the package writes goes through ``io``: ``write_file``, or
+    the manifest's append. No other module opens a file for writing."""
+
+    def test_only_io_writes_files(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "lungsound"
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 10
+        found = {
+            m.name: _file_writes(m.read_text()) for m in modules if m.name != "io.py"
+        }
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    @pytest.mark.parametrize("code, writes", [
+        ("p.write_text('x')", True),
+        ("Path(p).write_bytes(b'x')", True),
+        ("open(p, 'w')", True),
+        ("open(p, mode='ab')", True),
+        ("p.open('r+')", True),
+        ("os.fdopen(fd, 'wb')", True),
+        ("os.open(p, os.O_WRONLY | os.O_CREAT)", True),
+        ("open('/proc/meminfo')", False),
+        ("open(p, 'rb')", False),
+        ("p.read_text()", False),
+        ("write_file(p, [b'x'])", False),
+    ])
+    def test_the_check_sees_each_way_to_write(self, code, writes):
+        assert bool(_file_writes(code)) == writes
 
 
 class TestFrequencyMaskInvariants:
