@@ -59,7 +59,7 @@ from .train import (
     train_age_specific,
 )
 from .svg import heatmap_svg, line_chart_svg
-from .tensor import Tensor, _each, _lanes, no_grad
+from .tensor import Tensor, _each, _lanes, frozen
 
 log = logging.getLogger("lungsound.cli")
 
@@ -659,7 +659,7 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
 
 
 def _score_of(model: CnnTsa, values: np.ndarray, class_id: int) -> float:
-    with no_grad():
+    with frozen(model.params.values()):
         logits = model.forward(Tensor(values[None, None]), training=False)
     return float(logits.data[0, class_id])
 

@@ -291,10 +291,11 @@ def _training_bytes(sweep: _Sweep) -> int:
     runs its batch depth first (``CnnTsa.features``): every block's conv
     output for one chunk of ``ModelConfig.depth_first_chunk`` clips, plus
     every block's transformed kernel (64 C C' floats), which the call
-    keeps for all its chunks. Then one im2col chunk, one gathered batch
-    of clips, and the engine's scratch: the units of a conv hold at most
-    one more chunk between them, and each of the engine's threads (at
-    most ``UNITS``) two batchnorm blocks.
+    keeps for all its batches and chunks, as ``gradcam`` does. Then one
+    im2col chunk, one gathered batch of clips, and the engine's scratch:
+    the units of a conv hold at most one more chunk between them, and
+    each of the engine's threads (at most ``UNITS``) two batchnorm
+    blocks.
     """
     t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
     channels = sweep.model_cfg.channels

@@ -22,7 +22,7 @@ from .metrics import MetricReport, collapse_to_binary
 from .model import CnnTsa, ModelConfig
 from .optim import AdamState, adam_step, cosine_lr
 from .seeding import rng_for
-from .tensor import Tensor, no_grad, softmax
+from .tensor import Tensor, frozen, softmax
 
 __all__ = [
     "TrainConfig",
@@ -229,13 +229,13 @@ def evaluate(
 ) -> MetricReport:
     """Score a frozen model; labels and predictions follow ``task``.
 
-    Forward passes run under ``no_grad``: no graph is built, so
-    ``CnnTsa.forward`` runs each batch depth first, each chunk of clips
-    through every block and the head before the next, and holds one
-    chunk's maps and each Winograd kernel's transform (built once per
-    batch) at a time. A clip's logits, and so its prediction, do not
-    depend on ``batch_size``. A batch whose logits are not all finite raises
-    ``DivergenceError``.
+    Every batch runs in one ``tensor.frozen`` block over the model's
+    parameters: no graph is built, so ``CnnTsa.forward`` runs each batch
+    depth first, each chunk of clips through every block and the head
+    before the next, and holds one chunk's maps at a time; each Winograd
+    kernel's transform is built once per call, for every batch. A clip's
+    logits, and so its prediction, do not depend on ``batch_size``. A
+    batch whose logits are not all finite raises ``DivergenceError``.
 
     A multiclass model evaluated on the binary task has its argmax
     predictions collapsed (anything non-normal counts as adventitious).
@@ -244,7 +244,7 @@ def evaluate(
         raise DataError("empty evaluation set")
     labels = dataset.targets(task)
     preds = np.empty(len(dataset), dtype=np.int64)
-    with no_grad():
+    with frozen(model.params.values()):
         for start in range(0, len(dataset), batch_size):
             logits = model.forward(Tensor(dataset.clips(slice(start, start + batch_size))[:, None]), training=False)
             if not np.isfinite(logits.data).all():

@@ -210,6 +210,89 @@ class TestGradCam:
         with pytest.raises(ValueError):
             gradcam(CnnTsa(cfg, seed=0), make_set(t=8, f=8), 2)
 
+    def test_one_kernel_per_call_and_none_stale(self, monkeypatch):
+        # SPRSound preset at 37x32: block 2 (18x16, 20 tiles) is the one
+        # Winograd conv; six clips at two per chunk are three chunks
+        import lungsound.attribution as attribution_mod
+        import lungsound.tensor as tensor_mod
+        from lungsound.model import PRESETS
+        from lungsound.optim import AdamState, adam_step
+
+        cfg = ModelConfig(channels=PRESETS["sprsound"], n_classes=3, n_mel_rows_in=32)
+        m = CnnTsa(cfg, seed=1)
+        specs = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=37, n_per_class=3, seed=3))
+
+        def cams(model):
+            return np.stack([a.values for a in gradcam(model, specs, 1)])
+
+        whole = cams(m)  # one chunk
+        monkeypatch.setattr(attribution_mod, "ATTRIBUTION_BATCH", 2)
+        kernels, real = [], tensor_mod._wino_kernel
+        monkeypatch.setattr(tensor_mod, "_wino_kernel", lambda w, *rest: kernels.append(w.shape) or real(w, *rest))
+        before = cams(m)
+        assert kernels == [(128, 64, 5, 5)]  # the three chunks share one U
+        assert before.tobytes() == whole.tobytes()
+        m.forward(Tensor(specs.clips()[:, None]), training=True).sum().backward()
+        adam_step(m.params, m.grads(), AdamState(), lr=1e-2)  # the weights change in place
+        after = cams(m)
+        fresh = cams(CnnTsa(cfg, state=m.state_dict()))
+        assert before.tobytes() != after.tobytes()
+        assert after.tobytes() == fresh.tobytes()
+
+    def test_memory_bounded_by_one_chunk_and_every_kernel(self, monkeypatch):
+        # SPRSound preset at 64x64: blocks 2 and 3 run Winograd. Over k
+        # chunks, Grad-CAM holds one chunk's maps and head graph plus every
+        # U, and its peak does not grow with k beyond the maps it returns.
+        import tracemalloc
+
+        import lungsound.attribution as attribution_mod
+        import lungsound.tensor as tensor_mod
+        from lungsound.attribution import _class_score
+        from lungsound.model import PRESETS
+
+        per, t, f = 2, 64, 64
+        channels = PRESETS["sprsound"]
+        m = CnnTsa(ModelConfig(channels=channels, n_classes=3, n_mel_rows_in=f), seed=1)
+        specs = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))
+        monkeypatch.setattr(attribution_mod, "ATTRIBUTION_BATCH", per)
+        cins = (1, *channels[:-1])
+        u_bytes = sum(
+            64 * co * ci * 4
+            for i, (ci, co) in enumerate(zip(cins, channels))
+            if tensor_mod._winograd_applies(ci, t >> i, f >> i, 5, 5, 1, 2)
+        )
+        assert u_bytes == (64 * 128 + 128 * 256) * 64 * 4
+        map_bytes = per * t * f * 4  # the maps one chunk returns
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def one_chunk_without_u():
+            # one chunk as Grad-CAM runs it, each conv dropping its own U
+            params = list(m.params.values())
+            for p in params:
+                p.requires_grad = False
+            try:
+                act = Tensor(m.features(Tensor(specs.clips(slice(0, per))[:, None])).data, requires_grad=True)
+                _class_score(m.head(act), 1).backward()
+            finally:
+                for p in params:
+                    p.requires_grad = True
+
+        gradcam(m, specs[:1], 1)  # warm: the engine's threads and transforms
+        one = peak(one_chunk_without_u)
+        peaks = {k: peak(lambda: gradcam(m, specs[: k * per], 1)) for k in (1, 2, 4)}
+        slack = 256 << 10
+        for k, got in peaks.items():
+            assert got <= one + u_bytes + k * map_bytes + slack, (k, got, one, u_bytes)
+        assert peaks[4] <= peaks[2] + 2 * map_bytes + slack, peaks
+
 
 class TestIntegratedGradients:
     def test_input_equal_baseline_gives_zero(self):

@@ -349,7 +349,7 @@ class TestChunkedInference:
         from lungsound.attribution import gradcam
         from lungsound.data import SynthSpec, synth_corpus
         from lungsound.model import PRESETS
-        from lungsound.tensor import no_grad, thread_budget
+        from lungsound.tensor import frozen, thread_budget
 
         channels = PRESETS[preset]
         specs = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))[:7]
@@ -373,7 +373,7 @@ class TestChunkedInference:
             m = eval_model(cfg)
             ref = m.forward(Tensor(x)).data  # a graph: one chunk
             ref_cams = [a.values for a in gradcam(m, specs, 1)]  # one chunk at 7 clips
-            with no_grad():
+            with frozen(m.params.values()):
                 alone = np.concatenate([m.forward(Tensor(x[i : i + 1])).data for i in range(7)])
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(attribution_mod, "ATTRIBUTION_BATCH", 1)
@@ -389,7 +389,7 @@ class TestChunkedInference:
                     for n in (1, 2):
                         convs.clear(), kernels.clear()
                         with thread_budget(n):
-                            with no_grad():
+                            with frozen(m.params.values()):
                                 got = m.forward(Tensor(x)).data
                             assert len(kernels) == winograd  # U once per call, not per chunk
                             cams = [a.values for a in gradcam(m, specs, 1)]
@@ -401,13 +401,13 @@ class TestChunkedInference:
                         assert convs == order + order, (placement, items, n)
 
     def test_no_stale_kernel_after_a_step(self):
-        # a no-grad forward, a training step that updates the weights in
-        # place, then a no-grad forward again: the second gets a fresh
+        # a frozen forward, a training step that updates the weights in
+        # place, then a frozen forward again: the second gets a fresh
         # model's bytes, so no transformed kernel outlives the first call
         import lungsound.model as model_mod
         from lungsound.data import SynthSpec, synth_corpus
         from lungsound.optim import AdamState, adam_step
-        from lungsound.tensor import no_grad
+        from lungsound.tensor import frozen
 
         cfg = ModelConfig(channels=(64, 128, 256), n_classes=3, n_mel_rows_in=32)
         specs = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=34, n_per_class=4, seed=3))[:5]
@@ -415,19 +415,21 @@ class TestChunkedInference:
         m = eval_model(cfg)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model_mod, "IM2COL_BYTES", 2 * 64 * 34 * 32 * 4)  # chunks of 2 items
-            with no_grad():
+            with frozen(m.params.values()):
                 before = m.forward(x).data
             m.forward(x, training=True).sum().backward()
             adam_step(m.params, m.grads(), AdamState(), lr=1e-2)
-            with no_grad():
+            with frozen(m.params.values()):
                 after = m.forward(x).data
-                fresh = CnnTsa(cfg, state=m.state_dict()).forward(x).data
+            fresh_model = CnnTsa(cfg, state=m.state_dict())
+            with frozen(fresh_model.params.values()):
+                fresh = fresh_model.forward(x).data
         assert before.tobytes() != after.tobytes()
         assert after.tobytes() == fresh.tobytes()
 
 
 class TestBatchInvariance:
-    """A clip's no-grad logits, Grad-CAM map and IG map are the bytes it
+    """A clip's frozen logits, Grad-CAM map and IG map are the bytes it
     gets alone (B=1, one IG step per pass), in any batch, however
     ``IM2COL_BYTES`` in ``model`` and ``tensor`` chunks that batch, at
     engine budgets of 1 and 2 threads. conv2d keeps a clip's GEMM columns
@@ -461,7 +463,7 @@ class TestBatchInvariance:
         from lungsound.attribution import gradcam, integrated_gradients
         from lungsound.data import SynthSpec, synth_corpus
         from lungsound.model import PRESETS
-        from lungsound.tensor import no_grad
+        from lungsound.tensor import frozen
 
         preset, t, f = case
         channels = PRESETS[preset]
@@ -473,7 +475,7 @@ class TestBatchInvariance:
         pool = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))
 
         def run(specs, ig_clip):
-            with no_grad():
+            with frozen(m.params.values()):
                 logits = m.forward(Tensor(specs.clips()[:, None])).data
             cams = [a.values for a in gradcam(m, specs, 1)]
             ig = integrated_gradients(m, specs[ig_clip], 1, steps=self.IG_STEPS).values

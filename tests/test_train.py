@@ -319,6 +319,46 @@ class TestEvaluate:
         assert rep.hs == pytest.approx(hs, abs=1e-9)
         assert rep.ts == pytest.approx(ts, abs=1e-9)
 
+    def test_one_kernel_per_call_and_none_stale(self, monkeypatch):
+        # SPRSound preset at 37x32: block 2 (18x16, 20 tiles) is the one
+        # Winograd conv; six clips at a batch of 2 are three batches
+        import lungsound.tensor as tensor_mod
+        from lungsound.model import PRESETS, CnnTsa
+        from lungsound.optim import AdamState, adam_step
+
+        cfg = ModelConfig(channels=PRESETS["sprsound"], n_classes=3, n_mel_rows_in=32)
+        m = CnnTsa(cfg, seed=1)
+        specs = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=37, n_per_class=3, seed=3))
+
+        def logits(model, batch_size):
+            """Every batch's logits of one evaluate() call, in clip order."""
+            out, forward = [], model.forward
+
+            def spy(x, training=False):
+                res = forward(x, training)
+                out.append(res.data)
+                return res
+
+            model.forward = spy
+            try:
+                evaluate(model, specs, "multiclass", batch_size=batch_size)
+            finally:
+                del model.forward
+            return np.concatenate(out)
+
+        whole = logits(m, len(specs))  # one batch
+        kernels, real = [], tensor_mod._wino_kernel
+        monkeypatch.setattr(tensor_mod, "_wino_kernel", lambda w, *rest: kernels.append(w.shape) or real(w, *rest))
+        before = logits(m, 2)
+        assert kernels == [(128, 64, 5, 5)]  # the three batches share one U
+        assert before.tobytes() == whole.tobytes()
+        m.forward(Tensor(specs.clips()[:, None]), training=True).sum().backward()
+        adam_step(m.params, m.grads(), AdamState(), lr=1e-2)  # the weights change in place
+        after = logits(m, 2)
+        fresh = logits(CnnTsa(cfg, state=m.state_dict()), 2)
+        assert before.tobytes() != after.tobytes()
+        assert after.tobytes() == fresh.tobytes()
+
 
 # -- age-specific ----------------------------------------------------------------------
 
