@@ -341,10 +341,14 @@ def _spectrograms(records, args) -> SpecSet:
     rows, so the block's bytes do not depend on the thread count. A
     file's error waits in its slot until every file is done; then the
     first failing file in sorted order raises, as a loop over the files
-    would.
+    would. Two cycles of one clip id are refused before any file is read.
     """
     if not records:
         raise DataError("no annotated cycles to preprocess")
+    first: dict = {}  # clip id -> the first record of that id
+    for rec in records:
+        if (other := first.setdefault(rec.clip_id, rec)) is not rec:
+            raise DataError(f"clip id {rec.clip_id!r} names a cycle of both {other.audio_path} and {rec.audio_path}")
     by_wav: dict[str, list] = {}
     for rec in records:
         by_wav.setdefault(rec.audio_path, []).append(rec)

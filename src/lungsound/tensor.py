@@ -67,7 +67,8 @@ closure hands a gradient to an input only if that input has
 ``requires_grad``. A trained model runs inside ``frozen(params)``,
 which clears the flag on its parameters: a forward on a plain input
 builds no graph (evaluation, Grad-CAM's backbone), and a backward to an
-input skips every weight gradient (Integrated Gradients).
+input skips every weight gradient (Integrated Gradients). Only a held
+tensor keeps its Winograd kernel transform, so training others is safe.
 """
 
 from __future__ import annotations
@@ -183,9 +184,11 @@ class Tensor:
     Operations on tensors record a backward closure when an input has
     ``requires_grad``; calling ``backward()`` on a scalar result
     propagates gradients to every tensor in the graph with that flag.
+    A tensor that ``frozen`` holds has a ``_kernels`` dict for the block,
+    where a conv on it keeps its Winograd transforms U; otherwise None.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_kernels")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_dtype(data)
@@ -193,6 +196,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._kernels: dict | None = None  # U by (dtype, split), while frozen holds it
 
     # -- construction helpers -------------------------------------------------
 
@@ -756,10 +760,6 @@ def _wino_kernel(weight: np.ndarray, kg: np.ndarray, lanes: int, big: bool) -> n
     return u
 
 
-# inside frozen(): (weight array id, dtype, split) -> (that array, its U)
-_KERNELS = None
-
-
 @contextmanager
 def frozen(tensors):
     """Run a model that is not being trained: the one way to do so.
@@ -767,41 +767,37 @@ def frozen(tensors):
     Clears ``requires_grad`` on ``tensors`` (a model's parameters) for
     the block, so ops record a graph only for an input that needs a
     gradient, and no backward computes a weight gradient or touches a
-    parameter's ``.grad``. Every conv2d forward or backward inside on
-    the same weight array (at the same dtype and split) reuses the U
-    the first one built, so a call that runs batches, chunks or passes
-    transforms each kernel once. The weights must not change inside the
-    block. A nested block joins the outermost one, and only the
-    outermost exit drops every U, so none outlives a step that updates
-    the weights in place. The flags are restored on exit, after an
-    error too.
+    parameter's ``.grad``. Each held tensor also keeps the U of every
+    conv2d forward or backward on it (by dtype and split), so a call
+    that runs batches, chunks or passes transforms each kernel once.
+    The weights must not change inside the block. A nested block shares
+    the U its outer block holds, and every exit restores the flag and
+    the U each held tensor had at entry, after an error too, so the
+    outermost exit drops it: none outlives a step that updates the
+    weights in place, and a tensor no block holds never keeps one.
     """
-    global _KERNELS
     tensors = list(tensors)
-    saved = [t.requires_grad for t in tensors]
-    outer = _KERNELS is None
-    if outer:
-        _KERNELS = {}
+    saved = [(t.requires_grad, t._kernels) for t in tensors]
     try:
         for t in tensors:
             t.requires_grad = False
+            if t._kernels is None:
+                t._kernels = {}
         yield
     finally:
-        for t, flag in zip(tensors, saved):
-            t.requires_grad = flag
-        if outer:
-            _KERNELS = None
+        for t, (flag, kernels) in zip(tensors, saved):
+            t.requires_grad, t._kernels = flag, kernels
 
 
-def _kernel_of(weight: np.ndarray, dt, lanes: int, big: bool) -> np.ndarray:
-    """U of ``weight`` at ``dt``: built here, or inside ``frozen`` by the
-    first conv on that weight array."""
-    key = id(weight), dt, big
-    if _KERNELS is not None and key in _KERNELS:
-        return _KERNELS[key][1]
-    u = _wino_kernel(weight, _wino_transforms(dt)[1], lanes, big)
-    if _KERNELS is not None:
-        _KERNELS[key] = weight, u  # holds the array, so no other takes its id
+def _kernel_of(weight: Tensor, dt, lanes: int, big: bool) -> np.ndarray:
+    """U of ``weight`` at ``dt``: built here, or taken from the frozen
+    weight that holds it."""
+    kernels = None if weight.requires_grad else weight._kernels
+    if kernels is not None and (dt, big) in kernels:
+        return kernels[dt, big]
+    u = _wino_kernel(weight.data, _wino_transforms(dt)[1], lanes, big)
+    if kernels is not None:
+        kernels[dt, big] = u
     return u
 
 
@@ -829,14 +825,14 @@ def _wino_input(x: np.ndarray, kb: np.ndarray, lanes: int, big: bool) -> np.ndar
     return v
 
 
-def _winograd_forward(x: np.ndarray, weight: np.ndarray, chunk: int, lanes: int, big: bool) -> np.ndarray:
+def _winograd_forward(x: np.ndarray, weight: Tensor, chunk: int, lanes: int, big: bool) -> np.ndarray:
     """(B, C', H, W) output for the input ``x`` (B, C, H, W) and the
-    kernel ``weight`` (C', C, 5, 5).
+    kernel tensor ``weight`` (C', C, 5, 5).
 
     Per chunk: V split by input channel, M = U V by transform point, and
     the output transform and write by output channel.
     """
-    dt = np.result_type(x, weight)
+    dt = np.result_type(x, weight.data)
     u = _kernel_of(weight, dt, lanes, big)
     kb, _, ka = _wino_transforms(dt)
     b, _, h, w = x.shape
@@ -869,9 +865,10 @@ def _winograd_forward(x: np.ndarray, weight: np.ndarray, chunk: int, lanes: int,
 
 
 def _winograd_backward(
-    x: np.ndarray, weight: np.ndarray, g: np.ndarray, chunk: int, want_w: bool, want_x: bool, lanes: int, big: bool,
+    x: np.ndarray, weight: Tensor, g: np.ndarray, chunk: int, want_x: bool, lanes: int, big: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(d weight, d x) for the output gradient ``g`` (B, C', H, W).
+    """(d weight, d x) for the output gradient ``g`` (B, C', H, W): d
+    weight when ``weight`` has ``requires_grad``, d x when ``want_x``.
 
     In the transformed domain dU = dM V^T and dV = U^T dM, where dM is
     the adjoint output transform of ``g``; dV's adjoint input transform
@@ -883,7 +880,7 @@ def _winograd_backward(
     copy-out by input channel; U and the kernel gradient by output
     channel.
     """
-    dt = np.result_type(x, weight)
+    dt = np.result_type(x, weight.data)
     kb, kg, ka = _wino_transforms(dt)
     b, c, h, w = x.shape
     th, tw = -(-h // 4), -(-w // 4)
@@ -893,7 +890,7 @@ def _winograd_backward(
     # raise a B=16 ICBHI train step's peak RSS by about 4%
     gx = np.empty_like(x) if want_x else None
     ut = _kernel_of(weight, dt, lanes, big).transpose(0, 2, 1) if want_x else None
-    du = np.zeros((64, co, c), dtype=dt) if want_w else None
+    du = np.zeros((64, co, c), dtype=dt) if weight.requires_grad else None
     ragged = (4 * th, 4 * tw) != (h, w)
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
@@ -993,10 +990,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     frozen weights build no dU and rebuild no V, and an input without
     ``requires_grad`` builds no U or dV in backward.
 
-    Where U lives: each forward, and each backward that needs dV, builds
-    its own and drops it on return, except inside ``frozen``, where every
-    call on the same weight array reuses the U the first one built until
-    the outermost block ends. The graph keeps none.
+    Where U lives: on a weight that ``frozen`` holds, every call reuses
+    the U the first one built, until the outermost block that holds it
+    ends. Otherwise each forward, and each backward that needs dV,
+    builds its own and drops it on return. The graph keeps none.
 
     A conv whose input or output holds ``THREAD_BYTES`` per batch item runs each
     chunk as units on the engine's threads (see ``_each``), each writing
@@ -1036,7 +1033,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     lanes = _lanes(big)
     if winograd:
         chunk = _winograd_chunk(ci, co, h, w, x.data.itemsize)
-        out_data = _winograd_forward(x.data, weight.data, chunk, lanes, big)
+        out_data = _winograd_forward(x.data, weight, chunk, lanes, big)
     else:
         patch = ci * kh * kw
         wmat = weight.data.reshape(co, patch)
@@ -1057,9 +1054,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     def bwd(g):
         if winograd:
-            gw, gx = _winograd_backward(
-                x.data, weight.data, g, chunk, weight.requires_grad, x.requires_grad, lanes, big
-            )
+            gw, gx = _winograd_backward(x.data, weight, g, chunk, x.requires_grad, lanes, big)
             if gw is not None:
                 weight._adopt(gw)
             if gx is not None:

@@ -124,6 +124,30 @@ class TestPreprocess:
         assert str(ann if name != "unbounded end" else wav) in err
         assert not (tmp_path / "x.cache").exists()
 
+    @pytest.mark.parametrize("dataset", ["sprsound", "icbhi"])
+    def test_repeated_clip_id_exits_3_before_reading(self, tmp_path, capsys, monkeypatch, dataset):
+        # one stem under two folders gives its cycles the same ids, and
+        # attribute would write one map for two clips of that id
+        import lungsound.cli as cli_mod
+        from test_data import write_wav
+
+        stem, ann = ("p1_5_M_P1", ".json") if dataset == "sprsound" else ("101_1b1_Al_sc_Meditron", ".txt")
+        wavs = [tmp_path / "tree" / folder / f"{stem}.wav" for folder in ("test_wav", "train_wav")]
+        for wav in wavs:
+            wav.parent.mkdir(parents=True)
+            write_wav(wav)
+            wav.with_suffix(ann).write_text(
+                '{"event_annotation": [{"start": "0", "end": "900", "type": "Normal"}]}' if ann == ".json"
+                else "0.0 0.9 0 0\n"
+            )
+        read, real = [], cli_mod.read_wav
+        monkeypatch.setattr(cli_mod, "read_wav", lambda path: read.append(path) or real(path))
+        code = run(tmp_path, "preprocess", "--dataset", dataset, "--data-root", "tree", "--out", "x.cache")
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and err.startswith(f"data error: clip id '{stem}_1' "), err
+        assert str(wavs[0]) in err and str(wavs[1]) in err
+        assert read == [] and not (tmp_path / "x.cache").exists()
+
 
 # (rate, format, channels, seconds, events in s) of each WAV of the
 # frontend trees, in sorted order. The first file is the slowest, so

@@ -12,6 +12,7 @@ import pytest
 import lungsound.tensor as tensor_mod
 from helpers import check_gradient, relu
 from lungsound.errors import ShapeError
+from lungsound.optim import AdamState, adam_step
 from lungsound.tensor import (
     BatchNormState,
     Tensor,
@@ -313,11 +314,16 @@ class TestConv2dWinograd:
         assert built == [2] and wt.grad is None
         assert kernels == [4, 4]  # the graph keeps no U: dV builds its own
         self.assert_close(xt.grad, reference_conv2d(x, w, mix, 1, 2)[1], self.TOL[np.float32])
-        built.clear(), kernels.clear()
-        with frozen([]):  # the weight is frozen already: the block only holds U
-            scoped = self.run(x, w, need_w=False)
-        assert built == [2] and kernels == [4]  # dV takes the block's U
-        assert scoped[1].grad.tobytes() == xt.grad.tobytes()
+        held = Tensor(w)
+        for block, counts in (([held], [4]), ([], [4, 4])):
+            # a weight the block holds keeps its U for dV; one it does not
+            # hold keeps none, although it needs no gradient either
+            built.clear(), kernels.clear()
+            xs = Tensor(x, requires_grad=True)
+            with frozen(block):
+                (conv2d(xs, held, padding=2) * Tensor(mix)).sum().backward()
+            assert built == [2] and kernels == counts, block
+            assert xs.grad.tobytes() == xt.grad.tobytes() and held.grad is None
 
     def test_input_without_grad_gets_none(self, monkeypatch):
         g = rng(24)
@@ -1179,7 +1185,7 @@ class TestNoGrad:
             with frozen(leaves.values()):
                 raise RuntimeError
         assert {k: t.requires_grad for k, t in leaves.items()} == flags
-        assert tensor_mod._KERNELS is None
+        assert all(t._kernels is None for t in leaves.values())
         assert self._ops(leaves)[-1].requires_grad
 
     def test_nested_blocks_build_u_once(self, monkeypatch):
@@ -1195,10 +1201,35 @@ class TestNoGrad:
             assert not w.requires_grad  # the inner exit restores the outer block's flag
             outs.append(conv2d(x, w, padding=2))  # the inner exit dropped no U
             assert kernels == [4]
-        assert w.requires_grad and tensor_mod._KERNELS is None
+        assert w.requires_grad and w._kernels is None
         outs.append(conv2d(x, w, padding=2))  # the outer exit dropped it
         assert kernels == [4, 4]
         assert all(out.data.tobytes() == outs[-1].data.tobytes() for out in outs)
+
+    def test_training_inside_an_unrelated_block_reuses_no_u(self):
+        # a Winograd conv trained inside a block that holds another tensor:
+        # each step transforms the weights it has then, as outside any block
+        g = rng(72)
+        x = Tensor(g.normal(size=(2, 8, 16, 16)).astype(np.float32))
+        w0 = g.normal(size=(8, 8, 5, 5)).astype(np.float32)
+
+        def fit():
+            w, state, losses = Tensor(w0.copy(), requires_grad=True), AdamState(), []
+            for _ in range(3):
+                out = conv2d(x, w, padding=2)
+                loss = (out * out).sum()
+                loss.backward()
+                losses.append(loss.item())
+                adam_step({"w": w}, {"w": w.grad}, state, lr=0.1)
+                w.grad = None
+            return losses, w.data.tobytes()
+
+        outside = fit()
+        unrelated = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        with frozen([unrelated]):
+            inside = fit()
+        assert len(set(outside[0])) == 3  # every step changed the loss
+        assert inside == outside
 
     def test_frozen_weights_keep_the_input_graph(self):
         # as Integrated Gradients runs: a gradient to the input, none to the weights
@@ -1218,8 +1249,9 @@ class TestNoGrad:
 
 def _freezes(source: str) -> list[int]:
     """Line numbers of the nodes in ``source`` that set ``requires_grad`` on
-    a tensor (an assignment to the attribute, or ``setattr``) or name the
-    engine's kernel cache ``_KERNELS``."""
+    a tensor (an assignment to the attribute, or ``setattr``) or touch the
+    transformed kernels a frozen tensor keeps (its ``_kernels``, as an
+    attribute or by name)."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assign):
@@ -1232,8 +1264,8 @@ def _freezes(source: str) -> list[int]:
             any(getattr(n, "attr", None) == "requires_grad" for t in targets for n in ast.walk(t))
             or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
             and any(isinstance(a, ast.Constant) and a.value == "requires_grad" for a in node.args)
-            or "_KERNELS" in (getattr(node, "id", None), getattr(node, "attr", None))
-            or isinstance(node, ast.alias) and node.name == "_KERNELS"
+            or getattr(node, "attr", None) == "_kernels"
+            or isinstance(node, ast.Constant) and node.value == "_kernels"
         ):
             lines.append(node.lineno)
     return lines
@@ -1241,7 +1273,8 @@ def _freezes(source: str) -> list[int]:
 
 class TestOneFreezer:
     """Only ``tensor.frozen`` freezes parameters and holds transformed
-    kernels: no other module sets ``requires_grad`` or names ``_KERNELS``."""
+    kernels: no other module sets ``requires_grad`` or touches a tensor's
+    ``_kernels``."""
 
     def test_only_tensor_freezes(self):
         package = Path(__file__).resolve().parents[1] / "src" / "lungsound"
@@ -1258,9 +1291,12 @@ class TestOneFreezer:
         ("t.requires_grad: bool = False", True),
         ("for p.requires_grad in flags: pass", True),
         ("setattr(p, 'requires_grad', False)", True),
-        ("tensor._KERNELS = {}", True),
-        ("from .tensor import _KERNELS", True),
-        ("cache = _KERNELS", True),
+        ("w._kernels = {}", True),
+        ("u = w._kernels[dt, big]", True),
+        ("if p._kernels is None: pass", True),
+        ("setattr(w, '_kernels', None)", True),
+        ("getattr(w, '_kernels')", True),
+        ("kernels = {}", False),
         ("Tensor(x, requires_grad=True)", False),
         ("if p.requires_grad: pass", False),
         ("flags = [p.requires_grad for p in params]", False),

@@ -192,6 +192,25 @@ class TestTrain:
         expected = 2 * math.log(2) / 50  # |C| log|C| / N, w_c = 1/count
         assert result.history[0].loss == pytest.approx(expected, rel=0.20)
 
+    def test_train_inside_an_unrelated_block_matches_outside(self):
+        # SPRSound preset at 37x32: block 2 (18x16, 20 tiles) is a Winograd
+        # conv, whose weights every step changes in place
+        from lungsound.model import PRESETS
+        from lungsound.tensor import frozen
+
+        corpus = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=37, n_per_class=3, seed=3))
+        model_cfg = ModelConfig(channels=PRESETS["sprsound"], n_classes=2, n_mel_rows_in=32)
+        cfg = tiny_train_cfg(epochs=3, batch_size=2, lr0=1e-2)
+
+        def run():
+            result = train(corpus, model_cfg, cfg)
+            return result.history, {k: v.tobytes() for k, v in result.model.state_dict().items()}
+
+        outside = run()
+        with frozen([Tensor(np.zeros(3, np.float32), requires_grad=True)]):
+            inside = run()
+        assert inside == outside
+
     def test_fixed_seed_reproducible_loss_curves(self):
         corpus = tiny_corpus(n=8)
         cfg = tiny_train_cfg(epochs=3, specaugment=True, seed=11)
