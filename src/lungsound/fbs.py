@@ -217,9 +217,10 @@ def eliminate_lowest(
 # -- one CV job --------------------------------------------------------------------------
 
 # live float32 copies of every conv block's output, per clip, in one training
-# step: the smallest count whose estimate is at least 1.15 times the peak RSS
-# of one ICBHI-preset step at B=128 on 249x64 input (1,880 against 1,558 MiB)
-ACTIVATION_COPIES = 2
+# step: the smallest count, in quarters, whose estimate is at least 1.15
+# times the peak RSS of one ICBHI-preset step at B=128 on 249x64 input
+# (1,209 against 927 MiB; one copy gives 976)
+ACTIVATION_COPIES = 1.25
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def _training_bytes(sweep: _Sweep) -> int:
         conv += c * t * f
         kernels += 64 * cin * c
         t, f, cin = t // POOL, f // POOL, c
-    step = 4 * ACTIVATION_COPIES * conv * sweep.train_cfg.batch_size
+    step = int(4 * ACTIVATION_COPIES * conv * sweep.train_cfg.batch_size)
     inference = 4 * (conv * chunk + kernels)
     scratch = IM2COL_BYTES + 2 * UNITS * EPILOGUE_BYTES
     return max(step, inference) + IM2COL_BYTES + gather + scratch

@@ -5,11 +5,14 @@ ReLU -> 2x2 average pool] blocks. Every block runs its batchnorm, ReLU
 and pool as one op (``tensor.bn_relu_pool``) whose graph keeps only the
 conv output and the op's output, so a training step holds no batchnorm
 map, and no ReLU map but the last block's: that block's op skips the
-pool, Grad-CAM reads its ReLU output, and ``head`` pools it. A
-frequency aggregation step (mean +
-max over the band axis) collapses the feature map to a per-frame
-vector sequence; scaled dot-product self-attention over time follows,
-then temporal mean pooling and a linear classifier.
+pool, Grad-CAM reads its ReLU output, and ``head`` pools it. The op is
+also handed the conv's input and weight, so that where the engine's
+rule allows (the first block of the ICBHI and SPRSound presets in
+training) its graph keeps those instead of the conv output, which it
+rebuilds in backward. A frequency aggregation step (mean + max over the
+band axis) collapses the feature map to a per-frame vector sequence;
+scaled dot-product self-attention over time follows, then temporal mean
+pooling and a linear classifier.
 
 The attention block can be placed at several points for ablations; at
 non-aggregated placements it runs on the frequency-flattened feature
@@ -322,8 +325,10 @@ class CnnTsa:
         return self._attend_flat(fm) if self.cfg.attention_stage() == i else fm
 
     def _block(self, fm: Tensor, i: int, training: bool) -> Tensor:
-        """Conv block i on ``fm``: conv, then ``bn_relu_pool`` (no pool on the last block)."""
-        out = conv2d(fm, self.params[f"conv{i}.weight"], stride=1, padding=PADDING)
+        """Conv block i on ``fm``: conv, then ``bn_relu_pool`` (no pool on the
+        last block), which may rebuild the conv output from ``fm`` and the weight."""
+        weight = self.params[f"conv{i}.weight"]
+        out = conv2d(fm, weight, stride=1, padding=PADDING)
         _, _, t, f = out.shape
         if t < POOL or f < POOL:
             raise ShapeError(
@@ -331,7 +336,8 @@ class CnnTsa:
                 f"{POOL}x{POOL} pooling"
             )
         bn = (self.params[f"bn{i}.gamma"], self.params[f"bn{i}.beta"], self.bn_states[f"bn{i}"])
-        return bn_relu_pool(out, *bn, training=training, pool=i < self.cfg.n_conv_blocks)
+        pool = i < self.cfg.n_conv_blocks
+        return bn_relu_pool(out, *bn, training=training, pool=pool, conv=(fm, weight, PADDING))
 
     def _stack(self, x: Tensor, training: bool) -> Tensor:
         """Blocks 1..n on ``x``, with attention where it is placed."""

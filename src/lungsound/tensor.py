@@ -33,19 +33,23 @@ storing them (sublinear-memory training, arXiv:1604.06174): conv2d
 builds its columns or transformed tiles a few batch items at a time
 (``IM2COL_BYTES``) and rebuilds them in backward, batchnorm recomputes
 its normalized input in backward, ``bn_relu_pool`` keeps only its input
-and output and recomputes the batchnorm map it never stores, and
-``backward()`` frees the graph as it runs: each intermediate gradient
-once it has been passed on (so a closure may overwrite the gradient it
-is handed: only its node holds it), and each op result's closure and
-parent links as it reaches them, so an activation dies as soon as the
-last closure that reads it has run rather than when the caller drops
-the loss. Batchnorm's statistics and adjoint and the fused epilogue run
-over blocks of at most ``EPILOGUE_BYTES`` (whole items, or one item's
-channel range), so their chains of elementwise steps stay in a core's
-L2 cache and hold no whole-batch temporary; each (item, channel) row is
-summed inside its block and the row sums are added over items
-afterwards, the order a whole-batch reduction takes, so no float depends
-on the blocking. A closure that allocates a gradient buffer for one
+and output and recomputes the batchnorm map it never stores; when its
+input is a conv output above ``IM2COL_BYTES`` made from an input that
+needs no gradient (the first block in training), it keeps not even that
+but rebuilds it in backward and writes the conv's output gradient over
+it. A shared weight's gradient adds its per-item products one at a
+time above ``IM2COL_BYTES``. ``backward()`` frees the graph as it runs:
+each intermediate gradient once it has been passed on (so a closure may
+overwrite the gradient it is handed: only its node holds it), and each
+op result's closure and parent links as it reaches them, so an
+activation dies as soon as the last closure that reads it has run
+rather than when the caller drops the loss. Batchnorm's statistics and
+adjoint and the fused epilogue run over blocks of at most
+``EPILOGUE_BYTES`` (whole items, or one item's channel range), so their
+chains of elementwise steps stay in a core's L2 cache and hold no
+whole-batch temporary; each (item, channel) row is summed inside its
+block and the row sums are added over items afterwards, the order a
+whole-batch reduction takes, so no float depends on the blocking. A closure that allocates a gradient buffer for one
 input alone hands it over with ``_adopt``, and the input keeps it as its
 gradient instead of copying it.
 
@@ -399,11 +403,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._adopt(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            a._adopt(_product_grad(g, np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            b._adopt(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            b._adopt(_product_grad(np.swapaxes(a.data, -1, -2), g, b.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd)
+
+
+def _product_grad(u: np.ndarray, v: np.ndarray, shape: tuple) -> np.ndarray:
+    """``_unbroadcast(u @ v, shape)``: the gradient of a matmul operand of ``shape``.
+
+    A 2-D operand that the batch shares (an attention projection) sums
+    one product per batch item. When those products hold more than
+    ``IM2COL_BYTES`` (``tsa.wv`` at B=128: 128 MiB), each is made and
+    added in item order, the order the batch sum takes, so the bytes are
+    the same and no batch of them exists; smaller ones keep the one
+    batched GEMM, which costs less per call.
+    """
+    items = math.prod(u.shape[:-2])
+    if len(shape) != 2 or not u.ndim == v.ndim > 2 or items * math.prod(shape) * u.itemsize <= IM2COL_BYTES:
+        return _unbroadcast(np.matmul(u, v), shape)
+    u, v = u.reshape(-1, *u.shape[-2:]), v.reshape(-1, *v.shape[-2:])
+    out = u[0] @ v[0]
+    for n in range(1, len(u)):
+        out += u[n] @ v[n]
+    return out
 
 
 # -- softmax ------------------------------------------------------------------
@@ -560,9 +584,16 @@ def _trim_heap_before(nbytes: int) -> None:
     moment depends on how the pool threads' allocations interleaved: a
     ``train-icbhi`` benchmark step peaked at 337, 353 or 361 MB from one
     run to the next, at the first block's batchnorm input gradient; with
-    the heap trimmed there, at 335-337 MB in 20 of 20 runs."""
+    the heap trimmed there, at 335-337 MB in 20 of 20 runs. That buffer is
+    now the first block's conv output, rebuilt in backward."""
     if nbytes > 32 << 20 and (trim := _malloc_trim()) is not None:
         trim(0)
+
+
+def _empty_like(a: np.ndarray) -> np.ndarray:
+    """``np.empty_like(a)``, with the heap trimmed first (``_trim_heap_before``)."""
+    _trim_heap_before(a.nbytes)
+    return np.empty_like(a)
 
 
 @contextmanager
@@ -657,6 +688,9 @@ def _each(lanes: int, unit, parts: list) -> None:
 # Bytes of im2col columns conv2d builds at once. The batch is split into
 # chunks of items whose columns fit, so a conv holds O(this) extra memory
 # at any batch size instead of one column buffer for the whole batch.
+# Above it, a shared weight's per-item gradient products are added one at
+# a time (``_product_grad``), and a conv output that ``bn_relu_pool`` can
+# rebuild is not kept for backward.
 IM2COL_BYTES = 16 << 20
 
 
@@ -979,16 +1013,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     (C', C*kh*kw) buffer.
 
     Columns are built a chunk of batch items at a time, as many items as
-    fit in ``IM2COL_BYTES`` (at least one), and are not kept: backward keeps
-    only the padded input and rebuilds each chunk's columns for the
-    weight gradient, so frozen weights (``requires_grad`` cleared) never
-    rebuild them. The input gradient's ``wmat.T @ g`` and col2im run per
-    chunk too, into that chunk's slice of the padded input gradient. The
-    Winograd path chunks the batch by ``_winograd_chunk``, so that V and
-    M (or dM, V and dV) of one chunk fit in ``IM2COL_BYTES``, and pads
-    each chunk as it cuts its tiles, so it keeps no padded copy of the input;
-    frozen weights build no dU and rebuild no V, and an input without
-    ``requires_grad`` builds no U or dV in backward.
+    fit in ``IM2COL_BYTES`` (at least one), and are not kept: backward pads
+    the input, which the graph keeps, again and rebuilds each chunk's
+    columns for the weight gradient, so frozen weights (``requires_grad``
+    cleared) never rebuild them. The input gradient's ``wmat.T @ g`` and
+    col2im run per chunk too, into that chunk's slice of the padded input
+    gradient. The Winograd path chunks the batch by ``_winograd_chunk``,
+    so that V and M (or dM, V and dV) of one chunk fit in
+    ``IM2COL_BYTES``, and pads each chunk as it cuts its tiles; frozen
+    weights build no dU and rebuild no V, and an input without
+    ``requires_grad`` builds no U or dV in backward. Neither path keeps a
+    padded copy of the input, and the forward pass is ``_conv_forward``,
+    which ``bn_relu_pool`` also runs to rebuild an output it did not keep.
 
     Where U lives: on a weight that ``frozen`` holds, every call reuses
     the U the first one built, until the outermost block that holds it
@@ -1026,33 +1062,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"conv2d kernel {weight.shape} larger than padded input {x.shape}"
             f" (padding={padding})"
         )
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    winograd = _winograd_applies(ci, h, w, kh, kw, stride, padding)
-    big = max(c * h * w, co * ho * wo) * x.data.itemsize >= THREAD_BYTES
-    lanes = _lanes(big)
-    if winograd:
-        chunk = _winograd_chunk(ci, co, h, w, x.data.itemsize)
-        out_data = _winograd_forward(x.data, weight, chunk, lanes, big)
-    else:
-        patch = ci * kh * kw
-        wmat = weight.data.reshape(co, patch)
-        xp = x.data
-        if padding:
-            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        chunk = max(1, IM2COL_BYTES // (patch * ho * wo * xp.itemsize))
-        out_data = np.empty((b, co, ho * wo), dtype=np.result_type(wmat, xp))
-        for s in range(0, b, chunk):
-            cols = np.empty((min(chunk, b - s), patch, ho * wo), dtype=xp.dtype)
-
-            def forward(items, lane):
-                _im2col(xp[s : s + chunk][items], kh, kw, stride, ho, wo, cols[items])
-                np.matmul(wmat, cols[items], out=out_data[s : s + chunk][items])
-
-            _each(lanes, forward, _parts(len(cols), big))
-            del cols
+    out_data = _conv_forward(x.data, weight, stride, padding)
 
     def bwd(g):
+        ho, wo, winograd, chunk, big = _conv_plan(x.shape, weight.shape, stride, padding, x.data.itemsize)
+        lanes = _lanes(big)
         if winograd:
             gw, gx = _winograd_backward(x.data, weight, g, chunk, x.requires_grad, lanes, big)
             if gw is not None:
@@ -1060,12 +1074,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             if gx is not None:
                 x._adopt(gx)
             return
+        xp = _padded(x.data, padding)
+        wmat = weight.data.reshape(co, -1)
         g2 = g.reshape(b, co, ho * wo)
         gw = np.zeros_like(wmat) if weight.requires_grad else None
         gx = np.zeros_like(xp) if x.requires_grad else None
         for s in range(0, b, chunk):
             gs = g2[s : s + chunk]
-            cols = None if gw is None else np.empty((len(gs), patch, ho * wo), dtype=xp.dtype)
+            cols = None if gw is None else np.empty((len(gs), wmat.shape[1], ho * wo), dtype=xp.dtype)
 
             def per_item(items, lane):
                 if cols is not None:
@@ -1092,7 +1108,58 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         if gx is not None:
             x._accum(gx[:, :, padding : padding + h, padding : padding + w])
 
-    return Tensor._from_op(out_data.reshape(b, co, ho, wo), (x, weight), bwd)
+    return Tensor._from_op(out_data, (x, weight), bwd)
+
+
+def _conv_plan(shape: tuple, wshape: tuple, stride: int, padding: int, itemsize: int) -> tuple:
+    """(Ho, Wo, winograd, items per chunk, big) of a conv2d of an input of
+    ``shape`` with a kernel of ``wshape``: all fixed by the shapes."""
+    _, c, h, w = shape
+    co, ci, kh, kw = wshape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    winograd = _winograd_applies(ci, h, w, kh, kw, stride, padding)
+    big = max(c * h * w, co * ho * wo) * itemsize >= THREAD_BYTES
+    if winograd:
+        chunk = _winograd_chunk(ci, co, h, w, itemsize)
+    else:
+        chunk = max(1, IM2COL_BYTES // (ci * kh * kw * ho * wo * itemsize))
+    return ho, wo, winograd, chunk, big
+
+
+def _padded(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` (B, C, H, W) with ``padding`` zeros around each plane."""
+    if not padding:
+        return x
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def _conv_forward(x: np.ndarray, weight: Tensor, stride: int, padding: int) -> np.ndarray:
+    """conv2d's output (B, C', Ho, Wo) for the input array ``x``: conv2d's
+    forward pass, and how ``bn_relu_pool`` rebuilds a conv output that its
+    graph does not keep, in the same chunks and GEMMs, so the same bytes."""
+    ho, wo, winograd, chunk, big = _conv_plan(x.shape, weight.shape, stride, padding, x.itemsize)
+    lanes = _lanes(big)
+    if winograd:
+        return _winograd_forward(x, weight, chunk, lanes, big)
+    co, _, kh, kw = weight.shape
+    b = len(x)
+    wmat = weight.data.reshape(co, -1)
+    xp = _padded(x, padding)
+    out = np.empty((b, co, ho * wo), dtype=np.result_type(wmat, xp))
+    for s in range(0, b, chunk):
+        cols = np.empty((min(chunk, b - s), wmat.shape[1], ho * wo), dtype=xp.dtype)
+
+        def forward(items, lane):
+            _im2col(xp[s : s + chunk][items], kh, kw, stride, ho, wo, cols[items])
+            np.matmul(wmat, cols[items], out=out[s : s + chunk][items])
+
+        _each(lanes, forward, _parts(len(cols), big))
+        del cols
+    return out.reshape(b, co, ho, wo)
 
 
 # -- batch normalization --------------------------------------------------------
@@ -1233,39 +1300,41 @@ def _bn_stats(
     return mean, inv_std, scale, shift
 
 
-def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> None:
-    """Hand batchnorm's gradients to ``x``, ``gamma`` and ``beta``.
+def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training, gx) -> None:
+    """Batchnorm's input gradient into ``gx``; dgamma and dbeta handed to ``gamma`` and ``beta``.
 
-    ``grad_block(items, channels, out, work)`` writes the gradient of the
-    output over one block of ``_bn_blocks(x)`` into ``out`` (n, c, H*W);
-    ``work`` is a block-sized scratch buffer it may overwrite, one per
-    thread. The adjoint runs two passes over the blocks, each block a
-    unit. The first writes each block's gradient into that block's slice
-    of dx, one fresh buffer which ``x`` adopts, and sums each (item,
-    channel) row of it and of its product with xhat (recomputed from
-    ``x``) for dbeta and dgamma. The second turns each slice into dx in
-    place. When dx alone is wanted in eval
-    mode (frozen gamma and beta), the first pass has nothing to sum and
-    is skipped, and the second has each block's gradient written first.
+    ``x`` is the input array (B, C, H, W). ``grad_block(items, channels,
+    out, work)`` writes the gradient of the output over one block of
+    ``_bn_blocks(x)`` into ``out`` (n, c, H*W); ``work`` is a block-sized
+    scratch buffer it may overwrite, one per thread. ``gx`` is None when
+    no input gradient is wanted, else a fresh buffer or ``x`` itself,
+    which dx is written over one block at a time, after that block's
+    last read.
+
+    The adjoint runs two passes over the blocks, each block a unit. The
+    first makes each block's gradient and sums each (item, channel) row
+    of it and of its product with xhat (recomputed from ``x``) for dbeta
+    and dgamma; it parks the gradient in the block's slice of a fresh
+    ``gx``, else in a block-sized spare buffer per thread. The second
+    writes each block's dx into its slice of ``gx``, from the parked
+    gradient, or from the block's gradient made again where none could
+    be parked. When dx alone is wanted in eval mode (frozen gamma and
+    beta), the first pass has nothing to sum and is skipped.
     """
     b, c, h, w = x.shape
     n = b * h * w
-    dt = x.data.dtype
-    xv = x.data.reshape(b, c, h * w)
-    blocks, size = _bn_blocks(x.data)
-    lanes = _lanes(c * h * w * x.data.itemsize >= THREAD_BYTES)
-    need_g = beta.requires_grad or (x.requires_grad and training)
-    need_gx = gamma.requires_grad or (x.requires_grad and training)
+    dt = x.dtype
+    xv = x.reshape(b, c, h * w)
+    blocks, size = _bn_blocks(x)
+    lanes = _lanes(c * h * w * x.itemsize >= THREAD_BYTES)
+    need_g = beta.requires_grad or (gx is not None and training)
+    need_gx = gamma.requires_grad or (gx is not None and training)
     rows_g = np.empty((b, c), dtype=dt) if need_g else None
     rows_gx = np.empty((b, c), dtype=dt) if need_gx else None
     work = np.empty((lanes, size), dtype=dt)
-    if x.requires_grad:
-        _trim_heap_before(x.data.nbytes)
-        gx = np.empty_like(x.data)
-        gxv = gx.reshape(b, c, h * w)
-    else:  # a block-sized buffer for the gradient blocks dgamma and dbeta read
-        gx = gxv = None
-        spare = np.empty((lanes, size), dtype=dt)
+    gxv = None if gx is None else gx.reshape(b, c, h * w)
+    parked = gx is not None and gx is not x
+    spare = None if parked else np.empty((lanes, size), dtype=dt)
 
     def normalized(i, ch, lane):  # xhat of one block, in the thread's ``work``
         xb = xv[i, ch]
@@ -1273,10 +1342,14 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
         xhat *= inv_std[ch, None]
         return xhat
 
+    def gradient(i, ch, lane):  # one block's output gradient, parked in gx or in the thread's spare
+        gv = gxv[i, ch] if parked else _front(spare[lane], xv[i, ch].shape)
+        grad_block(i, ch, gv, work[lane])
+        return gv
+
     def sums(block, lane):
         i, ch = block
-        gv = _front(spare[lane], xv[i, ch].shape) if gx is None else gxv[i, ch]
-        grad_block(i, ch, gv, work[lane])
+        gv = gradient(i, ch, lane)
         if need_g:
             gv.sum(axis=2, out=rows_g[i, ch])
         if need_gx:
@@ -1297,23 +1370,20 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training) -> N
 
     def adjoint(block, lane):
         i, ch = block
-        gv = gxv[i, ch]
-        if not first:
-            grad_block(i, ch, gv, work[lane])
+        gv = gxv[i, ch] if parked and first else gradient(i, ch, lane)
         if not training:
-            gv *= scale[ch, None]
+            np.multiply(gv, scale[ch, None], out=gxv[i, ch])
             return
         # scale * (g - mean(g) - xhat * mean(g * xhat)), in xhat's buffer;
-        # a batch of one block (one unit, on this thread) still has its
-        # xhat from the first pass
-        xhat = normalized(i, ch, lane) if len(blocks) > 1 else _front(work[0], gv.shape)
+        # a batch of one block (one unit, on this thread) whose gradient
+        # was parked still has its xhat from the first pass
+        xhat = _front(work[0], gv.shape) if parked and len(blocks) == 1 else normalized(i, ch, lane)
         xhat *= -(sum_gxhat / n)[ch, None]
         xhat += gv
         xhat -= (sum_g / n)[ch, None]
-        np.multiply(xhat, scale[ch, None], out=gv)
+        np.multiply(xhat, scale[ch, None], out=gxv[i, ch])
 
     _each(lanes, adjoint, blocks)
-    x._adopt(gx)
 
 
 def batchnorm2d(
@@ -1343,7 +1413,10 @@ def batchnorm2d(
         def grad_block(i, ch, out, work):
             out[...] = gv[i, ch]
 
-        _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training)
+        gx = _empty_like(x.data) if x.requires_grad else None
+        _bn_adjoint(x.data, gamma, beta, grad_block, mean, inv_std, scale, training, gx)
+        if gx is not None:
+            x._adopt(gx)
 
     return Tensor._from_op(out_data.reshape(b, c, h, w), (x, gamma, beta), bwd)
 
@@ -1355,6 +1428,7 @@ def bn_relu_pool(
     state: BatchNormState,
     training: bool,
     pool: bool = True,
+    conv: tuple | None = None,
 ) -> Tensor:
     """Batchnorm, ReLU and a 2x2 average pool (or, with ``pool=False``,
     no pool) as one op, bit for bit the maps and gradients of the
@@ -1369,9 +1443,21 @@ def bn_relu_pool(
     block, the pool adjoint (g/4 in each 2x2 window, zero in a dropped
     odd row or column) is masked by the sign of ``x*scale + shift``,
     recomputed with the forward's float ops; without the pool, the
-    output gradient is masked by the sign of the ReLU output.
-    Each masked block is made once, in its slice of the input gradient,
-    where the batchnorm adjoint's second pass reads it (``_bn_adjoint``).
+    output gradient is masked by the sign of the ReLU output. The
+    batchnorm adjoint (``_bn_adjoint``) writes dx into a fresh buffer,
+    where its first pass parks each masked block for the second.
+
+    ``conv`` is None or the (input, weight, padding) of the stride-1
+    ``conv2d`` that made ``x``. If that input needs no gradient, ``x``
+    needs one, and ``x`` holds more than ``IM2COL_BYTES`` (in training,
+    the first block of the ICBHI and SPRSound presets), the graph keeps
+    the input and the weight instead of ``x``, so ``x`` dies when the
+    caller drops it. Backward then rebuilds ``x`` with the conv's own
+    forward (``_conv_forward``: the same bytes), has the adjoint write dx
+    over it, masking each block again in its second pass, and hands that
+    buffer to the conv's backward as its output gradient: a step holds
+    ``x`` neither through the forward pass nor beside a gradient of its
+    size (arXiv:1604.06174 and 1712.02616).
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, h, w = x.shape
@@ -1406,8 +1492,21 @@ def bn_relu_pool(
         outs /= _DTYPE(4)
 
     _each(lanes, forward, blocks)
+    rebuild = conv is not None and x.requires_grad and not conv[0].requires_grad and x.data.nbytes > IM2COL_BYTES
+    if rebuild:  # the graph keeps the conv's input and weight, not x
+        inp, weight, padding = conv
+        nbytes, hand, parents = x.data.nbytes, x._backward, (weight, gamma, beta)
+    else:
+        kept, hand, parents = x.data, (x._adopt if x.requires_grad else None), (x, gamma, beta)
 
     def bwd(g):
+        if rebuild:  # x again, which dx is written over
+            _trim_heap_before(nbytes)
+            m = gx = _conv_forward(inp.data, weight, 1, padding)
+        else:
+            m, gx = kept, (None if hand is None else _empty_like(kept))
+        mv = m.reshape(b, c, h * w)
+
         def grad_block(i, ch, out, work):
             gs = g[i, ch]
             if not pool:
@@ -1426,13 +1525,15 @@ def bn_relu_pool(
             for di in range(2):
                 for dj in range(2):
                     gb[:, :, di : di + 2 * ho : 2, dj : dj + 2 * wo : 2] = q
-            y = np.multiply(xv[i, ch], scale[ch, None], out=_front(work, out.shape))
+            y = np.multiply(mv[i, ch], scale[ch, None], out=_front(work, out.shape))
             y += shift[ch, None]
             out *= y > 0
 
-        _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training)
+        _bn_adjoint(m, gamma, beta, grad_block, mean, inv_std, scale, training, gx)
+        if gx is not None:
+            hand(gx)
 
-    return Tensor._from_op(out_data, (x, gamma, beta), bwd)
+    return Tensor._from_op(out_data, parents, bwd)
 
 
 # -- pooling --------------------------------------------------------------------

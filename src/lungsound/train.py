@@ -243,6 +243,11 @@ def evaluate(
     if not dataset:
         raise DataError("empty evaluation set")
     labels = dataset.targets(task)
+    n_classes = 2 if task == "binary" else model.cfg.n_classes
+    if labels.max() >= n_classes:
+        raise ConfigError(
+            f"label {labels.max()} out of range for {n_classes}-class evaluation"
+        )
     preds = np.empty(len(dataset), dtype=np.int64)
     with frozen(model.params.values()):
         for start in range(0, len(dataset), batch_size):
@@ -252,11 +257,6 @@ def evaluate(
             preds[start : start + logits.shape[0]] = logits.data.argmax(axis=1)
     if task == "binary" and model.cfg.n_classes > 2:
         preds = collapse_to_binary(preds)
-    n_classes = 2 if task == "binary" else model.cfg.n_classes
-    if labels.max() >= n_classes:
-        raise ConfigError(
-            f"label {labels.max()} out of range for {n_classes}-class evaluation"
-        )
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(conf, (labels, preds), 1)
     return MetricReport.from_confusion(conf)

@@ -815,6 +815,38 @@ class TestMatmul:
 
         check_gradient(loss, {"a": a, "b": b})
 
+    @pytest.mark.parametrize("shared", ["a", "b"])
+    def test_shared_weight_gradient_item_by_item(self, monkeypatch, shared):
+        # a 2-D operand the batch shares: above IM2COL_BYTES its per-item
+        # products are added one at a time, the bytes of the batched sum,
+        # and no (B, d, d) product is ever built
+        g = rng(25)
+        batch = g.normal(size=(64, 2, 64)).astype(np.float32)
+        weight = g.normal(size=(64, 64)).astype(np.float32)
+        mix = g.normal(size=(64, 2, 64)).astype(np.float32)
+        weight_t = weight if shared == "b" else weight.T.copy()
+
+        def grads():
+            w = Tensor(weight_t, requires_grad=True)
+            x = Tensor(batch if shared == "b" else batch.transpose(0, 2, 1).copy(), requires_grad=True)
+            m = mix if shared == "b" else mix.transpose(0, 2, 1).copy()
+            out = matmul(x, w) if shared == "b" else matmul(w, x)
+            (out * Tensor(m)).sum().backward()
+            return w.grad, x.grad
+
+        whole = grads()
+        product = 64 * 64 * 64 * 4  # 1 MiB; the batch is 32 KiB
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", product // 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            items = grads()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [t.tobytes() for t in items] == [t.tobytes() for t in whole]
+        assert peak < product // 4, peak
+
 
 # -- softmax -------------------------------------------------------------------------
 

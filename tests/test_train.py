@@ -251,6 +251,70 @@ class TestTrain:
             train(masked, tiny_model_cfg(n_bands=12), tiny_train_cfg(epochs=1))
 
 
+class TestRebuiltFirstMap:
+    """A first-block conv output larger than ``IM2COL_BYTES`` is not kept
+    for backward: the epilogue rebuilds it and writes its gradient over it.
+    The presets cross that size at 249 x 64 in training; these models at
+    24 x 24 cross a smaller ``IM2COL_BYTES``, which changes no other
+    float: every conv is im2col (block 2 has 9 tiles), whose items keep
+    their bytes in any chunk."""
+
+    # the first block pooled, and the one block unpooled
+    MODELS = [(32, 8), (32,)]
+
+    @staticmethod
+    def run(channels, im2col_bytes=None):
+        """History, state_dict bytes and conv forward count of a small train()."""
+        import lungsound.tensor as tensor_mod
+
+        corpus = synth_corpus(SynthSpec(n_classes=2, n_bands=24, n_frames=24, n_per_class=8, seed=5))
+        cfg = ModelConfig(channels=channels, n_classes=2, n_mel_rows_in=24)
+        forwards = []
+        real = tensor_mod._conv_forward
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_mod, "_conv_forward", lambda *a: forwards.append(1) or real(*a))
+            if im2col_bytes is not None:
+                patch.setattr(tensor_mod, "IM2COL_BYTES", im2col_bytes)
+            result = train(corpus, cfg, tiny_train_cfg(epochs=2, batch_size=8, lr0=1e-2, specaugment=True))
+        state = {k: v.tobytes() for k, v in result.model.state_dict().items()}
+        return result.history, state, len(forwards)
+
+    @pytest.mark.parametrize("channels", MODELS, ids=["pooled", "unpooled"])
+    def test_same_bytes_as_the_kept_map(self, channels):
+        first_map = 8 * channels[0] * 24 * 24 * 4  # bytes of block 1's conv output at B=8
+        kept = self.run(channels)
+        rebuilt = self.run(channels, im2col_bytes=first_map // 2)
+        assert rebuilt[:2] == kept[:2]
+        steps = 4  # 16 clips at a batch of 8, two epochs
+        assert rebuilt[2] == kept[2] + steps  # one rebuild per step
+
+    def test_a_step_never_holds_the_map_and_its_gradient(self, monkeypatch):
+        # B=16, 32 channels at 32 x 32: block 1's conv output is 2 MiB, four
+        # times the pooled map. Kept, its backward holds it, a fresh input
+        # gradient of its size and the pooled map's gradient (2.25 maps);
+        # rebuilt, the map with its gradient written over it (1.25 maps;
+        # 2.42 and 1.46 measured). Small im2col chunks and batchnorm blocks
+        # keep the scratch apart.
+        import tracemalloc
+
+        import lungsound.tensor as tensor_mod
+
+        first_map = 16 * 32 * 32 * 32 * 4
+        monkeypatch.setattr(tensor_mod, "IM2COL_BYTES", first_map // 8)
+        monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", 64 << 10)
+        corpus = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=32, n_per_class=8, seed=5))
+        cfg = ModelConfig(channels=(32, 8), n_classes=2, n_mel_rows_in=32)
+        train(corpus, cfg, tiny_train_cfg(epochs=1, batch_size=16))  # the modules a first step imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(corpus, cfg, tiny_train_cfg(epochs=1, batch_size=16))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * first_map, peak / first_map
+
+
 def reachable_graph_nodes(obj, seen=None):
     """Tensors with a recorded backward reachable from obj's attributes."""
     seen = set() if seen is None else seen
@@ -328,6 +392,20 @@ class TestEvaluate:
         model.params["conv1.weight"].data[...] *= np.float32(1e37)
         with pytest.raises(DivergenceError, match="non-finite logits"):
             evaluate(model, tiny_corpus(n=10), "multiclass")
+
+    def test_label_range_checked_before_any_forward(self, monkeypatch):
+        # a binary model on the multiclass task of a 3-class set fails before
+        # it runs a batch, not after the whole split
+        from lungsound.model import CnnTsa
+
+        calls = []
+        original = CnnTsa.forward
+        monkeypatch.setattr(CnnTsa, "forward", lambda self, *a, **k: calls.append(1) or original(self, *a, **k))
+        corpus = tiny_corpus(n=4, classes=3)
+        assert len(corpus) == 12
+        with pytest.raises(ConfigError, match="out of range"):
+            evaluate(CnnTsa(tiny_model_cfg(n_classes=2), 0), corpus, "multiclass")
+        assert calls == []
 
     def test_report_identities_hold(self):
         corpus = tiny_corpus(n=12)
@@ -439,10 +517,12 @@ class TestAgeSpecific:
         assert err.value.epoch == 0
 
 
-# Peak RSS (ru_maxrss, MiB) of one ICBHI-preset train() step at the paper's
+# Peak RSS (VmHWM, MiB) of one ICBHI-preset train() step at the paper's
 # batch, B=128 on 249 x 64 input with SpecAugment on, measured on a 2-vCPU
-# machine (numpy 2.4.6, OpenBLAS 0.3.31).
-PAPER_STEP_PEAK_MIB = 1558
+# machine (numpy 2.4.6, OpenBLAS 0.3.31): 1,489 MiB when the step kept
+# block 1's conv output for backward and summed a batch of attention
+# weight-gradient products at once.
+PAPER_STEP_PEAK_MIB = 927
 
 # the high-water RSS of the process that reads it, in KiB; a child's ru_maxrss
 # starts at the RSS of the process it was forked from, here the test run's
@@ -465,7 +545,8 @@ def _run_peaks(code: str) -> list[int]:
 
 def test_paper_batch_step_memory():
     # the 1.15 margin that fbs.ACTIVATION_COPIES is set with: a change that
-    # brings back a whole-batch temporary of the conv-block epilogue fails
+    # keeps block 1's conv output for backward again, or brings back a
+    # whole-batch temporary of the conv-block epilogue, fails
     import lungsound.fbs as fbs
     from lungsound.model import icbhi_config
 
