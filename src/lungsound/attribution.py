@@ -90,7 +90,7 @@ def bilinear_resize(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarra
 def _class_score(logits: Tensor, class_id: int) -> Tensor:
     """Sum over the batch of each row's ``class_id`` logit.
 
-    Rows of the model are independent in eval mode, so the gradient of
+    Rows of a frozen model are independent, so the gradient of
     this sum with respect to row b's input is that of row b's logit.
     """
     n_rows, n_classes = logits.shape
@@ -173,7 +173,7 @@ def integrated_gradients(
             alphas = np.arange(start, min(start + ATTRIBUTION_BATCH, steps + 1)) / steps
             points = base + alphas.astype(np.float32)[:, None, None] * diff
             xt = Tensor(points[:, None, :, :], requires_grad=True)
-            _class_score(model.forward(xt, training=False), class_id).backward()
+            _class_score(model.forward(xt), class_id).backward()
             for g in xt.grad[:, 0]:  # step order, as a per-step loop sums
                 total += g
     values = diff * (total / np.float32(steps))

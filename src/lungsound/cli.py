@@ -30,7 +30,16 @@ import numpy as np
 
 from . import __version__
 from .audio import LOG_FLOOR, TARGET_RATE, fit_duration, mel_edges, mel_spectrogram, read_wav, standardize
-from .data import ICBHI_CLASSES, SPRSOUND_CLASSES, SpecSet, SynthSpec, parse_icbhi, parse_sprsound, synth_corpus
+from .data import (
+    ICBHI_CLASSES,
+    SPRSOUND_CLASSES,
+    SpecSet,
+    SynthSpec,
+    _clip_block,
+    parse_icbhi,
+    parse_sprsound,
+    synth_corpus,
+)
 from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .fbs import MIN_BANDS, FbsResult, fbs_backward, fbs_importance
 from .flops import count_flops
@@ -356,7 +365,7 @@ def _spectrograms(records, args) -> SpecSet:
     ordered = [rec for wav_path in wavs for rec in by_wav[wav_path]]
     first_row = list(accumulate((len(by_wav[wav_path]) for wav_path in wavs), initial=0))
     n_frames = (round(args.target_seconds * TARGET_RATE) - args.win) // args.hop + 1
-    values = np.empty((len(ordered), n_frames, args.n_mels), dtype=np.float32)
+    values = _clip_block((len(ordered), n_frames, args.n_mels))
     errors: list[Exception | None] = [None] * len(wavs)
 
     def unit(i: int, lane: int) -> None:
@@ -664,7 +673,7 @@ def cmd_attribute(args, workdir: Path, argv: list[str]) -> Record:
 
 def _score_of(model: CnnTsa, values: np.ndarray, class_id: int) -> float:
     with frozen(model.params.values()):
-        logits = model.forward(Tensor(values[None, None]), training=False)
+        logits = model.forward(Tensor(values[None, None]))
     return float(logits.data[0, class_id])
 
 

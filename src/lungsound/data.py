@@ -457,6 +457,19 @@ def _jitter(cfg: SynthSpec, u: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
+def _clip_block(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """``np.empty(shape, dtype)`` for a block of clips; numpy's refusal (a
+    size past what an array can index, or memory the system will not give)
+    becomes a ``ConfigError`` naming the shape and size. An overcommitting
+    kernel may grant a block it cannot back, which then fails as it fills.
+    """
+    try:
+        return np.empty(shape, dtype=dtype)
+    except (MemoryError, ValueError):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        raise ConfigError(f"a clip block of shape {shape} ({nbytes:,} bytes of {np.dtype(dtype)}) cannot be allocated") from None
+
+
 def synth_corpus(cfg: SynthSpec) -> SpecSet:
     """Generate the labeled planted-band corpus (seed-deterministic).
 
@@ -470,8 +483,8 @@ def synth_corpus(cfg: SynthSpec) -> SpecSet:
     rng = rng_for(cfg.seed, "synth-corpus")
     centers = mel_edges(cfg.n_bands)[1:-1]
     n = cfg.n_classes * cfg.n_per_class
-    values = np.empty((n, cfg.n_frames, cfg.n_bands), dtype=np.float32)
-    block = np.empty((cfg.n_per_class, cfg.n_frames, cfg.n_bands))  # one class, float64
+    values = _clip_block((n, cfg.n_frames, cfg.n_bands))
+    block = _clip_block((cfg.n_per_class, cfg.n_frames, cfg.n_bands), np.float64)  # one class
     for c in range(cfg.n_classes):
         band_idx = np.asarray(bands[c], dtype=np.int64)
         if amp0 is None:

@@ -493,8 +493,9 @@ def fbs_importance(
     Its one candidate is the current mask. Selection keeps at least
     ``min_bands`` bands, and at least the model's ``min_input_size``.
     Raises ``ConfigError``, before any training, for r < 1 (removing no
-    band would retrain the same mask forever), for an unknown
-    attribution method, and as ``_select`` does.
+    band would retrain the same mask forever), when that floor leaves no
+    r bands to remove, for an unknown attribution method, and as
+    ``_select`` does.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
@@ -503,6 +504,11 @@ def fbs_importance(
     if attribution_method not in ("gradcam", "ig"):
         raise ConfigError(f"unknown attribution method {attribution_method!r}")
     floor = max(min_bands, model_cfg.min_input_size)
+    if dataset.n_bands - r < floor:
+        raise ConfigError(
+            f"min_bands {min_bands} (floor {floor} for a {model_cfg.n_conv_blocks}-block model) "
+            f"leaves no r={r} bands to remove from {dataset.n_bands} bands"
+        )
 
     def eliminate(mask, results, record):
         for _, profiles in results:

@@ -242,6 +242,9 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, scratch: np.n
 class CnnTsa:
     """The classifier; single-writer during training, shareable frozen.
 
+    A forward trains batchnorm's running statistics, from batch
+    statistics, unless ``tensor.frozen`` holds ``params``.
+
     ``last_conv_activation`` is written only by ``attribution.gradcam``
     (the detached activation leaf of its last chunk); the forward pass
     never stores one.
@@ -324,7 +327,7 @@ class CnnTsa:
         placed after block i (0: on the input), else ``fm`` itself."""
         return self._attend_flat(fm) if self.cfg.attention_stage() == i else fm
 
-    def _block(self, fm: Tensor, i: int, training: bool) -> Tensor:
+    def _block(self, fm: Tensor, i: int) -> Tensor:
         """Conv block i on ``fm``: conv, then ``bn_relu_pool`` (no pool on the
         last block), which may rebuild the conv output from ``fm`` and the weight."""
         weight = self.params[f"conv{i}.weight"]
@@ -337,24 +340,24 @@ class CnnTsa:
             )
         bn = (self.params[f"bn{i}.gamma"], self.params[f"bn{i}.beta"], self.bn_states[f"bn{i}"])
         pool = i < self.cfg.n_conv_blocks
-        return bn_relu_pool(out, *bn, training=training, pool=pool, conv=(fm, weight, PADDING))
+        return bn_relu_pool(out, *bn, pool=pool, conv=(fm, weight, PADDING))
 
-    def _stack(self, x: Tensor, training: bool) -> Tensor:
+    def _stack(self, x: Tensor) -> Tensor:
         """Blocks 1..n on ``x``, with attention where it is placed."""
         fm = self._attend_at(x, 0)
         n = self.cfg.n_conv_blocks
         for i in range(1, n + 1):
-            fm = self._block(fm, i, training)
+            fm = self._block(fm, i)
             if i < n:
                 fm = self._attend_at(fm, i)
         return fm
 
-    def _depth_first(self, x, training: bool, run) -> Tensor:
-        """``run(x)``, or, when no graph is built in eval mode, ``run`` on
-        each chunk of ``x`` in turn, each chunk's result written into one
-        whole-batch array. No graph means frozen parameters
-        (``tensor.frozen``), which also hold each Winograd kernel's U
-        for every chunk."""
+    def _depth_first(self, x, run) -> Tensor:
+        """``run(x)``, or, when no graph is built, ``run`` on each chunk of
+        ``x`` in turn, each chunk's result written into one whole-batch
+        array. No graph means frozen parameters (``tensor.frozen``),
+        which also put batchnorm on its running statistics and hold each
+        Winograd kernel's U for every chunk."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         cfg = self.cfg
         if x.ndim != 4 or x.shape[1] != 1:
@@ -366,7 +369,7 @@ class CnnTsa:
             )
         b, _, t, f = x.shape
         chunk = cfg.depth_first_chunk(t, f, x.data.itemsize)
-        if training or chunk >= b or _records((x, *self.params.values())):
+        if chunk >= b or _records((x, *self.params.values())):
             return run(x)
         out = None
         for s in range(0, b, chunk):
@@ -376,7 +379,7 @@ class CnnTsa:
             out[s : s + chunk] = part.data
         return Tensor(out)
 
-    def features(self, x, training: bool = False) -> Tensor:
+    def features(self, x) -> Tensor:
         """The last conv block's ReLU output [B, d, T', F'], before its pool.
 
         Each block runs conv, then ``bn_relu_pool`` (batchnorm, ReLU and
@@ -385,10 +388,12 @@ class CnnTsa:
         last block's op skips the pool and returns the ReLU output that
         Grad-CAM reads; ``head`` pools it.
 
-        In eval mode with no graph to record, batchnorm is a per-channel
-        affine over its running statistics, and conv2d gives each clip
-        the bytes it gets alone, so the output for a clip depends on that
-        clip alone. The batch then runs depth first: each chunk of
+        Unfrozen parameters make it a training forward: batchnorm takes
+        batch statistics and updates its running statistics. Frozen
+        (``tensor.frozen``), batchnorm is a per-channel affine over its
+        running statistics, and conv2d gives each clip the bytes it gets
+        alone, so the output for a clip depends on that clip alone. With
+        no graph to record, the batch then runs depth first: each chunk of
         ``ModelConfig.depth_first_chunk`` items goes through every block
         and attention before the next chunk starts, and its last-block
         map is written into one whole-batch array. Only one chunk's maps
@@ -397,7 +402,7 @@ class CnnTsa:
         transform for all the chunks. The bytes are those of one
         whole-batch call.
         """
-        return self._depth_first(x, training, lambda c: self._stack(c, training))
+        return self._depth_first(x, self._stack)
 
     def head(self, act: Tensor) -> Tensor:
         """Logits [B, n_classes] from ``features``: pool, attention, aggregation, classifier."""
@@ -409,14 +414,15 @@ class CnnTsa:
             )
         return classify_head(seq, self.params["head.weight"], self.params["head.bias"])
 
-    def forward(self, x, training: bool = False) -> Tensor:
+    def forward(self, x) -> Tensor:
         """Full forward pass to logits [B, n_classes]: ``head(features(x))``.
 
-        Where ``features`` runs depth first (frozen parameters, eval
-        mode), each chunk also runs ``head``, so no whole-batch map of
-        any block exists; the logits are the same bytes.
+        A training forward unless the parameters are frozen, as in
+        ``features``. Where ``features`` runs depth first, each chunk also
+        runs ``head``, so no whole-batch map of any block exists; the
+        logits are the same bytes.
         """
-        return self._depth_first(x, training, lambda c: self.head(self._stack(c, training)))
+        return self._depth_first(x, lambda c: self.head(self._stack(c)))
 
     __call__ = forward
 

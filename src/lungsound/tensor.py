@@ -68,11 +68,14 @@ when one of its inputs has ``requires_grad``; otherwise its result is a
 leaf and the buffers a backward would need (im2col columns, masks,
 softmax outputs) are freed as soon as the op returns. A backward
 closure hands a gradient to an input only if that input has
-``requires_grad``. A trained model runs inside ``frozen(params)``,
-which clears the flag on its parameters: a forward on a plain input
-builds no graph (evaluation, Grad-CAM's backbone), and a backward to an
-input skips every weight gradient (Integrated Gradients). Only a held
-tensor keeps its Winograd kernel transform, so training others is safe.
+``requires_grad``, which is also batchnorm's mode: it takes batch
+statistics, and updates its running statistics, exactly when its gamma
+or beta needs a gradient. A trained model runs inside
+``frozen(params)``, which clears the flag on its parameters: batchnorm
+reads its running statistics, a forward on a plain input builds no
+graph (evaluation, Grad-CAM's backbone), and a backward to an input
+skips every weight gradient (Integrated Gradients). Only a held tensor
+keeps its Winograd kernel transform, so training others is safe.
 """
 
 from __future__ import annotations
@@ -988,7 +991,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     batch: ``_winograd_applies`` picks one of two algorithms per image, and
     a GEMM runs per item or over items ``_winograd_chunk`` keeps aligned.
     That covers no-grad and frozen-weight passes; the weight gradient sums
-    over the batch by definition.
+    over the batch by definition. This, and the thread-count identity
+    below, hold on OpenBLAS's SkylakeX kernel, where they were checked;
+    under its Haswell kernel (``OPENBLAS_CORETYPE=Haswell``) 18 tests in
+    ``TestBatchInvariance``, ``TestChunkedInference``,
+    ``TestConv2dWinograd`` and ``TestEngineThreads`` fail (ROADMAP item 9).
 
     Winograd F(4x4, 5x5) when the kernel is 5x5, stride 1 and padding 2,
     C >= 8 and ceil(H/4)*ceil(W/4) >= 16. The input, padded to whole
@@ -1174,7 +1181,6 @@ class BatchNormState:
     def __init__(self, n_channels: int):
         self.running_mean = np.zeros(n_channels, dtype=np.float32)
         self.running_var = np.ones(n_channels, dtype=np.float32)
-        self.n_batches = 0
 
 
 # Bytes of one block of the batchnorm passes: its statistics, its adjoint
@@ -1236,15 +1242,13 @@ def _row_dots(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         out[0, 0] = np.einsum("bcs,bcs->", u, v)
 
 
-def _bn_stats(
-    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _bn_stats(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> tuple[np.ndarray, ...]:
     """Per-channel (mean, inv_std, scale, shift) of batchnorm over ``x``.
 
-    Training mode takes batch statistics and updates the running
-    estimates (exponential moving average, unbiased variance); eval mode
-    reads the running estimates. Each (item, channel) row of a
-    (B, C, H*W) view is summed over its contiguous pixels block by block
+    When ``gamma`` or ``beta`` needs a gradient it takes batch statistics
+    and updates the running estimates (exponential moving average,
+    unbiased variance); otherwise it reads them. Each (item, channel) row
+    of a (B, C, H*W) view is summed over its contiguous pixels block by block
     (``EPILOGUE_BYTES``), then the (B, C) row sums over items: the order
     a whole-batch ``sum(axis=2).sum(axis=0)`` takes. The variance is the
     mean squared deviation from the mean (two passes, no cancellation).
@@ -1261,7 +1265,7 @@ def _bn_stats(
         )
     n = b * h * w
     dt = x.data.dtype
-    if training:
+    if _records((gamma, beta)):
         xv = x.data.reshape(b, c, h * w)
         blocks, size = _bn_blocks(x.data)
         lanes = _lanes(c * h * w * x.data.itemsize >= THREAD_BYTES)
@@ -1290,7 +1294,6 @@ def _bn_stats(
         state.running_var = (
             (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
         ).astype(state.running_var.dtype)
-        state.n_batches += 1
     else:
         mean = state.running_mean
         var = state.running_var
@@ -1300,7 +1303,7 @@ def _bn_stats(
     return mean, inv_std, scale, shift
 
 
-def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training, gx) -> None:
+def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, gx) -> None:
     """Batchnorm's input gradient into ``gx``; dgamma and dbeta handed to ``gamma`` and ``beta``.
 
     ``x`` is the input array (B, C, H, W). ``grad_block(items, channels,
@@ -1318,8 +1321,8 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training, gx) 
     ``gx``, else in a block-sized spare buffer per thread. The second
     writes each block's dx into its slice of ``gx``, from the parked
     gradient, or from the block's gradient made again where none could
-    be parked. When dx alone is wanted in eval mode (frozen gamma and
-    beta), the first pass has nothing to sum and is skipped.
+    be parked. The mode is ``_bn_stats``'s: with gamma and beta frozen,
+    dx is the output gradient times ``scale``, and the first pass is skipped.
     """
     b, c, h, w = x.shape
     n = b * h * w
@@ -1327,10 +1330,7 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training, gx) 
     xv = x.reshape(b, c, h * w)
     blocks, size = _bn_blocks(x)
     lanes = _lanes(c * h * w * x.itemsize >= THREAD_BYTES)
-    need_g = beta.requires_grad or (gx is not None and training)
-    need_gx = gamma.requires_grad or (gx is not None and training)
-    rows_g = np.empty((b, c), dtype=dt) if need_g else None
-    rows_gx = np.empty((b, c), dtype=dt) if need_gx else None
+    training = _records((gamma, beta))
     work = np.empty((lanes, size), dtype=dt)
     gxv = None if gx is None else gx.reshape(b, c, h * w)
     parked = gx is not None and gx is not x
@@ -1350,27 +1350,23 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training, gx) 
     def sums(block, lane):
         i, ch = block
         gv = gradient(i, ch, lane)
-        if need_g:
-            gv.sum(axis=2, out=rows_g[i, ch])
-        if need_gx:
-            xhat = normalized(i, ch, lane)
-            _row_dots(gv, xhat, rows_gx[i, ch])
+        gv.sum(axis=2, out=rows_g[i, ch])
+        _row_dots(gv, normalized(i, ch, lane), rows_gx[i, ch])
 
-    first = need_g or need_gx
-    if first:
+    if training:
+        rows_g, rows_gx = np.empty((b, c), dtype=dt), np.empty((b, c), dtype=dt)
         _each(lanes, sums, blocks)
-    sum_g = rows_g.sum(axis=0) if need_g else None
-    sum_gxhat = rows_gx.sum(axis=0) if need_gx else None
-    if beta.requires_grad:
-        beta._adopt(sum_g)
-    if gamma.requires_grad:
-        gamma._adopt(sum_gxhat)
+        sum_g, sum_gxhat = rows_g.sum(axis=0), rows_gx.sum(axis=0)
+        if beta.requires_grad:
+            beta._adopt(sum_g)
+        if gamma.requires_grad:
+            gamma._adopt(sum_gxhat)
     if gx is None:
         return
 
     def adjoint(block, lane):
         i, ch = block
-        gv = gxv[i, ch] if parked and first else gradient(i, ch, lane)
+        gv = gxv[i, ch] if parked and training else gradient(i, ch, lane)
         if not training:
             np.multiply(gv, scale[ch, None], out=gxv[i, ch])
             return
@@ -1386,23 +1382,16 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, training, gx) 
     _each(lanes, adjoint, blocks)
 
 
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    training: bool,
-) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
     """Per-channel batch normalization over [B,C,H,W]; the model runs it
     only inside ``bn_relu_pool``, and tests hold the fused op to this one.
 
-    Training mode normalizes with batch statistics and updates the
-    running estimates; eval mode normalizes with the running estimates
-    (see ``_bn_stats``). The normalized input is not stored: backward
-    recomputes it from ``x``, which the graph keeps alive anyway.
+    Batch statistics when ``gamma`` or ``beta`` needs a gradient, else the
+    running estimates (``_bn_stats``). The normalized input is not stored:
+    backward recomputes it from ``x``, which the graph keeps alive anyway.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state, training)
+    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state)
     b, c, h, w = x.shape
     out_data = x.data.reshape(b, c, h * w) * scale[:, None]
     out_data += shift[:, None]
@@ -1414,7 +1403,7 @@ def batchnorm2d(
             out[...] = gv[i, ch]
 
         gx = _empty_like(x.data) if x.requires_grad else None
-        _bn_adjoint(x.data, gamma, beta, grad_block, mean, inv_std, scale, training, gx)
+        _bn_adjoint(x.data, gamma, beta, grad_block, mean, inv_std, scale, gx)
         if gx is not None:
             x._adopt(gx)
 
@@ -1426,13 +1415,13 @@ def bn_relu_pool(
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
-    training: bool,
     pool: bool = True,
     conv: tuple | None = None,
 ) -> Tensor:
     """Batchnorm, ReLU and a 2x2 average pool (or, with ``pool=False``,
     no pool) as one op, bit for bit the maps and gradients of the
-    separate ops (``batchnorm2d``, a ReLU and ``pool2d``).
+    separate ops (``batchnorm2d``, a ReLU and ``pool2d``), whose mode it
+    shares: batch statistics when ``gamma`` or ``beta`` needs a gradient.
 
     Backward reads only ``x`` and, without the pool, the ReLU output
     (In-Place Activated BatchNorm, arXiv:1712.02616, keeps what backward
@@ -1463,7 +1452,7 @@ def bn_relu_pool(
     b, c, h, w = x.shape
     if pool and (h < 2 or w < 2):
         raise ShapeError(f"pool window 2 exceeds spatial dims of input {x.shape}")
-    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state, training)
+    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state)
     ho, wo = h // 2, w // 2
     dt = x.data.dtype
     xv = x.data.reshape(b, c, h * w)
@@ -1529,7 +1518,7 @@ def bn_relu_pool(
             y += shift[ch, None]
             out *= y > 0
 
-        _bn_adjoint(m, gamma, beta, grad_block, mean, inv_std, scale, training, gx)
+        _bn_adjoint(m, gamma, beta, grad_block, mean, inv_std, scale, gx)
         if gx is not None:
             hand(gx)
 

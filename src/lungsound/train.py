@@ -194,7 +194,7 @@ def train(dataset: SpecSet, model_cfg: ModelConfig, train_cfg: TrainConfig) -> T
             if train_cfg.specaugment:
                 for row in xb:
                     _augment_values(row[0], time_masks, freq_masks, max_t, max_f, sa_rng)
-            logits = model.forward(Tensor(xb), training=True)
+            logits = model.forward(Tensor(xb))
             loss = wcce_loss(logits, yb, counts)
             if not np.isfinite(loss.data):
                 raise DivergenceError(
@@ -251,7 +251,7 @@ def evaluate(
     preds = np.empty(len(dataset), dtype=np.int64)
     with frozen(model.params.values()):
         for start in range(0, len(dataset), batch_size):
-            logits = model.forward(Tensor(dataset.clips(slice(start, start + batch_size))[:, None]), training=False)
+            logits = model.forward(Tensor(dataset.clips(slice(start, start + batch_size))[:, None]))
             if not np.isfinite(logits.data).all():
                 raise DivergenceError(f"non-finite logits for clips {start}..{start + logits.shape[0] - 1}")
             preds[start : start + logits.shape[0]] = logits.data.argmax(axis=1)

@@ -60,8 +60,9 @@ def check_gradient(build_loss, arrays: dict[str, np.ndarray], rtol=FD_RTOL, atol
             analytic = tensors[name].grad
 
             def scalar_fn(perturbed, _name=name):
+                # the same flags as the analytic pass: they set batchnorm's mode
                 local = {
-                    k: Tensor(perturbed.copy() if k == _name else v.copy())
+                    k: Tensor(perturbed.copy() if k == _name else v.copy(), requires_grad=True)
                     for k, v in arrays.items()
                 }
                 return build_loss(local).item()

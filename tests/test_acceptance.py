@@ -36,6 +36,7 @@ from lungsound.tensor import (
     batchnorm2d,
     bn_relu_pool,
     conv2d,
+    frozen,
     matmul,
     pool2d,
     reduce,
@@ -131,31 +132,33 @@ def _gradient_cases():
 
         def loss(t, c=shape[1], m=mix):
             state = BatchNormState(c)
-            return (batchnorm2d(t["x"], t["gamma"], t["beta"], state, training=True) * Tensor(m)).sum()
+            return (batchnorm2d(t["x"], t["gamma"], t["beta"], state) * Tensor(m)).sum()
 
         yield f"batchnorm2d[{i}]", loss, {"x": x, "gamma": gamma, "beta": beta}, 1e-3
 
     # the fused conv-block epilogue, with the pool (blocks 1 to n-1) and
-    # without it (the last block): odd H or W, eval mode, frozen gamma and beta
+    # without it (the last block): odd H or W; training (trainable gamma and
+    # beta), eval mode (frozen gamma and beta, IG's path), and training on an
+    # input that needs no gradient (block 1)
     for pool in (True, False):
         # the no-pool cases draw from a generator of their own
         gp = g if pool else np.random.default_rng(2025)
-        for i, (shape, training, frozen) in enumerate(
-            [((2, 3, 5, 6), True, False), ((1, 2, 7, 5), False, False), ((2, 2, 4, 7), True, True)]
+        for i, (shape, checked) in enumerate(
+            [((2, 3, 5, 6), ("x", "gamma", "beta")), ((1, 2, 7, 5), ("x",)), ((2, 2, 4, 7), ("gamma", "beta"))]
         ):
             x = gp.normal(size=shape).astype(np.float32)
             gamma = gp.uniform(0.5, 1.5, size=shape[1]).astype(np.float32)
             beta = (gp.normal(size=shape[1]) * 0.3).astype(np.float32)
             out_shape = shape[:2] + ((shape[2] // 2, shape[3] // 2) if pool else shape[2:])
             mix = mixer(out_shape, (250 if pool else 260) + i)
-            arrays = {"x": x} if frozen else {"x": x, "gamma": gamma, "beta": beta}
+            arrays = {k: v for k, v in (("x", x), ("gamma", gamma), ("beta", beta)) if k in checked}
 
-            def loss(t, c=shape[1], tr=training, ga=gamma, be=beta, m=mix, p=pool):
+            def loss(t, c=shape[1], xs=x, ga=gamma, be=beta, m=mix, p=pool):
                 state = BatchNormState(c)
                 state.running_mean[:] = 0.1
                 state.running_var[:] = 1.3
-                gt, bt = t.get("gamma", Tensor(ga)), t.get("beta", Tensor(be))
-                return (bn_relu_pool(t["x"], gt, bt, state, training=tr, pool=p) * Tensor(m)).sum()
+                xt, gt, bt = t.get("x", Tensor(xs)), t.get("gamma", Tensor(ga)), t.get("beta", Tensor(be))
+                return (bn_relu_pool(xt, gt, bt, state, pool=p) * Tensor(m)).sum()
 
             # h=1e-5: ReLU's kink sits inside a 1e-3 secant for some entries
             yield f"bn_relu_pool{'' if pool else '-nopool'}[{i}]", loss, arrays, 1e-5
@@ -232,7 +235,7 @@ def _gradient_cases():
         clone = CnnTsa(cfg, seed=1)
         for k in clone.params:
             clone.params[k] = t[k]
-        return (clone.forward(t["x"], training=True) * Tensor(mix)).sum()
+        return (clone.forward(t["x"]) * Tensor(mix)).sum()
 
     # h=1e-5: batchnorm centers activations on the ReLU kink where a
     # 1e-3 secant steps across it
@@ -307,8 +310,9 @@ def test_criterion_6_ig_axioms():
     spec = corpus[3]
     base = np.zeros_like(spec.values)
     amap = integrated_gradients(model, spec, 0, baseline=base, steps=200)
-    s_x = model.forward(Tensor(spec.values[None, None])).data[0, 0]
-    s_b = model.forward(Tensor(base[None, None])).data[0, 0]
+    with frozen(model.params.values()):
+        s_x = model.forward(Tensor(spec.values[None, None])).data[0, 0]
+        s_b = model.forward(Tensor(base[None, None])).data[0, 0]
     gap = float(s_x - s_b)
     rel = abs(float(amap.values.sum()) - gap) / max(abs(gap), 1e-12)
     dt = time.time() - t0

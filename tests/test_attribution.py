@@ -17,7 +17,7 @@ from lungsound.audio import Spectrogram
 from lungsound.data import SpecSet, SynthSpec, synth_corpus
 from lungsound.errors import DivergenceError, UnsupportedMethodError
 from lungsound.model import CnnTsa, ModelConfig
-from lungsound.tensor import Tensor, conv2d, matmul, reduce
+from lungsound.tensor import Tensor, conv2d, frozen, matmul, reduce
 from lungsound.train import TrainConfig, train
 
 
@@ -46,14 +46,14 @@ class OneConvModel:
         self.params = {"w": self.w}
         self.last_conv_activation = None
 
-    def features(self, x, training=False):
+    def features(self, x):
         return conv2d(x, self.w, padding=1)
 
     def head(self, act):
         return reduce(act.reshape(act.shape[0], -1), "mean", axis=1).reshape(act.shape[0], 1)
 
-    def forward(self, x, training=False):
-        return self.head(self.features(x, training))
+    def forward(self, x):
+        return self.head(self.features(x))
 
     def zero_grad(self):
         self.w.zero_grad()
@@ -66,7 +66,7 @@ class LinearModel:
         self.w = Tensor(np.stack([w0.reshape(-1), w1.reshape(-1)], axis=1), requires_grad=True)
         self.params = {"w": self.w}
 
-    def forward(self, x, training=False):
+    def forward(self, x):
         return matmul(x.reshape(x.shape[0], -1), self.w)
 
     def zero_grad(self):
@@ -74,8 +74,14 @@ class LinearModel:
 
 
 # -- per-sample references: one B=1 forward and a full backward per map,
-# every weight gradient included; the batched, parameter-frozen versions
-# must reproduce them
+# every weight gradient included but batchnorm's, whose frozen gamma and
+# beta put it on its running statistics; the batched, parameter-frozen
+# versions must reproduce them
+
+
+def bn_params(model):
+    """Batchnorm's gamma and beta: frozen, they make batchnorm read its running statistics."""
+    return [p for name, p in model.params.items() if name.startswith("bn")]
 
 
 def _onehot_score(logits, class_id):
@@ -86,20 +92,21 @@ def _onehot_score(logits, class_id):
 
 def reference_gradcam(model, spec, class_id):
     model.zero_grad()
-    act = model.features(Tensor(spec.values[None, None, :, :]))
-    # backward() frees an op result's gradient once it is passed on, so
-    # catch the gradient entering ``act`` on its way through
-    entering = []
-    act_backward = act._backward
+    with frozen(bn_params(model)):
+        act = model.features(Tensor(spec.values[None, None, :, :]))
+        # backward() frees an op result's gradient once it is passed on, so
+        # catch the gradient entering ``act`` on its way through
+        entering = []
+        act_backward = act._backward
 
-    def capture(g):
-        entering.append(g.copy())
-        act_backward(g)
+        def capture(g):
+            entering.append(g.copy())
+            act_backward(g)
 
-    act._backward = capture
-    _onehot_score(model.head(act), class_id).backward()
-    assert len(entering) == 1 and act.grad is None
-    assert all(p.grad is not None for p in model.params.values())
+        act._backward = capture
+        _onehot_score(model.head(act), class_id).backward()
+        assert len(entering) == 1 and act.grad is None
+        assert all(p.grad is not None for p in model.params.values() if p.requires_grad)
     weights = entering[0][0].mean(axis=(1, 2))
     cam = np.tensordot(weights, act.data[0], axes=(0, 0))
     model.zero_grad()
@@ -113,7 +120,8 @@ def reference_integrated_gradients(model, spec, class_id, baseline, steps):
     for j in range(1, steps + 1):
         xt = Tensor((baseline + (j / steps) * diff)[None, None, :, :], requires_grad=True)
         model.zero_grad()
-        _onehot_score(model.forward(xt), class_id).backward()
+        with frozen(bn_params(model)):
+            _onehot_score(model.forward(xt), class_id).backward()
         total += xt.grad[0, 0]
     model.zero_grad()
     return diff * (total / np.float32(steps))
@@ -185,13 +193,13 @@ class TestGradCam:
 
     def test_model_without_conv_is_unsupported(self):
         class NoConv:
-            def forward(self, x, training=False):
+            def forward(self, x):
                 return Tensor(np.zeros((1, 2), np.float32))
 
         class FeaturesOnly(NoConv):
             params = {}
 
-            def features(self, x, training=False):
+            def features(self, x):
                 return x
 
         with pytest.raises(UnsupportedMethodError):
@@ -232,7 +240,7 @@ class TestGradCam:
         before = cams(m)
         assert kernels == [(128, 64, 5, 5)]  # the three chunks share one U
         assert before.tobytes() == whole.tobytes()
-        m.forward(Tensor(specs.clips()[:, None]), training=True).sum().backward()
+        m.forward(Tensor(specs.clips()[:, None])).sum().backward()
         adam_step(m.params, m.grads(), AdamState(), lr=1e-2)  # the weights change in place
         after = cams(m)
         fresh = cams(CnnTsa(cfg, state=m.state_dict()))
@@ -332,8 +340,9 @@ class TestIntegratedGradients:
             amap = integrated_gradients(model, spec, 0, baseline=baseline, steps=steps)
             from lungsound.tensor import Tensor as T
 
-            s_x = model.forward(T(spec.values[None, None])).data[0, 0]
-            s_b = model.forward(T(baseline[None, None])).data[0, 0]
+            with frozen(model.params.values()):
+                s_x = model.forward(T(spec.values[None, None])).data[0, 0]
+                s_b = model.forward(T(baseline[None, None])).data[0, 0]
             gap = float(s_x - s_b)
             errors[steps] = abs(float(amap.values.sum()) - gap) / max(abs(gap), 1e-9)
         assert errors[200] < 0.02, errors
@@ -354,7 +363,7 @@ class TestIntegratedGradients:
         monkeypatch.setattr(tensor_mod, "_wino_kernel", lambda w, *rest: kernels.append(w.shape) or real(w, *rest))
         before = integrated_gradients(m, spec, 1, steps=steps).values
         assert kernels == [(128, 64, 5, 5)]  # both passes' forward and dV share one U
-        m.forward(Tensor(spec.values[None, None]), training=True).sum().backward()
+        m.forward(Tensor(spec.values[None, None])).sum().backward()
         adam_step(m.params, m.grads(), AdamState(), lr=1e-2)  # the weights change in place
         after = integrated_gradients(m, spec, 1, steps=steps).values
         fresh = integrated_gradients(CnnTsa(cfg, state=m.state_dict()), spec, 1, steps=steps).values

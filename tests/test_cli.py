@@ -2,6 +2,7 @@
 codes, manifests, and byte-determinism of primary outputs."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -1129,6 +1130,10 @@ class TestBadArguments:
         (FBS + ["--method", "importance", "--preset", "icbhi"], 2, "16 frames, got 10"),
         (FBS + ["--cache", "deep.cache", "--method", "backward", "--preset", "icbhi"], 2,
          "floor 16 for a 4-block model"),
+        (FBS + ["--method", "importance", "--min-bands", "16"], 2,
+         "min_bands 16 (floor 16 for a 1-block model) leaves no r=4 bands to remove from 16 bands"),
+        (FBS + ["--cache", "deep.cache", "--method", "importance", "--preset", "icbhi"], 2,
+         "floor 16 for a 4-block model) leaves no r=4 bands"),
         (FBS + ["--method", "backward", "--lambda-sweep", "0,0.5,1"], 2, "--lambda-sweep"),
         (FBS + ["--method", "backward", "--r", "3"], 2, "takes no --r:"),
         (FBS + ["--method", "backward", "--attribution", "ig"], 2, "takes no --attribution:"),
@@ -1142,6 +1147,9 @@ class TestBadArguments:
         (train_args("out") + ["--lr0", "-1"], 2, "lr0"),
         (train_args("out") + ["--weight-decay", "nan"], 2, "weight_decay"),
         (synth_cache("out/empty.cache", 16, 0), 2, "n_frames"),
+        # past what an array can index: numpy refuses it without asking the system
+        (synth_cache("out/huge.cache", 16, 10**18), 2,
+         "a clip block of shape (24, 1000000000000000000, 16) (1,536,000,000,000,000,000,000 bytes of float32)"),
         (synth_cache("out/s.cache", 16, 10) + ["--synth-classes", "-1"], 2, "n_classes must be >= 1, got -1"),
         (synth_cache("out/s.cache", 16, 10) + ["--synth-classes", "0"], 2, "n_classes must be >= 1, got 0"),
         (synth_cache("out/s.cache", 16, 10) + ["--synth-per-class", "-3"], 2, "n_per_class must be >= 1, got -3"),
@@ -1154,9 +1162,9 @@ class TestBadArguments:
     ], ids=[
         "class-id-9", "class-id--1", "ig-steps-0", "evaluate-task", "evaluate-frames",
         "attribute-frames", "train-bands", "train-frames", "train-masked-bands", "fbs-frames",
-        "fbs-backward-floor", "fbs-backward-lambda-sweep", "fbs-backward-r", "fbs-backward-attribution",
+        "fbs-backward-floor", "fbs-importance-floor", "fbs-importance-model-floor", "fbs-backward-lambda-sweep", "fbs-backward-r", "fbs-backward-attribution",
         "fbs-backward-lambda", "fbs-backward-all", "fbs-age-split", "flops-bands",
-        "flops-frames", "lr0-inf", "lr0-negative", "weight-decay-nan", "synth-frames-0",
+        "flops-frames", "lr0-inf", "lr0-negative", "weight-decay-nan", "synth-frames-0", "synth-frames-past-index",
         "synth-classes--1", "synth-classes-0", "synth-per-class--3", "synth-snr-nan", "synth-snr--inf",
         "attribute-first--1", "attribute-first-0", "fbs-stop-epsilon-nan", "fbs-backward-stop-epsilon--1",
     ])
@@ -1233,14 +1241,49 @@ class TestBadArguments:
 
     def test_fbs_importance_stops_at_the_model_floor(self, cache_dir, capsys):
         # a four-block model reads no fewer than 16 bands: the sweep of a
-        # 16-band cache trains once and keeps every band
-        assert run(cache_dir, *synth_cache("deep.cache", 16, 16)) == 0
+        # 20-band cache removes r=4 bands once, trains on 16 and stops (a
+        # 16-band cache is refused: see fbs-importance-model-floor above)
+        assert run(cache_dir, *synth_cache("deep.cache", 20, 16)) == 0
         code = run(cache_dir, *FBS, "--cache", "deep.cache", "--method", "importance",
                    "--preset", "icbhi", "--stop-epsilon", "inf", "--batch-size", "8")
         assert code == 0
         rows = (cache_dir / "out" / "iterations.csv").read_text().splitlines()
-        assert len(rows) == 2 and rows[1].startswith("0,16,")
-        assert "best mask keeps 16/16 bands" in capsys.readouterr().out
+        assert len(rows) == 3 and rows[1].startswith("0,20,") and rows[2].startswith("1,16,")
+        out = capsys.readouterr().out
+        assert "best mask keeps " in out and "/20 bands" in out and ", 2 CV trainings" in out
+
+
+    @pytest.mark.parametrize("dataset", ["synth", "icbhi"])
+    def test_clip_block_the_system_refuses(self, tmp_path, capsys, monkeypatch, dataset):
+        # numpy's MemoryError for any array of more than 2**28 values,
+        # patched in: a real request could be granted by an overcommitting
+        # kernel and the process killed while it fills the block
+        from test_data import write_wav
+
+        real = np.empty
+
+        def refuse(shape, *args, **kwargs):
+            if (shape if isinstance(shape, int) else math.prod(shape)) > 1 << 28:
+                raise MemoryError("Unable to allocate")
+            return real(shape, *args, **kwargs)
+
+        if dataset == "synth":
+            args, shape = synth_cache("out/x.cache", 16, 10**8), "(24, 100000000, 16)"
+        else:
+            root = tmp_path / "icbhi"
+            root.mkdir()
+            write_wav(root / "101_1b1_Al_sc_Meditron.wav", seconds=3.0, rate=8000)
+            (root / "101_1b1_Al_sc_Meditron.txt").write_text("0.0 1.0 0 0\n1.0 2.0 1 0\n")
+            args = ["preprocess", "--dataset", "icbhi", "--data-root", "icbhi", "--out", "out/x.cache",
+                    "--target-seconds", "1e6", "--n-mels", "16", "--win", "256", "--hop", "128"]
+            shape = f"(2, {(16 * 10**9 - 256) // 128 + 1}, 16)"
+        monkeypatch.setattr(np, "empty", refuse)
+        code = run(tmp_path, *args)
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"config error: a clip block of shape {shape} ("), err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "manifests.jsonl").exists()
 
 
 class TestWriteFailures:

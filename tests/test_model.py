@@ -20,7 +20,7 @@ from lungsound.model import (
     sprsound_config,
     temporal_self_attention,
 )
-from lungsound.tensor import Tensor, matmul, pool2d
+from lungsound.tensor import Tensor, conv2d, frozen, matmul, pool2d
 
 
 def rng(seed=0):
@@ -89,7 +89,7 @@ class TestBackbone:
     def test_training_graph_holds_no_bn_or_relu_map_before_last_block(self, placement):
         cfg = ModelConfig(channels=(8, 16, 24), n_classes=2, n_mel_rows_in=16, attention_placement=placement)
         x = Tensor(rng(4).normal(size=(2, 1, 20, 16)).astype(np.float32), requires_grad=True)
-        logits = CnnTsa(cfg, seed=0).forward(x, training=True)
+        logits = CnnTsa(cfg, seed=0).forward(x)
         nodes, stack = {}, [logits]
         while stack:
             node = stack.pop()
@@ -229,7 +229,7 @@ class TestForwardPlacements:
     def test_gradient_reaches_wq_after_aggregation(self):
         m = self.make("after_aggregation")
         x = Tensor(rng(11).normal(size=(2, 1, 12, 16)).astype(np.float32))
-        loss = m.forward(x, training=True).sum()
+        loss = m.forward(x).sum()
         m.zero_grad()
         loss.backward()
         assert m.params["tsa.wq"].grad is not None
@@ -249,7 +249,7 @@ class TestForwardPlacements:
             clone = CnnTsa(cfg, seed=1)
             for k in clone.params:
                 clone.params[k] = t[k]
-            out = clone.forward(t["x"], training=True)
+            out = clone.forward(t["x"])
             return (out * Tensor(mix)).sum()
 
         # h=1e-5: batchnorm centers activations on the ReLU kink, where
@@ -326,6 +326,64 @@ class TestFlops:
         assert all(a < b for a, b in zip(vals, vals[1:])), dict(zip(order, vals))
 
 
+class TestModeFollowsParameters:
+    """The parameters' ``requires_grad`` is the model's one mode switch:
+    batchnorm takes batch statistics, and moves its running statistics,
+    exactly when its gamma or beta needs a gradient."""
+
+    @staticmethod
+    def states(m):
+        return {k: (s.running_mean.tobytes(), s.running_var.tobytes()) for k, s in m.bn_states.items()}
+
+    @staticmethod
+    def conv1(m, x):
+        return conv2d(Tensor(x), Tensor(m.params["conv1.weight"].data), padding=2).data
+
+    @staticmethod
+    def block1(m, conv, mean, var):
+        """Block 1's ReLU output in numpy, normalized with ``mean`` and ``var``."""
+        gamma, beta = m.params["bn1.gamma"].data, m.params["bn1.beta"].data
+        xhat = (conv - mean[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5)
+        return np.maximum(gamma[:, None, None] * xhat + beta[:, None, None], 0)
+
+    def test_unfrozen_forward_trains_batchnorm(self):
+        m = eval_model(ModelConfig(channels=(8, 16), n_classes=3, n_mel_rows_in=16))
+        x = rng(21).normal(size=(4, 1, 12, 16)).astype(np.float32)
+        saved = self.states(m)
+        old_mean = m.bn_states["bn1"].running_mean.copy()
+        logits = m.forward(Tensor(x))
+        assert logits.requires_grad
+        moved = self.states(m)
+        for k in saved:  # every state, both statistics
+            assert moved[k][0] != saved[k][0] and moved[k][1] != saved[k][1], k
+        batch_mean = self.conv1(m, x).mean(axis=(0, 2, 3))
+        np.testing.assert_allclose(m.bn_states["bn1"].running_mean, 0.9 * old_mean + 0.1 * batch_mean, rtol=1e-5, atol=1e-6)
+
+    def test_frozen_forward_reads_running_statistics(self):
+        m = eval_model(ModelConfig(channels=(8, 16), n_classes=3, n_mel_rows_in=16))
+        x = rng(22).normal(size=(4, 1, 12, 16)).astype(np.float32)
+        saved = self.states(m)
+        with frozen(m.params.values()):
+            first = m.forward(Tensor(x))
+            again = m.forward(Tensor(x))
+        assert not first.requires_grad
+        assert self.states(m) == saved  # byte-identical
+        assert first.data.tobytes() == again.data.tobytes()
+        assert first.data.tobytes() != m.forward(Tensor(x)).data.tobytes()  # a training forward
+
+    def test_one_block_normalizes_by_mode(self):
+        m = eval_model(tiny_cfg())
+        x = rng(23).normal(size=(3, 1, 10, 8)).astype(np.float32)
+        st = m.bn_states["bn1"]
+        conv = self.conv1(m, x)
+        with frozen(m.params.values()):
+            got = m.features(Tensor(x)).data
+        np.testing.assert_allclose(got, self.block1(m, conv, st.running_mean, st.running_var), rtol=1e-5, atol=1e-5)
+        got = m.features(Tensor(x)).data
+        want = self.block1(m, conv, conv.mean(axis=(0, 2, 3)), conv.var(axis=(0, 2, 3)))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
 class TestChunkedInference:
     """Without a graph and in eval mode, ``features`` and ``forward`` run
     a batch depth first: each chunk of items goes through every block
@@ -349,7 +407,7 @@ class TestChunkedInference:
         from lungsound.attribution import gradcam
         from lungsound.data import SynthSpec, synth_corpus
         from lungsound.model import PRESETS
-        from lungsound.tensor import frozen, thread_budget
+        from lungsound.tensor import thread_budget
 
         channels = PRESETS[preset]
         specs = synth_corpus(SynthSpec(n_classes=2, n_bands=f, n_frames=t, n_per_class=4, seed=3))[:7]
@@ -371,7 +429,8 @@ class TestChunkedInference:
         for placement in sorted(ModelConfig(channels=channels, n_mel_rows_in=f).allowed_placements()):
             cfg = ModelConfig(channels=channels, n_classes=3, n_mel_rows_in=f, attention_placement=placement)
             m = eval_model(cfg)
-            ref = m.forward(Tensor(x)).data  # a graph: one chunk
+            with frozen(m.params.values()):  # a graph to the input, IG's path: one chunk
+                ref = m.forward(Tensor(x, requires_grad=True)).data
             ref_cams = [a.values for a in gradcam(m, specs, 1)]  # one chunk at 7 clips
             with frozen(m.params.values()):
                 alone = np.concatenate([m.forward(Tensor(x[i : i + 1])).data for i in range(7)])
@@ -407,7 +466,6 @@ class TestChunkedInference:
         import lungsound.model as model_mod
         from lungsound.data import SynthSpec, synth_corpus
         from lungsound.optim import AdamState, adam_step
-        from lungsound.tensor import frozen
 
         cfg = ModelConfig(channels=(64, 128, 256), n_classes=3, n_mel_rows_in=32)
         specs = synth_corpus(SynthSpec(n_classes=2, n_bands=32, n_frames=34, n_per_class=4, seed=3))[:5]
@@ -417,7 +475,7 @@ class TestChunkedInference:
             patch.setattr(model_mod, "IM2COL_BYTES", 2 * 64 * 34 * 32 * 4)  # chunks of 2 items
             with frozen(m.params.values()):
                 before = m.forward(x).data
-            m.forward(x, training=True).sum().backward()
+            m.forward(x).sum().backward()
             adam_step(m.params, m.grads(), AdamState(), lr=1e-2)
             with frozen(m.params.values()):
                 after = m.forward(x).data
@@ -463,7 +521,6 @@ class TestBatchInvariance:
         from lungsound.attribution import gradcam, integrated_gradients
         from lungsound.data import SynthSpec, synth_corpus
         from lungsound.model import PRESETS
-        from lungsound.tensor import frozen
 
         preset, t, f = case
         channels = PRESETS[preset]

@@ -32,6 +32,18 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def param(data):
+    """A trainable parameter: batchnorm on trainable gamma and beta takes batch statistics."""
+    return Tensor(data, requires_grad=True)
+
+
+def modes(trainable):
+    """Which of (x, gamma, beta) need a gradient, as a model runs batchnorm:
+    trainable gamma and beta take batch statistics (training), frozen ones
+    the running statistics (IG's path: an input gradient alone)."""
+    return (True, trainable, trainable)
+
+
 # -- conv2d ----------------------------------------------------------------------
 
 
@@ -388,7 +400,7 @@ class TestBatchNorm:
     def test_constant_input_gives_zeros(self):
         x = Tensor(np.full((3, 2, 4, 4), 7.0))
         state = BatchNormState(2)
-        out = batchnorm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
+        out = batchnorm2d(x, param(np.ones(2)), param(np.zeros(2)), state)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_affine_on_normalized_input(self):
@@ -396,9 +408,7 @@ class TestBatchNorm:
         x = g.normal(size=(4, 1, 8, 8)).astype(np.float32)
         x = (x - x.mean()) / x.std()
         state = BatchNormState(1)
-        out = batchnorm2d(
-            Tensor(x), Tensor(np.full(1, 2.0)), Tensor(np.full(1, 3.0)), state, training=True
-        )
+        out = batchnorm2d(Tensor(x), param(np.full(1, 2.0)), param(np.full(1, 3.0)), state)
         xhat = (x - x.mean()) / np.sqrt(x.var() + 1e-5)
         np.testing.assert_allclose(out.data, 2.0 * xhat + 3.0, rtol=1e-4, atol=1e-5)
 
@@ -407,23 +417,22 @@ class TestBatchNorm:
         state.running_mean[:] = 1.0
         state.running_var[:] = 4.0
         x = Tensor(np.full((1, 1, 2, 2), 3.0))
-        out = batchnorm2d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=False)
+        out = batchnorm2d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state)  # frozen gamma and beta
         np.testing.assert_allclose(out.data, (3.0 - 1.0) / np.sqrt(4.0 + 1e-5), rtol=1e-6)
 
     def test_running_stats_update(self):
         state = BatchNormState(1)
         x = np.full((2, 1, 2, 2), 10.0, dtype=np.float32)
-        batchnorm2d(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=True)
+        batchnorm2d(Tensor(x), param(np.ones(1)), param(np.zeros(1)), state)
         np.testing.assert_allclose(state.running_mean, 0.9 * 0.0 + 0.1 * 10.0)
 
     def test_zero_batch_errors(self):
         with pytest.raises(ShapeError):
             batchnorm2d(
                 Tensor(np.zeros((0, 1, 2, 2))),
-                Tensor(np.ones(1)),
-                Tensor(np.zeros(1)),
+                param(np.ones(1)),
+                param(np.zeros(1)),
                 BatchNormState(1),
-                training=True,
             )
 
     def test_gradient_vs_finite_differences(self):
@@ -435,7 +444,7 @@ class TestBatchNorm:
 
         def loss(t):
             state = BatchNormState(2)  # fresh state per evaluation
-            out = batchnorm2d(t["x"], t["gamma"], t["beta"], state, training=True)
+            out = batchnorm2d(t["x"], t["gamma"], t["beta"], state)
             return (out * Tensor(mix)).sum()
 
         check_gradient(loss, {"x": x, "gamma": gamma, "beta": beta})
@@ -452,7 +461,7 @@ class TestBatchNorm:
             calls.clear()
             x = Tensor(g.normal(size=shape).astype(np.float32), requires_grad=True)
             gamma = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-            out = batchnorm2d(x, gamma, Tensor(np.zeros(2, dtype=np.float32)), BatchNormState(2), True)
+            out = batchnorm2d(x, gamma, Tensor(np.zeros(2, dtype=np.float32)), BatchNormState(2))
             out.backward(np.ones_like(out.data))
             assert calls == [0] * trims
             assert np.abs(x.grad).max() < 1e-3  # d sum(xhat) / dx = 0
@@ -490,9 +499,10 @@ def reference_batchnorm2d(x, gamma, beta, g, training, running_mean, running_var
 
 class TestBatchNormReferenceOracle:
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("trainable", [True, False])
     @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 2, 1, 9), (3, 5, 8, 2)])
-    def test_matches_three_pass_kernel(self, shape, training, dtype, rtol):
+    def test_matches_three_pass_kernel(self, shape, trainable, dtype, rtol):
+        # trainable gamma and beta take batch statistics, frozen ones the running statistics
         g = rng(sum(shape))
         c = shape[1]
         x = (g.normal(size=shape) * g.uniform(0.5, 3.0, size=(1, c, 1, 1))
@@ -506,12 +516,15 @@ class TestBatchNormReferenceOracle:
         rm, rv = state.running_mean.copy(), state.running_var.copy()
         with precision(dtype):
             xt = Tensor(x, requires_grad=True)
-            gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
-            out = batchnorm2d(xt, gt, bt, state, training=training)
+            gt, bt = Tensor(gamma, requires_grad=trainable), Tensor(beta, requires_grad=trainable)
+            out = batchnorm2d(xt, gt, bt, state)
             (out * Tensor(mix)).sum().backward()
-        ref = reference_batchnorm2d(x, gamma, beta, mix, training, rm, rv)
+        ref = reference_batchnorm2d(x, gamma, beta, mix, trainable, rm, rv)
         assert out.data.dtype == xt.grad.dtype == dtype
         for got, want in zip((out.data, xt.grad, gt.grad, bt.grad), ref):
+            if got is None:  # frozen gamma and beta get no gradient
+                assert not trainable
+                continue
             np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
         np.testing.assert_allclose(state.running_mean, ref[4].astype(np.float32), rtol=1e-6)
         np.testing.assert_allclose(state.running_var, ref[5].astype(np.float32), rtol=1e-6)
@@ -522,20 +535,20 @@ class TestBnReluPool:
     the pool, batchnorm2d -> relu), bit for bit."""
 
     @staticmethod
-    def run(fused, x, gamma, beta, state, training, need, pool):
+    def run(fused, x, gamma, beta, state, need, pool):
         xt = Tensor(x, requires_grad=need[0])
         gt, bt = Tensor(gamma, requires_grad=need[1]), Tensor(beta, requires_grad=need[2])
         if fused:
-            out = bn_relu_pool(xt, gt, bt, state, training=training, pool=pool)
+            out = bn_relu_pool(xt, gt, bt, state, pool=pool)
         else:
-            out = relu(batchnorm2d(xt, gt, bt, state, training=training))
+            out = relu(batchnorm2d(xt, gt, bt, state))
             out = pool2d(out) if pool else out
         mix = rng(5).normal(size=out.shape).astype(x.dtype)
         mix[..., ::3] = -0.0  # pool2d's adjoint hands these on as +0.0
         (out * Tensor(mix)).sum().backward()
         return out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var
 
-    def compare(self, shape, training, need=(True, True, True), dtype=np.float32, pool=True):
+    def compare(self, shape, need=modes(True), dtype=np.float32, pool=True):
         g = rng(sum(shape))
         c = shape[1]
         x = (g.normal(size=shape) * g.uniform(0.5, 3.0, size=(1, c, 1, 1))
@@ -549,7 +562,7 @@ class TestBnReluPool:
             state = BatchNormState(c)
             state.running_mean[:], state.running_var[:] = rm, rv
             with precision(dtype):
-                results.append(self.run(fused, x, gamma, beta, state, training, need, pool))
+                results.append(self.run(fused, x, gamma, beta, state, need, pool))
         for name, want, got in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), *results):
             assert (want is None) == (got is None), name
             if want is not None:
@@ -558,30 +571,32 @@ class TestBnReluPool:
     # odd H or W, where the pool drops the last row or column; B=1
     SHAPES = [(4, 3, 8, 6), (2, 5, 9, 7), (1, 2, 6, 11), (3, 4, 2, 3)]
 
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("trainable", [True, False])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_bitwise_equal_to_separate_ops(self, shape, training):
-        self.compare(shape, training)
+    def test_bitwise_equal_to_separate_ops(self, shape, trainable):
+        self.compare(shape, modes(trainable))
 
-    @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("need", [(True, False, False), (False, True, True), (False, True, False), (True, False, True)])
-    def test_frozen_parameters(self, need, training):
-        self.compare((3, 4, 7, 8), training, need)
+    # every combination of which of x, gamma and beta need a gradient; with
+    # none, the op builds no graph (evaluation's path)
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("need", [(False, False), (True, True), (True, False), (False, True)])
+    def test_frozen_parameters(self, need, x_grad):
+        self.compare((3, 4, 7, 8), (x_grad, *need))
 
     # the last block's form, on batches larger than EPILOGUE_BYTES, so that
     # several blocks run: two whole items each (5 x 8 x 91 x 93), or half
     # of one item's channels (2 x 12 x 181 x 131); odd H and W
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("trainable", [True, False])
     @pytest.mark.parametrize("shape", [(5, 8, 91, 93), (2, 12, 181, 131)])
-    def test_no_pool_bitwise_equal_to_separate_ops(self, shape, training):
+    def test_no_pool_bitwise_equal_to_separate_ops(self, shape, trainable):
         assert len(tensor_mod._bn_blocks(np.empty(shape, np.float32))[0]) > 1
-        self.compare(shape, training, pool=False)
+        self.compare(shape, modes(trainable), pool=False)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_no_pool_frozen_parameters_and_small_maps(self, training):
-        self.compare((3, 4, 7, 8), training, (True, False, False), pool=False)
-        self.compare((3, 4, 7, 8), training, (False, True, True), pool=False)
-        self.compare((3, 4, 1, 1), training, pool=False)  # no pool, so no least size
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_no_pool_frozen_parameters_and_small_maps(self, trainable):
+        self.compare((3, 4, 7, 8), (False, trainable, trainable), pool=False)
+        self.compare((3, 4, 7, 8), (True, trainable, False), pool=False)
+        self.compare((3, 4, 1, 1), modes(trainable), pool=False)  # no pool, so no least size
 
     @pytest.mark.parametrize("pool", [True, False])
     def test_input_gradient_alone_in_eval_mode(self, pool, monkeypatch):
@@ -590,14 +605,14 @@ class TestBnReluPool:
         shape = (5, 3, 9, 8)
         monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", 2 * 3 * 9 * 8 * 4)
         assert len(tensor_mod._bn_blocks(np.empty(shape, np.float32))[0]) > 1
-        self.compare(shape, False, (True, False, False), pool=pool)
+        self.compare(shape, modes(False), pool=pool)
         g = rng(6)
         x = g.normal(size=shape).astype(np.float32)
         gamma, beta = g.uniform(0.5, 1.5, size=3).astype(np.float32), g.normal(size=3).astype(np.float32)
         state = BatchNormState(3)
         state.running_mean[:], state.running_var[:] = g.normal(size=3), g.uniform(0.5, 2.0, size=3)
         xt = Tensor(x, requires_grad=True)
-        out = bn_relu_pool(xt, Tensor(gamma), Tensor(beta), state, training=False, pool=pool)
+        out = bn_relu_pool(xt, Tensor(gamma), Tensor(beta), state, pool=pool)
         mix = g.normal(size=out.shape).astype(np.float32)
         (out * Tensor(mix)).sum().backward()
         # dx = scale * [x*scale + shift > 0] * (the pool adjoint of) mix
@@ -617,8 +632,8 @@ class TestBnReluPool:
         shape = (5, 3, 9, 8)
         item = np.prod(shape[1:]) * 4
         monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", per_chunk * item + item // 2)
-        for training in (True, False):
-            self.compare(shape, training)
+        for trainable in (True, False):
+            self.compare(shape, modes(trainable))
 
     # 7 channels of 91 x 93 (odd H and W; rows of more than 8192 values,
     # which numpy sums in another order when a block holds only one):
@@ -635,12 +650,12 @@ class TestBnReluPool:
             monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", block_bytes)
             arrays = []
             for fused in (True, False):
-                for training in (True, False):
+                for trainable in (True, False):
                     xt = Tensor(x, requires_grad=True)
-                    gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+                    gt, bt = Tensor(gamma, requires_grad=trainable), Tensor(beta, requires_grad=trainable)
                     state = BatchNormState(7)
                     op = bn_relu_pool if fused else batchnorm2d
-                    out = op(xt, gt, bt, state, training=training)
+                    out = op(xt, gt, bt, state)
                     mix = rng(41).normal(size=out.shape).astype(np.float32)
                     mix[..., ::5] = -0.0  # a -0.0 gradient must come out as the whole-batch op gives it
                     (out * Tensor(mix)).sum().backward()
@@ -650,7 +665,9 @@ class TestBnReluPool:
         blocked = outputs(rows * 91 * 93 * 4)
         whole = outputs(1 << 40)
         for got, want in zip(blocked, whole):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (got is None) == (want is None)  # frozen gamma and beta get no gradient
+            if got is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_forward_holds_one_chunk(self, monkeypatch):
         # eval forward: the pooled output (a quarter of x) plus one item's
@@ -661,7 +678,7 @@ class TestBnReluPool:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = bn_relu_pool(x, one, zero, BatchNormState(4), training=False)
+            out = bn_relu_pool(x, one, zero, BatchNormState(4))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -678,7 +695,7 @@ class TestBnReluPool:
         monkeypatch.setattr(tensor_mod, "EPILOGUE_BYTES", block)
         gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
         beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
-        out = bn_relu_pool(x, gamma, beta, BatchNormState(8), training=True)
+        out = bn_relu_pool(x, gamma, beta, BatchNormState(8))
         g = rng(5).normal(size=out.shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -691,32 +708,37 @@ class TestBnReluPool:
         assert peak < x.data.nbytes + 4 * block, peak
 
     def test_float64(self):
-        self.compare((2, 3, 7, 9), True, dtype=np.float64)
+        self.compare((2, 3, 7, 9), dtype=np.float64)
 
     def test_no_grad_and_errors(self):
-        x, one, zero = Tensor(np.ones((2, 2, 4, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2))
+        x, one, zero = Tensor(np.ones((2, 2, 4, 4))), param(np.ones(2)), param(np.zeros(2))
         xt = Tensor(x.data, requires_grad=True)
-        with frozen([xt]):
-            out = bn_relu_pool(xt, one, zero, BatchNormState(2), True)
+        with frozen([xt, one, zero]):
+            out = bn_relu_pool(xt, one, zero, BatchNormState(2))
         assert out._parents == () and out.shape == (2, 2, 2, 2)
         state = BatchNormState(2)
+        fresh = BatchNormState(2)
         with pytest.raises(ShapeError):
-            bn_relu_pool(Tensor(np.ones((2, 2, 1, 4))), one, zero, state, training=True)
-        assert state.n_batches == 0  # checked before the statistics
+            bn_relu_pool(Tensor(np.ones((2, 2, 1, 4))), one, zero, state)
+        # checked before the statistics
+        assert state.running_mean.tobytes() == fresh.running_mean.tobytes()
+        assert state.running_var.tobytes() == fresh.running_var.tobytes()
         with pytest.raises(ShapeError):
-            bn_relu_pool(Tensor(np.ones((0, 2, 4, 4))), one, zero, state, training=True)
+            bn_relu_pool(Tensor(np.ones((0, 2, 4, 4))), one, zero, state)
         # without the pool, any spatial size
-        out = bn_relu_pool(Tensor(np.ones((2, 2, 1, 1))), one, zero, state, training=False, pool=False)
+        with frozen([one, zero]):
+            out = bn_relu_pool(Tensor(np.ones((2, 2, 1, 1))), one, zero, state, pool=False)
         assert out.shape == (2, 2, 1, 1)
 
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("pool", [True, False])
     @pytest.mark.parametrize("need", [(True, True, True), (True, False, False), (False, True, True)])
-    def test_gradient_vs_finite_differences(self, training, need):
+    def test_gradient_vs_finite_differences(self, need, pool):
         g = rng(31)
         x = g.normal(size=(2, 3, 5, 6))
         gamma = g.uniform(0.5, 1.5, size=3)
         beta = g.normal(size=3) * 0.3
         mix = rng(32).normal(size=(2, 3, 2, 3))
+        mix_full = rng(33).normal(size=(2, 3, 5, 6))  # without the pool
         named = {"x": x, "gamma": gamma, "beta": beta}
         arrays = {k: v for (k, v), n in zip(named.items(), need) if n}
 
@@ -725,8 +747,8 @@ class TestBnReluPool:
             state = BatchNormState(3)  # fresh state per evaluation
             state.running_mean[:] = [0.2, -0.1, 0.0]
             state.running_var[:] = [1.5, 0.7, 1.0]
-            out = bn_relu_pool(t["x"], t["gamma"], t["beta"], state, training=training)
-            return (out * Tensor(mix)).sum()
+            out = bn_relu_pool(t["x"], t["gamma"], t["beta"], state, pool=pool)
+            return (out * Tensor(mix if pool else mix_full)).sum()
 
         # h=1e-5: ReLU's kink sits inside a 1e-3 secant for some entries
         check_gradient(loss, arrays, h=1e-5)
@@ -942,7 +964,7 @@ class TestEngineProperties:
         def loss(t):
             state = BatchNormState(2)
             h = conv2d(t["x"], t["w"], padding=1)
-            h = batchnorm2d(h, t["gamma"], t["beta"], state, training=True)
+            h = batchnorm2d(h, t["gamma"], t["beta"], state)
             h = pool2d(h)
             h = h.reshape(2, -1)
             out = matmul(h, t["proj"])
@@ -1053,9 +1075,9 @@ class TestGradientRelease:
             "proj": Tensor(g.normal(size=(12, 2)), requires_grad=True),
         }
         h = conv2d(leaves["x"], leaves["w"], padding=1)
-        h = bn_relu_pool(h, leaves["gamma1"], leaves["beta1"], BatchNormState(3), training=True)
+        h = bn_relu_pool(h, leaves["gamma1"], leaves["beta1"], BatchNormState(3))
         h = conv2d(h, leaves["w2"], padding=1)
-        h = bn_relu_pool(h, leaves["gamma"], leaves["beta"], BatchNormState(3), training=True, pool=False)
+        h = bn_relu_pool(h, leaves["gamma"], leaves["beta"], BatchNormState(3), pool=False)
         h = pool2d(h).reshape(2, -1)
         s = softmax(matmul(h, leaves["proj"]) * 2.0, axis=1)
         return leaves, (reduce(s, "max", axis=1) + s.log().sum(axis=1)).sum()
@@ -1091,7 +1113,7 @@ class TestGradientRelease:
         mix, other = Tensor(g.normal(size=(2, 3, 3, 3))), Tensor(g.normal(size=(2, 3, 6, 6)))
 
         def fused():
-            return (bn_relu_pool(x, gamma, beta, BatchNormState(3), training=True) * mix).sum()
+            return (bn_relu_pool(x, gamma, beta, BatchNormState(3)) * mix).sum()
 
         def product():
             return (x * other).sum()
@@ -1125,9 +1147,9 @@ class TestGradientRelease:
         try:
             base = tracemalloc.get_traced_memory()[0]
             h = conv2d(x, w1, padding=1)
-            h = bn_relu_pool(h, gammas[0], betas[0], states[0], training=True)
+            h = bn_relu_pool(h, gammas[0], betas[0], states[0])
             h = conv2d(h, w2, padding=2)
-            h = bn_relu_pool(h, gammas[1], betas[1], states[1], training=True, pool=False)
+            h = bn_relu_pool(h, gammas[1], betas[1], states[1], pool=False)
             h = reduce(h.reshape(4, 8, 32 * 32), "mean", axis=2)
             loss = softmax(matmul(h, proj), axis=1).log().sum()
             del h
@@ -1181,7 +1203,7 @@ class TestNoGrad:
     @staticmethod
     def _ops(t):
         h = conv2d(t["x"], t["w"], padding=1)
-        h2 = bn_relu_pool(h, t["gamma"], t["beta"], BatchNormState(3), training=True, pool=False)
+        h2 = bn_relu_pool(h, t["gamma"], t["beta"], BatchNormState(3), pool=False)
         h3 = pool2d(h2)
         h4 = matmul(h3.reshape(2, -1), t["proj"])
         h5 = softmax(h4 * 2.0 + Tensor(np.ones(2)), axis=1)
@@ -1196,7 +1218,9 @@ class TestNoGrad:
             assert not out.requires_grad
 
     def test_same_values_and_graph_restored(self):
-        with_graph = self._ops(self._leaves())
+        ref = self._leaves()
+        with frozen([ref["gamma"], ref["beta"]]):  # batchnorm on its running statistics, as frozen below
+            with_graph = self._ops(ref)
         assert all(out._parents and out.requires_grad for out in with_graph)
         leaves = self._leaves()
         leaves["beta"].requires_grad = False
@@ -1273,7 +1297,7 @@ class TestNoGrad:
                 out.backward()
             return t
 
-        ref = run(())
+        ref = run(("gamma", "beta"))  # batchnorm on its running statistics, as IG runs it
         got = run(("w", "gamma", "beta", "proj"))
         assert got["x"].grad.tobytes() == ref["x"].grad.tobytes()
         assert all(got[k].grad is None and got[k].requires_grad for k in ("w", "gamma", "beta", "proj"))
@@ -1414,9 +1438,9 @@ class TestEngineThreads:
 
         self.at_each_budget(run)
 
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("trainable", [True, False])
     @pytest.mark.parametrize("pool", [True, False])
-    def test_bn_relu_pool(self, pool, training):
+    def test_bn_relu_pool(self, pool, trainable):
         g = rng(42)
         x = g.normal(size=(16, 128, 62, 16)).astype(np.float32)
         assert len(tensor_mod._bn_blocks(x)[0]) > 1
@@ -1425,12 +1449,13 @@ class TestEngineThreads:
 
         def run():
             xt = Tensor(x, requires_grad=True)
-            gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            gt, bt = Tensor(gamma, requires_grad=trainable), Tensor(beta, requires_grad=trainable)
             state = BatchNormState(128)
             state.running_var[:] = 2.0
-            out = bn_relu_pool(xt, gt, bt, state, training, pool=pool)
+            out = bn_relu_pool(xt, gt, bt, state, pool=pool)
             (out * Tensor(mix)).sum().backward()
-            return [out.data, xt.grad, gt.grad, bt.grad, state.running_mean, state.running_var]
+            grads = [t.grad for t in (xt, gt, bt) if t.requires_grad]  # frozen gamma and beta get none
+            return [out.data, *grads, state.running_mean, state.running_var]
 
         self.at_each_budget(run)
 

@@ -348,8 +348,8 @@ class TestTrainedModelHoldsNoGraph:
         built = []
         original = CnnTsa.forward
 
-        def spy(self, x, training=False):
-            out = original(self, x, training)
+        def spy(self, x):
+            out = original(self, x)
             built.append(out)
             return out
 
@@ -431,8 +431,8 @@ class TestEvaluate:
             """Every batch's logits of one evaluate() call, in clip order."""
             out, forward = [], model.forward
 
-            def spy(x, training=False):
-                res = forward(x, training)
+            def spy(x):
+                res = forward(x)
                 out.append(res.data)
                 return res
 
@@ -449,7 +449,7 @@ class TestEvaluate:
         before = logits(m, 2)
         assert kernels == [(128, 64, 5, 5)]  # the three batches share one U
         assert before.tobytes() == whole.tobytes()
-        m.forward(Tensor(specs.clips()[:, None]), training=True).sum().backward()
+        m.forward(Tensor(specs.clips()[:, None])).sum().backward()
         adam_step(m.params, m.grads(), AdamState(), lr=1e-2)  # the weights change in place
         after = logits(m, 2)
         fresh = logits(CnnTsa(cfg, state=m.state_dict()), 2)
