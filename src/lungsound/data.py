@@ -467,7 +467,9 @@ def _clip_block(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         return np.empty(shape, dtype=dtype)
     except (MemoryError, ValueError):
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        raise ConfigError(f"a clip block of shape {shape} ({nbytes:,} bytes of {np.dtype(dtype)}) cannot be allocated") from None
+        raise ConfigError(
+            f"a clip block of shape {shape} ({nbytes:,} bytes of {np.dtype(dtype)}) cannot be allocated"
+        ) from None
 
 
 def synth_corpus(cfg: SynthSpec) -> SpecSet:
