@@ -27,7 +27,7 @@ class DivergenceError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A pool worker process died (killed by a signal, or exited) while running a job."""
+    """A pool worker or memory probe process died (killed by a signal, or exited) while running a job."""
 
 
 class UnsupportedMethodError(RuntimeError):

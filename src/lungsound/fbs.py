@@ -22,9 +22,9 @@ complexity split is directly assertable.
 
 Each fold of each CV training is one job, a pure function of (kept
 bands, fold). A sweep runs its jobs on a ``fork`` process pool sized to
-the CPUs and the available memory (in this process when that size is
-one) and reduces their results in job order, so every score is the
-float a serial loop computes.
+the CPUs and the available memory over one measured job (in this process
+when that size is one), and reduces their results in job order, so
+every score is the float a serial loop computes.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from .attribution import AttributionMap, band_profile, gradcam, integrated_gradi
 from .data import SpecSet
 from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .masks import FrequencyMask, apply_mask
-from .model import POOL, ModelConfig
+from .model import ModelConfig
 from .seeding import rng_for
-from .tensor import EPILOGUE_BYTES, IM2COL_BYTES, UNITS, _openblas, thread_budget
-from .train import EVAL_BATCH, TrainConfig, evaluate, patient_kfold, train
+from .tensor import _openblas, thread_budget
+from .train import TrainConfig, evaluate, patient_kfold, train
 
 __all__ = [
     "FrequencyMask",
@@ -216,12 +216,6 @@ def eliminate_lowest(
 
 # -- one CV job --------------------------------------------------------------------------
 
-# live float32 copies of every conv block's output, per clip, in one training
-# step: the smallest count, in quarters, whose estimate is at least 1.15
-# times the peak RSS of one ICBHI-preset step at B=128 on 249x64 input
-# (1,209 against 927 MiB; one copy gives 976)
-ACTIVATION_COPIES = 1.25
-
 
 @dataclass(frozen=True)
 class _Sweep:
@@ -283,56 +277,65 @@ def _cv_job(sweep: _Sweep, keep: np.ndarray, fold: int):
 
 # -- running a sweep's jobs ---------------------------------------------------------------
 
+# the memory a pool gives each worker over the growth its one-epoch probe
+# measured; whole jobs at six epochs, and on other folds, grew within 1%
+JOB_MARGIN = 1.25
 
-def _training_bytes(sweep: _Sweep) -> int:
-    """Estimated peak memory of one job.
-
-    The larger of a training step, every conv block's output at the
-    training batch ``ACTIVATION_COPIES`` times, and ``evaluate``, which
-    runs its batch depth first (``CnnTsa.features``): every block's conv
-    output for one chunk of ``ModelConfig.depth_first_chunk`` clips, plus
-    every block's transformed kernel (64 C C' floats), which the call
-    keeps for all its batches and chunks, as ``gradcam`` does. Then one
-    im2col chunk, one gathered batch of clips, and the engine's scratch:
-    the units of a conv hold at most one more chunk between them, and
-    each of the engine's threads (at most ``UNITS``) two batchnorm
-    blocks.
-    """
-    t, f = sweep.dataset.n_frames, sweep.dataset.n_bands
-    channels = sweep.model_cfg.channels
-    gather = 4 * max(sweep.train_cfg.batch_size, EVAL_BATCH) * t * f
-    chunk = min(EVAL_BATCH, sweep.model_cfg.depth_first_chunk(t, f, 4))
-    conv = kernels = 0  # floats: every block's conv output per clip; every block's U
-    cin = 1
-    for c in channels:
-        conv += c * t * f
-        kernels += 64 * cin * c
-        t, f, cin = t // POOL, f // POOL, c
-    step = int(4 * ACTIVATION_COPIES * conv * sweep.train_cfg.batch_size)
-    inference = 4 * (conv * chunk + kernels)
-    scratch = IM2COL_BYTES + 2 * UNITS * EPILOGUE_BYTES
-    return max(step, inference) + IM2COL_BYTES + gather + scratch
+_JOB_BYTES: dict = {}  # ``_job_bytes`` by job shape, for the life of the process
 
 
-def _available_bytes() -> int:
-    """MemAvailable from /proc/meminfo; 0 where the system has none."""
+def _proc_bytes(path: str, field: str) -> int:
+    """The ``field: n kB`` line of a /proc file in bytes; 0 where the system has none."""
     try:
-        with open("/proc/meminfo") as fh:
-            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:"))
+        with open(path) as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(field + ":"))
     except (OSError, StopIteration):
         return 0
 
 
-def _pool_size(sweep: _Sweep, n_jobs: int) -> int:
-    """Workers for a sweep whose largest round has ``n_jobs`` jobs.
+def _available_bytes() -> int:
+    return _proc_bytes("/proc/meminfo", "MemAvailable")
 
-    No more than the CPUs this process may run on, the jobs, or the
-    trainings that fit in the available memory; at least one.
-    """
-    fit = _available_bytes() // _training_bytes(sweep)
-    if fit < 2:
+
+def _probe(sweep: _Sweep, grown: np.ndarray) -> None:
+    """In a forked child, ``grown[0]``: the VmHWM growth over VmRSS of one epoch of the job on all bands, fold 0."""
+    start = _proc_bytes("/proc/self/status", "VmRSS")
+    with contextlib.suppress(Exception):  # the memory up to the error, which the sweep's jobs raise
+        _cv_job(replace(sweep, train_cfg=replace(sweep.train_cfg, epochs=1)), np.ones(sweep.dataset.n_bands, bool), 0)
+    grown[0] = _proc_bytes("/proc/self/status", "VmHWM") - start
+
+
+def _job_bytes(sweep: _Sweep) -> int:
+    """The memory one job adds to a worker: ``_probe`` once per job shape and process, forked in
+    a two-worker pool's thread share (the largest a pool gives). ``WorkerError`` if it dies."""
+    key = (sweep.model_cfg, sweep.train_cfg, sweep.attribution, len(sweep.splits),
+           len(sweep.dataset), sweep.dataset.n_frames, sweep.dataset.n_bands)
+    if key not in _JOB_BYTES:
+        grown = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+        child = multiprocessing.get_context("fork").Process(target=_probe, args=(sweep, grown), daemon=True)
+        with thread_budget(max(1, len(os.sched_getaffinity(0)) // 2)):
+            child.start()
+        child.join()
+        if child.exitcode:
+            raise WorkerError(f"memory probe {child.pid} {_ended(child.exitcode)} in fold 0 on all bands")
+        _JOB_BYTES[key] = int(grown[0])
+    return _JOB_BYTES[key]
+
+
+def _pool_size(sweep: _Sweep, n_jobs: int) -> int:
+    """Workers for a sweep whose largest round has ``n_jobs`` jobs: at most the CPUs, the jobs,
+    and the jobs that fit in MemAvailable at ``_job_bytes`` times ``JOB_MARGIN``; at least one.
+    Measures only where a pool would start: two CPUs and jobs, OpenBLAS control, MemAvailable."""
+    most = min(len(os.sched_getaffinity(0)), n_jobs)
+    available = _available_bytes()
+    if most < 2 or _openblas() is None or not available:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_jobs, fit)
+    return max(1, min(most, available // max(1, int(_job_bytes(sweep) * JOB_MARGIN))))
+
+
+def _ended(code: int | None) -> str:
+    """How a process that ended with exit code ``code`` ended."""
+    return f"was killed by {signal.Signals(-code).name}" if (code or 0) < 0 else f"exited with status {code}"
 
 
 _WORKER = None  # (sweep, started) inside a pool worker; set by _adopt
@@ -356,8 +359,7 @@ def _pool_job(j: int, keep: np.ndarray, fold: int):
 class _Jobs:
     """Runs a sweep's (keep, fold) jobs and returns their results in job order.
 
-    With one worker (see ``_pool_size``), or no way to set the workers'
-    BLAS threads (see ``tensor._openblas``), the jobs run in this process.
+    With one worker (see ``_pool_size``), the jobs run in this process.
     Otherwise they run on a ``fork`` process pool that lives as long as
     the ``with`` block, forked inside ``thread_budget(cpus // workers)``
     (at least one), so each worker's engine threads and OpenBLAS take its
@@ -371,7 +373,7 @@ class _Jobs:
         self.pool = None
         self.budget = contextlib.ExitStack()
         size = _pool_size(sweep, n_jobs)
-        if size > 1 and _openblas() is not None:
+        if size > 1:
             # the workers fork with this process's thread budget, so it is
             # their share while the pool lives; set inside a forked worker,
             # OpenBLAS would restart its threads there, and an idle one
@@ -419,13 +421,9 @@ class _Jobs:
         if not cause:
             return "a worker process died between jobs"
         j, pid = cause[0]
-        code = codes.get(pid)
-        if code is not None and code < 0:
-            how = f"was killed by {signal.Signals(-code).name}"
-        else:
-            how = f"exited with status {code}"
         keep, fold = jobs[j]
-        return f"worker process {pid} {how} while running job (mask {FrequencyMask(keep).bitstring()}, fold {fold})"
+        return (f"worker process {pid} {_ended(codes.get(pid))} while running job "
+                f"(mask {FrequencyMask(keep).bitstring()}, fold {fold})")
 
 
 # -- the selection loop -----------------------------------------------------------------

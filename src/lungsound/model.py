@@ -142,10 +142,6 @@ class ModelConfig:
             return -1
         return int(p.rsplit("_", 1)[1])
 
-    def depth_first_chunk(self, t: int, f: int, itemsize: int) -> int:
-        """Clips per depth-first chunk: as many as fit their block-1 conv output in ``IM2COL_BYTES``, at least one."""
-        return max(1, IM2COL_BYTES // (self.channels[0] * t * f * itemsize))
-
     def attention_dims(self) -> tuple[int, int] | None:
         """(model dim, key dim) of the attention block, or None."""
         stage = self.attention_stage()
@@ -368,7 +364,8 @@ class CnnTsa:
                 f"{cfg.n_mel_rows_in}"
             )
         b, _, t, f = x.shape
-        chunk = cfg.depth_first_chunk(t, f, x.data.itemsize)
+        # as many clips as fit their block-1 conv output in IM2COL_BYTES, at least one
+        chunk = max(1, IM2COL_BYTES // (cfg.channels[0] * t * f * x.data.itemsize))
         if chunk >= b or _records((x, *self.params.values())):
             return run(x)
         out = None
@@ -394,13 +391,13 @@ class CnnTsa:
         running statistics, and conv2d gives each clip the bytes it gets
         alone, so the output for a clip depends on that clip alone. With
         no graph to record, the batch then runs depth first: each chunk of
-        ``ModelConfig.depth_first_chunk`` items goes through every block
-        and attention before the next chunk starts, and its last-block
-        map is written into one whole-batch array. Only one chunk's maps
-        of the earlier blocks exist at a time, and the ``tensor.frozen``
-        block that froze the parameters holds each Winograd kernel's
-        transform for all the chunks. The bytes are those of one
-        whole-batch call.
+        as many items as fit their block-1 conv output in ``IM2COL_BYTES``
+        (at least one) goes through every block and attention before the
+        next chunk starts, and its last-block map is written into one
+        whole-batch array. Only one chunk's maps of the earlier blocks
+        exist at a time, and the ``tensor.frozen`` block that froze the
+        parameters holds each Winograd kernel's transform for all the
+        chunks. The bytes are those of one whole-batch call.
         """
         return self._depth_first(x, self._stack)
 

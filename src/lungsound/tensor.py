@@ -1242,8 +1242,9 @@ def _row_dots(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         out[0, 0] = np.einsum("bcs,bcs->", u, v)
 
 
-def _bn_stats(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> tuple[np.ndarray, ...]:
-    """Per-channel (mean, inv_std, scale, shift) of batchnorm over ``x``.
+def _bn_stats(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> tuple:
+    """Per-channel (mean, inv_std, scale, shift) of batchnorm over ``x``, and
+    the mode ``learn``: (gamma, beta), each None if it needs no gradient.
 
     When ``gamma`` or ``beta`` needs a gradient it takes batch statistics
     and updates the running estimates (exponential moving average,
@@ -1265,7 +1266,8 @@ def _bn_stats(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> 
         )
     n = b * h * w
     dt = x.data.dtype
-    if _records((gamma, beta)):
+    learn = tuple(p if p.requires_grad else None for p in (gamma, beta))
+    if learn != (None, None):
         xv = x.data.reshape(b, c, h * w)
         blocks, size = _bn_blocks(x.data)
         lanes = _lanes(c * h * w * x.data.itemsize >= THREAD_BYTES)
@@ -1300,7 +1302,7 @@ def _bn_stats(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> 
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=dt))
     scale = (gamma.data * inv_std).astype(dt, copy=False)
     shift = (beta.data - mean * scale).astype(dt, copy=False)
-    return mean, inv_std, scale, shift
+    return mean, inv_std, scale, shift, learn
 
 
 def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, gx) -> None:
@@ -1321,8 +1323,9 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, gx) -> None:
     ``gx``, else in a block-sized spare buffer per thread. The second
     writes each block's dx into its slice of ``gx``, from the parked
     gradient, or from the block's gradient made again where none could
-    be parked. The mode is ``_bn_stats``'s: with gamma and beta frozen,
-    dx is the output gradient times ``scale``, and the first pass is skipped.
+    be parked. ``gamma`` and ``beta`` are the mode ``_bn_stats`` fixed at
+    forward: with both None, dx is the output gradient times ``scale``,
+    and the first pass is skipped.
     """
     b, c, h, w = x.shape
     n = b * h * w
@@ -1330,7 +1333,7 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, gx) -> None:
     xv = x.reshape(b, c, h * w)
     blocks, size = _bn_blocks(x)
     lanes = _lanes(c * h * w * x.itemsize >= THREAD_BYTES)
-    training = _records((gamma, beta))
+    training = gamma is not None or beta is not None
     work = np.empty((lanes, size), dtype=dt)
     gxv = None if gx is None else gx.reshape(b, c, h * w)
     parked = gx is not None and gx is not x
@@ -1357,9 +1360,9 @@ def _bn_adjoint(x, gamma, beta, grad_block, mean, inv_std, scale, gx) -> None:
         rows_g, rows_gx = np.empty((b, c), dtype=dt), np.empty((b, c), dtype=dt)
         _each(lanes, sums, blocks)
         sum_g, sum_gxhat = rows_g.sum(axis=0), rows_gx.sum(axis=0)
-        if beta.requires_grad:
+        if beta is not None:
             beta._adopt(sum_g)
-        if gamma.requires_grad:
+        if gamma is not None:
             gamma._adopt(sum_gxhat)
     if gx is None:
         return
@@ -1391,7 +1394,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -
     backward recomputes it from ``x``, which the graph keeps alive anyway.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state)
+    mean, inv_std, scale, shift, learn = _bn_stats(x, gamma, beta, state)
     b, c, h, w = x.shape
     out_data = x.data.reshape(b, c, h * w) * scale[:, None]
     out_data += shift[:, None]
@@ -1403,7 +1406,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -
             out[...] = gv[i, ch]
 
         gx = _empty_like(x.data) if x.requires_grad else None
-        _bn_adjoint(x.data, gamma, beta, grad_block, mean, inv_std, scale, gx)
+        _bn_adjoint(x.data, *learn, grad_block, mean, inv_std, scale, gx)
         if gx is not None:
             x._adopt(gx)
 
@@ -1452,7 +1455,7 @@ def bn_relu_pool(
     b, c, h, w = x.shape
     if pool and (h < 2 or w < 2):
         raise ShapeError(f"pool window 2 exceeds spatial dims of input {x.shape}")
-    mean, inv_std, scale, shift = _bn_stats(x, gamma, beta, state)
+    mean, inv_std, scale, shift, learn = _bn_stats(x, gamma, beta, state)
     ho, wo = h // 2, w // 2
     dt = x.data.dtype
     xv = x.data.reshape(b, c, h * w)
@@ -1518,7 +1521,7 @@ def bn_relu_pool(
             y += shift[ch, None]
             out *= y > 0
 
-        _bn_adjoint(m, gamma, beta, grad_block, mean, inv_std, scale, gx)
+        _bn_adjoint(m, *learn, grad_block, mean, inv_std, scale, gx)
         if gx is not None:
             hand(gx)
 

@@ -805,6 +805,41 @@ sys.exit(main(["--workdir", sys.argv[1], *sys.argv[2:]]))
         assert proc.stderr.startswith("worker error: worker process ")
         assert f"killed by SIGKILL while running job (mask 0000{'1' * 12}, fold 1)" in proc.stderr
 
+    def test_killed_probe_exits_with_one_line(self, cache_dir):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import lungsound.fbs as fbs
+
+        if fbs._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set: no pool, so no probe")
+        # the child that measures one job's memory before the pool starts kills itself
+        script = """
+import os, signal, sys
+import lungsound.fbs as fbs
+from lungsound.cli import main
+real, parent = fbs.train, os.getpid()
+def train(dataset, model_cfg, train_cfg):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(dataset, model_cfg, train_cfg)
+fbs.train = train
+fbs.os.sched_getaffinity = lambda pid: {0, 1}
+fbs._available_bytes = lambda: 64 << 30
+sys.exit(main(["--workdir", sys.argv[1], *sys.argv[2:]]))
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cache_dir), *fbs_small("importance")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("worker error: memory probe ")
+        assert proc.stderr.endswith(" was killed by SIGKILL in fold 0 on all bands\n"), proc.stderr
+
 
 def test_numpy_warnings_stay_off_stderr(cache_dir):
     """A diverging run ends in exit 4 and its one error line; numpy's

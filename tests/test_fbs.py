@@ -2,8 +2,6 @@
 loop structure, and a small planted-band recovery run (the full-size
 recovery sweep lives in the acceptance suite)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -490,43 +488,128 @@ class TestJobPool:
         finally:
             fbs._openblas.cache_clear()
 
-    def test_without_blas_control_jobs_run_here(self, pool_of, monkeypatch):
+    def test_without_blas_control_jobs_run_here(self, monkeypatch):
         import os
 
         import lungsound.fbs as fbs
 
         monkeypatch.setattr(fbs, "_openblas", lambda: None)
+        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(fbs, "_cv_job", lambda sweep, keep, fold: (os.getpid(), fold))
         corpus, mcfg, tcfg = small_setup()
-        pools = pool_of(2)
         with fbs._Jobs(fbs._Sweep(corpus, [], mcfg, tcfg, None), 2) as jobs:
             ran = jobs.run([(np.ones(16, bool), fold) for fold in range(2)])
-        assert pools == [] and ran == [(os.getpid(), 0), (os.getpid(), 1)]
+        assert jobs.pool is None and ran == [(os.getpid(), 0), (os.getpid(), 1)]
 
     def test_pool_size_rule(self, monkeypatch):
         import lungsound.fbs as fbs
-        from lungsound.model import icbhi_config
 
         corpus, mcfg, tcfg = small_setup()
         sweep = fbs._Sweep(corpus, [], mcfg, tcfg, None)
-        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
-        assert fbs._pool_size(sweep, 32) == 4  # CPUs
-        assert fbs._pool_size(sweep, 2) == 2  # jobs
-        # the paper's ICBHI step at B=128 (about 0.97 GB, estimated 1.27 GB)
-        # fits five times in 7 GB, four times in 5 GB and twice in 3 GB
-        big = replace(sweep, dataset=synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1)),
-                      model_cfg=icbhi_config(), train_cfg=replace(tcfg, batch_size=128))
-        assert 1.15e9 < fbs._training_bytes(big) < 1.4e9
+        measured = []
+        monkeypatch.setattr(fbs, "_job_bytes", lambda s: measured.append(s) or 1 << 30)
         monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(fbs, "_available_bytes", lambda: 7 << 30)
-        assert fbs._pool_size(big, 32) == 5
-        monkeypatch.setattr(fbs, "_available_bytes", lambda: 5 << 30)
-        assert fbs._pool_size(big, 32) == 4
-        monkeypatch.setattr(fbs, "_available_bytes", lambda: 3 << 30)
-        assert fbs._pool_size(big, 32) == 2
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
+        assert fbs._pool_size(sweep, 32) == 8  # CPUs
+        assert fbs._pool_size(sweep, 3) == 3  # jobs
+        # a job measured at 1 GiB takes JOB_MARGIN = 1.25 GiB: five fit in
+        # 7 GiB, four in 5 GiB, two in 3 GiB, and never fewer than one
+        for gib, workers in ((7, 5), (5, 4), (3, 2), (1, 1)):
+            monkeypatch.setattr(fbs, "_available_bytes", lambda gib=gib: gib << 30)
+            assert fbs._pool_size(sweep, 32) == workers, gib
         monkeypatch.setattr(fbs, "_available_bytes", lambda: 1 << 20)
-        assert fbs._pool_size(sweep, 32) == 1  # never below one
+        assert fbs._pool_size(sweep, 32) == 1
+        assert measured == [sweep] * 7
+        # no pool would start, so nothing is measured: one job, one CPU, no
+        # MemAvailable, or no way to set the workers' OpenBLAS threads
+        measured.clear()
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
+        assert fbs._pool_size(sweep, 1) == 1
+        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert fbs._pool_size(sweep, 32) == 1
+        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 0)
+        assert fbs._pool_size(sweep, 32) == 1
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
+        monkeypatch.setattr(fbs, "_openblas", lambda: None)
+        assert fbs._pool_size(sweep, 32) == 1
+        assert measured == []
+
+    def test_probe_covers_a_whole_job(self, pool_of, monkeypatch):
+        """A worker's whole job grows it by no more than the probe's one-epoch
+        job times ``JOB_MARGIN``, on every fold: at the benchmark's tiny
+        shapes, and for IG on the ICBHI preset, whose 20-step maps outgrow
+        a B=16 training step."""
+        import lungsound.fbs as fbs
+        from lungsound.model import icbhi_config
+
+        if fbs._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        real = fbs._cv_job
+
+        def growth(sweep, keep, fold):  # in a pool worker
+            start = fbs._proc_bytes("/proc/self/status", "VmRSS")
+            real(sweep, keep, fold)
+            return fbs._proc_bytes("/proc/self/status", "VmHWM") - start
+
+        tiny = synth_corpus(SynthSpec(n_classes=2, n_bands=64, n_frames=10, n_per_class=50, seed=0))
+        icbhi = synth_corpus(SynthSpec(n_classes=2, n_bands=64, n_frames=249, n_per_class=2, seed=0))
+        cases = [
+            (tiny, ModelConfig(channels=(8,), n_classes=2, n_mel_rows_in=64),
+             TrainConfig(epochs=6, batch_size=32, lr0=1e-2, weight_decay=0.0, seed=0, specaugment=False),
+             "gradcam"),
+            (icbhi, icbhi_config(2), TrainConfig(epochs=1, batch_size=16, seed=0), "ig"),
+        ]
+        for corpus, mcfg, tcfg, method in cases:
+            sweep = fbs._Sweep(corpus, fbs.patient_kfold(corpus.patient_ids, k=2), mcfg, tcfg, method)
+            monkeypatch.setattr(fbs, "_JOB_BYTES", {})
+            monkeypatch.setattr(fbs, "_cv_job", real)
+            figure = fbs._job_bytes(sweep)
+            monkeypatch.setattr(fbs, "_cv_job", growth)
+            pool_of(2)
+            with fbs._Jobs(sweep, 2) as jobs:
+                grown = jobs.run([(np.ones(64, bool), fold) for fold in range(2)])
+            assert 0 < max(grown) <= figure * fbs.JOB_MARGIN, (method, figure / 2**20, [g / 2**20 for g in grown])
+
+    def test_a_second_sweep_of_one_shape_probes_once(self, monkeypatch, tmp_path):
+        import lungsound.fbs as fbs
+
+        if fbs._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(fbs, "_available_bytes", lambda: 64 << 30)
+        monkeypatch.setattr(fbs, "_JOB_BYTES", {})
+        real, log = fbs._probe, tmp_path / "probes"
+
+        def probe(sweep, grown):  # in the probe child: one line per probe
+            with open(log, "a") as fh:
+                fh.write(f"{len(sweep.splits)}\n")
+            real(sweep, grown)
+
+        monkeypatch.setattr(fbs, "_probe", probe)
+        corpus, mcfg, tcfg = small_setup(seed=4)
+        runs = [sweep_repr(SWEEPS["importance"](corpus, mcfg, tcfg)) for _ in range(2)]
+        assert runs[0] == runs[1] and log.read_text() == "3\n"
+        SWEEPS["backward"](corpus, mcfg, tcfg)  # another shape: no attribution
+        fbs_importance(corpus, mcfg, tcfg, k_folds=2, stop_epsilon=float("inf"), min_bands=12)  # another k
+        assert log.read_text() == "3\n3\n2\n"
+
+    def test_one_cpu_starts_no_process(self, monkeypatch):
+        """A sweep allowed one CPU forks neither a probe nor a pool; under
+        ``taskset -c 0`` this runs on the real affinity."""
+        import multiprocessing
+        import os
+
+        import lungsound.fbs as fbs
+
+        if len(os.sched_getaffinity(0)) > 1:
+            monkeypatch.setattr(fbs.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(fbs, "_JOB_BYTES", {})
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        corpus, mcfg, tcfg = small_setup(seed=4)
+        res = SWEEPS["importance"](corpus, mcfg, tcfg)
+        assert res.train_runs == 3 and forks == [] and multiprocessing.active_children() == []
 
 
 def test_cv_job_copies_no_clip(monkeypatch):

@@ -598,6 +598,31 @@ class TestBnReluPool:
         self.compare((3, 4, 7, 8), (True, trainable, False), pool=False)
         self.compare((3, 4, 1, 1), modes(trainable), pool=False)  # no pool, so no least size
 
+    @pytest.mark.parametrize("op", ["pool", "no-pool", "batchnorm2d"])
+    def test_mode_fixed_at_forward(self, op):
+        # a graph recorded inside frozen([gamma, beta]) takes the running
+        # statistics' adjoint even when backward runs after the block ends
+        g = rng(7)
+        x = g.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        mix = g.normal(size=(2, 3, 4, 4) if op != "pool" else (2, 3, 2, 2)).astype(np.float32)
+        results = []
+        for after in (False, True):
+            state = BatchNormState(3)
+            state.running_mean[:], state.running_var[:] = 0.3, 2.0
+            xt, gamma, beta = Tensor(x, requires_grad=True), param(np.full(3, 1.5)), param(np.full(3, 0.2))
+            with frozen([gamma, beta]):
+                if op == "batchnorm2d":
+                    out = batchnorm2d(xt, gamma, beta, state)
+                else:
+                    out = bn_relu_pool(xt, gamma, beta, state, pool=op == "pool")
+                if not after:
+                    out.backward(mix)
+            if after:
+                out.backward(mix)
+            assert gamma.grad is None and beta.grad is None
+            results.append(xt.grad.tobytes())
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("pool", [True, False])
     def test_input_gradient_alone_in_eval_mode(self, pool, monkeypatch):
         # IG's path: frozen gamma and beta and the running statistics, so

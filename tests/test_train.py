@@ -1,6 +1,5 @@
 """Training loop, loss, splits, metric suite, and age-specific models."""
 
-import functools
 import math
 
 import numpy as np
@@ -544,12 +543,9 @@ def _run_peaks(code: str) -> list[int]:
 
 
 def test_paper_batch_step_memory():
-    # the 1.15 margin that fbs.ACTIVATION_COPIES is set with: a change that
-    # keeps block 1's conv output for backward again, or brings back a
-    # whole-batch temporary of the conv-block epilogue, fails
-    import lungsound.fbs as fbs
-    from lungsound.model import icbhi_config
-
+    # within 1.15 times the bound: a change that keeps block 1's conv output
+    # for backward again, or brings back a whole-batch temporary of the
+    # conv-block epilogue, fails
     code = f"""
 from lungsound.data import SynthSpec, synth_corpus
 from lungsound.model import icbhi_config
@@ -560,10 +556,6 @@ print({PEAK_KIB})
 """
     (peak,) = _run_peaks(code)
     assert peak < 1.15 * PAPER_STEP_PEAK_MIB * 2**20, peak / 2**20
-    # the FBS pool's memory rule covers the step it sizes workers for
-    specs = synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1))
-    sweep = fbs._Sweep(specs, [], icbhi_config(4), TrainConfig(batch_size=128), None)
-    assert fbs._training_bytes(sweep) > peak
 
 
 # Peak RSS (MiB) that evaluate() adds over 128 ICBHI-preset clips of 249 x 64
@@ -574,9 +566,9 @@ print({PEAK_KIB})
 EVALUATE_ADDED_MIB = 72
 
 
-@functools.cache
-def _evaluate_peaks() -> tuple[int, int]:
-    """Peak RSS (bytes) before and after evaluate() of 128 ICBHI-preset clips."""
+def test_evaluate_memory_is_bounded():
+    # whole-batch pooled maps per block add about 3.1x this, a whole-batch
+    # conv output per block, as a graph-building forward builds, about 8.8x
     code = f"""
 from lungsound.data import SynthSpec, synth_corpus
 from lungsound.model import CnnTsa, icbhi_config
@@ -588,30 +580,4 @@ evaluate(model, specs, "multiclass")
 print({PEAK_KIB})
 """
     before, after = _run_peaks(code)
-    return before, after
-
-
-def test_evaluate_memory_is_bounded():
-    # whole-batch pooled maps per block add about 3.1x this, a whole-batch
-    # conv output per block, as a graph-building forward builds, about 8.8x
-    before, after = _evaluate_peaks()
     assert after - before < 1.3 * EVALUATE_ADDED_MIB * 2**20, (after - before) / 2**20
-
-
-def test_training_bytes_covers_evaluate_and_small_batch_step():
-    import lungsound.fbs as fbs
-    from lungsound.model import icbhi_config
-
-    code = f"""
-from lungsound.data import SynthSpec, synth_corpus
-from lungsound.model import icbhi_config
-from lungsound.train import TrainConfig, train
-specs = synth_corpus(SynthSpec(n_classes=4, n_bands=64, n_frames=249, n_per_class=8, seed=0))
-train(specs, icbhi_config(4), TrainConfig(epochs=1, batch_size=32, seed=0, specaugment=True))
-print({PEAK_KIB})
-"""
-    (step,) = _run_peaks(code)
-    _, inference = _evaluate_peaks()
-    specs = synth_corpus(SynthSpec(n_bands=64, n_frames=249, n_per_class=1))
-    sweep = fbs._Sweep(specs, [], icbhi_config(4), TrainConfig(batch_size=32), None)
-    assert fbs._training_bytes(sweep) > max(step, inference), (step / 2**20, inference / 2**20)
